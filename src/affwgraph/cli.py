@@ -119,7 +119,13 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
-            g = graph_from_json(json.load(fh))
+            data = json.load(fh)
+        try:
+            g = graph_from_json(data)
+        except KeyError as exc:
+            raise UsageError(f"{args.input}: missing key {exc}") from None
+        except TypeError as exc:
+            raise UsageError(f"{args.input}: malformed graph: {exc}") from None
         name = args.input
     else:
         if not args.shape:
@@ -206,6 +212,8 @@ def cmd_export(args) -> int:
 def cmd_regress(args) -> int:
     from .regress import run_regression
 
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     results = run_regression(max_n=args.max_n, jobs=args.jobs)
     width = max(len(r.name) for r in results)
     ok = True

@@ -12,13 +12,28 @@ matrix check instead builds the generator action
 
 and verifies the quadratic, commutation and braid relations on every basis
 vector.  Rule checkers report every witness they find.
+
+The relations are checked in exact Python integers with v evaluated at
+X = 2**B.  Every matrix entry (q, -1 or v*m) has no negative power of v, so
+each relation residual is a polynomial P(v) in v.  Write |x| for the sum of
+the absolute values of all coefficients of a vector x of polynomials; then
+|T_i x| <= M |x|, where M is the largest column norm: 1 for a q column and
+1 + sum |m(u > w)| otherwise.  From a basis vector the quadratic residual
+T^2 e + (1 - q) T e - q e has norm at most M^2 + 2M + 1 = (M + 1)^2, the
+commutation residual at most 2M^2 and the braid residual at most 2M^3, so
+every coefficient of every residual is at most C = max((M + 1)^2, 2M^3).
+If P != 0 has degree d, |P(X)| >= X^d - C (X^d - 1)/(X - 1) > 0 once
+X > C, and X > 2C (asserted) even makes the coefficients the balanced
+base-X digits of P(X).  So P(X) = 0 exactly when P = 0, for any integer
+weights, and the witnesses are those of the polynomial check.  Only the
+public hecke_matrices evaluates the same columns as LaurentPoly entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .laurent import ONE, Q, V, ZERO, LaurentPoly, lp_monomial
+from .laurent import ZERO, LaurentPoly, lp_monomial
 from .rsk import rsk
 from .tableaux import Partition
 from .tworow import build_affine_graph
@@ -92,21 +107,20 @@ def check_bonding(g: LabeledWGraph) -> RuleReport:
         for j in sorted(g.index_set)
         if i < j and dynkin_adjacent(g, i, j)
     ]
+    mutual: list[list[int]] = [[] for _ in g.vertices]
+    for (u, v) in g.weights:
+        if (v, u) in g.weights:  # stored weights are nonzero
+            mutual[u].append(v)
     for i, j in pairs:
         for u in range(len(g.vertices)):
             for a, b in ((i, j), (j, i)):
                 if a not in g.tau[u] or b in g.tau[u]:
                     continue
-                partners = [
-                    v
-                    for v in range(len(g.vertices))
-                    if b in g.tau[v]
-                    and a not in g.tau[v]
-                    and g.weights.get((u, v), 0) != 0
-                    and g.weights.get((v, u), 0) != 0
-                ]
-                if len(partners) != 1:
-                    witnesses.append((u, a, b, len(partners)))
+                partners = sum(
+                    1 for v in mutual[u] if b in g.tau[v] and a not in g.tau[v]
+                )
+                if partners != 1:
+                    witnesses.append((u, a, b, partners))
     return _report("bonding", witnesses)
 
 
@@ -175,35 +189,28 @@ def rules_hold(g: LabeledWGraph) -> bool:
     return all(r.passed for r in check_all_rules(g))
 
 
-def _hecke_columns(g: LabeledWGraph) -> dict[int, list[dict[int, LaurentPoly]]]:
-    """Sparse columns of each T_i: columns[i][u] maps row index to coefficient."""
+def _hecke_columns(g: LabeledWGraph) -> dict[int, list[dict[int, tuple[int, int]]]]:
+    """
+    Sparse columns of each T_i: columns[i][u] maps a row index w to the
+    monomial (c, e) standing for the entry c * v**e, which is q = (1, 2),
+    -1 = (-1, 0) or v*m(u > w) = (m, 1).
+    """
     adj = out_neighbors(g)
-    columns: dict[int, list[dict[int, LaurentPoly]]] = {}
+    columns: dict[int, list[dict[int, tuple[int, int]]]] = {}
     for i in sorted(g.index_set):
         cols = []
         for u in range(len(g.vertices)):
             if i not in g.tau[u]:
-                cols.append({u: Q})
+                cols.append({u: (1, 2)})
                 continue
-            col = {u: lp_monomial(-1, 0)}
+            col = {u: (-1, 0)}
+            # each w occurs once in adj[u] and is not u, as i is in tau(u)
             for w, wt in adj[u]:
                 if i not in g.tau[w]:
-                    col[w] = col.get(w, ZERO) + V.scale(wt)
-            cols.append({k: c for k, c in col.items() if c})
+                    col[w] = (wt, 1)
+            cols.append(col)
         columns[i] = cols
     return columns
-
-
-def _apply(cols: list[dict[int, LaurentPoly]], vec: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-    out: dict[int, LaurentPoly] = {}
-    for u, coeff in vec.items():
-        for w, c in cols[u].items():
-            s = out.get(w, ZERO) + coeff * c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
 
 
 def hecke_matrices(g: LabeledWGraph) -> dict[int, list[list[LaurentPoly]]]:
@@ -213,53 +220,74 @@ def hecke_matrices(g: LabeledWGraph) -> dict[int, list[list[LaurentPoly]]]:
     for i, cols in _hecke_columns(g).items():
         matrix = [[ZERO] * count for _ in range(count)]
         for u, col in enumerate(cols):
-            for w, c in col.items():
-                matrix[w][u] = c
+            for w, (c, e) in col.items():
+                matrix[w][u] = lp_monomial(c, e)
         matrices[i] = matrix
     return matrices
 
 
+def _evaluation_point(columns: dict[int, list[dict[int, tuple[int, int]]]]) -> int:
+    """
+    X = 2**B with X > 2*C, where C = max((M+1)**2, 2*M**3) bounds every
+    coefficient of every relation residual and M is the largest column norm
+    (see the module docstring).
+    """
+    norm = max(
+        (sum(abs(c) for c, _ in col.values()) for cols in columns.values() for col in cols),
+        default=1,
+    )
+    bound = max((norm + 1) ** 2, 2 * norm ** 3)
+    x = 1 << (2 * bound).bit_length()
+    assert x > 2 * bound, (x, bound)
+    return x
+
+
+def _apply(cols: list[list[tuple[int, int]]], vec: dict[int, int]) -> dict[int, int]:
+    """T * vec for integer columns, without zero entries."""
+    out: dict[int, int] = {}
+    get = out.get
+    for u, a in vec.items():
+        for w, c in cols[u]:
+            out[w] = get(w, 0) + a * c
+    return {w: c for w, c in out.items() if c}
+
+
 def _hecke_witnesses(g: LabeledWGraph, stop_on_first: bool):
     columns = _hecke_columns(g)
+    x = _evaluation_point(columns)
+    q = x * x
+    evaluated = {
+        i: [[(w, c * x ** e) for w, (c, e) in col.items()] for col in cols]
+        for i, cols in columns.items()
+    }
     generators = sorted(g.index_set)
     count = len(g.vertices)
-    one_minus_q = ONE - Q
 
     for i in generators:
-        cols = columns[i]
+        cols = evaluated[i]
         for u in range(count):
-            base = {u: ONE}
-            first = _apply(cols, base)
+            first = dict(cols[u])
             residual = _apply(cols, first)
             for w, c in first.items():
-                s = residual.get(w, ZERO) + one_minus_q * c
-                if s:
-                    residual[w] = s
-                else:
-                    residual.pop(w, None)
-            s = residual.get(u, ZERO) - Q
-            if s:
-                residual[u] = s
-            else:
-                residual.pop(u, None)
-            if residual:
+                residual[w] = residual.get(w, 0) + (1 - q) * c
+            residual[u] = residual.get(u, 0) - q
+            if any(residual.values()):
                 yield ("quadratic", i, i, u)
                 if stop_on_first:
                     return
 
     for ai, i in enumerate(generators):
         for j in generators[ai + 1:]:
-            ci, cj = columns[i], columns[j]
+            ci, cj = evaluated[i], evaluated[j]
             adjacent = dynkin_adjacent(g, i, j)
             relation = "braid" if adjacent else "commutation"
             for u in range(count):
-                base = {u: ONE}
                 if adjacent:
-                    left = _apply(ci, _apply(cj, _apply(ci, base)))
-                    right = _apply(cj, _apply(ci, _apply(cj, base)))
+                    left = _apply(ci, _apply(cj, dict(ci[u])))
+                    right = _apply(cj, _apply(ci, dict(cj[u])))
                 else:
-                    left = _apply(ci, _apply(cj, base))
-                    right = _apply(cj, _apply(ci, base))
+                    left = _apply(ci, dict(cj[u]))
+                    right = _apply(cj, dict(ci[u]))
                 if left != right:
                     yield (relation, i, j, u)
                     if stop_on_first:

@@ -23,7 +23,7 @@ __all__ = [
     "LabeledWGraph", "full_subgraph",
     "restrict_parabolic", "simple_underlying", "cells", "simple_components",
     "simple_component_ids", "is_reduced", "is_nb_admissible", "dynkin_adjacent",
-    "out_neighbors", "in_neighbors",
+    "out_neighbors",
     "graph_to_json", "graph_from_json", "graph_to_dot",
 ]
 
@@ -37,7 +37,15 @@ class LabeledWGraph:
     weights: dict[tuple[int, int], int]  # (src, dst) -> nonzero weight
 
     def __post_init__(self):
+        count = len(self.vertices)
+        if len(self.tau) != count:
+            raise ValueError(f"{len(self.tau)} tau labels for {count} vertices")
         for (u, v), w in self.weights.items():
+            if not (isinstance(u, int) and isinstance(v, int)
+                    and 0 <= u < count and 0 <= v < count):
+                raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{count - 1}")
+            if not isinstance(w, int):
+                raise ValueError(f"weight of edge {(u, v)} is not an integer: {w!r}")
             if w == 0:
                 raise ValueError(f"stored weight must be nonzero: {(u, v)}")
         for s in self.tau:
@@ -70,14 +78,6 @@ def out_neighbors(g: LabeledWGraph) -> list[list[tuple[int, int]]]:
     adj: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
     for (u, v), w in sorted(g.weights.items()):
         adj[u].append((v, w))
-    return adj
-
-
-def in_neighbors(g: LabeledWGraph) -> list[list[tuple[int, int]]]:
-    """Per-vertex list of (source, weight)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
-    for (u, v), w in sorted(g.weights.items()):
-        adj[v].append((u, w))
     return adj
 
 
@@ -253,12 +253,18 @@ def graph_to_json(g: LabeledWGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> LabeledWGraph:
+    weights: dict[tuple[int, int], int] = {}
+    for e in data["edges"]:
+        edge = (e["src"], e["dst"])
+        if edge in weights:
+            raise ValueError(f"duplicate edge {edge}")
+        weights[edge] = e["w"]
     return LabeledWGraph(
         n=data["n"],
         index_set=frozenset(data["index_set"]),
         vertices=tuple(tableau_from_json(t) for t in data["vertices"]),
         tau=tuple(frozenset(s) for s in data["tau"]),
-        weights={(e["src"], e["dst"]): e["w"] for e in data["edges"]},
+        weights=weights,
     )
 
 

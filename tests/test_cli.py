@@ -81,6 +81,28 @@ class TestVerify:
         assert code == 2
 
 
+MALFORMED = {
+    "missing tau": lambda graph: graph.pop("tau"),
+    "short tau": lambda graph: graph.update(tau=graph["tau"][:-1]),
+    "endpoint out of range": lambda graph: graph["edges"][0].update(dst=len(graph["vertices"])),
+    "duplicate edge": lambda graph: graph["edges"].append(dict(graph["edges"][0])),
+}
+
+
+@pytest.mark.parametrize("damage", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_two_with_one_line(capsys, tmp_path, damage):
+    graph = load_fixture_json("gamma_3_2")
+    damage(graph)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(graph), encoding="utf-8")
+    code = main(["verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 class TestRestrictAndCells:
     def test_restrict_matches_fixture(self, capsys):
         code, out = run(capsys, "restrict", "3", "2", "--to", "1..4")
@@ -126,6 +148,12 @@ class TestRegress:
         lines = [line for line in out.splitlines() if line.strip()]
         assert len(lines) == 10
         assert all("PASS" in line for line in lines)
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, out = run(capsys, "regress", "--max-n", "4", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
 
 
 def test_fixture_env_override(capsys, tmp_path, monkeypatch):

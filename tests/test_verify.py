@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affwgraph import (
     LabeledWGraph,
@@ -22,7 +25,7 @@ from affwgraph import (
 )
 from affwgraph.laurent import ONE, Q, V, ZERO
 from affwgraph.verify import hecke_holds, rules_hold
-from affwgraph.wgraph import is_nb_admissible, is_reduced
+from affwgraph.wgraph import dynkin_adjacent, is_nb_admissible, is_reduced
 
 from conftest import all_partitions, count_ssyt, two_row_shapes
 
@@ -43,6 +46,87 @@ def _without_edge(g, edge):
     weights = dict(g.weights)
     del weights[edge]
     return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
+
+
+WEIGHTS = (1, -1, 2, 3, 10**9, -(10**9))
+
+
+@functools.cache
+def _base_graph(parts):
+    return build_affine_graph(Partition(parts))
+
+
+@st.composite
+def damaged_graphs(draw):
+    """A small affine graph with up to 3 edges deleted and up to 3 re-weighted."""
+    g = _base_graph(draw(st.sampled_from(((3, 2), (4, 2), (3, 3)))))
+    deleted = draw(st.sets(st.sampled_from(sorted(g.weights)), max_size=3))
+    weights = {e: w for e, w in g.weights.items() if e not in deleted}
+    weights.update(
+        draw(st.dictionaries(st.sampled_from(sorted(weights)), st.sampled_from(WEIGHTS), max_size=3))
+    )
+    return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
+
+
+def _oracle_hecke_witnesses(g):
+    """The relations applied to each basis vector with the dense LaurentPoly matrices."""
+    count = len(g.vertices)
+    matrices = hecke_matrices(g)
+
+    def times(matrix, x):
+        out = [ZERO] * count
+        for k, xk in enumerate(x):
+            if xk:
+                for w in range(count):
+                    if matrix[w][k]:
+                        out[w] = out[w] + matrix[w][k] * xk
+        return out
+
+    generators = sorted(g.index_set)
+    witnesses = []
+    for u in range(count):
+        e = [ONE if k == u else ZERO for k in range(count)]
+        for i in generators:
+            te = times(matrices[i], e)
+            residual = [
+                a + (ONE - Q) * b - Q * c for a, b, c in zip(times(matrices[i], te), te, e)
+            ]
+            if any(residual):
+                witnesses.append(("quadratic", i, i, u))
+        for x, i in enumerate(generators):
+            for j in generators[x + 1:]:
+                ti, tj = matrices[i], matrices[j]
+                if dynkin_adjacent(g, i, j):
+                    relation = "braid"
+                    left = times(ti, times(tj, times(ti, e)))
+                    right = times(tj, times(ti, times(tj, e)))
+                else:
+                    relation = "commutation"
+                    left = times(ti, times(tj, e))
+                    right = times(tj, times(ti, e))
+                if left != right:
+                    witnesses.append((relation, i, j, u))
+    return sorted(witnesses)
+
+
+def _brute_force_bonding(g):
+    """The bonding rule as defined: every vertex is a candidate partner."""
+    count = len(g.vertices)
+    witnesses = []
+    for a in g.index_set:
+        for b in g.index_set:
+            if a == b or not dynkin_adjacent(g, a, b):
+                continue
+            for u in range(count):
+                if a in g.tau[u] and b not in g.tau[u]:
+                    partners = sum(
+                        1
+                        for v in range(count)
+                        if b in g.tau[v] and a not in g.tau[v] and g.weight(u, v) and g.weight(v, u)
+                    )
+                    if partners != 1:
+                        witnesses.append((u, a, b, partners))
+    return sorted(witnesses)
 
 
 class TestCompatibility:
@@ -87,6 +171,11 @@ class TestBonding:
         mutual = next((u, v) for (u, v) in sorted(g32.weights) if (v, u) in g32.weights)
         bad = _without_edge(_without_edge(g32, mutual), (mutual[1], mutual[0]))
         assert not check_bonding(bad).passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(damaged_graphs())
+    def test_matches_brute_force(self, g):
+        assert list(check_bonding(g).witnesses) == _brute_force_bonding(g)
 
 
 class TestPolygon:
@@ -198,6 +287,29 @@ class TestHecke:
         assert not report.passed
         assert report.witnesses
         assert all(w[0] in ("quadratic", "commutation", "braid") for w in report.witnesses)
+
+
+class TestIntegerHeckeCheck:
+    @settings(max_examples=40, deadline=None)
+    @given(damaged_graphs())
+    def test_witnesses_match_laurent_oracle(self, g):
+        report = check_hecke_relations(g)
+        assert list(report.witnesses) == _oracle_hecke_witnesses(g)
+        assert hecke_holds(g) == report.passed
+
+    @pytest.mark.parametrize("x", [2**k for k in range(1, 25)])
+    def test_residual_vanishing_at_a_fixed_point_is_caught(self, x):
+        # The only nonzero row of (T1 T2 T1 - T2 T1 T2) e_3 here is row 2,
+        # a*(v^4 + v^2) + b*v^3 for a = m(3>0), b = m(3>1).  With a = x and
+        # b = -(x^2 + 1) it vanishes at v = x, so no evaluation point that
+        # ignores the size of the weights decides every graph.
+        g = TestPolygonPathCounts._chain(
+            tau_by_vertex=({1}, {2}, set(), {1, 2}),
+            weights={(0, 1): -1, (0, 2): -1, (1, 0): -1, (2, 0): -1, (3, 0): x, (3, 1): -(x * x + 1)},
+        )
+        report = check_hecke_relations(g)
+        assert ("braid", 1, 2, 3) in report.witnesses
+        assert list(report.witnesses) == _oracle_hecke_witnesses(g)
 
 
 class TestRulesMatchHeckeOnAdmissibleGraphs:

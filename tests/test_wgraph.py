@@ -198,6 +198,12 @@ class TestSerialization:
     def test_dot_deterministic(self, g32):
         assert graph_to_dot(g32) == graph_to_dot(g32)
 
+    def test_rejects_duplicate_edge(self, g32):
+        data = graph_to_json(g32)
+        data["edges"].append(dict(data["edges"][0], w=2))
+        with pytest.raises(ValueError, match="duplicate edge"):
+            graph_from_json(data)
+
     def test_dual_equiv_matches_underlying(self, g32):
         assert build_dual_equiv(Partition((3, 2))).weights == simple_underlying(g32).weights
 
@@ -224,3 +230,18 @@ def test_full_subgraph_keeps_internal_weights(g32):
         assert g32.weight(
             g32.vertex_index()[sub.vertices[u]], g32.vertex_index()[sub.vertices[v]]
         ) == w
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("edge", [(0, 2), (-1, 0), (1, "0"), (0, 1.0)])
+    def test_rejects_endpoint_outside_vertices(self, edge):
+        with pytest.raises(ValueError, match="endpoint"):
+            _tiny(({1}, {2}), {edge: 1})
+
+    def test_rejects_tau_length_mismatch(self):
+        with pytest.raises(ValueError, match="tau labels"):
+            _tiny(({1},), {})
+
+    def test_rejects_non_integer_weight(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            _tiny(({1}, {2}), {(0, 1): 0.5})
