@@ -118,8 +118,11 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.input, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"{args.input}: cannot read: {exc.strerror}") from None
         try:
             g = graph_from_json(data)
         except KeyError as exc:
@@ -179,8 +182,7 @@ def cmd_cells(args) -> int:
                 {
                     "key": list(key.parts),
                     "size": len(cell.vertices),
-                    "vertices": [graph_to_json(cell)["vertices"][k]["rows"]
-                                 for k in range(len(cell.vertices))],
+                    "vertices": [[list(row) for row in t.rows] for t in cell.vertices],
                 }
             )
     else:

@@ -21,7 +21,6 @@ from .tableaux import (
     enumerate_rsyt,
     enumerate_syt,
     finite_descents,
-    is_knuth_move,
     mo,
     pint,
 )
@@ -68,6 +67,11 @@ def second_kind_valid(s: RowStandardTableau, i: int, j: int) -> bool:
     row1, row2 = set(s.rows[0]), set(s.rows[1])
     if mo(i, n) not in row2 or mo(j, n) not in row1 or mo(i, n) == mo(j + 1, n):
         raise ValueError(f"not a second-kind candidate: i={i}, j={j} on {s}")
+    return _second_kind_ok(row1, row2, i, j, n)
+
+
+def _second_kind_ok(row1, row2, i: int, j: int, n: int) -> bool:
+    """Conditions (a)-(e) on the rows of a second-kind candidate (i, j)."""
     d = mo(j - i, n)
     # (a) cyclic distance from i to j is odd
     if d % 2 == 0:
@@ -106,23 +110,20 @@ def enumerate_moves(shape: Partition) -> list[Move]:
     _require_two_row(shape)
     n = shape.n
     vertices = enumerate_rsyt(shape)
-    index = {t: k for k, t in enumerate(vertices)}
+    # a two-row tableau is determined by its second row
+    index = {frozenset(t.rows[1]): k for k, t in enumerate(vertices)}
     moves: list[Move] = []
     for src, s in enumerate(vertices):
-        row1, row2 = set(s.rows[0]), set(s.rows[1])
+        row1, row2 = frozenset(s.rows[0]), frozenset(s.rows[1])
         for i in range(1, n + 1):
-            t = first_kind_target(s, i)
-            if t is not None:
-                moves.append(Move("first", i, mo(i + 1, n), src, index[t]))
-        for i in range(1, n + 1):
-            if mo(i, n) not in row2:
-                continue
-            for j in range(1, n + 1):
-                if mo(j, n) not in row1 or mo(i, n) == mo(j + 1, n):
-                    continue
-                if second_kind_valid(s, i, j):
-                    t = s.with_swapped(mo(i, n), mo(j, n))
-                    moves.append(Move("second", i, j, src, index[t]))
+            x, y = mo(i, n), mo(i + 1, n)
+            if x in row1 and y in row2:
+                moves.append(Move("first", i, y, src, index[row2 ^ {x, y}]))
+        # rows are sorted, so i and j run through 1..n in increasing order
+        for i in s.rows[1]:
+            for j in s.rows[0]:
+                if i != mo(j + 1, n) and _second_kind_ok(row1, row2, i, j, n):
+                    moves.append(Move("second", i, j, src, index[row2 ^ {i, j}]))
     return moves
 
 
@@ -146,17 +147,28 @@ def build_dual_equiv(shape: Partition) -> LabeledWGraph:
     _require_two_row(shape)
     n = shape.n
     vertices = tuple(enumerate_rsyt(shape))
+    tau = tuple(affine_descents(t) for t in vertices)
+    index = {frozenset(t.rows[1]): k for k, t in enumerate(vertices)}
+    # a Knuth move swaps mo(i) and mo(i+1) from different rows and leaves
+    # incomparable descent sets (see is_knuth_move)
+    pairs = []
+    for u, t in enumerate(vertices):
+        row2 = frozenset(t.rows[1])
+        for i in range(1, n + 1):
+            x, y = mo(i, n), mo(i + 1, n)
+            if (x in row2) != (y in row2):
+                v = index[row2 ^ {x, y}]
+                if u < v and not (tau[u] <= tau[v] or tau[v] <= tau[u]):
+                    pairs.append((u, v))
     weights: dict[tuple[int, int], int] = {}
-    for u in range(len(vertices)):
-        for v in range(u + 1, len(vertices)):
-            if is_knuth_move(vertices[u], vertices[v]):
-                weights[(u, v)] = 1
-                weights[(v, u)] = 1
+    for u, v in sorted(pairs):
+        weights[(u, v)] = 1
+        weights[(v, u)] = 1
     return LabeledWGraph(
         n=n,
         index_set=frozenset(range(1, n + 1)),
         vertices=vertices,
-        tau=tuple(affine_descents(t) for t in vertices),
+        tau=tau,
         weights=weights,
     )
 

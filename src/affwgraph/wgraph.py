@@ -10,7 +10,9 @@ all orderings are canonical so exports are byte-for-byte reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .tableaux import (
     RowStandardTableau,
@@ -34,12 +36,21 @@ class LabeledWGraph:
     index_set: frozenset[int]
     vertices: tuple[RowStandardTableau, ...]
     tau: tuple[frozenset[int], ...]
-    weights: dict[tuple[int, int], int]  # (src, dst) -> nonzero weight
+    weights: Mapping[tuple[int, int], int]  # (src, dst) -> nonzero weight, read-only
 
     def __post_init__(self):
         count = len(self.vertices)
+        if not self.index_set <= frozenset(range(1, self.n + 1)):
+            raise ValueError(f"index set {set(self.index_set)} is not a subset of 1..{self.n}")
         if len(self.tau) != count:
             raise ValueError(f"{len(self.tau)} tau labels for {count} vertices")
+        seen = set()
+        for k, t in enumerate(self.vertices):
+            if t.n != self.n:
+                raise ValueError(f"vertex {k} ({tableau_text(t)}) has {t.n} entries, not {self.n}")
+            if t in seen:
+                raise ValueError(f"vertex {k} ({tableau_text(t)}) is repeated")
+            seen.add(t)
         for (u, v), w in self.weights.items():
             if not (isinstance(u, int) and isinstance(v, int)
                     and 0 <= u < count and 0 <= v < count):
@@ -51,6 +62,7 @@ class LabeledWGraph:
         for s in self.tau:
             if not s <= self.index_set:
                 raise ValueError(f"tau value {set(s)} outside index set")
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
     @property
     def is_affine(self) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,9 @@ MALFORMED = {
     "short tau": lambda graph: graph.update(tau=graph["tau"][:-1]),
     "endpoint out of range": lambda graph: graph["edges"][0].update(dst=len(graph["vertices"])),
     "duplicate edge": lambda graph: graph["edges"].append(dict(graph["edges"][0])),
+    "repeated vertex": lambda graph: graph["vertices"].__setitem__(-1, graph["vertices"][0]),
+    "vertex size not n": lambda graph: graph.update(n=6),
+    "index set outside 1..n": lambda graph: graph["index_set"].append(6),
 }
 
 
@@ -95,6 +99,19 @@ def test_malformed_input_exits_two_with_one_line(capsys, tmp_path, damage):
     damage(graph)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(graph), encoding="utf-8")
+    code = main(["verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing file", "invalid json"])
+def test_unreadable_input_exits_two_with_one_line(capsys, tmp_path, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
     code = main(["verify", "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 2
@@ -120,6 +137,13 @@ class TestRestrictAndCells:
         assert [(c["key"], c["size"]) for c in data["cells"]] == [
             ([3, 2], 5), ([4, 1], 4), ([5], 1),
         ]
+
+    def test_cells_output_bytes(self, capsys):
+        code, out = run(capsys, "cells", "4", "2", "--restrict", "1..5")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "28c24f9df40cbb197a68fcdee09972aaa13727232aa3ae06d650c98dcbd5d1be"
+        )
 
     def test_cells_unrestricted(self, capsys):
         code, out = run(capsys, "cells", "3", "3")

@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from affwgraph import (
+    Move,
     Partition,
     RowStandardTableau,
     affine_descents,
@@ -9,6 +13,7 @@ from affwgraph import (
     build_equal_variant,
     build_finite_graph,
     enumerate_moves,
+    enumerate_rsyt,
     enumerate_syt,
     first_kind_target,
     is_knuth_move,
@@ -17,7 +22,7 @@ from affwgraph import (
     second_kind_target,
     second_kind_valid,
 )
-from affwgraph.wgraph import simple_component_ids, simple_underlying
+from affwgraph.wgraph import graph_to_dot, graph_to_json, simple_component_ids, simple_underlying
 
 from conftest import two_row_shapes
 
@@ -183,3 +188,57 @@ def test_strong_connectivity():
 
     for shape in two_row_shapes(3, 8):
         assert len(cells(build_affine_graph(shape))) == 1
+
+
+def _moves_oracle(shape):
+    """Every first-kind i and every second-kind candidate (i, j), tried one by one."""
+    n = shape.n
+    vertices = enumerate_rsyt(shape)
+    index = {t: k for k, t in enumerate(vertices)}
+    moves = []
+    for src, s in enumerate(vertices):
+        for i in range(1, n + 1):
+            t = first_kind_target(s, i)
+            if t is not None:
+                moves.append(Move("first", i, mo(i + 1, n), src, index[t]))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                try:
+                    t = second_kind_target(s, i, j)
+                except ValueError:  # not a second-kind candidate
+                    continue
+                if t is not None:
+                    moves.append(Move("second", i, j, src, index[t]))
+    return moves
+
+
+def test_enumerate_moves_matches_candidate_oracle():
+    for shape in two_row_shapes(3, 9):
+        assert enumerate_moves(shape) == _moves_oracle(shape)
+
+
+def test_dual_equiv_matches_all_pairs_knuth_scan():
+    for shape in two_row_shapes(3, 8):
+        vertices = enumerate_rsyt(shape)
+        expected = {}
+        for u in range(len(vertices)):
+            for v in range(u + 1, len(vertices)):
+                if is_knuth_move(vertices[u], vertices[v]):
+                    expected[(u, v)] = 1
+                    expected[(v, u)] = 1
+        weights = build_dual_equiv(shape).weights
+        assert weights == expected
+        assert list(weights) == list(expected)
+
+
+def test_builders_byte_identical():
+    # pins the JSON and DOT exports and the move lists for n <= 10 byte for byte
+    affine, dual, moves = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for shape in two_row_shapes(3, 10):
+        for digest, g in ((affine, build_affine_graph(shape)), (dual, build_dual_equiv(shape))):
+            digest.update((json.dumps(graph_to_json(g), indent=1, sort_keys=True) + "\n").encode())
+            digest.update(graph_to_dot(g).encode())
+        moves.update(repr(enumerate_moves(shape)).encode())
+    assert affine.hexdigest() == "3f25d6a52832e1502a7f1602133ead8ff0038e4079cb931152445aa0aa6f60d2"
+    assert dual.hexdigest() == "dfef95500c3240fcbd03915ba63bba758735fadb472d0ae39acf512c5a59ebb0"
+    assert moves.hexdigest() == "46da4ce8ce58142d15ab9671943e071e0d8537d40248c3117b61a52dc2031b4e"

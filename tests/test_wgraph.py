@@ -3,6 +3,7 @@ import pytest
 from affwgraph import (
     LabeledWGraph,
     Partition,
+    RowStandardTableau,
     build_affine_graph,
     build_dual_equiv,
     cells,
@@ -245,3 +246,34 @@ class TestConstruction:
     def test_rejects_non_integer_weight(self):
         with pytest.raises(ValueError, match="not an integer"):
             _tiny(({1}, {2}), {(0, 1): 0.5})
+
+    def test_rejects_repeated_vertex(self, g32):
+        vertices = g32.vertices[:-1] + g32.vertices[:1]
+        with pytest.raises(ValueError, match="repeated"):
+            LabeledWGraph(g32.n, g32.index_set, vertices, g32.tau, g32.weights)
+
+    def test_rejects_vertex_of_other_size(self, g32):
+        with pytest.raises(ValueError, match="entries"):
+            LabeledWGraph(6, frozenset(range(1, 7)), g32.vertices, g32.tau, g32.weights)
+
+    def test_rejects_index_set_outside_one_to_n(self):
+        with pytest.raises(ValueError, match="index set"):
+            LabeledWGraph(
+                n=3,
+                index_set=frozenset({0, 1, 2}),
+                vertices=(RowStandardTableau(((1, 2), (3,))),),
+                tau=(frozenset(),),
+                weights={},
+            )
+
+    def test_weights_read_only(self, g32):
+        with pytest.raises(TypeError):
+            g32.weights[(0, 99)] = 1
+        with pytest.raises(TypeError):
+            del g32.weights[next(iter(g32.weights))]
+
+    def test_weights_copied_from_caller(self):
+        weights = {(0, 1): 1}
+        g = _tiny(({1}, {2}), weights)
+        weights[(1, 0)] = 1
+        assert g.weights == {(0, 1): 1}
