@@ -123,6 +123,8 @@ def cmd_verify(args) -> int:
                 data = json.load(fh)
         except OSError as exc:
             raise UsageError(f"{args.input}: cannot read: {exc.strerror}") from None
+        except RecursionError:
+            raise UsageError(f"{args.input}: JSON nested too deeply") from None
         try:
             g = graph_from_json(data)
         except KeyError as exc:

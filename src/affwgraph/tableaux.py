@@ -246,4 +246,8 @@ def tableau_to_json(t: RowStandardTableau) -> dict:
 
 
 def tableau_from_json(data: dict) -> RowStandardTableau:
-    return RowStandardTableau(tuple(tuple(row) for row in data["rows"]))
+    rows = tuple(tuple(row) for row in data["rows"])
+    # True == 1 and 1.0 == 1 would pass the check on the entries
+    if not all(type(e) is int for row in rows for e in row):
+        raise ValueError(f"tableau entries must be integers: {rows}")
+    return RowStandardTableau(rows)

@@ -13,6 +13,14 @@ matrix check instead builds the generator action
 and verifies the quadratic, commutation and braid relations on every basis
 vector.  Rule checkers report every witness they find.
 
+The polygon rule compares path sums from each source u into the sinks v.
+It walks the paths out of u and looks only at the sinks they reach: a sink
+that no path reaches has 0 on both sides and cannot be a witness, so the
+work is the number of paths, not |sources| * |sinks|.  The relation check
+skips the basis vectors on which the generators involved act as the
+scalar q, since every relation holds there whatever the weights, and
+accumulates left - right of each relation instance in one residual.
+
 The relations are checked in exact Python integers with v evaluated at
 X = 2**B.  Every matrix entry (q, -1 or v*m) has no negative power of v, so
 each relation residual is a polynomial P(v) in v.  Write |x| for the sum of
@@ -31,6 +39,7 @@ public hecke_matrices evaluates the same columns as LaurentPoly entries.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .laurent import ZERO, LaurentPoly, lp_monomial
@@ -134,45 +143,52 @@ def check_polygon(g: LabeledWGraph) -> RuleReport:
     adj = out_neighbors(g)
     generators = sorted(g.index_set)
 
-    def paths2(i: int, j: int, u: int) -> dict[int, int]:
-        """v -> sum over w in V_{i/j} of m(u>w) m(w>v)."""
+    def paths2(inner: list[bool], u: int) -> dict[int, int]:
+        """v -> sum over w with inner[w] of m(u>w) m(w>v)."""
         totals: dict[int, int] = {}
+        get = totals.get
         for w, wt1 in adj[u]:
-            if i in g.tau[w] and j not in g.tau[w]:
+            if inner[w]:
                 for v, wt2 in adj[w]:
-                    totals[v] = totals.get(v, 0) + wt1 * wt2
+                    totals[v] = get(v, 0) + wt1 * wt2
         return totals
 
-    def paths3(i: int, j: int, u: int) -> dict[int, int]:
-        """v -> sum over w1 in V_{i/j}, w2 in V_{j/i} of the 3-step products."""
+    def paths3(first: list[bool], second: list[bool], u: int) -> dict[int, int]:
+        """v -> sum over w1 with first[w1], w2 with second[w2] of the 3-step products."""
         totals: dict[int, int] = {}
+        get = totals.get
         for w1, wt1 in adj[u]:
-            if i not in g.tau[w1] or j in g.tau[w1]:
+            if not first[w1]:
                 continue
             for w2, wt2 in adj[w1]:
-                if j not in g.tau[w2] or i in g.tau[w2]:
+                if not second[w2]:
                     continue
+                wt12 = wt1 * wt2
                 for v, wt3 in adj[w2]:
-                    totals[v] = totals.get(v, 0) + wt1 * wt2 * wt3
+                    totals[v] = get(v, 0) + wt12 * wt3
         return totals
 
     for ai, i in enumerate(generators):
         for j in generators[ai + 1:]:
             sources = [u for u in range(count) if i in g.tau[u] and j in g.tau[u]]
-            sinks = [v for v in range(count) if i not in g.tau[v] and j not in g.tau[v]]
-            if not sources or not sinks:
+            sink = [i not in t and j not in t for t in g.tau]
+            if not sources or not any(sink):
                 continue
+            # V_{i/j} and V_{j/i}, the middle vertices of the paths
+            ij = [i in t and j not in t for t in g.tau]
+            ji = [j in t and i not in t for t in g.tau]
             adjacent = dynkin_adjacent(g, i, j)
             for u in sources:
-                n2_ij = paths2(i, j, u)
-                n2_ji = paths2(j, i, u)
-                n3_ij = paths3(i, j, u) if adjacent else {}
-                n3_ji = paths3(j, i, u) if adjacent else {}
-                for v in sinks:
-                    if n2_ij.get(v, 0) != n2_ji.get(v, 0):
-                        witnesses.append((u, v, i, j, 2, n2_ij.get(v, 0), n2_ji.get(v, 0)))
-                    if adjacent and n3_ij.get(v, 0) != n3_ji.get(v, 0):
-                        witnesses.append((u, v, i, j, 3, n3_ij.get(v, 0), n3_ji.get(v, 0)))
+                counts = [(2, paths2(ij, u), paths2(ji, u))]
+                if adjacent:
+                    counts.append((3, paths3(ij, ji, u), paths3(ji, ij, u)))
+                # a sink that no path reaches has 0 on both sides
+                for r, lhs, rhs in counts:
+                    for v in lhs.keys() | rhs.keys():
+                        if sink[v]:
+                            a, b = lhs.get(v, 0), rhs.get(v, 0)
+                            if a != b:
+                                witnesses.append((u, v, i, j, r, a, b))
     return _report("polygon", witnesses)
 
 
@@ -242,35 +258,47 @@ def _evaluation_point(columns: dict[int, list[dict[int, tuple[int, int]]]]) -> i
     return x
 
 
-def _apply(cols: list[list[tuple[int, int]]], vec: dict[int, int]) -> dict[int, int]:
-    """T * vec for integer columns, without zero entries."""
-    out: dict[int, int] = {}
+def _apply(
+    cols: list[list[tuple[int, int]]],
+    vec: Iterable[tuple[int, int]],
+    out: dict[int, int],
+    sign: int = 1,
+) -> dict[int, int]:
+    """Add sign * T * vec into out, for integer columns and (index, value) pairs vec."""
     get = out.get
-    for u, a in vec.items():
+    for u, a in vec:
+        a *= sign
         for w, c in cols[u]:
             out[w] = get(w, 0) + a * c
-    return {w: c for w, c in out.items() if c}
+    return out
 
 
 def _hecke_witnesses(g: LabeledWGraph, stop_on_first: bool):
     columns = _hecke_columns(g)
     x = _evaluation_point(columns)
     q = x * x
+    # popping each generator's monomial columns frees them as it goes
     evaluated = {
-        i: [[(w, c * x ** e) for w, (c, e) in col.items()] for col in cols]
-        for i, cols in columns.items()
+        i: [[(w, c * x ** e) for w, (c, e) in col.items()] for col in columns.pop(i)]
+        for i in sorted(columns)
     }
     generators = sorted(g.index_set)
-    count = len(g.vertices)
+    # _hecke_columns sets T_i e_u = q e_u whenever i is not in tau(u), for any
+    # weights.  Such a u has quadratic residual q^2 + (1 - q) q - q = 0, and
+    # with neither i nor j in tau(u) both sides of the commutation (braid)
+    # relation are q^2 e_u (q^3 e_u).  So only u with i or j in tau(u) can
+    # be witnesses.
 
     for i in generators:
         cols = evaluated[i]
-        for u in range(count):
-            first = dict(cols[u])
-            residual = _apply(cols, first)
-            for w, c in first.items():
-                residual[w] = residual.get(w, 0) + (1 - q) * c
-            residual[u] = residual.get(u, 0) - q
+        for u, t in enumerate(g.tau):
+            if i not in t:
+                continue
+            first = cols[u]
+            residual = _apply(cols, first, {u: -q})
+            get = residual.get
+            for w, c in first:
+                residual[w] = get(w, 0) + (1 - q) * c
             if any(residual.values()):
                 yield ("quadratic", i, i, u)
                 if stop_on_first:
@@ -281,14 +309,18 @@ def _hecke_witnesses(g: LabeledWGraph, stop_on_first: bool):
             ci, cj = evaluated[i], evaluated[j]
             adjacent = dynkin_adjacent(g, i, j)
             relation = "braid" if adjacent else "commutation"
-            for u in range(count):
+            for u, t in enumerate(g.tau):
+                if i not in t and j not in t:
+                    continue
+                # left - right, accumulated in one residual
+                diff: dict[int, int] = {}
                 if adjacent:
-                    left = _apply(ci, _apply(cj, dict(ci[u])))
-                    right = _apply(cj, _apply(ci, dict(cj[u])))
+                    _apply(ci, _apply(cj, ci[u], {}).items(), diff)
+                    _apply(cj, _apply(ci, cj[u], {}).items(), diff, -1)
                 else:
-                    left = _apply(ci, dict(cj[u]))
-                    right = _apply(cj, dict(ci[u]))
-                if left != right:
+                    _apply(ci, cj[u], diff)
+                    _apply(cj, ci[u], diff, -1)
+                if any(diff.values()):
                     yield (relation, i, j, u)
                     if stop_on_first:
                         return

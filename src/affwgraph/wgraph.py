@@ -40,7 +40,9 @@ class LabeledWGraph:
 
     def __post_init__(self):
         count = len(self.vertices)
-        if not self.index_set <= frozenset(range(1, self.n + 1)):
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"n must be a positive integer, not {self.n!r}")
+        if not all(type(i) is int and 1 <= i <= self.n for i in self.index_set):
             raise ValueError(f"index set {set(self.index_set)} is not a subset of 1..{self.n}")
         if len(self.tau) != count:
             raise ValueError(f"{len(self.tau)} tau labels for {count} vertices")
@@ -52,15 +54,15 @@ class LabeledWGraph:
                 raise ValueError(f"vertex {k} ({tableau_text(t)}) is repeated")
             seen.add(t)
         for (u, v), w in self.weights.items():
-            if not (isinstance(u, int) and isinstance(v, int)
-                    and 0 <= u < count and 0 <= v < count):
+            if not (type(u) is int and type(v) is int and 0 <= u < count and 0 <= v < count):
                 raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{count - 1}")
-            if not isinstance(w, int):
+            if type(w) is not int:
                 raise ValueError(f"weight of edge {(u, v)} is not an integer: {w!r}")
             if w == 0:
                 raise ValueError(f"stored weight must be nonzero: {(u, v)}")
         for s in self.tau:
-            if not s <= self.index_set:
+            # True == 1 and 1.0 == 1 pass the subset test, so check types too
+            if not (s <= self.index_set and all(type(i) is int for i in s)):
                 raise ValueError(f"tau value {set(s)} outside index set")
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 

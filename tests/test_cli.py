@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affwgraph.cli import main
 from affwgraph.fixtures import load_fixture_json
@@ -118,6 +122,90 @@ def test_unreadable_input_exits_two_with_one_line(capsys, tmp_path, content):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+LOOK_ALIKES = {
+    "nested too deeply": "[" * 100000 + "]" * 100000,
+    "weight true": lambda graph: graph["edges"][0].update(w=True),
+    "endpoint true": lambda graph: graph["edges"][0].update(src=True),
+    "n = 10**18": lambda graph: graph.update(n=10**18),
+    "n a string": lambda graph: graph.update(n="5"),
+    "entry 1.0": lambda graph: graph["vertices"][0]["rows"][0].__setitem__(0, 1.0),
+    "tau label true": lambda graph: graph["tau"][0].append(True),
+}
+
+
+@pytest.mark.parametrize("damage", LOOK_ALIKES.values(), ids=LOOK_ALIKES.keys())
+def test_input_boundary_exits_two_with_one_line(capsys, tmp_path, damage):
+    path = tmp_path / "input.json"
+    if isinstance(damage, str):
+        path.write_text(damage, encoding="utf-8")
+    else:
+        graph = load_fixture_json("gamma_3_2")
+        damage(graph)
+        path.write_text(json.dumps(graph), encoding="utf-8")
+    code = main(["verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.integers()
+    | st.floats() | st.text(max_size=3) | st.sampled_from(("rows", "src", "dst", "w", "n")),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(("rows", "src", "dst", "w", "n", "x")), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(node, prefix=()):
+    """Every path of keys / indices into a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_graph_json(draw):
+    """The (3,2) graph JSON with up to four nodes replaced or deleted, or any JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    data = load_fixture_json("gamma_3_2")
+    for _ in range(draw(st.integers(1, 4))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        if not path:
+            return draw(JSON_VALUES)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.integers(0, 3)) == 0:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.integers(-3, 12) | JSON_VALUES)
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_graph_json())
+def test_mutated_input_keeps_exit_contract(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--input", str(path)])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 1)
+        assert json.loads(out.getvalue())["passed"] == (code == 0)
 
 
 class TestRestrictAndCells:

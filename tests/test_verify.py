@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 
 import pytest
@@ -129,6 +130,34 @@ def _brute_force_bonding(g):
     return sorted(witnesses)
 
 
+def _brute_force_polygon(g):
+    """The polygon rule as stated: every source against every sink, through every middle vertex."""
+    count = len(g.vertices)
+    m = g.weight
+    generators = sorted(g.index_set)
+    witnesses = []
+    for x, i in enumerate(generators):
+        for j in generators[x + 1:]:
+            v_ij = [w for w in range(count) if i in g.tau[w] and j not in g.tau[w]]
+            v_ji = [w for w in range(count) if j in g.tau[w] and i not in g.tau[w]]
+            for u in range(count):
+                if i not in g.tau[u] or j not in g.tau[u]:
+                    continue
+                for v in range(count):
+                    if i in g.tau[v] or j in g.tau[v]:
+                        continue
+                    lhs = sum(m(u, w) * m(w, v) for w in v_ij)
+                    rhs = sum(m(u, w) * m(w, v) for w in v_ji)
+                    if lhs != rhs:
+                        witnesses.append((u, v, i, j, 2, lhs, rhs))
+                    if dynkin_adjacent(g, i, j):
+                        lhs = sum(m(u, a) * m(a, b) * m(b, v) for a in v_ij for b in v_ji)
+                        rhs = sum(m(u, a) * m(a, b) * m(b, v) for a in v_ji for b in v_ij)
+                        if lhs != rhs:
+                            witnesses.append((u, v, i, j, 3, lhs, rhs))
+    return sorted(witnesses)
+
+
 class TestCompatibility:
     def test_passes(self, g32):
         assert check_compatibility(g32).passed
@@ -246,6 +275,25 @@ class TestPolygonPathCounts:
         )
         assert check_polygon(g).passed
 
+    @settings(max_examples=40, deadline=None)
+    @given(damaged_graphs())
+    def test_matches_brute_force(self, g):
+        assert list(check_polygon(g).witnesses) == _brute_force_polygon(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sets(st.sampled_from((1, 2))), min_size=4, max_size=4),
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.sampled_from((1, -1, 2, 3, 5)),
+            max_size=16,
+        ),
+    )
+    def test_chain_matches_brute_force(self, tau_by_vertex, weights):
+        # finite index set {1, 2}: the only pair is adjacent, so N^3 is compared
+        g = self._chain(tau_by_vertex, weights)
+        assert list(check_polygon(g).witnesses) == _brute_force_polygon(g)
+
 
 class TestHecke:
     def test_matrix_of_inactive_generator_is_scalar(self):
@@ -337,6 +385,30 @@ class TestRulesMatchHeckeOnAdmissibleGraphs:
                     assert rules_hold(mutated) == hecke_holds(mutated), (shape, removed)
                 else:
                     assert not rules_hold(mutated), (shape, removed)
+
+
+def test_witness_lists_pinned_on_mutants():
+    # digest of both witness lists and hecke_holds on 30 damaged n = 7, 8
+    # graphs (each fails both paths: 770 polygon and 772 Hecke witnesses)
+    graphs = []
+    for a, b in ((4, 3), (5, 3), (4, 4)):
+        g = build_affine_graph(Partition((a, b)))
+        rng = random.Random(f"polygon-hecke-{a}-{b}")
+        for _ in range(10):
+            weights = dict(g.weights)
+            for edge in rng.sample(sorted(weights), 3):
+                del weights[edge]
+            weights[rng.choice(sorted(weights))] = rng.choice((2, 3, -1))
+            graphs.append(LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights))
+    rows = [
+        (check_polygon(h).witnesses, check_hecke_relations(h).witnesses, hecke_holds(h))
+        for h in graphs
+    ]
+    assert sum(len(p) for p, _, _ in rows) == 770
+    assert sum(len(h) for _, h, _ in rows) == 772
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "34b16f3656ed7345642bcf0b7afc4e10fadfe3c21550f507dd5c54887268b287"
+    )
 
 
 class TestRestrictionCells:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from affwgraph import (
@@ -265,6 +267,38 @@ class TestConstruction:
                 tau=(frozenset(),),
                 weights={},
             )
+
+    def test_huge_n_rejected_without_allocating(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="entries"):
+            LabeledWGraph(
+                n=10**18,
+                index_set=frozenset({1, 2, 3}),
+                vertices=(RowStandardTableau(((1, 2), (3,))),),
+                tau=(frozenset(),),
+                weights={},
+            )
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("n", [True, "3", 3.0, 0])
+    def test_rejects_n_not_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="n must be"):
+            LabeledWGraph(n, frozenset(), (), (), {})
+
+    @pytest.mark.parametrize(
+        "tau, weights, message",
+        [
+            (({1}, {2}), {(0, 1): True}, "not an integer"),
+            (({1}, {2}), {(True, 0): 1}, "endpoint"),
+            (({True}, {2}), {(0, 1): 1}, "tau value"),
+            (({1.0}, {2}), {(0, 1): 1}, "tau value"),
+        ],
+        ids=["bool weight", "bool endpoint", "bool tau label", "float tau label"],
+    )
+    def test_rejects_look_alike_integers(self, tau, weights, message):
+        # True == 1 and 1.0 == 1, so only a type check tells them apart
+        with pytest.raises(ValueError, match=message):
+            _tiny(tau, weights)
 
     def test_weights_read_only(self, g32):
         with pytest.raises(TypeError):
