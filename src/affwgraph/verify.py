@@ -11,30 +11,47 @@ matrix check instead builds the generator action
                                                     if i in tau(u)
 
 and verifies the quadratic, commutation and braid relations on every basis
-vector.  Rule checkers report every witness they find.
+vector (the quadratic one holds by construction, see below).  Rule checkers
+report every witness they find.
 
 The polygon rule compares path sums from each source u into the sinks v.
 It walks the paths out of u and looks only at the sinks they reach: a sink
 that no path reaches has 0 on both sides and cannot be a witness, so the
-work is the number of paths, not |sources| * |sinks|.  The relation check
-skips the basis vectors on which the generators involved act as the
-scalar q, since every relation holds there whatever the weights, and
-accumulates left - right of each relation instance in one residual.
+work is the number of paths, not |sources| * |sinks|.
+
+The quadratic relation holds by construction, for any weights.  If i is
+not in tau(u), T_i^2 e_u = q^2 e_u = (q - 1) T_i e_u + q e_u.  Otherwise
+T_i e_u = -e_u + o, where every w in o has i not in tau(w), so T_i o = q o
+and T_i^2 e_u = e_u - o + q o = (q - 1) T_i e_u + q e_u.  So only the
+commutation and braid relations are evaluated, and on e_u each is reduced
+by the generators that act on e_u as the scalar q:
+
+* neither i nor j in tau(u): both sides are q^2 e_u (q^3 e_u); skipped.
+* only i in tau(u): T_j e_u = q e_u, so the commutation residual
+  T_i T_j e_u - T_j T_i e_u is -(T_j - q) T_i e_u and the braid residual
+  T_i T_j T_i e_u - T_j T_i T_j e_u is (T_i - q) T_j T_i e_u.  T - q is 0 on
+  every e_w with a scalar column, so only the other entries are applied,
+  and the -e_u term of T_i e_u drops out of the commutation residual.
+* only j in tau(u): the same with i and j swapped.
+* both in tau(u): both sides are computed, and left - right is
+  accumulated in one residual.
 
 The relations are checked in exact Python integers with v evaluated at
 X = 2**B.  Every matrix entry (q, -1 or v*m) has no negative power of v, so
 each relation residual is a polynomial P(v) in v.  Write |x| for the sum of
 the absolute values of all coefficients of a vector x of polynomials; then
-|T_i x| <= M |x|, where M is the largest column norm: 1 for a q column and
-1 + sum |m(u > w)| otherwise.  From a basis vector the quadratic residual
-T^2 e + (1 - q) T e - q e has norm at most M^2 + 2M + 1 = (M + 1)^2, the
-commutation residual at most 2M^2 and the braid residual at most 2M^3, so
-every coefficient of every residual is at most C = max((M + 1)^2, 2M^3).
-If P != 0 has degree d, |P(X)| >= X^d - C (X^d - 1)/(X - 1) > 0 once
-X > C, and X > 2C (asserted) even makes the coefficients the balanced
+|T_i x| <= M |x| for any M at least the largest column norm (1 for a q
+column, 1 + sum |m(u > w)| over some out-edges of u otherwise).  M is taken
+as 1 + the largest sum of |m(u > w)| over all out-edges of one vertex.
+From a basis vector the commutation residual has norm at most 2M^2 and the
+braid residual at most 2M^3 (the reduced residuals above are the same
+vectors up to sign), so every coefficient of every residual is at most
+C = 2M^3.  If P != 0 has degree d, |P(X)| >= X^d - C (X^d - 1)/(X - 1) > 0
+once X > C, and X > 2C (asserted) even makes the coefficients the balanced
 base-X digits of P(X).  So P(X) = 0 exactly when P = 0, for any integer
-weights, and the witnesses are those of the polynomial check.  Only the
-public hecke_matrices evaluates the same columns as LaurentPoly entries.
+weights, and the witnesses are those of the polynomial check.  The same
+column builder feeds the public hecke_matrices, which turns each column
+into LaurentPoly entries instead.
 """
 
 from __future__ import annotations
@@ -42,7 +59,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .laurent import ZERO, LaurentPoly, lp_monomial
+from .laurent import ONE, Q, ZERO, LaurentPoly, lp_monomial
 from .rsk import rsk
 from .tableaux import Partition
 from .tworow import build_affine_graph
@@ -205,121 +222,131 @@ def rules_hold(g: LabeledWGraph) -> bool:
     return all(r.passed for r in check_all_rules(g))
 
 
-def _hecke_columns(g: LabeledWGraph) -> dict[int, list[dict[int, tuple[int, int]]]]:
+# None for a column q * e_u, else the off-diagonal (row, entry) pairs
+_Column = list[tuple[int, int]] | None
+
+
+def _hecke_columns(g: LabeledWGraph, scale: int = 1) -> dict[int, list[_Column]]:
     """
-    Sparse columns of each T_i: columns[i][u] maps a row index w to the
-    monomial (c, e) standing for the entry c * v**e, which is q = (1, 2),
-    -1 = (-1, 0) or v*m(u > w) = (m, 1).
+    Sparse columns of each T_i: columns[i][u] is None when i is not in
+    tau(u), where T_i e_u = q e_u, and otherwise the off-diagonal pairs
+    (w, scale * m(u > w)) over the w with i not in tau(w), where
+    T_i e_u = -e_u + v * sum m(u > w) e_w.
     """
     adj = out_neighbors(g)
-    columns: dict[int, list[dict[int, tuple[int, int]]]] = {}
-    for i in sorted(g.index_set):
-        cols = []
-        for u in range(len(g.vertices)):
-            if i not in g.tau[u]:
-                cols.append({u: (1, 2)})
-                continue
-            col = {u: (-1, 0)}
-            # each w occurs once in adj[u] and is not u, as i is in tau(u)
-            for w, wt in adj[u]:
-                if i not in g.tau[w]:
-                    col[w] = (wt, 1)
-            cols.append(col)
-        columns[i] = cols
-    return columns
+    tau = g.tau
+    # each w occurs once in adj[u]; a kept w is not u, as i is in tau(u)
+    return {
+        i: [
+            [(w, scale * m) for w, m in adj[u] if i not in tau[w]] if i in t else None
+            for u, t in enumerate(tau)
+        ]
+        for i in sorted(g.index_set)
+    }
 
 
 def hecke_matrices(g: LabeledWGraph) -> dict[int, list[list[LaurentPoly]]]:
     """Dense matrix of each generator: matrix[row][col] in the vertex basis."""
     count = len(g.vertices)
+    minus_one = -ONE
     matrices = {}
     for i, cols in _hecke_columns(g).items():
         matrix = [[ZERO] * count for _ in range(count)]
         for u, col in enumerate(cols):
-            for w, (c, e) in col.items():
-                matrix[w][u] = lp_monomial(c, e)
+            if col is None:
+                matrix[u][u] = Q
+                continue
+            matrix[u][u] = minus_one
+            for w, m in col:
+                matrix[w][u] = lp_monomial(m, 1)
         matrices[i] = matrix
     return matrices
 
 
-def _evaluation_point(columns: dict[int, list[dict[int, tuple[int, int]]]]) -> int:
+def _evaluation_point(g: LabeledWGraph) -> int:
     """
-    X = 2**B with X > 2*C, where C = max((M+1)**2, 2*M**3) bounds every
-    coefficient of every relation residual and M is the largest column norm
-    (see the module docstring).
+    X = 2**B with X > 2*C, where C = 2*M**3 bounds every coefficient of every
+    relation residual and M = 1 + the largest sum of |m(u > w)| over the
+    out-edges of one vertex (see the module docstring).
     """
-    norm = max(
-        (sum(abs(c) for c, _ in col.values()) for cols in columns.values() for col in cols),
-        default=1,
-    )
-    bound = max((norm + 1) ** 2, 2 * norm ** 3)
+    out_norms = [0] * len(g.vertices)
+    for (u, _), m in g.weights.items():
+        out_norms[u] += abs(m)
+    norm = 1 + max(out_norms, default=0)
+    bound = 2 * norm ** 3
     x = 1 << (2 * bound).bit_length()
     assert x > 2 * bound, (x, bound)
     return x
 
 
 def _apply(
-    cols: list[list[tuple[int, int]]],
+    cols: list[_Column],
     vec: Iterable[tuple[int, int]],
     out: dict[int, int],
+    q: int,
     sign: int = 1,
 ) -> dict[int, int]:
     """Add sign * T * vec into out, for integer columns and (index, value) pairs vec."""
     get = out.get
-    for u, a in vec:
+    for k, a in vec:
         a *= sign
-        for w, c in cols[u]:
+        col = cols[k]
+        if col is None:
+            out[k] = get(k, 0) + q * a
+            continue
+        out[k] = get(k, 0) - a
+        for w, c in col:
+            out[w] = get(w, 0) + a * c
+    return out
+
+
+def _apply_shifted(
+    cols: list[_Column],
+    vec: Iterable[tuple[int, int]],
+    out: dict[int, int],
+    q: int,
+) -> dict[int, int]:
+    """Add (T - q) * vec into out; the scalar columns of T contribute nothing."""
+    get = out.get
+    diagonal = -1 - q
+    for k, a in vec:
+        col = cols[k]
+        if col is None:
+            continue
+        out[k] = get(k, 0) + diagonal * a
+        for w, c in col:
             out[w] = get(w, 0) + a * c
     return out
 
 
 def _hecke_witnesses(g: LabeledWGraph, stop_on_first: bool):
-    columns = _hecke_columns(g)
-    x = _evaluation_point(columns)
+    x = _evaluation_point(g)
     q = x * x
-    # popping each generator's monomial columns frees them as it goes
-    evaluated = {
-        i: [[(w, c * x ** e) for w, (c, e) in col.items()] for col in columns.pop(i)]
-        for i in sorted(columns)
-    }
-    generators = sorted(g.index_set)
-    # _hecke_columns sets T_i e_u = q e_u whenever i is not in tau(u), for any
-    # weights.  Such a u has quadratic residual q^2 + (1 - q) q - q = 0, and
-    # with neither i nor j in tau(u) both sides of the commutation (braid)
-    # relation are q^2 e_u (q^3 e_u).  So only u with i or j in tau(u) can
-    # be witnesses.
-
-    for i in generators:
-        cols = evaluated[i]
-        for u, t in enumerate(g.tau):
-            if i not in t:
-                continue
-            first = cols[u]
-            residual = _apply(cols, first, {u: -q})
-            get = residual.get
-            for w, c in first:
-                residual[w] = get(w, 0) + (1 - q) * c
-            if any(residual.values()):
-                yield ("quadratic", i, i, u)
-                if stop_on_first:
-                    return
-
+    columns = _hecke_columns(g, x)
+    generators = sorted(columns)
     for ai, i in enumerate(generators):
         for j in generators[ai + 1:]:
-            ci, cj = evaluated[i], evaluated[j]
+            ci, cj = columns[i], columns[j]
             adjacent = dynkin_adjacent(g, i, j)
             relation = "braid" if adjacent else "commutation"
-            for u, t in enumerate(g.tau):
-                if i not in t and j not in t:
+            for u, (a, b) in enumerate(zip(ci, cj)):
+                if a is None and b is None:
                     continue
-                # left - right, accumulated in one residual
+                # the residual of e_u, or its negative (module docstring)
                 diff: dict[int, int] = {}
-                if adjacent:
-                    _apply(ci, _apply(cj, ci[u], {}).items(), diff)
-                    _apply(cj, _apply(ci, cj[u], {}).items(), diff, -1)
+                if a is None or b is None:
+                    # T_p e_u = -e_u + col and T_r e_u = q e_u
+                    p, r, col = (ci, cj, a) if b is None else (cj, ci, b)
+                    if adjacent:
+                        _apply_shifted(p, _apply(r, col, {u: -q}, q).items(), diff, q)
+                    else:
+                        _apply_shifted(r, col, diff, q)
+                elif adjacent:
+                    _apply(ci, _apply(cj, [(u, -1), *a], {}, q).items(), diff, q)
+                    _apply(cj, _apply(ci, [(u, -1), *b], {}, q).items(), diff, q, -1)
                 else:
-                    _apply(ci, cj[u], diff)
-                    _apply(cj, ci[u], diff, -1)
+                    _apply(ci, [(u, -1), *b], diff, q)
+                    _apply(cj, [(u, -1), *a], diff, q, -1)
                 if any(diff.values()):
                     yield (relation, i, j, u)
                     if stop_on_first:
@@ -328,9 +355,10 @@ def _hecke_witnesses(g: LabeledWGraph, stop_on_first: bool):
 
 def check_hecke_relations(g: LabeledWGraph) -> RuleReport:
     """
-    Verify (T_i - q)(T_i + 1) = 0 for every generator, commutation for
-    non-adjacent pairs and the length-3 braid relation for adjacent ones,
-    on every basis vector.  Witnesses are (relation, i, j, basis vertex).
+    Verify commutation for non-adjacent pairs and the length-3 braid
+    relation for adjacent ones on every basis vector; the quadratic relation
+    (T_i - q)(T_i + 1) = 0 holds by construction (module docstring).
+    Witnesses are (relation, i, j, basis vertex).
     """
     return _report("hecke", list(_hecke_witnesses(g, stop_on_first=False)))
 

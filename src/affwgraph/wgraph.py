@@ -47,9 +47,15 @@ class LabeledWGraph:
         if len(self.tau) != count:
             raise ValueError(f"{len(self.tau)} tau labels for {count} vertices")
         seen = set()
+        first = tuple(map(len, self.vertices[0].rows)) if count else None
         for k, t in enumerate(self.vertices):
             if t.n != self.n:
                 raise ValueError(f"vertex {k} ({tableau_text(t)}) has {t.n} entries, not {self.n}")
+            shape = tuple(map(len, t.rows))
+            if shape != first:
+                raise ValueError(
+                    f"vertex {k} ({tableau_text(t)}) has shape {shape}, not {first} as vertex 0"
+                )
             if t in seen:
                 raise ValueError(f"vertex {k} ({tableau_text(t)}) is repeated")
             seen.add(t)

@@ -94,6 +94,8 @@ MALFORMED = {
     "repeated vertex": lambda graph: graph["vertices"].__setitem__(-1, graph["vertices"][0]),
     "vertex size not n": lambda graph: graph.update(n=6),
     "index set outside 1..n": lambda graph: graph["index_set"].append(6),
+    "vertex 0 of shape (4,1)": lambda graph: graph["vertices"][0].update(rows=[[1, 2, 3, 4], [5]]),
+    "vertex 0 of shape (5)": lambda graph: graph["vertices"][0].update(rows=[[1, 2, 3, 4, 5]]),
 }
 
 

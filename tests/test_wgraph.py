@@ -258,6 +258,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="entries"):
             LabeledWGraph(6, frozenset(range(1, 7)), g32.vertices, g32.tau, g32.weights)
 
+    @pytest.mark.parametrize("rows", [((1, 2, 3, 4), (5,)), ((1, 2, 3, 4, 5),)])
+    def test_rejects_vertex_of_other_shape(self, g32, rows):
+        vertices = (RowStandardTableau(rows),) + g32.vertices[1:]
+        with pytest.raises(ValueError, match=r"vertex 1 \(.*\) has shape \(3, 2\)"):
+            LabeledWGraph(g32.n, g32.index_set, vertices, g32.tau, g32.weights)
+
     def test_rejects_index_set_outside_one_to_n(self):
         with pytest.raises(ValueError, match="index set"):
             LabeledWGraph(
