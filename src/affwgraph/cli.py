@@ -45,13 +45,6 @@ class UsageError(Exception):
     pass
 
 
-def _shape(args) -> Partition:
-    try:
-        return Partition(tuple(args.shape))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _variant_weight(text: str) -> int:
     if not text.startswith("p="):
         raise UsageError(f"--variant expects p=K, got {text!r}")
@@ -65,7 +58,7 @@ def _variant_weight(text: str) -> int:
 
 
 def _build(args) -> LabeledWGraph:
-    shape = _shape(args)
+    shape = Partition(tuple(args.shape))
     if getattr(args, "variant", None) is not None:
         return build_equal_variant(shape, _variant_weight(args.variant))
     kind = getattr(args, "kind", "affine")
@@ -168,33 +161,23 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_cells(args) -> int:
-    shape = _shape(args)
     g = _build(args)
-    finite_restriction = False
     if args.restrict:
-        j_set = _parse_interval(args.restrict, g.n)
-        finite_restriction = j_set == list(range(1, g.n))
-        g = restrict_parabolic(g, j_set)
-    listing = []
-    if finite_restriction and getattr(args, "variant", None) is None:
-        for key, cell in sorted(
-            classify_restriction_cells(shape).items(), key=lambda kv: kv[0].parts
-        ):
-            listing.append(
-                {
-                    "key": list(key.parts),
-                    "size": len(cell.vertices),
-                    "vertices": [[list(row) for row in t.rows] for t in cell.vertices],
-                }
-            )
+        g = restrict_parabolic(g, _parse_interval(args.restrict, g.n))
+    # restricted to 1..n-1, the cells are keyed by insertion shape
+    if g.index_set == frozenset(range(1, g.n)) and args.variant is None:
+        keyed = sorted(classify_restriction_cells(g).items(), key=lambda kv: kv[0].parts)
     else:
-        for cell in cells(g):
-            listing.append(
-                {
-                    "size": len(cell.vertices),
-                    "vertices": [[list(row) for row in t.rows] for t in cell.vertices],
-                }
-            )
+        keyed = [(None, cell) for cell in cells(g)]
+    listing = []
+    for key, cell in keyed:
+        entry = {
+            "size": len(cell.vertices),
+            "vertices": [[list(row) for row in t.rows] for t in cell.vertices],
+        }
+        if key is not None:
+            entry["key"] = list(key.parts)
+        listing.append(entry)
     _emit(
         json.dumps({"count": len(listing), "cells": listing}, indent=1, sort_keys=True) + "\n",
         args.output,

@@ -2,7 +2,8 @@
 Exact Laurent polynomials in the variable v, with q = v**2.
 
 Coefficients are arbitrary-precision Python integers; the zero polynomial
-is the empty coefficient map, and no zero coefficient is ever stored.
+is the empty coefficient map, and no zero coefficient is ever stored.  A
+polynomial is immutable: its coefficient map is read-only.
 
 >>> str(Q + ONE)
 'v^2 + 1'
@@ -13,6 +14,8 @@ True
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 __all__ = [
     "LaurentPoly", "lp_monomial", "lp_add", "lp_mul",
@@ -26,11 +29,18 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
-        # callers hand over ownership of `coeffs`; zeros are stripped here
-        if coeffs:
-            self.coeffs = {e: c for e, c in coeffs.items() if c != 0}
-        else:
-            self.coeffs = {}
+        # zeros are stripped here, into a fresh map that only a read-only view reaches
+        kept = {e: c for e, c in coeffs.items() if c != 0} if coeffs else {}
+        object.__setattr__(self, "coeffs", MappingProxyType(kept))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LaurentPoly is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LaurentPoly is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (LaurentPoly, (dict(self.coeffs),))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -98,7 +108,7 @@ class LaurentPoly:
         return text
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self.coeffs!r})"
+        return f"LaurentPoly({dict(self.coeffs)!r})"
 
     def to_dict(self) -> dict[str, int]:
         """JSON-friendly form: exponent (as string) -> coefficient."""

@@ -102,29 +102,30 @@ def second_kind_target(s: RowStandardTableau, i: int, j: int) -> RowStandardTabl
     return None
 
 
+def _moves(vertices, n: int):
+    """The moves between the given two-row tableaux of size n, by source index."""
+    # a two-row tableau is determined by its second row
+    index = {frozenset(t.rows[1]): k for k, t in enumerate(vertices)}
+    for src, s in enumerate(vertices):
+        row1, row2 = frozenset(s.rows[0]), frozenset(s.rows[1])
+        for i in range(1, n + 1):
+            x, y = mo(i, n), mo(i + 1, n)
+            if x in row1 and y in row2:
+                yield Move("first", i, y, src, index[row2 ^ {x, y}])
+        # rows are sorted, so i and j run through 1..n in increasing order
+        for i in s.rows[1]:
+            for j in s.rows[0]:
+                if i != mo(j + 1, n) and _second_kind_ok(row1, row2, i, j, n):
+                    yield Move("second", i, j, src, index[row2 ^ {i, j}])
+
+
 def enumerate_moves(shape: Partition) -> list[Move]:
     """
     All moves between row-standard tableaux of the shape, with source and
     target given as indices into enumerate_rsyt(shape).
     """
     _require_two_row(shape)
-    n = shape.n
-    vertices = enumerate_rsyt(shape)
-    # a two-row tableau is determined by its second row
-    index = {frozenset(t.rows[1]): k for k, t in enumerate(vertices)}
-    moves: list[Move] = []
-    for src, s in enumerate(vertices):
-        row1, row2 = frozenset(s.rows[0]), frozenset(s.rows[1])
-        for i in range(1, n + 1):
-            x, y = mo(i, n), mo(i + 1, n)
-            if x in row1 and y in row2:
-                moves.append(Move("first", i, y, src, index[row2 ^ {x, y}]))
-        # rows are sorted, so i and j run through 1..n in increasing order
-        for i in s.rows[1]:
-            for j in s.rows[0]:
-                if i != mo(j + 1, n) and _second_kind_ok(row1, row2, i, j, n):
-                    moves.append(Move("second", i, j, src, index[row2 ^ {i, j}]))
-    return moves
+    return list(_moves(enumerate_rsyt(shape), shape.n))
 
 
 def build_affine_graph(shape: Partition) -> LabeledWGraph:
@@ -132,7 +133,7 @@ def build_affine_graph(shape: Partition) -> LabeledWGraph:
     _require_two_row(shape)
     n = shape.n
     vertices = tuple(enumerate_rsyt(shape))
-    weights = {(m.source, m.target): 1 for m in enumerate_moves(shape)}
+    weights = {(m.source, m.target): 1 for m in _moves(vertices, n)}
     return LabeledWGraph(
         n=n,
         index_set=frozenset(range(1, n + 1)),

@@ -62,13 +62,11 @@ from dataclasses import dataclass, field
 from .laurent import ONE, Q, ZERO, LaurentPoly, lp_monomial
 from .rsk import rsk
 from .tableaux import Partition
-from .tworow import build_affine_graph
 from .wgraph import (
     LabeledWGraph,
     cells,
     dynkin_adjacent,
     out_neighbors,
-    restrict_parabolic,
 )
 
 __all__ = [
@@ -372,34 +370,28 @@ class CellMismatchError(RuntimeError):
     """The SCC partition of the restriction disagrees with the RSK fibers."""
 
 
-def classify_restriction_cells(shape: Partition) -> dict[Partition, LabeledWGraph]:
+def classify_restriction_cells(restricted: LabeledWGraph) -> dict[Partition, LabeledWGraph]:
     """
-    Restrict the affine graph of the shape to [1, n-1], check that its cells
-    are exactly the fibers of the RSK recording tableau, and return them
-    keyed by the insertion shape (which determines the recording tableau
-    for two-row content).
+    Check that the cells of an affine graph restricted to [1, n-1] are
+    exactly the fibers of the RSK recording tableau, and return them keyed
+    by the insertion shape (which determines the recording tableau for
+    two-row content).
     """
-    g = build_affine_graph(shape)
-    restricted = restrict_parabolic(g, range(1, shape.n))
+    if restricted.index_set != frozenset(range(1, restricted.n)):
+        raise ValueError(f"expected a graph restricted to 1..{restricted.n - 1}")
+    shape = restricted.vertices[0].shape
+    # recording tableau (its shape first) -> the vertices it records
     fibers: dict[tuple, set[int]] = {}
-    keys: dict[tuple, Partition] = {}
     for k, t in enumerate(restricted.vertices):
-        pair = rsk(t)
-        label = (pair.q.shape, pair.q.rows)
-        fibers.setdefault(label, set()).add(k)
-        keys[label] = pair.q.shape
-    cell_sets = {frozenset(ids) for ids in fibers.values()}
-    scc_list = cells(restricted)
+        q = rsk(t).q
+        fibers.setdefault((q.shape, q.rows), set()).add(k)
     index = restricted.vertex_index()
-    scc_sets = {frozenset(index[t] for t in c.vertices) for c in scc_list}
-    if cell_sets != scc_sets:
+    by_vertices = {frozenset(index[t] for t in c.vertices): c for c in cells(restricted)}
+    if {frozenset(ids) for ids in fibers.values()} != by_vertices.keys():
         raise CellMismatchError(
             f"RSK fibers differ from strongly connected components for {shape}"
         )
-    by_vertices = {
-        frozenset(index[t] for t in c.vertices): c for c in scc_list
-    }
-    result = {keys[label]: by_vertices[frozenset(ids)] for label, ids in fibers.items()}
+    result = {label[0]: by_vertices[frozenset(ids)] for label, ids in fibers.items()}
     if len(result) != len(fibers):
         raise CellMismatchError(f"insertion shapes do not separate the fibers for {shape}")
     return result

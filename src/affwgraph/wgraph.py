@@ -76,9 +76,6 @@ class LabeledWGraph:
     def is_affine(self) -> bool:
         return self.n in self.index_set
 
-    def weight(self, u: int, v: int) -> int:
-        return self.weights.get((u, v), 0)
-
     def vertex_index(self) -> dict[RowStandardTableau, int]:
         return {t: k for k, t in enumerate(self.vertices)}
 

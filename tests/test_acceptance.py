@@ -5,6 +5,8 @@ Bounds and tolerances are pinned here; all comparisons are exact.
 
 import time
 
+import pytest
+
 from affwgraph import (
     Partition,
     build_affine_graph,
@@ -14,17 +16,19 @@ from affwgraph import (
 )
 from affwgraph.fixtures import load_fixture
 from affwgraph.regress import (
-    check_coset_suite,
     check_equal_variants,
-    check_finite_move_labels,
-    check_verification_sweep,
-    check_mutation_sensitivity,
-    check_restriction_cells,
     check_rsk_vector,
-    check_shift_suite,
-    check_underlying_and_omega,
+    check_verification_sweep,
+    run_regression,
     same_graph,
 )
+
+
+@pytest.fixture(scope="module")
+def regression():
+    # one pass covers criteria 4-10: mutation stops at n = 6, the finite
+    # move labels run to n = 9 and the other sweeps to n = 8
+    return {r.name: r for r in run_regression(max_n=8)}
 
 
 def _line(num: int, ok: bool, text: str) -> None:
@@ -90,14 +94,14 @@ def test_criterion_03_equal_row_variants():
     assert result.passed, result.detail
 
 
-def test_criterion_04_mutation_sensitivity():
-    result = check_mutation_sensitivity(max_n=6)
+def test_criterion_04_mutation_sensitivity(regression):
+    result = regression["mutation_sensitivity"]
     _line(4, result.passed, result.detail)
     assert result.passed, result.detail
 
 
-def test_criterion_05_underlying_graph_and_shift():
-    result = check_underlying_and_omega(max_n=8)
+def test_criterion_05_underlying_graph_and_shift(regression):
+    result = regression["underlying_and_omega"]
     _line(5, result.passed, "Knuth graph equals simple underlying graph; shift equivariance, n <= 8")
     assert result.passed, result.detail
 
@@ -108,26 +112,26 @@ def test_criterion_06_insertion_example():
     assert result.passed, result.detail
 
 
-def test_criterion_07_restriction_cells():
-    result = check_restriction_cells(max_n=8)
+def test_criterion_07_restriction_cells(regression):
+    result = regression["restriction_cells"]
     _line(7, result.passed, "cells = recording fibers = finite graphs, n <= 8; (3,2) matches fixture")
     assert result.passed, result.detail
 
 
-def test_criterion_08_finite_move_labels():
-    result = check_finite_move_labels(max_n=9)
+def test_criterion_08_finite_move_labels(regression):
+    result = regression["finite_move_labels"]
     _line(8, result.passed, result.detail)
     assert result.passed, result.detail
 
 
-def test_criterion_09_shift_lemma_suite():
-    result = check_shift_suite(max_n=8)
+def test_criterion_09_shift_lemma_suite(regression):
+    result = regression["shift_suite"]
     _line(9, result.passed, "insertion-shape case table, standardization, cross-component moves, n <= 8")
     assert result.passed, result.detail
 
 
-def test_criterion_10_coset_suite():
-    result = check_coset_suite(max_n=8)
+def test_criterion_10_coset_suite(regression):
+    result = regression["coset_suite"]
     _line(10, result.passed, "coset bijection and descent correspondence, n <= 8")
     assert result.passed, result.detail
 
@@ -149,8 +153,6 @@ def test_scale_headroom_at_n10():
 
 
 def test_parallel_regression_matches_serial():
-    from affwgraph.regress import run_regression
-
     serial = run_regression(max_n=4, jobs=1)
     parallel = run_regression(max_n=4, jobs=2)
     assert serial == parallel

@@ -269,6 +269,15 @@ class TestRegress:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("max_n", ["2", "0", "-3"])
+    def test_max_n_below_three_rejected(self, capsys, max_n):
+        # no two-row shape has n < 3, so such a sweep would pass vacuously
+        code = main(["regress", "--max-n", max_n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 def test_fixture_env_override(capsys, tmp_path, monkeypatch):
     graph = load_fixture_json("gamma_3_2")

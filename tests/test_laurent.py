@@ -1,3 +1,7 @@
+import copy
+import pickle
+
+import pytest
 from hypothesis import given, strategies as st
 
 from affwgraph.laurent import ONE, Q, V, ZERO, LaurentPoly, lp_add, lp_monomial, lp_mul
@@ -78,3 +82,23 @@ def test_identities(a):
 def test_canonical_form(a, b):
     for result in (a + b, a * b, a - b, -a):
         assert all(c != 0 for c in result.coeffs.values())
+
+
+def test_coefficients_are_read_only():
+    with pytest.raises(TypeError):
+        ONE.coeffs[0] = 5
+    with pytest.raises(TypeError):
+        del Q.coeffs[2]
+    assert str(Q + ONE) == "v^2 + 1"
+
+
+def test_attributes_cannot_be_set():
+    key = Q + ONE
+    table = {key: "x"}
+    with pytest.raises(AttributeError):
+        key.coeffs = {0: 5}
+    with pytest.raises(AttributeError):
+        del key.coeffs
+    assert table[Q + ONE] == "x"
+    # copies are rebuilt through the constructor, not by setting attributes
+    assert pickle.loads(pickle.dumps(key)) == key == copy.deepcopy(key)

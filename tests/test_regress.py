@@ -1,0 +1,88 @@
+"""
+The regression driver: one pass over the shapes, each affine graph built
+once, and the same names, verdicts and details as the checks report alone.
+"""
+
+import multiprocessing
+from collections import Counter
+
+import pytest
+
+import affwgraph.regress as regress
+from affwgraph import LabeledWGraph, Partition
+from affwgraph.wgraph import simple_component_ids
+
+
+def _without_first_internal_edge(build, damaged_parts):
+    """A builder whose graph for one shape lacks its first within-component edge."""
+
+    def damaged(shape):
+        g = build(shape)
+        if shape.parts != damaged_parts:
+            return g
+        comp = simple_component_ids(g)
+        edge = next(e for e in sorted(g.weights) if comp[e[0]] == comp[e[1]])
+        weights = {e: w for e, w in g.weights.items() if e != edge}
+        return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
+
+    return damaged
+
+
+# workers see the patched builder only when they are forked from this process
+FORKED = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="needs fork")
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORKED)])
+def test_failing_shape_is_reported_by_every_check_that_sees_it(monkeypatch, jobs):
+    damaged = _without_first_internal_edge(regress.build_affine_graph, (4, 3))
+    monkeypatch.setattr(regress, "build_affine_graph", damaged)
+    results = [(r.name, r.passed, r.detail) for r in regress.run_regression(max_n=7, jobs=jobs)]
+    assert results == [
+        ("fixtures", True, "4 graphs"),
+        ("verification_sweep", False, "(4,3):simplicity, (4,3):bonding, (4,3):polygon, (4,3):hecke"),
+        ("equal_variants", True, "p in {0,2}"),
+        ("mutation_sensitivity", True, "176 single-edge deletions all detected"),
+        ("underlying_and_omega", False, "(4,3):underlying, (4,3):shift"),
+        ("rsk_vector", True, "P, Q, insertion shape (5,3,1)"),
+        ("restriction_cells", True, "n <= 7"),
+        ("finite_move_labels", True, "376 moves, all with j >= i-1"),
+        ("shift_suite", True, "n <= 7"),
+        ("coset_suite", True, "n <= 7"),
+    ]
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Counts, per shape, the affine graphs the regression builds."""
+    calls = Counter()
+    build = regress.build_affine_graph
+
+    def counted(shape):
+        calls[shape] += 1
+        return build(shape)
+
+    monkeypatch.setattr(regress, "build_affine_graph", counted)
+    return calls
+
+
+def test_each_shape_is_built_once(build_calls):
+    regress.run_regression(max_n=6)
+    # check_fixtures builds its three reference shapes itself
+    fixtures = Counter(Partition(parts) for parts in ((3, 2), (4, 2), (3, 3)))
+    assert build_calls == Counter(regress.two_row_shapes(3, 7)) + fixtures
+
+
+def test_verification_sweep_builds_only_its_shapes(build_calls):
+    result = regress.check_verification_sweep(max_n=5)
+    assert result == regress.RegressResult(
+        "verification_sweep", True, "5 shapes, rules + module relations"
+    )
+    assert build_calls == Counter(regress.two_row_shapes(3, 5))
+
+
+@pytest.mark.parametrize("max_n", [2, 0, -3])
+def test_max_n_below_three_rejected(max_n):
+    with pytest.raises(ValueError, match="at least 3"):
+        regress.run_regression(max_n=max_n)
+    with pytest.raises(ValueError, match="at least 3"):
+        regress.check_verification_sweep(max_n=max_n)

@@ -150,7 +150,7 @@ def _brute_force_bonding(g):
                     partners = sum(
                         1
                         for v in range(count)
-                        if b in g.tau[v] and a not in g.tau[v] and g.weight(u, v) and g.weight(v, u)
+                        if b in g.tau[v] and a not in g.tau[v] and (u, v) in g.weights and (v, u) in g.weights
                     )
                     if partners != 1:
                         witnesses.append((u, a, b, partners))
@@ -160,7 +160,10 @@ def _brute_force_bonding(g):
 def _brute_force_polygon(g):
     """The polygon rule as stated: every source against every sink, through every middle vertex."""
     count = len(g.vertices)
-    m = g.weight
+
+    def m(u, v):
+        return g.weights.get((u, v), 0)
+
     generators = sorted(g.index_set)
     witnesses = []
     for x, i in enumerate(generators):
@@ -460,12 +463,22 @@ def test_witness_lists_pinned_on_mutants():
     )
 
 
+def _finite_restriction(shape):
+    return restrict_parabolic(build_affine_graph(shape), range(1, shape.n))
+
+
 class TestRestrictionCells:
     def test_keys_for_small_shapes(self):
-        keys = set(classify_restriction_cells(Partition((3, 2))))
+        keys = set(classify_restriction_cells(_finite_restriction(Partition((3, 2)))))
         assert keys == {Partition((3, 2)), Partition((4, 1)), Partition((5,))}
-        keys = set(classify_restriction_cells(Partition((2, 1))))
+        keys = set(classify_restriction_cells(_finite_restriction(Partition((2, 1)))))
         assert keys == {Partition((2, 1)), Partition((3,))}
+
+    def test_rejects_unrestricted_graph(self, g32):
+        with pytest.raises(ValueError, match="restricted to 1..4"):
+            classify_restriction_cells(g32)
+        with pytest.raises(ValueError, match="restricted to 1..4"):
+            classify_restriction_cells(restrict_parabolic(g32, range(2, 6)))
 
     def test_cell_count_against_ssyt_enumeration(self):
         for shape in two_row_shapes(3, 7):
@@ -475,11 +488,11 @@ class TestRestrictionCells:
                 if dominance_leq(shape, Partition(mu))
                 and count_ssyt(mu, shape.op, cap=1) > 0
             )
-            assert len(classify_restriction_cells(shape)) == expected
+            assert len(classify_restriction_cells(_finite_restriction(shape))) == expected
             assert expected == shape.parts[1] + 1
 
     def test_cell_sizes_are_fiber_sizes(self):
-        cell_map = classify_restriction_cells(Partition((3, 2)))
+        cell_map = classify_restriction_cells(_finite_restriction(Partition((3, 2))))
         assert {
             tuple(k.parts): len(c.vertices) for k, c in cell_map.items()
         } == {(3, 2): 5, (4, 1): 4, (5,): 1}
