@@ -6,15 +6,19 @@ Each check returns a RegressResult; names are stable so CI can key on them.
 Seven checks sweep the shapes in one pass: each shape's affine graph is
 built once, and its restriction to [1, n-1], the shift's vertex permutation
 and the Knuth graph are derived at most once, by the first check using them.
-`--jobs K` spreads the shapes over K processes, largest first.
+Each finite graph a restriction cell is compared with is built once per
+run (once per process with `--jobs K`, which splits the shapes into K
+batches of about equal vertex counts, largest shapes first) and kept only
+while the shapes of its size are swept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import groupby, repeat
 from math import comb
+from operator import attrgetter
 
 from .affperm import (
     inverse,
@@ -31,7 +35,7 @@ from .tableaux import (
     finite_descents,
     is_standard,
     mo,
-    omega_shift,
+    shift_permutation,
 )
 from .tworow import (
     build_affine_graph,
@@ -118,11 +122,16 @@ def check_rsk_vector() -> RegressResult:
 
 
 class _Shape:
-    """One shape of the sweep: its affine graph and what the checks derive from it."""
+    """
+    One shape of the sweep: its affine graph and what the checks derive
+    from it.  finite holds the finite graphs of this size built so far in
+    the run, by insertion shape; the shapes of one size share it.
+    """
 
-    def __init__(self, shape: Partition):
+    def __init__(self, shape: Partition, finite: dict[Partition, LabeledWGraph]):
         self.shape = shape
         self.g = build_affine_graph(shape)
+        self.finite = finite
 
     @cached_property
     def restricted(self) -> LabeledWGraph:
@@ -133,10 +142,14 @@ class _Shape:
         return classify_restriction_cells(self.restricted)
 
     @cached_property
-    def sigma(self) -> list[int]:
+    def sigma(self) -> tuple[int, ...]:
         """sigma[k] is the index of omega_shift of vertex k."""
-        index = self.g.vertex_index()
-        return [index[omega_shift(t)] for t in self.g.vertices]
+        return shift_permutation(self.g.vertices)
+
+    def finite_graph(self, key: Partition) -> LabeledWGraph:
+        if key not in self.finite:
+            self.finite[key] = build_finite_graph(key)
+        return self.finite[key]
 
     @cached_property
     def knuth(self) -> LabeledWGraph:
@@ -191,7 +204,7 @@ def _restriction_cells(s: _Shape) -> tuple[list[str], int]:
     bad = []
     try:
         for key, cell in s.cells.items():
-            target = build_finite_graph(key)
+            target = s.finite_graph(key)
             to_target = target.vertex_index()
             try:
                 remap = [to_target[rsk(t).p] for t in cell.vertices]
@@ -368,13 +381,23 @@ _PARTS = (
 )
 
 
-def _run_shape(shape: Partition, max_n: int, names) -> list[tuple[list[str], int]]:
-    """The parts of the named checks on one shape, in _PARTS order."""
-    s = _Shape(shape)
-    return [
-        part(s) if runs(shape, max_n) else ([], 0)
-        for name, part, runs in _PARTS if name in names
-    ]
+def _run_shapes(shapes: list[Partition], max_n: int, names) -> list[list[tuple[list[str], int]]]:
+    """
+    Per shape, the parts of the named checks in _PARTS order.  The shapes
+    of one size share the finite graphs they build (a cell's insertion
+    shape has the same size), so each finite graph is built once.
+    """
+    outcomes = {}
+    size = attrgetter("n")
+    for _, same_size in groupby(sorted(shapes, key=size), key=size):
+        finite: dict[Partition, LabeledWGraph] = {}
+        for shape in same_size:
+            s = _Shape(shape, finite)
+            outcomes[shape] = [
+                part(s) if runs(shape, max_n) else ([], 0)
+                for name, part, runs in _PARTS if name in names
+            ]
+    return [outcomes[shape] for shape in shapes]
 
 
 def _sweep(max_n: int, names, jobs: int = 1) -> dict[str, RegressResult]:
@@ -389,12 +412,22 @@ def _sweep(max_n: int, names, jobs: int = 1) -> dict[str, RegressResult]:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        order = sorted(shapes, key=lambda shape: comb(shape.n, shape.parts[1]), reverse=True)
+        # largest first, each to the process with the fewest vertices so far
+        batches: list[list[Partition]] = [[] for _ in range(jobs)]
+        sizes = [0] * jobs
+        for shape in sorted(shapes, key=lambda shape: comb(shape.n, shape.parts[1]), reverse=True):
+            k = sizes.index(min(sizes))
+            batches[k].append(shape)
+            sizes[k] += comb(shape.n, shape.parts[1])
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = dict(zip(order, pool.map(_run_shape, order, repeat(max_n), repeat(names))))
+            done = {
+                shape: outcome
+                for batch, batch_outcomes in zip(batches, pool.map(_run_shapes, batches, repeat(max_n), repeat(names)))
+                for shape, outcome in zip(batch, batch_outcomes)
+            }
         outcomes = [done[shape] for shape in shapes]
     else:
-        outcomes = [_run_shape(shape, max_n, names) for shape in shapes]
+        outcomes = _run_shapes(shapes, max_n, names)
     found: dict[str, list[str]] = {}
     checked: dict[str, int] = {}
     for (name, _), per_shape in zip(parts, zip(*outcomes)):

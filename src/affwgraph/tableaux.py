@@ -9,13 +9,14 @@ Residues live in {1, ..., n}.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
 __all__ = [
     "Partition", "RowStandardTableau",
     "mo", "pint", "affine_descents", "finite_descents",
-    "omega_shift", "is_knuth_move", "enumerate_rsyt", "enumerate_syt",
+    "omega_shift", "shift_permutation", "is_knuth_move", "enumerate_rsyt", "enumerate_syt",
     "dominance_leq", "is_standard",
     "tableau_text", "tableau_to_json", "tableau_from_json",
 ]
@@ -177,6 +178,29 @@ def omega_shift(t: RowStandardTableau) -> RowStandardTableau:
     """Replace every entry i with mo(i+1) and re-sort the rows."""
     n = t.n
     return RowStandardTableau(tuple(tuple(mo(e + 1, n) for e in row) for row in t.rows))
+
+
+def shift_permutation(tableaux: Sequence[RowStandardTableau]) -> tuple[int, ...] | None:
+    """
+    The vertex permutation of omega_shift: sigma[k] is the position of
+    omega_shift(tableaux[k]) in the sequence, or None when some image (or a
+    semistandard tableau) is not in it.  Whether sigma also preserves
+    labels and weights is for the caller to test.
+    """
+    # a tableau is its row word (the row of each entry 1..n), and the shift
+    # moves the row of e to e + 1 and that of n to 1: a rotation of the word
+    words = []
+    for t in tableaux:
+        if t.semistandard:
+            return None
+        word = [0] * t.n
+        for a, row in enumerate(t.rows):
+            for e in row:
+                word[e - 1] = a
+        words.append(tuple(word))
+    index = {word: k for k, word in enumerate(words)}
+    sigma = tuple(index.get(word[-1:] + word[:-1]) for word in words)
+    return None if None in sigma else sigma
 
 
 def is_knuth_move(t: RowStandardTableau, u: RowStandardTableau) -> bool:

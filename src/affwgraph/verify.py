@@ -19,6 +19,31 @@ It walks the paths out of u and looks only at the sinks they reach: a sink
 that no path reaches has 0 on both sides and cannot be a witness, so the
 work is the number of paths, not |sources| * |sinks|.
 
+Both the polygon and the Hecke check evaluate one generator pair per orbit
+of the cyclic shift when the shift is an automorphism of the graph.  That
+is the checked precondition LabeledWGraph.shift_automorphism: the index
+set is 1..n, the vertex permutation sigma of omega_shift exists,
+m(sigma u > sigma v) = m(u > v) on every edge and tau(sigma u) = tau(u) + 1
+mod n.  Write rho(i) = i + 1 mod n.  Then sigma carries the paths from u
+through V_{i/j} onto those from sigma u through V_{rho i/rho j}, so every
+polygon count of (i, j) at (u, v) is that of (rho i, rho j) at
+(sigma u, sigma v); and T_{rho i} e_{sigma u} = sigma T_i e_u, so the
+relation residual of (i, j) on e_u is carried onto that of
+(rho i, rho j) on e_{sigma u}.  The pairs fall into n/2 orbits under rho,
+one per cyclic distance d, and only (1, 1 + d) is evaluated.  Rotating by
+k gives the witnesses of (1 + k, 1 + d + k) through sigma^k, with two
+rules:
+
+* when k + 1 + d > n the rotated pair comes out in the order (j, i) with
+  j > i and is sorted back to (i, j).  That exchanges V_{i/j} and V_{j/i},
+  so the two sides of a polygon witness swap; both relations are
+  symmetric in i and j, so a Hecke witness only takes the sorted pair;
+* for even n and d = n/2, the rotations by k and k + n/2 give the same
+  pair, so only k < n/2 is used and no witness is counted twice.
+
+Without the precondition every pair is evaluated; compatibility,
+simplicity and bonding always scan the whole graph.
+
 The quadratic relation holds by construction, for any weights.  If i is
 not in tau(u), T_i^2 e_u = q^2 e_u = (q - 1) T_i e_u + q e_u.  Otherwise
 T_i e_u = -e_u + o, where every w in o has i not in tau(w), so T_i o = q o
@@ -49,9 +74,9 @@ vectors up to sign), so every coefficient of every residual is at most
 C = 2M^3.  If P != 0 has degree d, |P(X)| >= X^d - C (X^d - 1)/(X - 1) > 0
 once X > C, and X > 2C (asserted) even makes the coefficients the balanced
 base-X digits of P(X).  So P(X) = 0 exactly when P = 0, for any integer
-weights, and the witnesses are those of the polynomial check.  The same
-column builder feeds the public hecke_matrices, which turns each column
-into LaurentPoly entries instead.
+weights, and the witnesses are those of the polynomial check.  The integer
+columns, with X, are LabeledWGraph.hecke_columns, computed once per graph;
+hecke_matrices turns the same columns into LaurentPoly entries.
 """
 
 from __future__ import annotations
@@ -63,6 +88,7 @@ from .laurent import ONE, Q, ZERO, LaurentPoly, lp_monomial
 from .rsk import rsk
 from .tableaux import Partition
 from .wgraph import (
+    Edges,
     LabeledWGraph,
     cells,
     dynkin_adjacent,
@@ -148,62 +174,104 @@ def check_bonding(g: LabeledWGraph) -> RuleReport:
     return _report("bonding", witnesses)
 
 
+def _paths2(adj, inner: list[bool], u: int) -> dict[int, int]:
+    """v -> sum over w with inner[w] of m(u>w) m(w>v)."""
+    totals: dict[int, int] = {}
+    get = totals.get
+    for w, wt1 in adj[u]:
+        if inner[w]:
+            for v, wt2 in adj[w]:
+                totals[v] = get(v, 0) + wt1 * wt2
+    return totals
+
+
+def _paths3(adj, first: list[bool], second: list[bool], u: int) -> dict[int, int]:
+    """v -> sum over w1 with first[w1], w2 with second[w2] of the 3-step products."""
+    totals: dict[int, int] = {}
+    get = totals.get
+    for w1, wt1 in adj[u]:
+        if not first[w1]:
+            continue
+        for w2, wt2 in adj[w1]:
+            if not second[w2]:
+                continue
+            wt12 = wt1 * wt2
+            for v, wt3 in adj[w2]:
+                totals[v] = get(v, 0) + wt12 * wt3
+    return totals
+
+
+def _polygon_pair(g: LabeledWGraph, adj, i: int, j: int) -> list[tuple]:
+    """The polygon witnesses (u, v, i, j, r, lhs, rhs) of the generator pair i < j."""
+    tau = g.tau
+    sources = [u for u, t in enumerate(tau) if i in t and j in t]
+    sink = [i not in t and j not in t for t in tau]
+    if not sources or not any(sink):
+        return []
+    # V_{i/j} and V_{j/i}, the middle vertices of the paths
+    ij = [i in t and j not in t for t in tau]
+    ji = [j in t and i not in t for t in tau]
+    adjacent = dynkin_adjacent(g, i, j)
+    witnesses = []
+    for u in sources:
+        counts = [(2, _paths2(adj, ij, u), _paths2(adj, ji, u))]
+        if adjacent:
+            counts.append((3, _paths3(adj, ij, ji, u), _paths3(adj, ji, ij, u)))
+        # a sink that no path reaches has 0 on both sides
+        for r, lhs, rhs in counts:
+            for v in lhs.keys() | rhs.keys():
+                if sink[v]:
+                    a, b = lhs.get(v, 0), rhs.get(v, 0)
+                    if a != b:
+                        witnesses.append((u, v, i, j, r, a, b))
+    return witnesses
+
+
+def _orbit(sigma: tuple[int, ...], n: int, d: int):
+    """
+    Each pair of the rotation orbit of (1, 1 + d) once, as (i, j, swapped,
+    power): rotating by k carries (1, 1 + d) to (i, j) in sorted order, or
+    to (j, i) when swapped, and power[u] is sigma^k(u).  For d = n/2 the
+    rotations by k and k + n/2 give the same pair, so k stops at n/2.
+    """
+    power: list[int] | range = range(len(sigma))
+    for k in range(n // 2 if 2 * d == n else n):
+        i, j = 1 + k, (d + k) % n + 1
+        yield (i, j, False, power) if i < j else (j, i, True, power)
+        power = [sigma[u] for u in power]
+
+
+def _representative_pairs(g: LabeledWGraph):
+    """
+    The generator pairs to evaluate, with the orbit of each: every pair
+    i < j and orbit None when the shift is not an automorphism of g, else
+    (1, 1 + d) for d = 1..n/2 and the pairs of its orbit (module docstring).
+    """
+    sigma = g.shift_automorphism
+    if sigma is None:
+        generators = sorted(g.index_set)
+        return [(i, j, None) for a, i in enumerate(generators) for j in generators[a + 1:]]
+    return [(1, 1 + d, _orbit(sigma, g.n, d)) for d in range(1, g.n // 2 + 1)]
+
+
 def check_polygon(g: LabeledWGraph) -> RuleReport:
     """
     N^2_{ij}(u,v) = N^2_{ji}(u,v) for all i != j, and N^3 agreement when i,j
     are adjacent, over all u with i,j in tau(u) and v with i,j outside tau(v).
     """
-    witnesses = []
-    count = len(g.vertices)
     adj = out_neighbors(g)
-    generators = sorted(g.index_set)
-
-    def paths2(inner: list[bool], u: int) -> dict[int, int]:
-        """v -> sum over w with inner[w] of m(u>w) m(w>v)."""
-        totals: dict[int, int] = {}
-        get = totals.get
-        for w, wt1 in adj[u]:
-            if inner[w]:
-                for v, wt2 in adj[w]:
-                    totals[v] = get(v, 0) + wt1 * wt2
-        return totals
-
-    def paths3(first: list[bool], second: list[bool], u: int) -> dict[int, int]:
-        """v -> sum over w1 with first[w1], w2 with second[w2] of the 3-step products."""
-        totals: dict[int, int] = {}
-        get = totals.get
-        for w1, wt1 in adj[u]:
-            if not first[w1]:
-                continue
-            for w2, wt2 in adj[w1]:
-                if not second[w2]:
-                    continue
-                wt12 = wt1 * wt2
-                for v, wt3 in adj[w2]:
-                    totals[v] = get(v, 0) + wt12 * wt3
-        return totals
-
-    for ai, i in enumerate(generators):
-        for j in generators[ai + 1:]:
-            sources = [u for u in range(count) if i in g.tau[u] and j in g.tau[u]]
-            sink = [i not in t and j not in t for t in g.tau]
-            if not sources or not any(sink):
-                continue
-            # V_{i/j} and V_{j/i}, the middle vertices of the paths
-            ij = [i in t and j not in t for t in g.tau]
-            ji = [j in t and i not in t for t in g.tau]
-            adjacent = dynkin_adjacent(g, i, j)
-            for u in sources:
-                counts = [(2, paths2(ij, u), paths2(ji, u))]
-                if adjacent:
-                    counts.append((3, paths3(ij, ji, u), paths3(ji, ij, u)))
-                # a sink that no path reaches has 0 on both sides
-                for r, lhs, rhs in counts:
-                    for v in lhs.keys() | rhs.keys():
-                        if sink[v]:
-                            a, b = lhs.get(v, 0), rhs.get(v, 0)
-                            if a != b:
-                                witnesses.append((u, v, i, j, r, a, b))
+    witnesses = []
+    for i, j, orbit in _representative_pairs(g):
+        found = _polygon_pair(g, adj, i, j)
+        if orbit is None:
+            witnesses.extend(found)
+            continue
+        for oi, oj, swapped, power in orbit if found else ():
+            # a rotation that comes out as (oj, oi) exchanges V_{i/j} and V_{j/i}: the sides swap
+            witnesses.extend(
+                (power[u], power[v], oi, oj, r, b, a) if swapped else (power[u], power[v], oi, oj, r, a, b)
+                for u, v, _, _, r, a, b in found
+            )
     return _report("polygon", witnesses)
 
 
@@ -220,65 +288,30 @@ def rules_hold(g: LabeledWGraph) -> bool:
     return all(r.passed for r in check_all_rules(g))
 
 
-# None for a column q * e_u, else the off-diagonal (row, entry) pairs
-_Column = list[tuple[int, int]] | None
-
-
-def _hecke_columns(g: LabeledWGraph, scale: int = 1) -> dict[int, list[_Column]]:
-    """
-    Sparse columns of each T_i: columns[i][u] is None when i is not in
-    tau(u), where T_i e_u = q e_u, and otherwise the off-diagonal pairs
-    (w, scale * m(u > w)) over the w with i not in tau(w), where
-    T_i e_u = -e_u + v * sum m(u > w) e_w.
-    """
-    adj = out_neighbors(g)
-    tau = g.tau
-    # each w occurs once in adj[u]; a kept w is not u, as i is in tau(u)
-    return {
-        i: [
-            [(w, scale * m) for w, m in adj[u] if i not in tau[w]] if i in t else None
-            for u, t in enumerate(tau)
-        ]
-        for i in sorted(g.index_set)
-    }
-
-
 def hecke_matrices(g: LabeledWGraph) -> dict[int, list[list[LaurentPoly]]]:
     """Dense matrix of each generator: matrix[row][col] in the vertex basis."""
     count = len(g.vertices)
     minus_one = -ONE
+    x, columns = g.hecke_columns
     matrices = {}
-    for i, cols in _hecke_columns(g).items():
+    for i, cols in columns:
         matrix = [[ZERO] * count for _ in range(count)]
         for u, col in enumerate(cols):
             if col is None:
                 matrix[u][u] = Q
                 continue
-            matrix[u][u] = minus_one
-            for w, m in col:
-                matrix[w][u] = lp_monomial(m, 1)
+            for w, c in col:
+                matrix[w][u] = minus_one if w == u else lp_monomial(c // x, 1)
         matrices[i] = matrix
     return matrices
 
 
-def _evaluation_point(g: LabeledWGraph) -> int:
-    """
-    X = 2**B with X > 2*C, where C = 2*M**3 bounds every coefficient of every
-    relation residual and M = 1 + the largest sum of |m(u > w)| over the
-    out-edges of one vertex (see the module docstring).
-    """
-    out_norms = [0] * len(g.vertices)
-    for (u, _), m in g.weights.items():
-        out_norms[u] += abs(m)
-    norm = 1 + max(out_norms, default=0)
-    bound = 2 * norm ** 3
-    x = 1 << (2 * bound).bit_length()
-    assert x > 2 * bound, (x, bound)
-    return x
+# None for a column q * e_u, else the entries of T e_u at v = X
+_Columns = tuple[Edges | None, ...]
 
 
 def _apply(
-    cols: list[_Column],
+    cols: _Columns,
     vec: Iterable[tuple[int, int]],
     out: dict[int, int],
     q: int,
@@ -292,63 +325,73 @@ def _apply(
         if col is None:
             out[k] = get(k, 0) + q * a
             continue
-        out[k] = get(k, 0) - a
         for w, c in col:
             out[w] = get(w, 0) + a * c
     return out
 
 
 def _apply_shifted(
-    cols: list[_Column],
+    cols: _Columns,
     vec: Iterable[tuple[int, int]],
     out: dict[int, int],
     q: int,
 ) -> dict[int, int]:
     """Add (T - q) * vec into out; the scalar columns of T contribute nothing."""
     get = out.get
-    diagonal = -1 - q
     for k, a in vec:
         col = cols[k]
         if col is None:
             continue
-        out[k] = get(k, 0) + diagonal * a
+        out[k] = get(k, 0) - q * a
         for w, c in col:
             out[w] = get(w, 0) + a * c
     return out
 
 
+def _hecke_pair(ci: _Columns, cj: _Columns, adjacent: bool, q: int):
+    """The basis vertices u on which the relation of the generators with columns ci, cj fails."""
+    for u, (a, b) in enumerate(zip(ci, cj)):
+        if a is None and b is None:
+            continue
+        # the residual of e_u, or its negative (module docstring); a and b
+        # are T_i e_u and T_j e_u when not None
+        diff: dict[int, int] = {}
+        if a is None or b is None:
+            # T_p e_u = col and T_r e_u = q e_u
+            p, r, col = (ci, cj, a) if b is None else (cj, ci, b)
+            if adjacent:
+                _apply_shifted(p, _apply(r, col, {}, q).items(), diff, q)
+            else:
+                _apply_shifted(r, col, diff, q)
+        elif adjacent:
+            _apply(ci, _apply(cj, a, {}, q).items(), diff, q)
+            _apply(cj, _apply(ci, b, {}, q).items(), diff, q, -1)
+        else:
+            _apply(ci, b, diff, q)
+            _apply(cj, a, diff, q, -1)
+        if any(diff.values()):
+            yield u
+
+
 def _hecke_witnesses(g: LabeledWGraph, stop_on_first: bool):
-    x = _evaluation_point(g)
+    x, columns = g.hecke_columns
     q = x * x
-    columns = _hecke_columns(g, x)
-    generators = sorted(columns)
-    for ai, i in enumerate(generators):
-        for j in generators[ai + 1:]:
-            ci, cj = columns[i], columns[j]
-            adjacent = dynkin_adjacent(g, i, j)
-            relation = "braid" if adjacent else "commutation"
-            for u, (a, b) in enumerate(zip(ci, cj)):
-                if a is None and b is None:
-                    continue
-                # the residual of e_u, or its negative (module docstring)
-                diff: dict[int, int] = {}
-                if a is None or b is None:
-                    # T_p e_u = -e_u + col and T_r e_u = q e_u
-                    p, r, col = (ci, cj, a) if b is None else (cj, ci, b)
-                    if adjacent:
-                        _apply_shifted(p, _apply(r, col, {u: -q}, q).items(), diff, q)
-                    else:
-                        _apply_shifted(r, col, diff, q)
-                elif adjacent:
-                    _apply(ci, _apply(cj, [(u, -1), *a], {}, q).items(), diff, q)
-                    _apply(cj, _apply(ci, [(u, -1), *b], {}, q).items(), diff, q, -1)
-                else:
-                    _apply(ci, [(u, -1), *b], diff, q)
-                    _apply(cj, [(u, -1), *a], diff, q, -1)
-                if any(diff.values()):
-                    yield (relation, i, j, u)
-                    if stop_on_first:
-                        return
+    of = dict(columns)
+    for i, j, orbit in _representative_pairs(g):
+        relation = "braid" if dynkin_adjacent(g, i, j) else "commutation"
+        found = _hecke_pair(of[i], of[j], relation == "braid", q)
+        if orbit is None or stop_on_first:
+            # a failing representative pair means a failing orbit
+            for u in found:
+                yield (relation, i, j, u)
+                if stop_on_first:
+                    return
+            continue
+        found = list(found)
+        for oi, oj, _, power in orbit if found else ():
+            # both relations are symmetric in i and j, so the order does not matter
+            for u in found:
+                yield (relation, oi, oj, power[u])
 
 
 def check_hecke_relations(g: LabeledWGraph) -> RuleReport:

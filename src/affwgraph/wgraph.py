@@ -6,20 +6,28 @@ reducedness, nb-admissibility) and JSON/DOT export.
 
 The index set is {1..n} for affine graphs and {1..n-1} for finite ones;
 all orderings are canonical so exports are byte-for-byte reproducible.
+What the checks derive from a graph (its adjacency, the shift
+automorphism, the generator columns) is computed once per graph object, on
+first use, and kept on it as tuples.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from .tableaux import (
     RowStandardTableau,
+    shift_permutation,
     tableau_from_json,
     tableau_text,
     tableau_to_json,
 )
+
+# (w, coefficient) pairs: out-edges (w, m(u > w)) or the entries of a column
+Edges = tuple[tuple[int, int], ...]
 
 __all__ = [
     "LabeledWGraph", "full_subgraph",
@@ -72,9 +80,75 @@ class LabeledWGraph:
                 raise ValueError(f"tau value {set(s)} outside index set")
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
+    def __reduce__(self):
+        # rebuilt from the fields: the weight proxy cannot be pickled, and
+        # the cached derived values are recomputed on demand
+        return (LabeledWGraph, (self.n, self.index_set, self.vertices, self.tau, dict(self.weights)))
+
     @property
     def is_affine(self) -> bool:
         return self.n in self.index_set
+
+    @cached_property
+    def adjacency(self) -> tuple[Edges, ...]:
+        """The out-edges of each vertex as (target, weight) pairs, by target."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for (u, v), w in sorted(self.weights.items()):
+            adj[u].append((v, w))
+        return tuple(map(tuple, adj))
+
+    @cached_property
+    def shift_automorphism(self) -> tuple[int, ...] | None:
+        """
+        The vertex permutation sigma of omega_shift when it is an
+        automorphism, else None: the index set is 1..n, every shifted vertex
+        is a vertex, m(sigma u > sigma v) = m(u > v) for every edge (tested
+        first, up to the first mismatch) and tau(sigma u) = tau(u) + 1 mod n.
+        """
+        n = self.n
+        if self.index_set != frozenset(range(1, n + 1)):
+            return None
+        sigma = shift_permutation(self.vertices)
+        if sigma is None:
+            return None
+        get = self.weights.get
+        # sigma is a bijection, so preserving every edge maps the edge set onto itself
+        if any(get((sigma[u], sigma[v])) != w for (u, v), w in self.weights.items()):
+            return None
+        tau = self.tau
+        if any(tau[sigma[u]] != frozenset(i % n + 1 for i in t) for u, t in enumerate(tau)):
+            return None
+        return sigma
+
+    @cached_property
+    def hecke_columns(self) -> tuple[int, tuple[tuple[int, tuple[Edges | None, ...]], ...]]:
+        """
+        (x, columns): the generators of the Hecke module at v = x, as
+        (i, cols) for each generator i in order.  cols[u] is None when i is
+        not in tau(u), where T_i e_u = q e_u, and otherwise
+        T_i e_u = -e_u + v * sum m(u > w) e_w over the out-edges with i not
+        in tau(w), as the pairs (u, -1) and (w, x * m(u > w)).  x = 2**B
+        exceeds 4 * M**3 for M = 1 + the largest sum of |m(u > w)| over the
+        out-edges of one vertex, which verify shows to make the integer
+        check of the Hecke relations exact.
+        """
+        out_norms = [0] * len(self.vertices)
+        for (u, _), m in self.weights.items():
+            out_norms[u] += abs(m)
+        bound = 2 * (1 + max(out_norms, default=0)) ** 3
+        x = 1 << (2 * bound).bit_length()
+        assert x > 2 * bound, (x, bound)
+        tau = self.tau
+        columns: dict[int, list[Edges | None]] = {i: [None] * len(tau) for i in sorted(self.index_set)}
+        for u, (t, out) in enumerate(zip(tau, self.adjacency)):
+            if t:
+                # the columns of u share these entries; each w occurs once in
+                # out, and a kept w is not u, as i is in tau(u)
+                entries = [((w, x * m), tau[w]) for w, m in out]
+                diagonal = (u, -1)
+                for i in t:
+                    columns[i][u] = (diagonal, *[entry for entry, s in entries if i not in s])
+        return x, tuple((i, tuple(cols)) for i, cols in columns.items())
 
     def vertex_index(self) -> dict[RowStandardTableau, int]:
         return {t: k for k, t in enumerate(self.vertices)}
@@ -90,12 +164,9 @@ def dynkin_adjacent(g: LabeledWGraph, i: int, j: int) -> bool:
     return abs(i - j) == 1
 
 
-def out_neighbors(g: LabeledWGraph) -> list[list[tuple[int, int]]]:
-    """Per-vertex list of (target, weight)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
-    for (u, v), w in sorted(g.weights.items()):
-        adj[u].append((v, w))
-    return adj
+def out_neighbors(g: LabeledWGraph) -> tuple[Edges, ...]:
+    """Per-vertex (target, weight) pairs, by target; built once per graph."""
+    return g.adjacency
 
 
 def full_subgraph(g: LabeledWGraph, vertex_ids: list[int]) -> LabeledWGraph:

@@ -88,6 +88,18 @@ def test_verification_sweep_to_n14():
     assert elapsed < 60.0
 
 
+def test_verification_sweep_to_n16():
+    # both paths on all 63 two-row shapes with n <= 16
+    start = time.perf_counter()
+    result = check_verification_sweep(max_n=16)
+    elapsed = time.perf_counter() - start
+    ok = result.passed and elapsed < 60.0
+    print(f"sweep n <= 16 [{'PASS' if ok else 'FAIL'}]: {result.detail} in {elapsed:.1f}s (limit 60s)")
+    assert result.passed, result.detail
+    assert result.detail.startswith("63 shapes")
+    assert elapsed < 60.0
+
+
 def test_criterion_03_equal_row_variants():
     result = check_equal_variants()
     _line(3, result.passed, "cross-weight 0 for a=2..4 and cross-weight 2 for a=2..3")

@@ -80,6 +80,23 @@ def test_verification_sweep_builds_only_its_shapes(build_calls):
     assert build_calls == Counter(regress.two_row_shapes(3, 5))
 
 
+def test_each_finite_graph_is_built_once_per_run(monkeypatch):
+    calls = Counter()
+    build = regress.build_finite_graph
+
+    def counted(shape):
+        calls[shape] += 1
+        return build(shape)
+
+    monkeypatch.setattr(regress, "build_finite_graph", counted)
+    regress.run_regression(max_n=6)
+    # the insertion shapes of the cells: every (n - c, c) with n <= 6
+    keys = Counter(Partition((n - c, c) if c else (n,)) for n in range(3, 7) for c in range(n // 2 + 1))
+    assert calls == keys
+    regress.run_regression(max_n=6)
+    assert calls == keys + keys  # nothing is kept from one run to the next
+
+
 @pytest.mark.parametrize("max_n", [2, 0, -3])
 def test_max_n_below_three_rejected(max_n):
     with pytest.raises(ValueError, match="at least 3"):

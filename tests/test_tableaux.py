@@ -14,7 +14,7 @@ from affwgraph import (
     omega_shift,
     pint,
 )
-from affwgraph.tableaux import tableau_from_json, tableau_text, tableau_to_json
+from affwgraph.tableaux import shift_permutation, tableau_from_json, tableau_text, tableau_to_json
 
 from conftest import two_row_shapes
 
@@ -95,6 +95,17 @@ class TestOmega:
         for shape in two_row_shapes(3, 6):
             tabs = enumerate_rsyt(shape)
             assert sorted(omega_shift(t).rows for t in tabs) == sorted(t.rows for t in tabs)
+
+    def test_shift_permutation_matches_omega_shift(self):
+        for shape in two_row_shapes(3, 10):
+            tabs = enumerate_rsyt(shape)
+            index = {t: k for k, t in enumerate(tabs)}
+            assert shift_permutation(tabs) == tuple(index[omega_shift(t)] for t in tabs)
+
+    def test_shift_permutation_needs_every_image(self):
+        tabs = enumerate_rsyt(Partition((3, 2)))
+        assert shift_permutation(tabs[1:]) is None
+        assert shift_permutation([RowStandardTableau(((1, 2, 3), (4, 5)), semistandard=True)]) is None
 
     def test_descent_equivariance(self):
         for shape in two_row_shapes(3, 7):

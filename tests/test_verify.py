@@ -1,11 +1,13 @@
 import functools
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import affwgraph.verify as verify
 from affwgraph import (
     LabeledWGraph,
     Partition,
@@ -13,6 +15,7 @@ from affwgraph import (
     build_affine_graph,
     build_dual_equiv,
     build_equal_variant,
+    build_finite_graph,
     check_all_rules,
     check_bonding,
     check_compatibility,
@@ -27,7 +30,7 @@ from affwgraph import (
 )
 from affwgraph.laurent import ONE, Q, V, ZERO
 from affwgraph.verify import hecke_holds, rules_hold
-from affwgraph.wgraph import dynkin_adjacent, is_nb_admissible, is_reduced
+from affwgraph.wgraph import dynkin_adjacent, full_subgraph, is_nb_admissible, is_reduced
 
 from conftest import all_partitions, count_ssyt, two_row_shapes
 
@@ -461,6 +464,151 @@ def test_witness_lists_pinned_on_mutants():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "34b16f3656ed7345642bcf0b7afc4e10fadfe3c21550f507dd5c54887268b287"
     )
+
+
+def _orbit_perturbed(g, edges, weight):
+    """g with the sigma-orbit of each edge deleted (weight None) or re-weighted."""
+    sigma = g.shift_automorphism
+    weights = dict(g.weights)
+    for u, v in edges:
+        for _ in range(g.n):
+            if weight is None:
+                weights.pop((u, v), None)
+            else:
+                weights[(u, v)] = weight
+            u, v = sigma[u], sigma[v]
+    return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
+
+
+def _orbit_representatives(g):
+    """One edge of each sigma-orbit of edges."""
+    sigma, seen, reps = g.shift_automorphism, set(), []
+    for u, v in sorted(g.weights):
+        if (u, v) not in seen:
+            reps.append((u, v))
+            for _ in range(g.n):
+                seen.add((u, v))
+                u, v = sigma[u], sigma[v]
+    return reps
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the generator pairs the polygon and Hecke checks evaluate."""
+    calls = Counter()
+    polygon_pair, hecke_pair = verify._polygon_pair, verify._hecke_pair
+
+    def counted_polygon(*args):
+        calls["polygon"] += 1
+        return polygon_pair(*args)
+
+    def counted_hecke(*args):
+        calls["hecke"] += 1
+        return hecke_pair(*args)
+
+    monkeypatch.setattr(verify, "_polygon_pair", counted_polygon)
+    monkeypatch.setattr(verify, "_hecke_pair", counted_hecke)
+    return calls
+
+
+def _assert_matches_oracles(g):
+    polygon = check_polygon(g)
+    assert list(polygon.witnesses) == _brute_force_polygon(g)
+    hecke = check_hecke_relations(g)
+    assert list(hecke.witnesses) == _oracle_hecke_witnesses(g)
+    assert hecke_holds(g) == hecke.passed
+    return polygon.witnesses, hecke.witnesses
+
+
+class TestOrbitReduction:
+    """
+    When the shift is an automorphism, the polygon and Hecke checks evaluate
+    one generator pair per rotation orbit and map the witnesses back.
+    """
+
+    @pytest.mark.parametrize("weight", [None, 2, -1, 3])
+    @pytest.mark.parametrize("parts", [(3, 2), (4, 2), (2, 2), (3, 3)])
+    def test_invariant_failing_graphs_match_the_oracles(self, parts, weight, kernel_calls):
+        # odd n = 5, even n = 6, and the (a, a) shapes, whose d = n/2 orbit has n/2 pairs
+        g = _base_graph(parts)
+        n = g.n
+        found = Counter()
+        for edge in _orbit_representatives(g):
+            h = _orbit_perturbed(g, [edge], weight)
+            assert h.shift_automorphism == g.shift_automorphism
+            kernel_calls.clear()
+            polygon, hecke = _assert_matches_oracles(h)
+            assert kernel_calls["polygon"] == n // 2
+            found["polygon"] += len(polygon)
+            found["hecke"] += len(hecke)
+            found["polygon, d = n/2"] += sum(2 * (w[3] - w[2]) == n for w in polygon)
+            found["hecke, d = n/2"] += sum(2 * (w[2] - w[1]) == n for w in hecke)
+        assert found["hecke"]
+        if n % 2 == 0 and n > 4:
+            # witnesses come back on the half-size orbit too (none at n = 4)
+            assert found["polygon, d = n/2"] and found["hecke, d = n/2"]
+
+    def test_several_orbits_perturbed_at_once(self):
+        rng = random.Random(11)
+        for parts in ((3, 2), (4, 2), (3, 3)):
+            g = _base_graph(parts)
+            reps = _orbit_representatives(g)
+            for _ in range(3):
+                h = _orbit_perturbed(g, rng.sample(reps, 2), rng.choice((None, 2, -1, 3)))
+                assert h.shift_automorphism is not None
+                _assert_matches_oracles(h)
+
+    def test_built_graphs_take_the_reduced_path(self, kernel_calls):
+        graphs = [build_affine_graph(shape) for shape in two_row_shapes(3, 9)]
+        graphs += [build_equal_variant(Partition((a, a)), p) for a in (2, 3, 4) for p in (0, 2)]
+        for g in graphs:
+            assert g.shift_automorphism is not None
+            kernel_calls.clear()
+            assert check_polygon(g).passed
+            assert check_hecke_relations(g).passed and hecke_holds(g)
+            assert kernel_calls == {"polygon": g.n // 2, "hecke": 2 * (g.n // 2)}
+
+    @staticmethod
+    def _full_path_inputs():
+        g = _base_graph((3, 2))
+        n = g.n
+        first = sorted(g.weights)[0]
+        u, v = g.shift_automorphism[first[0]], g.shift_automorphism[first[1]]
+        off_orbit = _orbit_perturbed(g, [first], None)
+        return {
+            "non-affine index set": restrict_parabolic(g, range(1, n)),
+            # tau and weights are shift-invariant, but 3 is not a generator
+            "index set {1, 2}": LabeledWGraph(
+                n, frozenset({1, 2}), g.vertices, (frozenset(),) * len(g.vertices), g.weights,
+            ),
+            "chain": TestPolygonPathCounts._chain(
+                ({1, 2}, {1}, {2}, set()), {(0, 1): 1, (1, 3): 1, (0, 2): 1},
+            ),
+            "finite": build_finite_graph(Partition((3, 2))),
+            "vertex missing": full_subgraph(g, range(1, len(g.vertices))),
+            "tau not shifted": LabeledWGraph(
+                n, g.index_set, g.vertices, tuple(frozenset(n + 1 - i for i in t) for t in g.tau),
+                g.weights,
+            ),
+            "one edge off the orbit": LabeledWGraph(
+                n, g.index_set, g.vertices, g.tau, {**off_orbit.weights, (u, v): g.weights[(u, v)]},
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["non-affine index set", "index set {1, 2}", "chain", "finite", "vertex missing", "tau not shifted",
+         "one edge off the orbit"],
+    )
+    def test_other_graphs_take_the_full_path(self, name, kernel_calls):
+        g = self._full_path_inputs()[name]
+        assert g.shift_automorphism is None
+        pairs = len(g.index_set) * (len(g.index_set) - 1) // 2
+        _assert_matches_oracles(g)
+        assert kernel_calls["polygon"] == pairs
+        kernel_calls.clear()
+        check_hecke_relations(g)
+        assert kernel_calls["hecke"] == pairs
 
 
 def _finite_restriction(shape):

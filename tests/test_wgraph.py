@@ -1,4 +1,7 @@
+import copy
+import pickle
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -18,7 +21,7 @@ from affwgraph import (
     simple_components,
     simple_underlying,
 )
-from affwgraph.wgraph import full_subgraph
+from affwgraph.wgraph import full_subgraph, out_neighbors
 
 from conftest import two_row_shapes
 
@@ -317,3 +320,34 @@ class TestConstruction:
         g = _tiny(({1}, {2}), weights)
         weights[(1, 0)] = 1
         assert g.weights == {(0, 1): 1}
+
+
+DERIVED = ("adjacency", "shift_automorphism", "hecke_columns")
+
+
+def _frozen(value) -> bool:
+    """Nested tuples of ints and None only."""
+    if isinstance(value, tuple):
+        return all(_frozen(item) for item in value)
+    return value is None or type(value) is int
+
+
+class TestDerivedValues:
+    def test_computed_once_and_immutable(self, g33):
+        assert out_neighbors(g33) is out_neighbors(g33) is g33.adjacency
+        for name in DERIVED:
+            value = getattr(g33, name)
+            assert value is not None and getattr(g33, name) is value
+            assert _frozen(value), name
+            with pytest.raises(FrozenInstanceError):
+                setattr(g33, name, ())
+            with pytest.raises(FrozenInstanceError):
+                delattr(g33, name)
+
+    def test_pickle_and_copy(self, g33):
+        derived = {name: getattr(g33, name) for name in DERIVED}
+        for clone in (pickle.loads(pickle.dumps(g33)), copy.copy(g33), copy.deepcopy(g33)):
+            assert clone == g33 and clone.vertices == g33.vertices
+            assert {name: getattr(clone, name) for name in DERIVED} == derived
+            with pytest.raises(TypeError):
+                clone.weights[(0, 1)] = 1
