@@ -19,30 +19,19 @@ It walks the paths out of u and looks only at the sinks they reach: a sink
 that no path reaches has 0 on both sides and cannot be a witness, so the
 work is the number of paths, not |sources| * |sinks|.
 
-Both the polygon and the Hecke check evaluate one generator pair per orbit
-of the cyclic shift when the shift is an automorphism of the graph.  That
-is the checked precondition LabeledWGraph.shift_automorphism: the index
-set is 1..n, the vertex permutation sigma of omega_shift exists,
-m(sigma u > sigma v) = m(u > v) on every edge and tau(sigma u) = tau(u) + 1
-mod n.  Write rho(i) = i + 1 mod n.  Then sigma carries the paths from u
-through V_{i/j} onto those from sigma u through V_{rho i/rho j}, so every
-polygon count of (i, j) at (u, v) is that of (rho i, rho j) at
-(sigma u, sigma v); and T_{rho i} e_{sigma u} = sigma T_i e_u, so the
-relation residual of (i, j) on e_u is carried onto that of
-(rho i, rho j) on e_{sigma u}.  The pairs fall into n/2 orbits under rho,
-one per cyclic distance d, and only (1, 1 + d) is evaluated.  Rotating by
-k gives the witnesses of (1 + k, 1 + d + k) through sigma^k, with two
-rules:
-
-* when k + 1 + d > n the rotated pair comes out in the order (j, i) with
-  j > i and is sorted back to (i, j).  That exchanges V_{i/j} and V_{j/i},
-  so the two sides of a polygon witness swap; both relations are
-  symmetric in i and j, so a Hecke witness only takes the sorted pair;
-* for even n and d = n/2, the rotations by k and k + n/2 give the same
-  pair, so only k < n/2 is used and no witness is counted twice.
-
-Without the precondition every pair is evaluated; compatibility,
-simplicity and bonding always scan the whole graph.
+Bonding, polygon and the Hecke check go over the generator pairs i < j in
+one loop, _pair_witnesses.  When the shift is an automorphism of the graph
+(the checked precondition LabeledWGraph.shift_automorphism: the index set
+is 1..n, the vertex permutation sigma of omega_shift exists,
+m(sigma u > sigma v) = m(u > v) on every edge and
+tau(sigma u) = tau(u) + 1 mod n), the loop first evaluates one pair per
+orbit of rho(i) = i + 1 mod n, (1, 1 + d) for d = 1..n/2.  sigma carries
+V_{i/j}, the mutual edges, the path counts and the relation residuals of
+(i, j) onto those of (rho i, rho j), as T_{rho i} e_{sigma u} =
+sigma T_i e_u, and rho keeps Dynkin adjacency, so an orbit fails exactly
+when its representative does.  If none fails there are no witnesses;
+otherwise, and without the precondition, every pair is evaluated.
+Compatibility and simplicity scan the edges once.
 
 The quadratic relation holds by construction, for any weights.  If i is
 not in tau(u), T_i^2 e_u = q^2 e_u = (q - 1) T_i e_u + q e_u.  Otherwise
@@ -83,17 +72,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .laurent import ONE, Q, ZERO, LaurentPoly, lp_monomial
 from .rsk import rsk
 from .tableaux import Partition
-from .wgraph import (
-    Edges,
-    LabeledWGraph,
-    cells,
-    dynkin_adjacent,
-    out_neighbors,
-)
+from .wgraph import Edges, LabeledWGraph, cells, dynkin_adjacent
 
 __all__ = [
     "RuleReport", "check_compatibility", "check_simplicity", "check_bonding",
@@ -148,30 +132,44 @@ def check_simplicity(g: LabeledWGraph) -> RuleReport:
     return _report("simplicity", witnesses)
 
 
+def _pair_witnesses(g: LabeledWGraph, evaluate):
+    """
+    The witnesses evaluate(i, j) yields over the generator pairs i < j.  When
+    the shift is an automorphism of g and no representative (1, 1 + d) has a
+    witness, there are none (module docstring).
+    """
+    if g.shift_automorphism is not None and all(
+        next(iter(evaluate(1, 1 + d)), None) is None for d in range(1, g.n // 2 + 1)
+    ):
+        return
+    generators = sorted(g.index_set)
+    for a, i in enumerate(generators):
+        for j in generators[a + 1:]:
+            yield from evaluate(i, j)
+
+
+def _bonding_pair(g: LabeledWGraph, mutual: list[list[int]], i: int, j: int) -> list[tuple]:
+    """The bonding witnesses (u, a, b, partners) of the generator pair i < j."""
+    if not dynkin_adjacent(g, i, j):
+        return []
+    tau = g.tau
+    witnesses = []
+    for u, t in enumerate(tau):
+        for a, b in ((i, j), (j, i)):
+            if a in t and b not in t:
+                partners = sum(1 for v in mutual[u] if b in tau[v] and a not in tau[v])
+                if partners != 1:
+                    witnesses.append((u, a, b, partners))
+    return witnesses
+
+
 def check_bonding(g: LabeledWGraph) -> RuleReport:
     """Adjacent i,j: each u in V_{i/j} has exactly one mutual partner in V_{j/i}."""
-    witnesses = []
-    pairs = [
-        (i, j)
-        for i in sorted(g.index_set)
-        for j in sorted(g.index_set)
-        if i < j and dynkin_adjacent(g, i, j)
-    ]
     mutual: list[list[int]] = [[] for _ in g.vertices]
     for (u, v) in g.weights:
         if (v, u) in g.weights:  # stored weights are nonzero
             mutual[u].append(v)
-    for i, j in pairs:
-        for u in range(len(g.vertices)):
-            for a, b in ((i, j), (j, i)):
-                if a not in g.tau[u] or b in g.tau[u]:
-                    continue
-                partners = sum(
-                    1 for v in mutual[u] if b in g.tau[v] and a not in g.tau[v]
-                )
-                if partners != 1:
-                    witnesses.append((u, a, b, partners))
-    return _report("bonding", witnesses)
+    return _report("bonding", list(_pair_witnesses(g, partial(_bonding_pair, g, mutual))))
 
 
 def _paths2(adj, inner: list[bool], u: int) -> dict[int, int]:
@@ -227,52 +225,12 @@ def _polygon_pair(g: LabeledWGraph, adj, i: int, j: int) -> list[tuple]:
     return witnesses
 
 
-def _orbit(sigma: tuple[int, ...], n: int, d: int):
-    """
-    Each pair of the rotation orbit of (1, 1 + d) once, as (i, j, swapped,
-    power): rotating by k carries (1, 1 + d) to (i, j) in sorted order, or
-    to (j, i) when swapped, and power[u] is sigma^k(u).  For d = n/2 the
-    rotations by k and k + n/2 give the same pair, so k stops at n/2.
-    """
-    power: list[int] | range = range(len(sigma))
-    for k in range(n // 2 if 2 * d == n else n):
-        i, j = 1 + k, (d + k) % n + 1
-        yield (i, j, False, power) if i < j else (j, i, True, power)
-        power = [sigma[u] for u in power]
-
-
-def _representative_pairs(g: LabeledWGraph):
-    """
-    The generator pairs to evaluate, with the orbit of each: every pair
-    i < j and orbit None when the shift is not an automorphism of g, else
-    (1, 1 + d) for d = 1..n/2 and the pairs of its orbit (module docstring).
-    """
-    sigma = g.shift_automorphism
-    if sigma is None:
-        generators = sorted(g.index_set)
-        return [(i, j, None) for a, i in enumerate(generators) for j in generators[a + 1:]]
-    return [(1, 1 + d, _orbit(sigma, g.n, d)) for d in range(1, g.n // 2 + 1)]
-
-
 def check_polygon(g: LabeledWGraph) -> RuleReport:
     """
     N^2_{ij}(u,v) = N^2_{ji}(u,v) for all i != j, and N^3 agreement when i,j
     are adjacent, over all u with i,j in tau(u) and v with i,j outside tau(v).
     """
-    adj = out_neighbors(g)
-    witnesses = []
-    for i, j, orbit in _representative_pairs(g):
-        found = _polygon_pair(g, adj, i, j)
-        if orbit is None:
-            witnesses.extend(found)
-            continue
-        for oi, oj, swapped, power in orbit if found else ():
-            # a rotation that comes out as (oj, oi) exchanges V_{i/j} and V_{j/i}: the sides swap
-            witnesses.extend(
-                (power[u], power[v], oi, oj, r, b, a) if swapped else (power[u], power[v], oi, oj, r, a, b)
-                for u, v, _, _, r, a, b in found
-            )
-    return _report("polygon", witnesses)
+    return _report("polygon", list(_pair_witnesses(g, partial(_polygon_pair, g, g.adjacency))))
 
 
 def check_all_rules(g: LabeledWGraph) -> list[RuleReport]:
@@ -348,8 +306,11 @@ def _apply_shifted(
     return out
 
 
-def _hecke_pair(ci: _Columns, cj: _Columns, adjacent: bool, q: int):
-    """The basis vertices u on which the relation of the generators with columns ci, cj fails."""
+def _hecke_pair(g: LabeledWGraph, columns: dict[int, _Columns], q: int, i: int, j: int):
+    """The witnesses (relation, i, j, u) of the pair i < j, one per basis vertex u where it fails."""
+    adjacent = dynkin_adjacent(g, i, j)
+    relation = "braid" if adjacent else "commutation"
+    ci, cj = columns[i], columns[j]
     for u, (a, b) in enumerate(zip(ci, cj)):
         if a is None and b is None:
             continue
@@ -370,28 +331,12 @@ def _hecke_pair(ci: _Columns, cj: _Columns, adjacent: bool, q: int):
             _apply(ci, b, diff, q)
             _apply(cj, a, diff, q, -1)
         if any(diff.values()):
-            yield u
+            yield (relation, i, j, u)
 
 
-def _hecke_witnesses(g: LabeledWGraph, stop_on_first: bool):
+def _hecke_witnesses(g: LabeledWGraph):
     x, columns = g.hecke_columns
-    q = x * x
-    of = dict(columns)
-    for i, j, orbit in _representative_pairs(g):
-        relation = "braid" if dynkin_adjacent(g, i, j) else "commutation"
-        found = _hecke_pair(of[i], of[j], relation == "braid", q)
-        if orbit is None or stop_on_first:
-            # a failing representative pair means a failing orbit
-            for u in found:
-                yield (relation, i, j, u)
-                if stop_on_first:
-                    return
-            continue
-        found = list(found)
-        for oi, oj, _, power in orbit if found else ():
-            # both relations are symmetric in i and j, so the order does not matter
-            for u in found:
-                yield (relation, oi, oj, power[u])
+    return _pair_witnesses(g, partial(_hecke_pair, g, dict(columns), x * x))
 
 
 def check_hecke_relations(g: LabeledWGraph) -> RuleReport:
@@ -401,12 +346,12 @@ def check_hecke_relations(g: LabeledWGraph) -> RuleReport:
     (T_i - q)(T_i + 1) = 0 holds by construction (module docstring).
     Witnesses are (relation, i, j, basis vertex).
     """
-    return _report("hecke", list(_hecke_witnesses(g, stop_on_first=False)))
+    return _report("hecke", list(_hecke_witnesses(g)))
 
 
 def hecke_holds(g: LabeledWGraph) -> bool:
     """Same as check_hecke_relations but stops at the first failure."""
-    return next(_hecke_witnesses(g, stop_on_first=True), None) is None
+    return next(_hecke_witnesses(g), None) is None
 
 
 class CellMismatchError(RuntimeError):
@@ -420,7 +365,8 @@ def classify_restriction_cells(restricted: LabeledWGraph) -> dict[Partition, Lab
     by the insertion shape (which determines the recording tableau for
     two-row content).
     """
-    if restricted.index_set != frozenset(range(1, restricted.n)):
+    # the members lie in 1..n, so the size decides (n may be too large for a range)
+    if len(restricted.index_set) != restricted.n - 1 or restricted.n in restricted.index_set:
         raise ValueError(f"expected a graph restricted to 1..{restricted.n - 1}")
     shape = restricted.vertices[0].shape
     # recording tableau (its shape first) -> the vertices it records

@@ -33,7 +33,6 @@ __all__ = [
     "LabeledWGraph", "full_subgraph",
     "restrict_parabolic", "simple_underlying", "cells", "simple_components",
     "simple_component_ids", "is_reduced", "is_nb_admissible", "dynkin_adjacent",
-    "out_neighbors",
     "graph_to_json", "graph_from_json", "graph_to_dot",
 ]
 
@@ -47,6 +46,11 @@ class LabeledWGraph:
     weights: Mapping[tuple[int, int], int]  # (src, dst) -> nonzero weight, read-only
 
     def __post_init__(self):
+        # own copies, so that the caller's containers cannot change the graph
+        # (a frozenset or tuple of an exact frozenset or tuple is itself)
+        object.__setattr__(self, "index_set", frozenset(self.index_set))
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "tau", tuple(map(frozenset, self.tau)))
         count = len(self.vertices)
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"n must be a positive integer, not {self.n!r}")
@@ -106,7 +110,8 @@ class LabeledWGraph:
         first, up to the first mismatch) and tau(sigma u) = tau(u) + 1 mod n.
         """
         n = self.n
-        if self.index_set != frozenset(range(1, n + 1)):
+        # the members lie in 1..n, so the size decides (n may be too large for a range)
+        if len(self.index_set) != n:
             return None
         sigma = shift_permutation(self.vertices)
         if sigma is None:
@@ -164,11 +169,6 @@ def dynkin_adjacent(g: LabeledWGraph, i: int, j: int) -> bool:
     return abs(i - j) == 1
 
 
-def out_neighbors(g: LabeledWGraph) -> tuple[Edges, ...]:
-    """Per-vertex (target, weight) pairs, by target; built once per graph."""
-    return g.adjacency
-
-
 def full_subgraph(g: LabeledWGraph, vertex_ids: list[int]) -> LabeledWGraph:
     """Subgraph on the given vertices keeping all internal weights."""
     ids = sorted(vertex_ids)
@@ -215,7 +215,7 @@ def simple_underlying(g: LabeledWGraph) -> LabeledWGraph:
 def _scc_partition(g: LabeledWGraph) -> list[list[int]]:
     """Strongly connected components (iterative Tarjan), sorted canonically."""
     count = len(g.vertices)
-    adj = out_neighbors(g)
+    adj = g.adjacency
     index = [-1] * count
     lowlink = [0] * count
     on_stack = [False] * count

@@ -2,11 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import affwgraph
 from affwgraph.cli import main
 from affwgraph.fixtures import load_fixture_json
 
@@ -152,6 +157,31 @@ def test_input_boundary_exits_two_with_one_line(capsys, tmp_path, damage):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_huge_n_input_exits_zero_with_a_report(tmp_path):
+    # every check has to decide the index set by its size: a set of 1..n
+    # would not fit, so the child's address space is capped
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps({"n": 10**18, "index_set": [], "vertices": [], "tau": [], "edges": []}),
+        encoding="utf-8",
+    )
+    limit = 2 << 30
+    child = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from affwgraph.cli import main\n"
+        f"sys.exit(main(['verify', '--input', {str(path)!r}]))\n"
+    )
+    package_root = str(Path(affwgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["passed"] and len(report["reports"]) == 5
 
 
 JSON_VALUES = st.recursive(

@@ -1,0 +1,85 @@
+"""
+The two verification paths stay independent, and the finite builder is not
+derived from the affine one: checked on the source with the stdlib ast.
+
+A function reaches every name its body reads (names and attributes), and,
+through those, the bodies of the module's functions and of the
+LabeledWGraph methods and properties of the same name.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import affwgraph.verify as verify
+
+SRC = Path(verify.__file__).resolve().parent
+RULES = ("check_compatibility", "check_simplicity", "check_bonding", "check_polygon")
+HECKE = ("check_hecke_relations", "hecke_holds")
+HECKE_HELPERS = {"hecke_columns", "_hecke_pair", "_apply", "_apply_shifted", "hecke_matrices"}
+RULE_HELPERS = {"_polygon_pair", "_bonding_pair", "_paths2", "_paths3"}
+
+
+def _tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _functions(*modules):
+    """Name -> definition, for the top-level functions and LabeledWGraph members."""
+    defs = {}
+    for module in modules:
+        for node in _tree(module).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[node.name] = node
+            elif isinstance(node, ast.ClassDef) and node.name == "LabeledWGraph":
+                defs.update((f.name, f) for f in node.body if isinstance(f, ast.FunctionDef))
+    return defs
+
+
+def _reached(defs, roots):
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        if name in defs:
+            for stmt in defs[name].body:  # the signature's annotations are not read
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name):
+                        todo.append(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        todo.append(node.attr)
+    return seen
+
+
+def test_rules_and_hecke_check_share_only_the_pair_loop():
+    defs = _functions("verify", "wgraph")
+    rules, hecke = _reached(defs, RULES), _reached(defs, HECKE)
+    # the reachability is not vacuous
+    assert RULE_HELPERS <= rules and {"_pair_witnesses", "shift_automorphism"} <= rules
+    assert HECKE_HELPERS - {"hecke_matrices"} <= hecke
+    assert not rules & HECKE_HELPERS
+    assert not hecke & RULE_HELPERS
+    assert not {name for name in hecke if name.startswith("check_")} - {"check_hecke_relations"}
+    helpers = {
+        name for name, value in vars(verify).items()
+        if inspect.isfunction(value) and value.__module__.startswith("affwgraph.")
+    }
+    assert rules & hecke & helpers == {"_pair_witnesses", "_report", "dynkin_adjacent"}
+
+
+def test_finite_builder_not_derived_from_the_affine_one():
+    reached = _reached(_functions("tworow"), ["build_finite_graph"])
+    assert "_finite_second_kind_valid" in reached
+    assert not reached & {"_moves", "_second_kind_ok", "build_affine_graph"}
+
+
+def test_verification_does_not_import_the_builders():
+    for module in ("verify", "wgraph"):
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, ast.ImportFrom):
+                assert "tworow" not in (node.module or "").split(".")
+                assert all(alias.name != "tworow" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                assert all("tworow" not in alias.name.split(".") for alias in node.names)

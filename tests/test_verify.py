@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -494,24 +495,37 @@ def _orbit_representatives(g):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts the generator pairs the polygon and Hecke checks evaluate."""
+    """Counts the generator pairs the bonding, polygon and Hecke checks evaluate."""
     calls = Counter()
-    polygon_pair, hecke_pair = verify._polygon_pair, verify._hecke_pair
 
-    def counted_polygon(*args):
-        calls["polygon"] += 1
-        return polygon_pair(*args)
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
 
-    def counted_hecke(*args):
-        calls["hecke"] += 1
-        return hecke_pair(*args)
-
-    monkeypatch.setattr(verify, "_polygon_pair", counted_polygon)
-    monkeypatch.setattr(verify, "_hecke_pair", counted_hecke)
+    for name in ("bonding", "polygon", "hecke"):
+        kernel = f"_{name}_pair"
+        monkeypatch.setattr(verify, kernel, counted(name, getattr(verify, kernel)))
     return calls
 
 
+def _pair_calls(n, failing, stop_on_first=False):
+    """
+    The pairs evaluated on a shift-invariant graph whose failing generator
+    pairs are `failing`: the representatives (1, 1 + d) up to the first
+    failing one, then every pair i < j, or up to the first failing one.
+    """
+    reps = [(1, 1 + d) for d in range(1, n // 2 + 1)]
+    first = next((k for k, pair in enumerate(reps) if pair in failing), None)
+    if first is None:
+        return len(reps)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return first + 1 + (pairs.index(min(failing)) + 1 if stop_on_first else len(pairs))
+
+
 def _assert_matches_oracles(g):
+    assert list(check_bonding(g).witnesses) == _brute_force_bonding(g)
     polygon = check_polygon(g)
     assert list(polygon.witnesses) == _brute_force_polygon(g)
     hecke = check_hecke_relations(g)
@@ -522,8 +536,9 @@ def _assert_matches_oracles(g):
 
 class TestOrbitReduction:
     """
-    When the shift is an automorphism, the polygon and Hecke checks evaluate
-    one generator pair per rotation orbit and map the witnesses back.
+    When the shift is an automorphism, the bonding, polygon and Hecke checks
+    evaluate one generator pair per rotation orbit, and every pair if one of
+    those fails.
     """
 
     @pytest.mark.parametrize("weight", [None, 2, -1, 3])
@@ -538,12 +553,20 @@ class TestOrbitReduction:
             assert h.shift_automorphism == g.shift_automorphism
             kernel_calls.clear()
             polygon, hecke = _assert_matches_oracles(h)
-            assert kernel_calls["polygon"] == n // 2
+            bonding = {(min(a, b), max(a, b)) for _, a, b, _ in _brute_force_bonding(h)}
+            hecke_pairs = {w[1:3] for w in hecke}
+            assert kernel_calls == {
+                "bonding": _pair_calls(n, bonding),
+                "polygon": _pair_calls(n, {w[2:4] for w in polygon}),
+                "hecke": _pair_calls(n, hecke_pairs) + _pair_calls(n, hecke_pairs, stop_on_first=True),
+            }
+            found["bonding"] += len(bonding)
             found["polygon"] += len(polygon)
             found["hecke"] += len(hecke)
             found["polygon, d = n/2"] += sum(2 * (w[3] - w[2]) == n for w in polygon)
             found["hecke, d = n/2"] += sum(2 * (w[2] - w[1]) == n for w in hecke)
         assert found["hecke"]
+        assert bool(found["bonding"]) == (weight is None)  # bonding reads no weight values
         if n % 2 == 0 and n > 4:
             # witnesses come back on the half-size orbit too (none at n = 4)
             assert found["polygon, d = n/2"] and found["hecke, d = n/2"]
@@ -564,9 +587,9 @@ class TestOrbitReduction:
         for g in graphs:
             assert g.shift_automorphism is not None
             kernel_calls.clear()
-            assert check_polygon(g).passed
+            assert check_bonding(g).passed and check_polygon(g).passed
             assert check_hecke_relations(g).passed and hecke_holds(g)
-            assert kernel_calls == {"polygon": g.n // 2, "hecke": 2 * (g.n // 2)}
+            assert kernel_calls == {"bonding": g.n // 2, "polygon": g.n // 2, "hecke": 2 * (g.n // 2)}
 
     @staticmethod
     def _full_path_inputs():
@@ -605,7 +628,7 @@ class TestOrbitReduction:
         assert g.shift_automorphism is None
         pairs = len(g.index_set) * (len(g.index_set) - 1) // 2
         _assert_matches_oracles(g)
-        assert kernel_calls["polygon"] == pairs
+        assert kernel_calls["bonding"] == kernel_calls["polygon"] == pairs
         kernel_calls.clear()
         check_hecke_relations(g)
         assert kernel_calls["hecke"] == pairs

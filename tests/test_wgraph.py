@@ -21,7 +21,7 @@ from affwgraph import (
     simple_components,
     simple_underlying,
 )
-from affwgraph.wgraph import full_subgraph, out_neighbors
+from affwgraph.wgraph import full_subgraph
 
 from conftest import two_row_shapes
 
@@ -321,6 +321,26 @@ class TestConstruction:
         weights[(1, 0)] = 1
         assert g.weights == {(0, 1): 1}
 
+    def test_containers_copied_from_caller(self, g33):
+        index_set, vertices, tau = set(g33.index_set), list(g33.vertices), [set(t) for t in g33.tau]
+        g = LabeledWGraph(g33.n, index_set, vertices, tau, g33.weights)
+        assert (type(g.index_set), type(g.vertices), type(g.tau)) == (frozenset, tuple, tuple)
+        assert all(type(t) is frozenset for t in g.tau)
+        derived = {name: getattr(g, name) for name in DERIVED}
+        assert derived["shift_automorphism"] is not None
+        index_set.discard(g33.n)
+        vertices.pop()
+        for t in tau:
+            t.clear()
+        assert g == g33
+        assert {name: getattr(g, name) for name in DERIVED} == derived
+        assert derived == {name: getattr(g33, name) for name in DERIVED}
+
+    def test_exact_containers_kept(self, g33):
+        g = LabeledWGraph(g33.n, g33.index_set, g33.vertices, g33.tau, g33.weights)
+        assert g.index_set is g33.index_set and g.vertices is g33.vertices
+        assert all(a is b for a, b in zip(g.tau, g33.tau))
+
 
 DERIVED = ("adjacency", "shift_automorphism", "hecke_columns")
 
@@ -334,7 +354,6 @@ def _frozen(value) -> bool:
 
 class TestDerivedValues:
     def test_computed_once_and_immutable(self, g33):
-        assert out_neighbors(g33) is out_neighbors(g33) is g33.adjacency
         for name in DERIVED:
             value = getattr(g33, name)
             assert value is not None and getattr(g33, name) is value
