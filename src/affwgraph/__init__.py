@@ -4,7 +4,7 @@ graphs on row-standard tableaux, and two independent verification paths
 (local combinatorial rules and the Hecke module relations).
 """
 
-from .laurent import LaurentPoly, lp_add, lp_monomial, lp_mul
+from .laurent import LaurentPoly, lp_monomial
 from .tableaux import (
     Partition,
     RowStandardTableau,

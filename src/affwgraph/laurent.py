@@ -9,7 +9,7 @@ polynomial is immutable: its coefficient map is read-only.
 'v^2 + 1'
 >>> V * V == Q
 True
->>> lp_mul(lp_add(Q, lp_monomial(-1, 0)), lp_add(Q, ONE)) == lp_add(Q * Q, lp_monomial(-1, 0))
+>>> (Q + lp_monomial(-1, 0)) * (Q + ONE) == Q * Q + lp_monomial(-1, 0)
 True
 """
 
@@ -17,10 +17,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-__all__ = [
-    "LaurentPoly", "lp_monomial", "lp_add", "lp_mul",
-    "ZERO", "ONE", "V", "Q",
-]
+__all__ = ["LaurentPoly", "lp_monomial", "ZERO", "ONE", "V", "Q"]
 
 
 class LaurentPoly:
@@ -79,16 +76,6 @@ class LaurentPoly:
                     out.pop(e, None)
         return LaurentPoly(out)
 
-    def scale(self, k: int) -> "LaurentPoly":
-        """Multiply by the integer k."""
-        if k == 0:
-            return ZERO
-        return LaurentPoly({e: k * c for e, c in self.coeffs.items()})
-
-    def shift(self, d: int) -> "LaurentPoly":
-        """Multiply by v**d."""
-        return LaurentPoly({e + d: c for e, c in self.coeffs.items()})
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -110,22 +97,10 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.coeffs)!r})"
 
-    def to_dict(self) -> dict[str, int]:
-        """JSON-friendly form: exponent (as string) -> coefficient."""
-        return {str(e): c for e, c in sorted(self.coeffs.items())}
-
 
 def lp_monomial(coeff: int, exp: int) -> LaurentPoly:
     """The monomial coeff * v**exp (zero coeff gives the zero polynomial)."""
     return LaurentPoly({exp: coeff})
-
-
-def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
 
 
 ZERO = LaurentPoly()

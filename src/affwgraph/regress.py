@@ -8,8 +8,8 @@ built once, and its restriction to [1, n-1], the shift's vertex permutation
 and the Knuth graph are derived at most once, by the first check using them.
 Each finite graph a restriction cell is compared with is built once per
 run (once per process with `--jobs K`, which splits the shapes into K
-batches of about equal vertex counts, largest shapes first) and kept only
-while the shapes of its size are swept.
+batches, at most one per shape, of about equal vertex counts, largest
+shapes first) and kept only while the shapes of its size are swept.
 """
 
 from __future__ import annotations
@@ -409,6 +409,8 @@ def _sweep(max_n: int, names, jobs: int = 1) -> dict[str, RegressResult]:
         shape for shape in two_row_shapes(3, max(max_n + 1, _FIXTURE_SHAPE.n))
         if any(runs(shape, max_n) for _, runs in parts)
     ]
+    # a process per shape at most: the pool forks all its workers up front
+    jobs = min(jobs, len(shapes))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -8,6 +8,11 @@ A move swaps one entry of row 1 with one entry of row 2.  First kind:
 mo(i) in row 1 trades places with mo(i+1) in row 2.  Second kind: mo(i) in
 row 2 trades places with mo(j) in row 1, gated by the parity and cyclic
 interval conditions (a)-(e) below.
+
+A two-row tableau is determined by its row 2 (row 1 is the complement in
+1..n), so the builders read and index each vertex by the frozenset of its
+row 2.  The affine gate folds (d) and (e) into one count.  The finite gate
+keeps its plain-interval sums, so it is not derived from the affine one.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .tableaux import (
     enumerate_syt,
     finite_descents,
     mo,
-    pint,
 )
 from .wgraph import LabeledWGraph, simple_component_ids
 
@@ -52,7 +56,7 @@ def first_kind_target(s: RowStandardTableau, i: int) -> RowStandardTableau | Non
     _require_two_row(s.shape)
     n = s.n
     x, y = mo(i, n), mo(i + 1, n)
-    if x in s.rows[0] and y in s.rows[1]:
+    if x not in s.rows[1] and y in s.rows[1]:
         return s.with_swapped(x, y)
     return None
 
@@ -64,35 +68,35 @@ def second_kind_valid(s: RowStandardTableau, i: int, j: int) -> bool:
     """
     _require_two_row(s.shape)
     n = s.n
-    row1, row2 = set(s.rows[0]), set(s.rows[1])
-    if mo(i, n) not in row2 or mo(j, n) not in row1 or mo(i, n) == mo(j + 1, n):
+    row2 = frozenset(s.rows[1])
+    if mo(i, n) not in row2 or mo(j, n) in row2 or mo(i, n) == mo(j + 1, n):
         raise ValueError(f"not a second-kind candidate: i={i}, j={j} on {s}")
-    return _second_kind_ok(row1, row2, i, j, n)
+    return _second_kind_ok(row2, i, j, n)
 
 
-def _second_kind_ok(row1, row2, i: int, j: int, n: int) -> bool:
-    """Conditions (a)-(e) on the rows of a second-kind candidate (i, j)."""
+def _second_kind_ok(row2, i: int, j: int, n: int) -> bool:
+    """Conditions (a)-(e) on the second row of a second-kind candidate (i, j)."""
     d = mo(j - i, n)
     # (a) cyclic distance from i to j is odd
     if d % 2 == 0:
         return False
-    # (b)
-    if mo(i + 1, n) not in row1 or mo(j - 1, n) not in row2:
+    # (b); row 1 is the complement of row 2
+    if mo(i + 1, n) in row2 or mo(j - 1, n) not in row2:
         return False
     # (c)
-    if mo(i - 1, n) not in row1 and mo(j + 1, n) not in row2:
+    if mo(i - 1, n) in row2 and mo(j + 1, n) not in row2:
         return False
-    # (d)
+    # (d) the k-th window mo(j-1-2k)..mo(j-2) holds 2k <= d - 3 < n residues,
+    # two more than the (k-1)-th; count is the number of them in row 2
+    count = 0
     for k in range(1, (d - 3) // 2 + 1):
-        window = pint(mo(j - 1 - 2 * k, n), mo(j - 2, n), n)
-        if len(row2 & window) < k:
+        count += (mo(j - 2 * k, n) in row2) + (mo(j - 1 - 2 * k, n) in row2)
+        if count < k:
             return False
-    # (e); for d == 3 the interval is empty by the pint convention
-    if mo(j, n) != mo(i + 1, n):
-        window = pint(mo(i + 2, n), mo(j - 2, n), n)
-        if len(row2 & window) != (d - 3) // 2:
-            return False
-    return True
+    # (e) the window mo(i+2)..mo(j-2) is the last window of (d), k = (d-3)//2,
+    # since j-1-(d-3) = i+2 mod n (empty for d == 3); for d == 1 (mo(j) = mo(i+1))
+    # there is no condition
+    return d == 1 or count == (d - 3) // 2
 
 
 def second_kind_target(s: RowStandardTableau, i: int, j: int) -> RowStandardTableau | None:
@@ -104,18 +108,17 @@ def second_kind_target(s: RowStandardTableau, i: int, j: int) -> RowStandardTabl
 
 def _moves(vertices, n: int):
     """The moves between the given two-row tableaux of size n, by source index."""
-    # a two-row tableau is determined by its second row
     index = {frozenset(t.rows[1]): k for k, t in enumerate(vertices)}
     for src, s in enumerate(vertices):
-        row1, row2 = frozenset(s.rows[0]), frozenset(s.rows[1])
+        row2 = frozenset(s.rows[1])
         for i in range(1, n + 1):
             x, y = mo(i, n), mo(i + 1, n)
-            if x in row1 and y in row2:
+            if x not in row2 and y in row2:
                 yield Move("first", i, y, src, index[row2 ^ {x, y}])
         # rows are sorted, so i and j run through 1..n in increasing order
         for i in s.rows[1]:
             for j in s.rows[0]:
-                if i != mo(j + 1, n) and _second_kind_ok(row1, row2, i, j, n):
+                if i != mo(j + 1, n) and _second_kind_ok(row2, i, j, n):
                     yield Move("second", i, j, src, index[row2 ^ {i, j}])
 
 
@@ -196,25 +199,24 @@ def build_equal_variant(shape: Partition, p: int) -> LabeledWGraph:
     return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
 
 
-def _finite_second_kind_valid(s: RowStandardTableau, i: int, j: int) -> bool:
-    """Non-cyclic conditions (a)-(e): plain intervals, 1 < i < j <= n."""
-    n = s.n
-    row1, row2 = set(s.rows[0]), set(s.rows[1])
-    if not (1 < i < j <= n) or (j - i) % 2 == 0:
+def _finite_second_kind_valid(row2, i: int, j: int) -> bool:
+    """
+    Non-cyclic conditions (a)-(e), with plain intervals, for the swap of i
+    in row 2 with j in row 1 of a two-row tableau of size n >= j.
+    """
+    if not 1 < i < j or (j - i) % 2 == 0:
         return False
-    if i not in row2 or j not in row1:
+    # row 1 is the complement of row 2
+    if i + 1 in row2 or j - 1 not in row2:
         return False
-    if i + 1 not in row1 or j - 1 not in row2:
-        return False
-    # j+1 is not in row 2 by convention when j = n
-    if i - 1 not in row1 and (j == n or j + 1 not in row2):
+    # j+1 is not in row 2 by convention when j = n, and n+1 is in no row
+    if i - 1 in row2 and j + 1 not in row2:
         return False
     for m in range(1, (j - i - 3) // 2 + 1):
         if sum(1 for e in row2 if j - 1 - 2 * m <= e <= j - 2) < m:
             return False
-    if j != i + 1:
-        if sum(1 for e in row2 if i + 2 <= e <= j - 2) != (j - i - 3) // 2:
-            return False
+    if j != i + 1 and sum(1 for e in row2 if i + 2 <= e <= j - 2) != (j - i - 3) // 2:
+        return False
     return True
 
 
@@ -222,30 +224,27 @@ def build_finite_graph(shape: Partition) -> LabeledWGraph:
     """
     The [1,n-1]-labeled graph on the standard tableaux of the shape.
 
-    Moves whose target is not standard produce no edge.  One-row shapes give
-    the single-vertex graph (the restriction cells of the affine graph are
-    keyed by such shapes as well).
+    Moves whose target is not standard produce no edge: the target's row 2
+    is not in the index.  One-row shapes give the single-vertex graph (the
+    restriction cells of the affine graph are keyed by such shapes as well).
     """
     if shape.length > 2:
         raise ValueError(f"shape must have at most two rows: {shape}")
     n = shape.n
     vertices = tuple(enumerate_syt(shape))
-    index = {t: k for k, t in enumerate(vertices)}
     weights: dict[tuple[int, int], int] = {}
     if shape.is_two_row:
+        index = {frozenset(t.rows[1]): k for k, t in enumerate(vertices)}
         for src, s in enumerate(vertices):
-            row1, row2 = set(s.rows[0]), set(s.rows[1])
-            for i in range(1, n):
-                if i in row1 and i + 1 in row2:
-                    t = s.with_swapped(i, i + 1)
-                    if t in index:
-                        weights[(src, index[t])] = 1
-            for i in sorted(row2):
-                for j in sorted(row1):
-                    if _finite_second_kind_valid(s, i, j):
-                        t = s.with_swapped(i, j)
-                        if t in index:
-                            weights[(src, index[t])] = 1
+            row2 = frozenset(s.rows[1])
+            targets = [row2 ^ {i, i + 1} for i in range(1, n) if i not in row2 and i + 1 in row2]
+            targets += [
+                row2 ^ {i, j} for i in s.rows[1] for j in s.rows[0]
+                if _finite_second_kind_valid(row2, i, j)
+            ]
+            for target in targets:
+                if target in index:
+                    weights[(src, index[target])] = 1
     return LabeledWGraph(
         n=n,
         index_set=frozenset(range(1, n)),

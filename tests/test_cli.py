@@ -293,6 +293,13 @@ class TestRegress:
         assert len(lines) == 10
         assert all("PASS" in line for line in lines)
 
+    def test_report_bytes(self, capsys):
+        code, out = run(capsys, "regress", "--max-n", "8")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e1c40d6ab18468b034d8bf1315f8665941796bf974d061293479365991cefe82"
+        )
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
         code, out = run(capsys, "regress", "--max-n", "4", "--jobs", jobs)

@@ -3,6 +3,7 @@ The regression driver: one pass over the shapes, each affine graph built
 once, and the same names, verdicts and details as the checks report alone.
 """
 
+import concurrent.futures
 import multiprocessing
 from collections import Counter
 
@@ -95,6 +96,32 @@ def test_each_finite_graph_is_built_once_per_run(monkeypatch):
     assert calls == keys
     regress.run_regression(max_n=6)
     assert calls == keys + keys  # nothing is kept from one run to the next
+
+
+def test_jobs_are_capped_at_the_swept_shapes(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    serial = regress.run_regression(max_n=5)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    for jobs in (2, 5000):
+        assert regress.run_regression(max_n=5, jobs=jobs) == serial
+    # finite_move_labels sweeps one size beyond max_n
+    assert pools == [2, len(regress.two_row_shapes(3, 6))]
 
 
 @pytest.mark.parametrize("max_n", [2, 0, -3])

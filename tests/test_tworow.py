@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,8 @@ from affwgraph import (
     second_kind_target,
     second_kind_valid,
 )
+from affwgraph.tableaux import pint
+from affwgraph.tworow import _finite_second_kind_valid
 from affwgraph.wgraph import graph_to_dot, graph_to_json, simple_component_ids, simple_underlying
 
 from conftest import two_row_shapes
@@ -242,3 +245,80 @@ def test_builders_byte_identical():
     assert affine.hexdigest() == "3f25d6a52832e1502a7f1602133ead8ff0038e4079cb931152445aa0aa6f60d2"
     assert dual.hexdigest() == "dfef95500c3240fcbd03915ba63bba758735fadb472d0ae39acf512c5a59ebb0"
     assert moves.hexdigest() == "46da4ce8ce58142d15ab9671943e071e0d8537d40248c3117b61a52dc2031b4e"
+
+
+def test_finite_builder_byte_identical():
+    # pins the JSON and DOT exports of the finite graphs for n <= 10 byte for byte
+    digest = hashlib.sha256()
+    for shape in two_row_shapes(3, 10):
+        g = build_finite_graph(shape)
+        digest.update((json.dumps(graph_to_json(g), indent=1, sort_keys=True) + "\n").encode())
+        digest.update(graph_to_dot(g).encode())
+    assert digest.hexdigest() == "622d412b7206bcf7af181e579f3d4f2fd44bbc0f1f2db599ae9c4ebee1aa8c09"
+
+
+def _literal_second_kind_ok(row1, row2, i: int, j: int, n: int) -> bool:
+    """Conditions (a)-(e) as stated: both rows, every window a pint interval."""
+    d = mo(j - i, n)
+    # (a) cyclic distance from i to j is odd
+    if d % 2 == 0:
+        return False
+    # (b)
+    if mo(i + 1, n) not in row1 or mo(j - 1, n) not in row2:
+        return False
+    # (c)
+    if mo(i - 1, n) not in row1 and mo(j + 1, n) not in row2:
+        return False
+    # (d)
+    for k in range(1, (d - 3) // 2 + 1):
+        window = pint(mo(j - 1 - 2 * k, n), mo(j - 2, n), n)
+        if len(row2 & window) < k:
+            return False
+    # (e); for d == 3 the interval is empty by the pint convention
+    if mo(j, n) != mo(i + 1, n):
+        window = pint(mo(i + 2, n), mo(j - 2, n), n)
+        if len(row2 & window) != (d - 3) // 2:
+            return False
+    return True
+
+
+def _literal_finite_second_kind_valid(s: RowStandardTableau, i: int, j: int) -> bool:
+    """Non-cyclic conditions (a)-(e) as stated: both rows, plain intervals, 1 < i < j <= n."""
+    n = s.n
+    row1, row2 = set(s.rows[0]), set(s.rows[1])
+    if not (1 < i < j <= n) or (j - i) % 2 == 0:
+        return False
+    if i not in row2 or j not in row1:
+        return False
+    if i + 1 not in row1 or j - 1 not in row2:
+        return False
+    # j+1 is not in row 2 by convention when j = n
+    if i - 1 not in row1 and (j == n or j + 1 not in row2):
+        return False
+    for m in range(1, (j - i - 3) // 2 + 1):
+        if sum(1 for e in row2 if j - 1 - 2 * m <= e <= j - 2) < m:
+            return False
+    if j != i + 1:
+        if sum(1 for e in row2 if i + 2 <= e <= j - 2) != (j - i - 3) // 2:
+            return False
+    return True
+
+
+def test_second_kind_gates_match_literal_oracles():
+    # every candidate (i in row 2, j in row 1) of every row-standard tableau, n <= 12
+    valid = Counter()
+    for shape in two_row_shapes(3, 12):
+        n = shape.n
+        for s in enumerate_rsyt(shape):
+            row1, row2 = set(s.rows[0]), set(s.rows[1])
+            for i in s.rows[1]:
+                for j in s.rows[0]:
+                    if i != mo(j + 1, n):
+                        affine = second_kind_valid(s, i, j)
+                        assert affine == _literal_second_kind_ok(row1, row2, i, j, n), (s, i, j)
+                        valid["affine", affine] += 1
+                    finite = _finite_second_kind_valid(frozenset(row2), i, j)
+                    assert finite == _literal_finite_second_kind_valid(s, i, j), (s, i, j)
+                    valid["finite", finite] += 1
+    # both gates accept and reject somewhere
+    assert all(valid[kind, verdict] for kind in ("affine", "finite") for verdict in (True, False))
