@@ -4,14 +4,16 @@ descent sets, Knuth moves, and the cyclic-shift action.
 
 Conventions: rows are numbered from the top starting at 1, a "higher" row
 has a smaller row number, and every tableau stores its rows sorted.
-Residues live in {1, ..., n}.
+Residues live in {1, ..., n}.  Tableaux from outside (the constructor,
+JSON) are validated; the enumerations, omega_shift and with_swapped derive
+their rows from valid ones and store them without checking them again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, filterfalse
 
 __all__ = [
     "Partition", "RowStandardTableau",
@@ -106,6 +108,18 @@ class RowStandardTableau:
             if entries != list(range(1, len(entries) + 1)):
                 raise ValueError(f"entries must be exactly 1..n: {rows}")
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "RowStandardTableau":
+        """
+        The tableau with these rows, stored as given: only for sorted rows of
+        a shape, filled with exactly 1..n, that come from a valid tableau or
+        an enumeration of valid ones, so they are not checked again.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        object.__setattr__(t, "semistandard", False)
+        return t
+
     @property
     def n(self) -> int:
         return sum(len(row) for row in self.rows)
@@ -131,10 +145,13 @@ class RowStandardTableau:
     def with_swapped(self, x: int, y: int) -> "RowStandardTableau":
         """The tableau with entries x and y interchanged, rows re-sorted."""
         swapped = tuple(
-            tuple(y if e == x else x if e == y else e for e in row)
+            tuple(sorted(y if e == x else x if e == y else e for e in row))
             for row in self.rows
         )
-        return RowStandardTableau(swapped)
+        entries = range(1, self.n + 1)
+        if self.semistandard or x not in entries or y not in entries:
+            return RowStandardTableau(swapped)  # may not be a row-standard filling
+        return RowStandardTableau._trusted(swapped)
 
     def __str__(self) -> str:
         return tableau_text(self)
@@ -177,7 +194,10 @@ def finite_descents(t: RowStandardTableau) -> frozenset[int]:
 def omega_shift(t: RowStandardTableau) -> RowStandardTableau:
     """Replace every entry i with mo(i+1) and re-sort the rows."""
     n = t.n
-    return RowStandardTableau(tuple(tuple(mo(e + 1, n) for e in row) for row in t.rows))
+    rows = tuple(tuple(sorted(mo(e + 1, n) for e in row)) for row in t.rows)
+    if t.semistandard:
+        return RowStandardTableau(rows)  # may not be a row-standard filling
+    return RowStandardTableau._trusted(rows)
 
 
 def shift_permutation(tableaux: Sequence[RowStandardTableau]) -> tuple[int, ...] | None:
@@ -221,25 +241,40 @@ def is_knuth_move(t: RowStandardTableau, u: RowStandardTableau) -> bool:
     return False
 
 
+def _fill_from_bottom(shape: Partition, rows_for) -> list[RowStandardTableau]:
+    """
+    The tableaux of the shape whose row a (0-based) is one of
+    rows_for(pool, a, below), sorted by reading word.  The pool is the sorted
+    tuple of the entries not in the rows below row a, and below is the row
+    under it (empty for the last row); the candidate rows must come in
+    lexicographic order and make tableaux filled with exactly 1..n.
+    """
+    # the reading words of one shape sort by the last row, then the row above
+    # it, and so on: the order of filling the rows from the bottom
+    tableaux: list[RowStandardTableau] = []
+    rows = [()] * shape.length
+    _fill_rows(tuple(range(1, shape.n + 1)), shape.length - 1, (), rows, rows_for, tableaux)
+    return tableaux
+
+
+def _fill_rows(pool, a, below, rows, rows_for, tableaux) -> None:
+    """Fill rows a, a-1, ..., 0 under rows[a+1:], appending each tableau."""
+    for row in rows_for(pool, a, below):
+        rows[a] = row
+        if a == 0:
+            tableaux.append(RowStandardTableau._trusted(tuple(rows)))
+        else:
+            rest = tuple(filterfalse(set(row).__contains__, pool))
+            _fill_rows(rest, a - 1, row, rows, rows_for, tableaux)
+
+
 def enumerate_rsyt(shape: Partition) -> list[RowStandardTableau]:
     """
     All row-standard tableaux of the shape, sorted by reading word.
 
     The order is the canonical vertex order used by every graph builder.
     """
-    n = shape.n
-
-    def fill(remaining: frozenset[int], parts: tuple[int, ...]):
-        if not parts:
-            yield ()
-            return
-        for row in combinations(sorted(remaining), parts[0]):
-            for rest in fill(remaining - set(row), parts[1:]):
-                yield (row,) + rest
-
-    tabs = [RowStandardTableau(rows) for rows in fill(frozenset(range(1, n + 1)), shape.parts)]
-    tabs.sort(key=lambda t: t.reading_word())
-    return tabs
+    return _fill_from_bottom(shape, lambda pool, a, below: combinations(pool, shape.parts[a]))
 
 
 def is_standard(t: RowStandardTableau) -> bool:
@@ -255,7 +290,31 @@ def is_standard(t: RowStandardTableau) -> bool:
 
 def enumerate_syt(shape: Partition) -> list[RowStandardTableau]:
     """All standard tableaux of the shape, in the enumerate_rsyt order."""
-    return [t for t in enumerate_rsyt(shape) if is_standard(t)]
+    return _fill_from_bottom(
+        shape, lambda pool, a, below: _standard_rows(pool, shape.parts[a], a, below, 0, ())
+    )
+
+
+def _standard_rows(pool, length, a, below, start, prefix):
+    """
+    The increasing rows of length entries from pool[start:] after prefix, in
+    lexicographic order, that can be row a (0-based) of a standard tableau
+    above the row below: entry c is less than below[c] (the column
+    condition) and at least (a+1)(c+1), as it exceeds every other cell
+    weakly above and left of it.
+    """
+    c = len(prefix)
+    if c == length:
+        yield prefix
+        return
+    high = below[c] if c < len(below) else None
+    low = (a + 1) * (c + 1)
+    for p in range(start, len(pool) - length + c + 1):
+        e = pool[p]
+        if high is not None and e >= high:
+            break
+        if e >= low:
+            yield from _standard_rows(pool, length, a, below, p + 1, prefix + (e,))
 
 
 def tableau_text(t: RowStandardTableau) -> str:

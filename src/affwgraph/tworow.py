@@ -9,10 +9,16 @@ mo(i) in row 1 trades places with mo(i+1) in row 2.  Second kind: mo(i) in
 row 2 trades places with mo(j) in row 1, gated by the parity and cyclic
 interval conditions (a)-(e) below.
 
-A two-row tableau is determined by its row 2 (row 1 is the complement in
-1..n), so the builders read and index each vertex by the frozenset of its
-row 2.  The affine gate folds (d) and (e) into one count.  The finite gate
-keeps its plain-interval sums, so it is not derived from the affine one.
+A two-row tableau of size n is determined by its row 2 (row 1 is the
+complement in 1..n), which the affine builders hold as an int mask: entry e
+is bit e - 1.  Vertex k of the shape (a, b) is the k-th b-subset of 1..n in
+lexicographic order, which is the enumerate_rsyt order (reading words begin
+with row 2).  Descents, moves and the second-kind gate are bit operations
+on the mask and its cyclic rotations.  The tableaux are built once, by
+enumerate_rsyt, at the boundary: the builders read each one's mask and hand
+the tableaux to the graph unchanged.  The finite builder keeps its own
+non-cyclic gate with plain intervals on the set of row 2, so it is not
+derived from the affine one.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from dataclasses import dataclass
 from .tableaux import (
     Partition,
     RowStandardTableau,
-    affine_descents,
     enumerate_rsyt,
     enumerate_syt,
     finite_descents,
@@ -51,13 +56,73 @@ def _require_two_row(shape: Partition) -> None:
         raise ValueError(f"shape must have exactly two rows: {shape}")
 
 
+def _row2_mask(s: RowStandardTableau) -> int:
+    """The mask of row 2 of a two-row tableau: bit e - 1 for each entry e."""
+    if len(s.rows) != 2:
+        raise ValueError(f"tableau must have exactly two rows: {s}")
+    m = 0
+    for e in s.rows[1]:
+        m |= 1 << (e - 1)
+    return m
+
+
+def _entries(m: int) -> tuple[int, ...]:
+    """The entries whose bits are set, in increasing order."""
+    entries = []
+    while m:
+        low = m & -m
+        entries.append(low.bit_length())
+        m ^= low
+    return tuple(entries)
+
+
+def _rotate(m: int, s: int, n: int) -> int:
+    """The n-bit mask whose bit p is bit (p + s) mod n of m, for 0 <= s < n."""
+    return ((m >> s) | (m << (n - s))) & ((1 << n) - 1)
+
+
+def _descent_mask(m: int, n: int) -> int:
+    """The affine descents i: mo(i) in row 1 and mo(i+1) in row 2."""
+    return _rotate(m, 1, n) & ~m
+
+
+def _second_kind_ends(m: int, n: int) -> tuple[int, int]:
+    """
+    Condition (b) as two masks: the i in row 2 with mo(i+1) in row 1, and
+    the j in row 1 with mo(j-1) in row 2.
+    """
+    return m & ~_rotate(m, 1, n), ~m & _rotate(m, n - 1, n)
+
+
+def _second_kind_gate(m: int, i: int, j: int, n: int) -> bool:
+    """Conditions (a) and (c)-(e) on the row-2 mask m for i, j that meet (b)."""
+    d = (j - i) % n
+    # (a) cyclic distance from i to j is odd
+    if not d & 1:
+        return False
+    # (c) not both mo(i-1) in row 2 and mo(j+1) in row 1
+    if m >> ((i - 2) % n) & 1 and not m >> (j % n) & 1:
+        return False
+    # (d) bit p of r holds mo(j-1+p), so the k-th window mo(j-1-2k)..mo(j-2),
+    # of 2k <= d - 3 < n residues, is the top 2k bits of r
+    r = _rotate(m, (j - 2) % n, n)
+    count = 0
+    for k in range(1, (d - 3) // 2 + 1):
+        count = (r >> (n - 2 * k)).bit_count()
+        if count < k:
+            return False
+    # (e) the window mo(i+2)..mo(j-2) is the last window of (d), k = (d-3)//2,
+    # since j-1-(d-3) = i+2 mod n (empty for d == 3); for d == 1 (mo(j) = mo(i+1))
+    # there is no condition
+    return d == 1 or count == (d - 3) // 2
+
+
 def first_kind_target(s: RowStandardTableau, i: int) -> RowStandardTableau | None:
     """Swap mo(i) in row 1 with mo(i+1) in row 2, or None if not applicable."""
-    _require_two_row(s.shape)
+    m = _row2_mask(s)
     n = s.n
-    x, y = mo(i, n), mo(i + 1, n)
-    if x not in s.rows[1] and y in s.rows[1]:
-        return s.with_swapped(x, y)
+    if _descent_mask(m, n) >> (mo(i, n) - 1) & 1:
+        return s.with_swapped(mo(i, n), mo(i + 1, n))
     return None
 
 
@@ -66,37 +131,13 @@ def second_kind_valid(s: RowStandardTableau, i: int, j: int) -> bool:
     Decide conditions (a)-(e) for the second-kind swap of mo(i) in row 2
     with mo(j) in row 1.  Raises if (s, i, j) is not even a candidate.
     """
-    _require_two_row(s.shape)
+    m = _row2_mask(s)
     n = s.n
-    row2 = frozenset(s.rows[1])
-    if mo(i, n) not in row2 or mo(j, n) in row2 or mo(i, n) == mo(j + 1, n):
+    x, y = mo(i, n), mo(j, n)
+    if not m >> (x - 1) & 1 or m >> (y - 1) & 1 or x == mo(j + 1, n):
         raise ValueError(f"not a second-kind candidate: i={i}, j={j} on {s}")
-    return _second_kind_ok(row2, i, j, n)
-
-
-def _second_kind_ok(row2, i: int, j: int, n: int) -> bool:
-    """Conditions (a)-(e) on the second row of a second-kind candidate (i, j)."""
-    d = mo(j - i, n)
-    # (a) cyclic distance from i to j is odd
-    if d % 2 == 0:
-        return False
-    # (b); row 1 is the complement of row 2
-    if mo(i + 1, n) in row2 or mo(j - 1, n) not in row2:
-        return False
-    # (c)
-    if mo(i - 1, n) in row2 and mo(j + 1, n) not in row2:
-        return False
-    # (d) the k-th window mo(j-1-2k)..mo(j-2) holds 2k <= d - 3 < n residues,
-    # two more than the (k-1)-th; count is the number of them in row 2
-    count = 0
-    for k in range(1, (d - 3) // 2 + 1):
-        count += (mo(j - 2 * k, n) in row2) + (mo(j - 1 - 2 * k, n) in row2)
-        if count < k:
-            return False
-    # (e) the window mo(i+2)..mo(j-2) is the last window of (d), k = (d-3)//2,
-    # since j-1-(d-3) = i+2 mod n (empty for d == 3); for d == 1 (mo(j) = mo(i+1))
-    # there is no condition
-    return d == 1 or count == (d - 3) // 2
+    ends_i, ends_j = _second_kind_ends(m, n)
+    return bool(ends_i >> (x - 1) & 1 and ends_j >> (y - 1) & 1) and _second_kind_gate(m, x, y, n)
 
 
 def second_kind_target(s: RowStandardTableau, i: int, j: int) -> RowStandardTableau | None:
@@ -106,20 +147,37 @@ def second_kind_target(s: RowStandardTableau, i: int, j: int) -> RowStandardTabl
     return None
 
 
-def _moves(vertices, n: int):
-    """The moves between the given two-row tableaux of size n, by source index."""
-    index = {frozenset(t.rows[1]): k for k, t in enumerate(vertices)}
-    for src, s in enumerate(vertices):
-        row2 = frozenset(s.rows[1])
-        for i in range(1, n + 1):
-            x, y = mo(i, n), mo(i + 1, n)
-            if x not in row2 and y in row2:
-                yield Move("first", i, y, src, index[row2 ^ {x, y}])
-        # rows are sorted, so i and j run through 1..n in increasing order
-        for i in s.rows[1]:
-            for j in s.rows[0]:
-                if i != mo(j + 1, n) and _second_kind_ok(row2, i, j, n):
-                    yield Move("second", i, j, src, index[row2 ^ {i, j}])
+def _moves(masks: list[int], n: int):
+    """
+    The moves between the given row-2 masks of size n as (kind, i, j,
+    source, target) tuples, by source; per source the first kind by i, then
+    the second kind by i and j.
+    """
+    index = {m: k for k, m in enumerate(masks)}
+    top = 1 << (n - 1)
+    for src, m in enumerate(masks):
+        descents = _descent_mask(m, n)
+        while descents:
+            low = descents & -descents
+            descents ^= low
+            i = low.bit_length()
+            yield "first", i, mo(i + 1, n), src, index[m ^ low ^ (1 if low == top else low << 1)]
+        ends_i, ends_j = _second_kind_ends(m, n)
+        candidates_j = _entries(ends_j)
+        for i in _entries(ends_i):
+            for j in candidates_j:
+                # j = mo(i-1) would be the first-kind move back
+                if (i - j) % n != 1 and _second_kind_gate(m, i, j, n):
+                    yield "second", i, j, src, index[m ^ (1 << (i - 1)) ^ (1 << (j - 1))]
+
+
+def _descent_sets(descents: list[int]) -> tuple[frozenset[int], ...]:
+    """The descent masks as sets, one frozenset per distinct mask."""
+    sets: dict[int, frozenset[int]] = {}
+    for d in descents:
+        if d not in sets:
+            sets[d] = frozenset(_entries(d))
+    return tuple(sets[d] for d in descents)
 
 
 def enumerate_moves(shape: Partition) -> list[Move]:
@@ -128,7 +186,8 @@ def enumerate_moves(shape: Partition) -> list[Move]:
     target given as indices into enumerate_rsyt(shape).
     """
     _require_two_row(shape)
-    return list(_moves(enumerate_rsyt(shape), shape.n))
+    masks = [_row2_mask(t) for t in enumerate_rsyt(shape)]
+    return [Move(*fields) for fields in _moves(masks, shape.n)]
 
 
 def build_affine_graph(shape: Partition) -> LabeledWGraph:
@@ -136,12 +195,13 @@ def build_affine_graph(shape: Partition) -> LabeledWGraph:
     _require_two_row(shape)
     n = shape.n
     vertices = tuple(enumerate_rsyt(shape))
-    weights = {(m.source, m.target): 1 for m in _moves(vertices, n)}
+    masks = [_row2_mask(t) for t in vertices]
+    weights = {(src, dst): 1 for _, _, _, src, dst in _moves(masks, n)}
     return LabeledWGraph(
         n=n,
         index_set=frozenset(range(1, n + 1)),
         vertices=vertices,
-        tau=tuple(affine_descents(t) for t in vertices),
+        tau=_descent_sets([_descent_mask(m, n) for m in masks]),
         weights=weights,
     )
 
@@ -151,19 +211,21 @@ def build_dual_equiv(shape: Partition) -> LabeledWGraph:
     _require_two_row(shape)
     n = shape.n
     vertices = tuple(enumerate_rsyt(shape))
-    tau = tuple(affine_descents(t) for t in vertices)
-    index = {frozenset(t.rows[1]): k for k, t in enumerate(vertices)}
+    masks = [_row2_mask(t) for t in vertices]
+    index = {m: k for k, m in enumerate(masks)}
+    descents = [_descent_mask(m, n) for m in masks]
+    top = 1 << (n - 1)
     # a Knuth move swaps mo(i) and mo(i+1) from different rows and leaves
     # incomparable descent sets (see is_knuth_move)
     pairs = []
-    for u, t in enumerate(vertices):
-        row2 = frozenset(t.rows[1])
-        for i in range(1, n + 1):
-            x, y = mo(i, n), mo(i + 1, n)
-            if (x in row2) != (y in row2):
-                v = index[row2 ^ {x, y}]
-                if u < v and not (tau[u] <= tau[v] or tau[v] <= tau[u]):
-                    pairs.append((u, v))
+    for u, m in enumerate(masks):
+        split = m ^ _rotate(m, 1, n)
+        while split:
+            low = split & -split
+            split ^= low
+            v = index[m ^ low ^ (1 if low == top else low << 1)]
+            if u < v and descents[u] & ~descents[v] and descents[v] & ~descents[u]:
+                pairs.append((u, v))
     weights: dict[tuple[int, int], int] = {}
     for u, v in sorted(pairs):
         weights[(u, v)] = 1
@@ -172,7 +234,7 @@ def build_dual_equiv(shape: Partition) -> LabeledWGraph:
         n=n,
         index_set=frozenset(range(1, n + 1)),
         vertices=vertices,
-        tau=tau,
+        tau=_descent_sets(descents),
         weights=weights,
     )
 

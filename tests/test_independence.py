@@ -70,9 +70,17 @@ def test_rules_and_hecke_check_share_only_the_pair_loop():
 
 
 def test_finite_builder_not_derived_from_the_affine_one():
-    reached = _reached(_functions("tworow"), ["build_finite_graph"])
+    defs = _functions("tworow")
+    reached = _reached(defs, ["build_finite_graph"])
     assert "_finite_second_kind_valid" in reached
-    assert not reached & {"_moves", "_second_kind_ok", "build_affine_graph"}
+    # the affine builder's row-2 mask kernel: rotation, descents, condition
+    # (b) masks, the (a), (c)-(e) gate and the move generator
+    mask_kernel = {
+        "_row2_mask", "_entries", "_rotate", "_descent_mask", "_descent_sets",
+        "_second_kind_ends", "_second_kind_gate", "_moves",
+    }
+    assert mask_kernel <= _reached(defs, ["build_affine_graph"])
+    assert not reached & (mask_kernel | {"build_affine_graph", "build_dual_equiv"})
 
 
 def test_verification_does_not_import_the_builders():

@@ -8,15 +8,17 @@ from affwgraph import (
     affine_descents,
     dominance_leq,
     enumerate_rsyt,
+    enumerate_syt,
     finite_descents,
     is_knuth_move,
+    is_standard,
     mo,
     omega_shift,
     pint,
 )
 from affwgraph.tableaux import shift_permutation, tableau_from_json, tableau_text, tableau_to_json
 
-from conftest import two_row_shapes
+from conftest import all_partitions, two_row_shapes
 
 
 def T(*rows):
@@ -153,14 +155,47 @@ class TestEnumeration:
         words = [t.reading_word() for t in tabs]
         assert words == sorted(words)
 
+    def test_standard_tableaux_are_the_standard_row_standard_ones(self):
+        for n in range(3, 10):
+            for parts in all_partitions(n):
+                shape = Partition(parts)
+                assert enumerate_syt(shape) == [t for t in enumerate_rsyt(shape) if is_standard(t)]
+
+
+BAD_ROWS = [
+    ([1, 2], [3, 4], [5, 6, 7]),  # shape not weakly decreasing
+    ([1, 2], [2, 3]),  # duplicate entry
+]
+
 
 class TestTableauValue:
     def test_rows_are_sorted_and_validated(self):
         assert T([3, 1, 2]).rows == ((1, 2, 3),)
-        with pytest.raises(ValueError):
-            T([1, 2], [3, 4], [5, 6, 7])  # shape not weakly decreasing
-        with pytest.raises(ValueError):
-            T([1, 2], [2, 3])  # duplicate entry
+        for rows in BAD_ROWS:
+            with pytest.raises(ValueError):
+                T(*rows)
+
+    def test_derived_tableaux_equal_validated_ones(self):
+        # enumerate_rsyt, omega_shift and with_swapped store their rows unchecked
+        def same(t):
+            u = RowStandardTableau(t.rows)
+            return u == t and hash(u) == hash(t) and u.rows == t.rows
+
+        for n in range(3, 10):
+            for parts in all_partitions(n):
+                if len(parts) > 3:
+                    continue
+                for t in enumerate_rsyt(Partition(parts)):
+                    assert same(t) and same(omega_shift(t)), t
+                    for x, y in combinations(range(1, n + 1), 2):
+                        assert same(t.with_swapped(x, y)), (t, x, y)
+
+    def test_json_boundary_validates(self):
+        bad = [{"rows": rows} for rows in BAD_ROWS]
+        bad += [{"rows": [[1.0, 2, 3], [4, 5]]}, {"rows": [[True, 2, 3], [4, 5]]}]
+        for data in bad:
+            with pytest.raises(ValueError):
+                tableau_from_json(data)
 
     def test_text_and_json(self):
         t = T([1, 2, 3], [4, 5])

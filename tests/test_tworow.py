@@ -193,6 +193,30 @@ def test_strong_connectivity():
         assert len(cells(build_affine_graph(shape))) == 1
 
 
+def test_affine_labels_and_first_kind_edges_match_tableau_functions():
+    # every two-row shape with n <= 12: tau is affine_descents, and the edges
+    # whose entry entering row 1 follows the one leaving it (mo(i+1) after
+    # mo(i)) are the first-kind moves
+    for shape in two_row_shapes(3, 12):
+        n = shape.n
+        g = build_affine_graph(shape)
+        index = g.vertex_index()
+        expected = set()
+        for u, t in enumerate(g.vertices):
+            assert g.tau[u] == affine_descents(t), t
+            for i in range(1, n + 1):
+                target = first_kind_target(t, i)
+                if target is not None:
+                    expected.add((u, index[target]))
+        first = set()
+        for u, v in g.weights:
+            (leaving,) = set(g.vertices[u].rows[0]) - set(g.vertices[v].rows[0])
+            (entering,) = set(g.vertices[v].rows[0]) - set(g.vertices[u].rows[0])
+            if entering == mo(leaving + 1, n):
+                first.add((u, v))
+        assert first == expected
+
+
 def _moves_oracle(shape):
     """Every first-kind i and every second-kind candidate (i, j), tried one by one."""
     n = shape.n
