@@ -4,7 +4,6 @@ graphs on row-standard tableaux, and two independent verification paths
 (local combinatorial rules and the Hecke module relations).
 """
 
-from .laurent import LaurentPoly, lp_monomial
 from .tableaux import (
     Partition,
     RowStandardTableau,
@@ -61,7 +60,6 @@ from .verify import (
     check_polygon,
     check_simplicity,
     classify_restriction_cells,
-    hecke_matrices,
 )
 
 __version__ = "0.1.0"

@@ -113,19 +113,15 @@ def min_coset_reps(shape: Partition) -> list[AffinePermutation]:
     These are the shortest representatives of the cosets modulo the
     stabilizer of the canonical tableau.
     """
-    n = shape.n
-    reps: list[tuple[int, ...]] = []
-
-    def distribute(remaining: frozenset[int], sizes: tuple[int, ...], prefix: tuple[int, ...]):
-        if not sizes:
-            reps.append(prefix)
-            return
-        for chosen in combinations(sorted(remaining), sizes[0]):
-            distribute(remaining - set(chosen), sizes[1:], prefix + chosen)
-
-    distribute(frozenset(range(1, n + 1)), shape.op, ())
-    reps.sort()
-    return [AffinePermutation(w) for w in reps]
+    # (window prefix, entries left), one block of shape.op at a time
+    states = [((), tuple(range(1, shape.n + 1)))]
+    for size in shape.op:
+        states = [
+            (prefix + chosen, tuple(e for e in remaining if e not in chosen))
+            for prefix, remaining in states
+            for chosen in combinations(remaining, size)
+        ]
+    return [AffinePermutation(w) for w in sorted(prefix for prefix, _ in states)]
 
 
 def canonical_tableau(shape: Partition) -> RowStandardTableau:

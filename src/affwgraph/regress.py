@@ -22,8 +22,8 @@ from operator import attrgetter
 
 from .affperm import (
     inverse,
-    left_descents,
     min_coset_reps,
+    right_descents,
     upsilon,
 )
 from .fixtures import load_fixture, load_fixture_json
@@ -339,10 +339,10 @@ def _coset_suite(s: _Shape) -> tuple[list[str], int]:
     bad = []
     for w, image in zip(reps, images):
         fin = finite_descents(image)
-        ld = left_descents(w)
+        winv = inverse(w)
+        ld = right_descents(winv)
         if fin != frozenset(i for i in ld if i < n):
             bad.append(f"{shape}:{w}:finite-descents")
-        winv = inverse(w)
         split_rows = image.row_of(1) != image.row_of(n)
         affine_marked = n in affine_descents(image)
         if affine_marked != (split_rows and winv(1) < winv(n)):

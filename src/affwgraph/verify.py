@@ -64,8 +64,7 @@ C = 2M^3.  If P != 0 has degree d, |P(X)| >= X^d - C (X^d - 1)/(X - 1) > 0
 once X > C, and X > 2C (asserted) even makes the coefficients the balanced
 base-X digits of P(X).  So P(X) = 0 exactly when P = 0, for any integer
 weights, and the witnesses are those of the polynomial check.  The integer
-columns, with X, are LabeledWGraph.hecke_columns, computed once per graph;
-hecke_matrices turns the same columns into LaurentPoly entries.
+columns, with X, are LabeledWGraph.hecke_columns, computed once per graph.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
 
-from .laurent import ONE, Q, ZERO, LaurentPoly, lp_monomial
 from .rsk import rsk
 from .tableaux import Partition
 from .wgraph import Edges, LabeledWGraph, cells, dynkin_adjacent
@@ -82,7 +80,7 @@ from .wgraph import Edges, LabeledWGraph, cells, dynkin_adjacent
 __all__ = [
     "RuleReport", "check_compatibility", "check_simplicity", "check_bonding",
     "check_polygon", "check_all_rules", "rules_hold",
-    "hecke_matrices", "check_hecke_relations", "hecke_holds",
+    "check_hecke_relations", "hecke_holds",
     "classify_restriction_cells", "CellMismatchError",
 ]
 
@@ -244,24 +242,6 @@ def check_all_rules(g: LabeledWGraph) -> list[RuleReport]:
 
 def rules_hold(g: LabeledWGraph) -> bool:
     return all(r.passed for r in check_all_rules(g))
-
-
-def hecke_matrices(g: LabeledWGraph) -> dict[int, list[list[LaurentPoly]]]:
-    """Dense matrix of each generator: matrix[row][col] in the vertex basis."""
-    count = len(g.vertices)
-    minus_one = -ONE
-    x, columns = g.hecke_columns
-    matrices = {}
-    for i, cols in columns:
-        matrix = [[ZERO] * count for _ in range(count)]
-        for u, col in enumerate(cols):
-            if col is None:
-                matrix[u][u] = Q
-                continue
-            for w, c in col:
-                matrix[w][u] = minus_one if w == u else lp_monomial(c // x, 1)
-        matrices[i] = matrix
-    return matrices
 
 
 # None for a column q * e_u, else the entries of T e_u at v = X

@@ -1,5 +1,7 @@
 """
-Exact Laurent polynomials in the variable v, with q = v**2.
+Test oracle for the Hecke module: exact Laurent polynomials in the variable
+v, with q = v**2, and the dense generator matrices built from a graph's
+labels and weights over them.
 
 Coefficients are arbitrary-precision Python integers; the zero polynomial
 is the empty coefficient map, and no zero coefficient is ever stored.  A
@@ -11,13 +13,17 @@ polynomial is immutable: its coefficient map is read-only.
 True
 >>> (Q + lp_monomial(-1, 0)) * (Q + ONE) == Q * Q + lp_monomial(-1, 0)
 True
+
+laurent_matrices reads only tau and the weights of a graph, never the
+integer columns that the library's relation check evaluates, so a fault in
+those columns shows as a disagreement with this oracle.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
 
-__all__ = ["LaurentPoly", "lp_monomial", "ZERO", "ONE", "V", "Q"]
+__all__ = ["LaurentPoly", "lp_monomial", "ZERO", "ONE", "V", "Q", "laurent_matrices"]
 
 
 class LaurentPoly:
@@ -107,3 +113,23 @@ ZERO = LaurentPoly()
 ONE = lp_monomial(1, 0)
 V = lp_monomial(1, 1)
 Q = lp_monomial(1, 2)
+
+
+def laurent_matrices(g) -> dict[int, list[list[LaurentPoly]]]:
+    """
+    Dense matrix of each generator i of the graph g, matrix[row][col] in the
+    vertex basis: T_i e_u = q e_u when i is not in tau(u), and otherwise
+    T_i e_u = -e_u + v * sum m(u > w) e_w over the edges u -> w with i not
+    in tau(w).
+    """
+    count = len(g.vertices)
+    matrices = {}
+    for i in sorted(g.index_set):
+        matrix = [[ZERO] * count for _ in range(count)]
+        for u, t in enumerate(g.tau):
+            matrix[u][u] = -ONE if i in t else Q
+        for (u, w), m in g.weights.items():
+            if i in g.tau[u] and i not in g.tau[w]:
+                matrix[w][u] = lp_monomial(m, 1)
+        matrices[i] = matrix
+    return matrices

@@ -1,4 +1,6 @@
+import gc
 import random
+from itertools import permutations
 
 import pytest
 
@@ -26,7 +28,7 @@ from affwgraph.affperm import (
 )
 from affwgraph.tableaux import omega_shift
 
-from conftest import two_row_shapes
+from conftest import all_partitions, two_row_shapes
 
 
 def T(*rows):
@@ -103,6 +105,26 @@ class TestCosetReps:
         for w in min_coset_reps(Partition((3, 2))):
             assert w.window[0] < w.window[1]
             assert w.window[2] < w.window[3] < w.window[4]
+
+    def test_matches_brute_force(self):
+        for n in range(3, 7):
+            for parts in all_partitions(n):
+                shape = Partition(parts)
+                starts = [sum(shape.op[:k]) for k in range(len(shape.op) + 1)]
+                expected = [
+                    w for w in permutations(range(1, n + 1))
+                    if all(list(w[a:b]) == sorted(w[a:b]) for a, b in zip(starts, starts[1:]))
+                ]
+                assert [w.window for w in min_coset_reps(shape)] == expected, parts
+
+    def test_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            min_coset_reps(Partition((5, 4)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestUpsilon:

@@ -16,7 +16,7 @@ import affwgraph.verify as verify
 SRC = Path(verify.__file__).resolve().parent
 RULES = ("check_compatibility", "check_simplicity", "check_bonding", "check_polygon")
 HECKE = ("check_hecke_relations", "hecke_holds")
-HECKE_HELPERS = {"hecke_columns", "_hecke_pair", "_apply", "_apply_shifted", "hecke_matrices"}
+HECKE_HELPERS = {"hecke_columns", "_hecke_pair", "_apply", "_apply_shifted"}
 RULE_HELPERS = {"_polygon_pair", "_bonding_pair", "_paths2", "_paths3"}
 
 
@@ -58,7 +58,7 @@ def test_rules_and_hecke_check_share_only_the_pair_loop():
     rules, hecke = _reached(defs, RULES), _reached(defs, HECKE)
     # the reachability is not vacuous
     assert RULE_HELPERS <= rules and {"_pair_witnesses", "shift_automorphism"} <= rules
-    assert HECKE_HELPERS - {"hecke_matrices"} <= hecke
+    assert HECKE_HELPERS <= hecke
     assert not rules & HECKE_HELPERS
     assert not hecke & RULE_HELPERS
     assert not {name for name in hecke if name.startswith("check_")} - {"check_hecke_relations"}

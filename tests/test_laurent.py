@@ -4,7 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from affwgraph.laurent import ONE, Q, V, ZERO, LaurentPoly, lp_monomial
+from hecke_oracle import ONE, Q, V, ZERO, LaurentPoly, lp_monomial
 
 polys = st.builds(
     LaurentPoly,

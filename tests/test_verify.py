@@ -26,14 +26,13 @@ from affwgraph import (
     classify_restriction_cells,
     dominance_leq,
     finsh,
-    hecke_matrices,
     restrict_parabolic,
 )
-from affwgraph.laurent import ONE, Q, V, ZERO
 from affwgraph.verify import hecke_holds, rules_hold
 from affwgraph.wgraph import dynkin_adjacent, full_subgraph, is_nb_admissible, is_reduced
 
 from conftest import all_partitions, count_ssyt, two_row_shapes
+from hecke_oracle import ONE, Q, V, ZERO, laurent_matrices, lp_monomial
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +102,7 @@ def three_generator_graphs(draw):
 def _oracle_hecke_witnesses(g):
     """The relations applied to each basis vector with the dense LaurentPoly matrices."""
     count = len(g.vertices)
-    matrices = hecke_matrices(g)
+    matrices = laurent_matrices(g)
 
     def times(matrix, x):
         out = [ZERO] * count
@@ -331,7 +330,7 @@ class TestPolygonPathCounts:
 class TestHecke:
     def test_matrix_of_inactive_generator_is_scalar(self):
         g = build_affine_graph(Partition((2, 1)))
-        matrices = hecke_matrices(g)
+        matrices = laurent_matrices(g)
         for i, matrix in matrices.items():
             for u in range(3):
                 if i not in g.tau[u]:
@@ -342,14 +341,14 @@ class TestHecke:
         g = build_affine_graph(Partition((2, 1)))
         index = {t.rows: k for k, t in enumerate(g.vertices)}
         u = index[((1, 2), (3,))]  # tau = {2}
-        matrix = hecke_matrices(g)[2]
+        matrix = laurent_matrices(g)[2]
         assert matrix[u][u] == -ONE
         others = [index[((1, 3), (2,))], index[((2, 3), (1,))]]
         for w in others:
             assert matrix[w][u] == V
 
     def test_entry_range(self, g32):
-        for matrix in hecke_matrices(g32).values():
+        for matrix in laurent_matrices(g32).values():
             for row in matrix:
                 for entry in row:
                     assert entry in (ZERO, Q, -ONE) or entry.coeffs.keys() == {1}
@@ -365,7 +364,7 @@ class TestHecke:
         text = repr([
             (parts, [
                 (i, [[str(entry) for entry in row] for row in matrix])
-                for i, matrix in sorted(hecke_matrices(_base_graph(parts)).items())
+                for i, matrix in sorted(laurent_matrices(_base_graph(parts)).items())
             ])
             for parts in ((3, 2), (4, 2), (3, 3))
         ])
@@ -381,6 +380,63 @@ class TestHecke:
         assert not report.passed
         assert report.witnesses
         assert all(w[0] in ("quadratic", "commutation", "braid") for w in report.witnesses)
+
+
+def _laurent_column(x, u, col, count):
+    """Column u of a generator matrix, read from its integer column col at v = x."""
+    column = [ZERO] * count
+    if col is None:
+        column[u] = Q
+        return column
+    for w, c in col:
+        assert column[w] == ZERO  # each row once
+        if w == u:
+            assert c == -1
+            column[w] = -ONE
+        else:
+            m, r = divmod(c, x)
+            assert r == 0
+            column[w] = lp_monomial(m, 1)
+    return column
+
+
+# (2,2) tableaux on the finite index set {1, 2, 3}, with negative weights
+# on edges that enter columns
+NEGATIVE_WEIGHT_GRAPH = LabeledWGraph(
+    4,
+    frozenset({1, 2, 3}),
+    FOUR_ENTRY_TABLEAUX[:5],
+    (frozenset({1}), frozenset({2, 3}), frozenset(), frozenset({1, 2}), frozenset({3})),
+    {(0, 1): -1, (0, 2): 2, (1, 0): -(10**9), (1, 2): 1, (3, 2): 3, (3, 4): -1, (4, 0): -2},
+)
+
+
+class TestColumnsMatchLaurentMatrices:
+    """The integer columns of the relation check against the oracle built from tau and weights."""
+
+    @staticmethod
+    def _assert_agree(g):
+        count = len(g.vertices)
+        x, columns = g.hecke_columns
+        matrices = laurent_matrices(g)
+        assert [i for i, _ in columns] == sorted(matrices)
+        for i, cols in columns:
+            assert len(cols) == count
+            for u, col in enumerate(cols):
+                assert _laurent_column(x, u, col, count) == [row[u] for row in matrices[i]], (i, u)
+
+    @pytest.mark.parametrize("shape", two_row_shapes(3, 8), ids=str)
+    def test_affine_graphs(self, shape):
+        self._assert_agree(build_affine_graph(shape))
+
+    @pytest.mark.parametrize("p", [0, 2])
+    @pytest.mark.parametrize("shape", [s for s in two_row_shapes(3, 8) if s.is_equal_row], ids=str)
+    def test_equal_row_variants(self, shape, p):
+        self._assert_agree(build_equal_variant(shape, p))
+
+    def test_negative_weights(self):
+        assert any(m < 0 for m in NEGATIVE_WEIGHT_GRAPH.weights.values())
+        self._assert_agree(NEGATIVE_WEIGHT_GRAPH)
 
 
 class TestIntegerHeckeCheck:
