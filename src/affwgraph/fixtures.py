@@ -3,19 +3,16 @@ Frozen reference graphs used as golden data: the affine graphs of
 shapes (3,2), (4,2) and (3,3), the equal-row variant of (3,3) with the
 cross-component edges removed, and the restriction of the (3,2) graph to
 the generators 1..4 together with its cell decomposition.
-
-Set AFFWGRAPH_FIXTURES to a directory to override the packaged files.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from .wgraph import LabeledWGraph, graph_from_json
 
-__all__ = ["fixture_dir", "load_fixture", "load_fixture_json", "FIXTURE_NAMES"]
+__all__ = ["load_fixture", "load_fixture_json", "FIXTURE_NAMES"]
 
 FIXTURE_NAMES = (
     "gamma_3_2",
@@ -25,18 +22,9 @@ FIXTURE_NAMES = (
     "restriction_3_2",
 )
 
-_ENV_VAR = "AFFWGRAPH_FIXTURES"
-
-
-def fixture_dir() -> Path:
-    override = os.environ.get(_ENV_VAR)
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "fixtures"
-
 
 def load_fixture_json(name: str) -> dict:
-    path = fixture_dir() / f"{name}.json"
+    path = Path(__file__).parent / "fixtures" / f"{name}.json"
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 

@@ -5,7 +5,8 @@ The biword of a tableau T has the reading word of T (bottom row to top row)
 as its second row; the first row records, for each entry, the number of
 rows of T minus the row number plus one, so the bottom row is labeled 1.
 P is the insertion tableau of the reading word (standard), Q the recording
-tableau (semistandard of content sh(T) reversed).
+tableau, returned as its rows: they increase weakly, its columns strictly,
+and its content is sh(T) reversed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ __all__ = ["RskPair", "rsk", "finsh", "component_index"]
 @dataclass(frozen=True)
 class RskPair:
     p: RowStandardTableau
-    q: RowStandardTableau
+    q: tuple[tuple[int, ...], ...]
 
 
 def _row_insert(rows: list[list[int]], labels: list[list[int]], entry: int, label: int) -> None:
@@ -54,8 +55,7 @@ def rsk(t: RowStandardTableau) -> RskPair:
         for entry in t.rows[a - 1]:
             _row_insert(rows, labels, entry, depth + 1 - a)
     p = RowStandardTableau(tuple(tuple(row) for row in rows))
-    q = RowStandardTableau(tuple(tuple(row) for row in labels), semistandard=True)
-    return RskPair(p, q)
+    return RskPair(p, tuple(tuple(row) for row in labels))
 
 
 def finsh(t: RowStandardTableau) -> Partition:

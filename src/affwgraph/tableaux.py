@@ -12,7 +12,7 @@ their rows from valid ones and store them without checking them again.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, filterfalse
 
 __all__ = [
@@ -80,33 +80,18 @@ def dominance_leq(mu: Partition, nu: Partition) -> bool:
 
 @dataclass(frozen=True)
 class RowStandardTableau:
-    """
-    Rows of a Young diagram filled with {1..n}, each row strictly increasing.
-
-    With semistandard=True the row condition relaxes to weakly increasing,
-    columns must strictly increase, and entries may repeat (used for RSK
-    recording tableaux, whose content is a composition).
-    """
+    """Rows of a Young diagram filled with {1..n}, each row strictly increasing."""
 
     rows: tuple[tuple[int, ...], ...]
-    semistandard: bool = field(default=False, compare=True)
 
     def __post_init__(self):
         rows = tuple(tuple(sorted(row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         shape = tuple(len(row) for row in rows)
         Partition(shape)  # validates weakly decreasing, size >= 3
-        if self.semistandard:
-            for a in range(1, len(rows)):
-                for c in range(len(rows[a])):
-                    if rows[a][c] <= rows[a - 1][c]:
-                        raise ValueError(f"columns must strictly increase: {rows}")
-            if any(e <= 0 for row in rows for e in row):
-                raise ValueError(f"entries must be positive: {rows}")
-        else:
-            entries = sorted(e for row in rows for e in row)
-            if entries != list(range(1, len(entries) + 1)):
-                raise ValueError(f"entries must be exactly 1..n: {rows}")
+        entries = sorted(e for row in rows for e in row)
+        if entries != list(range(1, len(entries) + 1)):
+            raise ValueError(f"entries must be exactly 1..n: {rows}")
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "RowStandardTableau":
@@ -117,7 +102,6 @@ class RowStandardTableau:
         """
         t = object.__new__(cls)
         object.__setattr__(t, "rows", rows)
-        object.__setattr__(t, "semistandard", False)
         return t
 
     @property
@@ -149,7 +133,7 @@ class RowStandardTableau:
             for row in self.rows
         )
         entries = range(1, self.n + 1)
-        if self.semistandard or x not in entries or y not in entries:
+        if x not in entries or y not in entries:
             return RowStandardTableau(swapped)  # may not be a row-standard filling
         return RowStandardTableau._trusted(swapped)
 
@@ -195,24 +179,20 @@ def omega_shift(t: RowStandardTableau) -> RowStandardTableau:
     """Replace every entry i with mo(i+1) and re-sort the rows."""
     n = t.n
     rows = tuple(tuple(sorted(mo(e + 1, n) for e in row)) for row in t.rows)
-    if t.semistandard:
-        return RowStandardTableau(rows)  # may not be a row-standard filling
     return RowStandardTableau._trusted(rows)
 
 
 def shift_permutation(tableaux: Sequence[RowStandardTableau]) -> tuple[int, ...] | None:
     """
     The vertex permutation of omega_shift: sigma[k] is the position of
-    omega_shift(tableaux[k]) in the sequence, or None when some image (or a
-    semistandard tableau) is not in it.  Whether sigma also preserves
-    labels and weights is for the caller to test.
+    omega_shift(tableaux[k]) in the sequence, or None when some image is not
+    in it.  Whether sigma also preserves labels and weights is for the
+    caller to test.
     """
     # a tableau is its row word (the row of each entry 1..n), and the shift
     # moves the row of e to e + 1 and that of n to 1: a rotation of the word
     words = []
     for t in tableaux:
-        if t.semistandard:
-            return None
         word = [0] * t.n
         for a, row in enumerate(t.rows):
             for e in row:
@@ -279,8 +259,6 @@ def enumerate_rsyt(shape: Partition) -> list[RowStandardTableau]:
 
 def is_standard(t: RowStandardTableau) -> bool:
     """Rows and columns strictly increasing, entries exactly {1..n}."""
-    if t.semistandard:
-        return False
     for a in range(1, len(t.rows)):
         for c in range(len(t.rows[a])):
             if t.rows[a][c] <= t.rows[a - 1][c]:

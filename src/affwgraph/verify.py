@@ -349,18 +349,19 @@ def classify_restriction_cells(restricted: LabeledWGraph) -> dict[Partition, Lab
     if len(restricted.index_set) != restricted.n - 1 or restricted.n in restricted.index_set:
         raise ValueError(f"expected a graph restricted to 1..{restricted.n - 1}")
     shape = restricted.vertices[0].shape
-    # recording tableau (its shape first) -> the vertices it records
+    # rows of the recording tableau -> the vertices it records
     fibers: dict[tuple, set[int]] = {}
     for k, t in enumerate(restricted.vertices):
-        q = rsk(t).q
-        fibers.setdefault((q.shape, q.rows), set()).add(k)
+        fibers.setdefault(rsk(t).q, set()).add(k)
     index = restricted.vertex_index()
     by_vertices = {frozenset(index[t] for t in c.vertices): c for c in cells(restricted)}
     if {frozenset(ids) for ids in fibers.values()} != by_vertices.keys():
         raise CellMismatchError(
             f"RSK fibers differ from strongly connected components for {shape}"
         )
-    result = {label[0]: by_vertices[frozenset(ids)] for label, ids in fibers.items()}
+    result = {
+        Partition(tuple(map(len, q))): by_vertices[frozenset(ids)] for q, ids in fibers.items()
+    }
     if len(result) != len(fibers):
         raise CellMismatchError(f"insertion shapes do not separate the fibers for {shape}")
     return result

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affwgraph
+from affwgraph import regress
 from affwgraph.cli import main
 from affwgraph.fixtures import load_fixture_json
 
@@ -316,10 +317,9 @@ class TestRegress:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_fixture_env_override(capsys, tmp_path, monkeypatch):
-    graph = load_fixture_json("gamma_3_2")
-    (tmp_path / "gamma_3_2.json").write_text(json.dumps(graph), encoding="utf-8")
+def test_fixtures_ignore_environment(tmp_path, monkeypatch):
+    # the golden graphs are always the packaged ones, whatever the environment
+    packaged = Path(affwgraph.__file__).parent / "fixtures" / "gamma_3_2.json"
     monkeypatch.setenv("AFFWGRAPH_FIXTURES", str(tmp_path))
-    assert load_fixture_json("gamma_3_2") == graph
-    with pytest.raises(FileNotFoundError):
-        load_fixture_json("gamma_4_2")
+    assert load_fixture_json("gamma_3_2") == json.loads(packaged.read_text(encoding="utf-8"))
+    assert regress.check_fixtures().passed

@@ -20,13 +20,32 @@ def T(*rows):
     return RowStandardTableau(tuple(tuple(r) for r in rows))
 
 
+def check_recording_tableau(t, pair):
+    """Q is a semistandard tableau of P's shape with content sh(T) reversed."""
+    q, depth = pair.q, len(t.rows)
+    assert type(q) is tuple and all(type(row) is tuple for row in q)
+    assert all(row[c] <= row[c + 1] for row in q for c in range(len(row) - 1))
+    assert all(q[a][c] > q[a - 1][c] for a in range(1, len(q)) for c in range(len(q[a])))
+    entries = [e for row in q for e in row]
+    assert all(type(e) is int and 1 <= e <= depth for e in entries)
+    assert tuple(map(len, q)) == pair.p.shape.parts
+    assert tuple(entries.count(v) for v in range(1, depth + 1)) == t.shape.op
+
+
 def test_worked_example():
     t = T([2, 4, 5, 7], [3, 6, 9], [1, 8])
     pair = rsk(t)
     assert pair.p.rows == ((1, 2, 4, 5, 7), (3, 6, 9), (8,))
-    assert pair.q.rows == ((1, 1, 2, 2, 3), (2, 3, 3), (3,))
-    assert pair.q.semistandard
+    assert pair.q == ((1, 1, 2, 2, 3), (2, 3, 3), (3,))
+    check_recording_tableau(t, pair)
     assert finsh(t) == Partition((5, 3, 1))
+
+
+def test_recording_tableau_is_semistandard():
+    for n in range(3, 8):
+        for parts in all_partitions(n):
+            for t in enumerate_rsyt(Partition(parts)):
+                check_recording_tableau(t, rsk(t))
 
 
 def test_standard_is_fixed():
@@ -45,8 +64,8 @@ def test_recording_content_is_reversed_shape():
     for shape in two_row_shapes(3, 7):
         for t in enumerate_rsyt(shape):
             pair = rsk(t)
-            assert pair.p.shape == pair.q.shape
-            entries = [e for row in pair.q.rows for e in row]
+            assert tuple(map(len, pair.q)) == pair.p.shape.parts
+            entries = [e for row in pair.q for e in row]
             assert tuple(entries.count(v) for v in (1, 2)) == shape.op
 
 
@@ -65,7 +84,7 @@ def test_injectivity():
         seen = set()
         for t in enumerate_rsyt(shape):
             pair = rsk(t)
-            key = (pair.p.rows, pair.q.rows)
+            key = (pair.p.rows, pair.q)
             assert key not in seen
             seen.add(key)
 
