@@ -53,13 +53,6 @@ class AffinePermutation:
     def __str__(self) -> str:
         return "[" + ",".join(str(w) for w in self.window) + "]"
 
-    def to_json(self) -> dict:
-        return {"window": list(self.window)}
-
-    @staticmethod
-    def from_json(data: dict) -> "AffinePermutation":
-        return AffinePermutation(tuple(data["window"]))
-
 
 def identity(n: int) -> AffinePermutation:
     return AffinePermutation(tuple(range(1, n + 1)))

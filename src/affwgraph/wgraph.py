@@ -268,41 +268,20 @@ def cells(g: LabeledWGraph) -> list[LabeledWGraph]:
     return [full_subgraph(g, comp) for comp in _scc_partition(g)]
 
 
-def _undirected_components(g: LabeledWGraph) -> list[list[int]]:
-    count = len(g.vertices)
-    adj: list[set[int]] = [set() for _ in range(count)]
-    for (u, v) in g.weights:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = [False] * count
-    comps = []
-    for root in range(count):
-        if seen[root]:
-            continue
-        comp = []
-        frontier = [root]
-        seen[root] = True
-        while frontier:
-            v = frontier.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    frontier.append(w)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps
+# simple_underlying keeps (u, v) exactly when (v, u) is kept too, so its
+# edge relation is symmetric and its strongly connected components are its
+# connected components: _scc_partition serves both, sorted by least vertex.
 
 
 def simple_components(g: LabeledWGraph) -> list[LabeledWGraph]:
     """Connected components of the simple underlying graph, as full subgraphs of g."""
-    return [full_subgraph(g, comp) for comp in _undirected_components(simple_underlying(g))]
+    return [full_subgraph(g, comp) for comp in _scc_partition(simple_underlying(g))]
 
 
 def simple_component_ids(g: LabeledWGraph) -> list[int]:
     """Per-vertex component number in the simple underlying graph."""
     ids = [0] * len(g.vertices)
-    for k, comp in enumerate(_undirected_components(simple_underlying(g))):
+    for k, comp in enumerate(_scc_partition(simple_underlying(g))):
         for v in comp:
             ids[v] = k
     return ids
@@ -358,25 +337,21 @@ def graph_from_json(data: dict) -> LabeledWGraph:
 
 def graph_to_dot(g: LabeledWGraph, name: str = "wgraph") -> str:
     """
-    DOT rendering: mutual weight-1 pairs appear once with dir=none, one-way
-    edges as arrows, vertex labels = compact tableau text plus tau.
+    DOT rendering: mutual weight-1 pairs appear once with dir=none, every
+    other edge, self-loops included, as an arrow; vertex labels = compact
+    tableau text plus tau.
     """
     lines = [f'digraph "{name}" {{', '  node [shape=box fontname="monospace"];']
     for k, t in enumerate(g.vertices):
         tau = "{" + ",".join(str(i) for i in sorted(g.tau[k])) + "}"
         lines.append(f'  v{k} [label="{tableau_text(t)}\\n{tau}"];')
-    mutual = []
-    arrows = []
+    mutual = simple_underlying(g).weights
+    for u, v in sorted(mutual):
+        if u < v:
+            lines.append(f"  v{u} -> v{v} [dir=none];")
     for (u, v), w in sorted(g.weights.items()):
-        if w == 1 and g.weights.get((v, u)) == 1:
-            if u < v:
-                mutual.append((u, v))
-        else:
-            arrows.append((u, v, w))
-    for u, v in mutual:
-        lines.append(f"  v{u} -> v{v} [dir=none];")
-    for u, v, w in arrows:
-        attr = "" if w == 1 else f' [label="{w}"]'
-        lines.append(f"  v{u} -> v{v}{attr};")
+        if (u, v) not in mutual:
+            attr = "" if w == 1 else f' [label="{w}"]'
+            lines.append(f"  v{u} -> v{v}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

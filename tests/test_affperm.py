@@ -51,11 +51,6 @@ class TestWindows:
         assert w(4) == w(1) + 3
         assert w(0) == w(3) - 3
 
-    def test_json_round_trip(self):
-        w = AffinePermutation((0, 2, 4))
-        assert w.to_json() == {"window": [0, 2, 4]}
-        assert AffinePermutation.from_json(w.to_json()) == w
-
 
 class TestCompose:
     def test_identity(self):

@@ -60,15 +60,6 @@ def test_single_row_collapse():
     assert finsh(T([2, 3], [1])) == Partition((3,))
 
 
-def test_recording_content_is_reversed_shape():
-    for shape in two_row_shapes(3, 7):
-        for t in enumerate_rsyt(shape):
-            pair = rsk(t)
-            assert tuple(map(len, pair.q)) == pair.p.shape.parts
-            entries = [e for row in pair.q for e in row]
-            assert tuple(entries.count(v) for v in (1, 2)) == shape.op
-
-
 def test_dominance_and_standard_equivalence():
     shapes = [Partition(p) for p in all_partitions(6) if len(p) >= 1] + two_row_shapes(7, 8)
     for shape in shapes:

@@ -499,6 +499,29 @@ class TestRulesMatchHeckeOnAdmissibleGraphs:
                     assert not rules_hold(mutated), (shape, removed)
 
 
+def test_rules_hold_stops_at_first_failing_rule(monkeypatch):
+    # the rules run through the module attributes, so patched ones are called
+    calls = []
+    for name in ("check_bonding", "check_polygon"):
+        original = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda g, name=name, original=original: calls.append(name) or original(g)
+        )
+    g = build_affine_graph(Partition((3, 2)))
+    rules = [r.rule for r in check_all_rules(g)]
+    assert rules == ["compatibility", "simplicity", "bonding", "polygon"]
+    assert calls == ["check_bonding", "check_polygon"]
+    # one direction of an incomparable mutual pair: compatible, not simple
+    tau = g.tau
+    edge = next((u, v) for u, v in sorted(g.weights) if not (tau[u] <= tau[v] or tau[v] <= tau[u]))
+    weights = {e: w for e, w in g.weights.items() if e != edge}
+    mutated = LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
+    assert check_compatibility(mutated).passed and not check_simplicity(mutated).passed
+    calls.clear()
+    assert not rules_hold(mutated)
+    assert calls == []
+
+
 def test_witness_lists_pinned_on_mutants():
     # digest of both witness lists and hecke_holds on 30 damaged n = 7, 8
     # graphs (each fails both paths: 770 polygon and 772 Hecke witnesses)

@@ -21,7 +21,7 @@ from affwgraph import (
     simple_components,
     simple_underlying,
 )
-from affwgraph.wgraph import full_subgraph
+from affwgraph.wgraph import full_subgraph, simple_component_ids
 
 from conftest import two_row_shapes
 
@@ -103,30 +103,36 @@ class TestCells:
             assert again[0].weights == cell.weights
 
     def test_against_reachability_closure(self):
-        # mutual-reachability partition computed by brute force
+        # cells: mutual reachability; simple components: undirected
+        # reachability over the mutual weight-1 pairs; both by brute force
         import random
 
         from affwgraph import enumerate_rsyt
+
+        def closure(related):
+            reach = [[u == v or related(u, v) for v in range(count)] for u in range(count)]
+            for k in range(count):
+                for u in range(count):
+                    for v in range(count):
+                        reach[u][v] = reach[u][v] or (reach[u][k] and reach[k][v])
+            return reach
 
         rng = random.Random(3)
         vertices = tuple(enumerate_rsyt(Partition((4, 4)))[:8])
         count = len(vertices)
         for _ in range(25):
+            density = rng.choice((0.18, 0.5, 0.9))
             weights = {
-                (u, v): 1
+                (u, v): rng.choice((1, 2))
                 for u in range(count)
                 for v in range(count)
-                if u != v and rng.random() < 0.18
+                if rng.random() < density
             }
             g = LabeledWGraph(
                 8, frozenset(range(1, 9)), vertices,
                 tuple(frozenset() for _ in vertices), weights,
             )
-            reach = [[u == v or (u, v) in weights for v in range(count)] for u in range(count)]
-            for k in range(count):
-                for u in range(count):
-                    for v in range(count):
-                        reach[u][v] = reach[u][v] or (reach[u][k] and reach[k][v])
+            reach = closure(lambda u, v: (u, v) in weights)
             expected = {
                 frozenset(v for v in range(count) if reach[u][v] and reach[v][u])
                 for u in range(count)
@@ -134,6 +140,13 @@ class TestCells:
             index = g.vertex_index()
             got = {frozenset(index[t] for t in c.vertices) for c in cells(g)}
             assert got == expected
+
+            reach = closure(lambda u, v: u != v and weights.get((u, v)) == weights.get((v, u)) == 1)
+            components = sorted({tuple(v for v in range(count) if reach[u][v]) for u in range(count)})
+            got = [tuple(index[t] for t in c.vertices) for c in simple_components(g)]
+            assert got == components
+            ids = simple_component_ids(g)
+            assert all(ids[v] == k for k, comp in enumerate(components) for v in comp)
 
 
 class TestSimpleComponents:
@@ -200,6 +213,14 @@ class TestSerialization:
         # 10 mutual pairs render once, 10 one-way arrows render once
         lines = [ln for ln in dot.splitlines() if "->" in ln]
         assert len(lines) == 20
+
+    def test_dot_self_loops_are_arrows(self, g32):
+        weights = {**g32.weights, (0, 0): 1, (1, 1): 2}
+        g = LabeledWGraph(g32.n, g32.index_set, g32.vertices, g32.tau, weights)
+        lines = [ln for ln in graph_to_dot(g).splitlines() if "->" in ln]
+        assert "  v0 -> v0;" in lines
+        assert '  v1 -> v1 [label="2"];' in lines
+        assert len(lines) == 22 and sum("dir=none" in ln for ln in lines) == 10
 
     def test_dot_deterministic(self, g32):
         assert graph_to_dot(g32) == graph_to_dot(g32)
