@@ -35,6 +35,18 @@ class AffinePermutation:
         if sorted(mo(w, n) for w in window) != list(range(1, n + 1)):
             raise ValueError(f"window entries must have distinct residues: {window}")
 
+    @classmethod
+    def _trusted(cls, window: tuple[int, ...]) -> "AffinePermutation":
+        """
+        The permutation with this window, stored as given: only for a tuple
+        whose entries have distinct residues, derived from valid permutations
+        (products, inverses) or an enumeration of valid windows, so it is not
+        checked again.
+        """
+        w = object.__new__(cls)
+        object.__setattr__(w, "window", window)
+        return w
+
     @property
     def n(self) -> int:
         return len(self.window)
@@ -78,17 +90,18 @@ def compose(u: AffinePermutation, w: AffinePermutation) -> AffinePermutation:
     """(u o w)(k) = u(w(k))."""
     if u.n != w.n:
         raise ValueError(f"sizes differ: {u.n} vs {w.n}")
-    return AffinePermutation(tuple(u(w(k)) for k in range(1, u.n + 1)))
+    # both permute the residues, so their product does
+    return AffinePermutation._trusted(tuple(u(x) for x in w.window))
 
 
 def inverse(w: AffinePermutation) -> AffinePermutation:
     n = w.n
     window = [0] * n
-    for i in range(1, n + 1):
-        value = w(i)
+    # w(i) = value = r + (value - r), so the inverse sends r to i - (value - r)
+    for i, value in enumerate(w.window, start=1):
         r = mo(value, n)
         window[r - 1] = i + (r - value)
-    return AffinePermutation(tuple(window))
+    return AffinePermutation._trusted(tuple(window))
 
 
 def right_descents(w: AffinePermutation) -> frozenset[int]:
@@ -114,7 +127,8 @@ def min_coset_reps(shape: Partition) -> list[AffinePermutation]:
             for prefix, remaining in states
             for chosen in combinations(remaining, size)
         ]
-    return [AffinePermutation(w) for w in sorted(prefix for prefix, _ in states)]
+    # each window is an arrangement of 1..n
+    return [AffinePermutation._trusted(w) for w in sorted(prefix for prefix, _ in states)]
 
 
 def canonical_tableau(shape: Partition) -> RowStandardTableau:
@@ -136,7 +150,11 @@ def tableau_action(w: AffinePermutation, t: RowStandardTableau) -> RowStandardTa
     n = t.n
     if w.n != n:
         raise ValueError(f"sizes differ: {w.n} vs {n}")
-    return RowStandardTableau(tuple(tuple(mo(w(e), n) for e in row) for row in t.rows))
+    # mo(w(e), n) with w(e) = window[e - 1] for the entries 1..n; w permutes
+    # the residues, so the image is again a filling by 1..n
+    window = w.window
+    rows = tuple(tuple(sorted((window[e - 1] - 1) % n + 1 for e in row)) for row in t.rows)
+    return RowStandardTableau._trusted(rows)
 
 
 def upsilon(w: AffinePermutation, shape: Partition) -> RowStandardTableau:

@@ -4,8 +4,10 @@ graphs, runnable from the command line and mirrored by the test suite.
 
 Each check returns a RegressResult; names are stable so CI can key on them.
 Seven checks sweep the shapes in one pass: each shape's affine graph is
-built once, and its restriction to [1, n-1], the shift's vertex permutation
-and the Knuth graph are derived at most once, by the first check using them.
+built once, and what the checks derive from it (the rsk pair of each
+vertex, the restriction to [1, n-1] and its cells, the simple underlying
+graph and its components, the shift's vertex permutation and the Knuth
+graph) is derived at most once, by the first check using it.
 Each finite graph a restriction cell is compared with is built once per
 run (once per process with `--jobs K`, which splits the shapes into K
 batches, at most one per shape, of about equal vertex counts, largest
@@ -14,25 +16,20 @@ shapes first) and kept only while the shapes of its size are swept.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, repeat
 from math import comb
 from operator import attrgetter
 
-from .affperm import (
-    inverse,
-    min_coset_reps,
-    right_descents,
-    upsilon,
-)
+from .affperm import canonical_tableau, inverse, min_coset_reps, tableau_action
 from .fixtures import load_fixture, load_fixture_json
-from .rsk import finsh, rsk
+from .rsk import RskPair, finsh, rsk
 from .tableaux import (
     Partition,
     RowStandardTableau,
     affine_descents,
-    finite_descents,
     is_standard,
     mo,
     shift_permutation,
@@ -45,14 +42,16 @@ from .tworow import (
     first_kind_target,
 )
 from .verify import (
+    _restriction_fibers,
     check_all_rules,
     check_hecke_relations,
-    classify_restriction_cells,
     hecke_holds,
     rules_hold,
 )
 from .wgraph import (
     LabeledWGraph,
+    _component_ids,
+    full_subgraph,
     graph_from_json,
     restrict_parabolic,
     simple_component_ids,
@@ -138,8 +137,24 @@ class _Shape:
         return restrict_parabolic(self.g, range(1, self.shape.n))
 
     @cached_property
-    def cells(self) -> dict[Partition, LabeledWGraph]:
-        return classify_restriction_cells(self.restricted)
+    def insertion(self) -> tuple[RskPair, ...]:
+        """rsk of each vertex, by index: the restriction has the same vertices."""
+        return tuple(map(rsk, self.g.vertices))
+
+    @cached_property
+    def cells(self) -> dict[Partition, list[int]]:
+        """The cells of the restriction as sorted vertex indices, by insertion shape."""
+        return _restriction_fibers(self.restricted, [pair.q for pair in self.insertion])
+
+    @cached_property
+    def simple(self) -> tuple[Mapping[tuple[int, int], int], list[int]]:
+        """
+        The weights of the simple underlying graph and the component number
+        of each vertex in it.  The graph itself is not kept: its adjacency
+        serves only the numbering.
+        """
+        simple = simple_underlying(self.g)
+        return simple.weights, _component_ids(simple)
 
     @cached_property
     def sigma(self) -> tuple[int, ...]:
@@ -165,7 +180,7 @@ def _verification(s: _Shape) -> tuple[list[str], int]:
 def _mutation_sensitivity(s: _Shape) -> tuple[list[str], int]:
     """Deleting any single within-component directed edge breaks verification."""
     g = s.g
-    comp = simple_component_ids(g)
+    _, comp = s.simple
     silent = []
     total = 0
     for edge in sorted(g.weights):
@@ -183,7 +198,8 @@ def _mutation_sensitivity(s: _Shape) -> tuple[list[str], int]:
 def _underlying_and_omega(s: _Shape) -> tuple[list[str], int]:
     """Simple underlying graph is the Knuth graph; the shift is an automorphism."""
     bad = []
-    if simple_underlying(s.g).weights != s.knuth.weights:
+    simple_weights, _ = s.simple
+    if simple_weights != s.knuth.weights:
         bad.append(f"{s.shape}:underlying")
     if s.g.shift_automorphism is None:
         bad.append(f"{s.shape}:shift")
@@ -197,17 +213,19 @@ def _restriction_cells(s: _Shape) -> tuple[list[str], int]:
     """
     bad = []
     try:
-        for key, cell in s.cells.items():
+        insertion = s.insertion
+        for key, ids in s.cells.items():
             target = s.finite_graph(key)
             to_target = target.vertex_index()
             try:
-                remap = [to_target[rsk(t).p] for t in cell.vertices]
+                remap = [to_target[insertion[k].p] for k in ids]
             except KeyError:
                 bad.append(f"{s.shape}:{key}:insertion-image")
                 continue
             if sorted(remap) != list(range(len(target.vertices))):
                 bad.append(f"{s.shape}:{key}:not-bijective")
                 continue
+            cell = full_subgraph(s.restricted, ids)
             if any(cell.tau[k] != target.tau[remap[k]] for k in range(len(cell.vertices))):
                 bad.append(f"{s.shape}:{key}:tau")
             mapped = {(remap[u], remap[v]): w for (u, v), w in cell.weights.items()}
@@ -230,8 +248,8 @@ def _restriction_fixture(s: _Shape) -> tuple[list[str], int]:
         bad.append("(3,2):restriction-fixture")
     to_golden = golden.vertex_index()
     built_cells = {
-        ",".join(str(p) for p in key.parts): sorted(to_golden[t] for t in cell.vertices)
-        for key, cell in s.cells.items()
+        ",".join(str(p) for p in key.parts): sorted(to_golden[s.g.vertices[k]] for k in ids)
+        for key, ids in s.cells.items()
     }
     if built_cells != fixture["cells"]:
         bad.append("(3,2):cell-partition")
@@ -267,7 +285,7 @@ def _shift_suite(s: _Shape) -> tuple[list[str], int]:
     shape, vertices, sigma = s.shape, s.g.vertices, s.sigma
     n = shape.n
     # the first two parts of each insertion shape, 0 for a missing second row
-    pairs = [(finsh(t).parts + (0,))[:2] for t in vertices]
+    pairs = [(tuple(map(len, pair.p.rows)) + (0,))[:2] for pair in s.insertion]
     standard = [is_standard(t) for t in vertices]
     bad = []
     for k, t in enumerate(vertices):
@@ -298,7 +316,7 @@ def _shift_suite(s: _Shape) -> tuple[list[str], int]:
             bad.append(f"{shape}:{t}:no-standard")
     if not shape.is_equal_row:
         return bad, 0
-    comp = simple_component_ids(s.g)
+    _, comp = s.simple
     if len(set(comp)) != 2:
         return bad + [f"{shape}:component-count"], 0
     if len(set(simple_component_ids(s.knuth))) != 2:
@@ -327,19 +345,22 @@ def _coset_suite(s: _Shape) -> tuple[list[str], int]:
     shape = s.shape
     n = shape.n
     reps = min_coset_reps(shape)
-    images = [upsilon(w, shape) for w in reps]
-    if len(set(images)) != len(reps) or set(images) != set(s.g.vertices):
+    canonical = canonical_tableau(shape)
+    images = [tableau_action(w, canonical) for w in reps]
+    image_set = set(images)
+    if len(image_set) != len(reps) or image_set != set(s.g.vertices):
         return [f"{shape}:not-bijective"], 0
     bad = []
     for w, image in zip(reps, images):
-        fin = finite_descents(image)
-        winv = inverse(w)
-        ld = right_descents(winv)
-        if fin != frozenset(i for i in ld if i < n):
+        descents = affine_descents(image)
+        fin = descents - {n}  # the finite descents
+        # the left descents i < n of w are the right descents of its inverse
+        winv = inverse(w).window
+        if fin != frozenset(i for i in range(1, n) if winv[i - 1] > winv[i]):
             bad.append(f"{shape}:{w}:finite-descents")
         split_rows = image.row_of(1) != image.row_of(n)
-        affine_marked = n in affine_descents(image)
-        if affine_marked != (split_rows and winv(1) < winv(n)):
+        affine_marked = n in descents
+        if affine_marked != (split_rows and winv[0] < winv[n - 1]):
             bad.append(f"{shape}:{w}:affine-descent")
     return bad, 0
 

@@ -11,6 +11,7 @@ and its content is sh(T) reversed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .tableaux import Partition, RowStandardTableau
@@ -33,12 +34,9 @@ def _row_insert(rows: list[list[int]], labels: list[list[int]], entry: int, labe
             labels.append([label])
             return
         row = rows[a]
-        pos = None
-        for c, e in enumerate(row):
-            if e > entry:
-                pos = c
-                break
-        if pos is None:
+        # the first entry of the increasing row above `entry`
+        pos = bisect_right(row, entry)
+        if pos == len(row):
             row.append(entry)
             labels[a].append(label)
             return

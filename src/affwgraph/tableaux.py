@@ -163,11 +163,13 @@ def pint(a: int, b: int, n: int) -> frozenset[int]:
 def affine_descents(t: RowStandardTableau) -> frozenset[int]:
     """Residues i such that mo(i) sits in a strictly higher row than mo(i+1)."""
     n = t.n
-    row = {}
+    # row[e] is the row of e, and row[n + 1] that of mo(n + 1) = 1
+    row = [0] * (n + 2)
     for a, entries in enumerate(t.rows, start=1):
         for e in entries:
             row[e] = a
-    return frozenset(i for i in range(1, n + 1) if row[mo(i, n)] < row[mo(i + 1, n)])
+    row[n + 1] = row[1]
+    return frozenset(i for i in range(1, n + 1) if row[i] < row[i + 1])
 
 
 def finite_descents(t: RowStandardTableau) -> frozenset[int]:

@@ -17,8 +17,8 @@ with row 2).  Descents, moves and the second-kind gate are bit operations
 on the mask and its cyclic rotations.  The tableaux are built once, by
 enumerate_rsyt, at the boundary: the builders read each one's mask and hand
 the tableaux to the graph unchanged.  The finite builder keeps its own
-non-cyclic gate with plain intervals on the set of row 2, so it is not
-derived from the affine one.
+row-2 masks, bit helper and non-cyclic gate with plain intervals, so it is
+not derived from the affine one.
 """
 
 from __future__ import annotations
@@ -261,25 +261,36 @@ def build_equal_variant(shape: Partition, p: int) -> LabeledWGraph:
     return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
 
 
-def _finite_second_kind_valid(row2, i: int, j: int) -> bool:
+def _finite_entries(m: int) -> list[int]:
+    """The entries whose bits are set in the mask m, in increasing order."""
+    return [e for e in range(1, m.bit_length() + 1) if m >> (e - 1) & 1]
+
+
+def _finite_second_kind_valid(m: int, i: int, j: int) -> bool:
     """
     Non-cyclic conditions (a)-(e), with plain intervals, for the swap of i
-    in row 2 with j in row 1 of a two-row tableau of size n >= j.
+    in row 2 with j in row 1 of a two-row tableau of size n >= j whose row 2
+    has the mask m (entry e is bit e - 1, no bit at or above n).
     """
+    # (a) 1 < i < j at odd distance
     if not 1 < i < j or (j - i) % 2 == 0:
         return False
-    # row 1 is the complement of row 2
-    if i + 1 in row2 or j - 1 not in row2:
+    # (b) i + 1 in row 1 and j - 1 in row 2 (row 1 is the complement of row 2)
+    if m >> i & 1 or not m >> (j - 2) & 1:
         return False
-    # j+1 is not in row 2 by convention when j = n, and n+1 is in no row
-    if i - 1 in row2 and j + 1 not in row2:
+    # (c) not both i - 1 in row 2 and j + 1 outside row 2 (as it is for
+    # j = n: m has no bit n)
+    if m >> (i - 2) & 1 and not m >> j & 1:
         return False
-    for m in range(1, (j - i - 3) // 2 + 1):
-        if sum(1 for e in row2 if j - 1 - 2 * m <= e <= j - 2) < m:
+    # (d) each window j-1-2k..j-2 holds at least k entries of row 2: below
+    # keeps the entries up to j - 2, and the window is its top 2k bits
+    below = m & ((1 << (j - 2)) - 1)
+    for k in range(1, (j - i - 3) // 2 + 1):
+        if (below >> (j - 2 - 2 * k)).bit_count() < k:
             return False
-    if j != i + 1 and sum(1 for e in row2 if i + 2 <= e <= j - 2) != (j - i - 3) // 2:
-        return False
-    return True
+    # (e) the window i+2..j-2 (empty for j = i + 3) holds (j-i-3)/2 entries;
+    # no condition for j = i + 1
+    return j == i + 1 or (below >> (i + 1)).bit_count() == (j - i - 3) // 2
 
 
 def build_finite_graph(shape: Partition) -> LabeledWGraph:
@@ -296,13 +307,20 @@ def build_finite_graph(shape: Partition) -> LabeledWGraph:
     vertices = tuple(enumerate_syt(shape))
     weights: dict[tuple[int, int], int] = {}
     if shape.is_two_row:
-        index = {frozenset(t.rows[1]): k for k, t in enumerate(vertices)}
-        for src, s in enumerate(vertices):
-            row2 = frozenset(s.rows[1])
-            targets = [row2 ^ {i, i + 1} for i in range(1, n) if i not in row2 and i + 1 in row2]
+        # row 2 of each vertex as a mask, entry e at bit e - 1
+        masks = [sum(1 << (e - 1) for e in t.rows[1]) for t in vertices]
+        index = {m: k for k, m in enumerate(masks)}
+        full, below_n = (1 << n) - 1, (1 << (n - 1)) - 1
+        for src, m in enumerate(masks):
+            # first kind: i in row 1 and i + 1 in row 2, for i < n
+            targets = [m ^ (3 << (i - 1)) for i in _finite_entries(~m & m >> 1 & below_n)]
+            # second kind: (b) as a pre-filter, i in row 2 with i + 1 in row 1,
+            # i > 1, and j in row 1 with j - 1 in row 2
+            ends_j = _finite_entries(~m & m << 1 & full)
             targets += [
-                row2 ^ {i, j} for i in s.rows[1] for j in s.rows[0]
-                if _finite_second_kind_valid(row2, i, j)
+                m ^ (1 << (i - 1)) ^ (1 << (j - 1))
+                for i in _finite_entries(m & ~(m >> 1) & below_n & ~1) for j in ends_j
+                if _finite_second_kind_valid(m, i, j)
             ]
             for target in targets:
                 if target in index:

@@ -75,7 +75,7 @@ from functools import partial
 
 from .rsk import rsk
 from .tableaux import Partition
-from .wgraph import Edges, LabeledWGraph, cells, dynkin_adjacent
+from .wgraph import Edges, LabeledWGraph, _scc_partition, dynkin_adjacent, full_subgraph
 
 __all__ = [
     "RuleReport", "check_compatibility", "check_simplicity", "check_bonding",
@@ -351,23 +351,29 @@ def classify_restriction_cells(restricted: LabeledWGraph) -> dict[Partition, Lab
     by the insertion shape (which determines the recording tableau for
     two-row content).
     """
+    fibers = _restriction_fibers(restricted, [rsk(t).q for t in restricted.vertices])
+    return {key: full_subgraph(restricted, ids) for key, ids in fibers.items()}
+
+
+def _restriction_fibers(restricted: LabeledWGraph, recording: Iterable[tuple]) -> dict[Partition, list[int]]:
+    """
+    classify_restriction_cells with recording[k] the rows of the recording
+    tableau of vertex k, returning each cell as its sorted vertex indices.
+    """
     # the members lie in 1..n, so the size decides (n may be too large for a range)
     if len(restricted.index_set) != restricted.n - 1 or restricted.n in restricted.index_set:
         raise ValueError(f"expected a graph restricted to 1..{restricted.n - 1}")
     shape = restricted.vertices[0].shape
-    # rows of the recording tableau -> the vertices it records
-    fibers: dict[tuple, set[int]] = {}
-    for k, t in enumerate(restricted.vertices):
-        fibers.setdefault(rsk(t).q, set()).add(k)
-    index = restricted.vertex_index()
-    by_vertices = {frozenset(index[t] for t in c.vertices): c for c in cells(restricted)}
-    if {frozenset(ids) for ids in fibers.values()} != by_vertices.keys():
+    # rows of the recording tableau -> the vertices it records, in order
+    fibers: dict[tuple, list[int]] = {}
+    for k, q in enumerate(recording):
+        fibers.setdefault(q, []).append(k)
+    components = {frozenset(comp) for comp in _scc_partition(restricted)}
+    if {frozenset(ids) for ids in fibers.values()} != components:
         raise CellMismatchError(
             f"RSK fibers differ from strongly connected components for {shape}"
         )
-    result = {
-        Partition(tuple(map(len, q))): by_vertices[frozenset(ids)] for q, ids in fibers.items()
-    }
+    result = {Partition(tuple(map(len, q))): ids for q, ids in fibers.items()}
     if len(result) != len(fibers):
         raise CellMismatchError(f"insertion shapes do not separate the fibers for {shape}")
     return result

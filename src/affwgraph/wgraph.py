@@ -8,7 +8,9 @@ The index set is {1..n} for affine graphs and {1..n-1} for finite ones;
 all orderings are canonical so exports are byte-for-byte reproducible.
 What the checks derive from a graph (its adjacency, the shift
 automorphism, the generator columns) is computed once per graph object, on
-first use, and kept on it as tuples.
+first use, and kept on it as tuples.  The public constructor copies and
+checks its fields; restrictions, subgraphs and simple underlying graphs of
+a valid graph are built without either.
 """
 
 from __future__ import annotations
@@ -83,6 +85,23 @@ class LabeledWGraph:
             if not (s <= self.index_set and all(type(i) is int for i in s)):
                 raise ValueError(f"tau value {set(s)} outside index set")
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+
+    @classmethod
+    def _trusted(cls, n, index_set, vertices, tau, weights) -> "LabeledWGraph":
+        """
+        The graph with these fields, not copied or checked again: only for a
+        graph derived from a valid one (a subgraph, a restriction), with
+        index_set a frozenset, vertices and tau tuples, and weights a fresh
+        dict that nothing else holds, wrapped read-only as the public
+        constructor wraps its copy.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "index_set", index_set)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "tau", tau)
+        object.__setattr__(g, "weights", MappingProxyType(weights))
+        return g
 
     def __reduce__(self):
         # rebuilt from the fields: the weight proxy cannot be pickled, and
@@ -172,18 +191,19 @@ def dynkin_adjacent(g: LabeledWGraph, i: int, j: int) -> bool:
 def full_subgraph(g: LabeledWGraph, vertex_ids: list[int]) -> LabeledWGraph:
     """Subgraph on the given vertices keeping all internal weights."""
     ids = sorted(vertex_ids)
+    if len(set(ids)) != len(ids) or not all(0 <= k < len(g.vertices) for k in ids):
+        raise ValueError(f"vertex ids must be distinct and in 0..{len(g.vertices) - 1}")
     renumber = {old: new for new, old in enumerate(ids)}
+    # the out-edges of the kept vertices only, by source and target
+    adj = g.adjacency
     weights = {
         (renumber[u], renumber[v]): w
-        for (u, v), w in g.weights.items()
-        if u in renumber and v in renumber
+        for u in ids
+        for v, w in adj[u]
+        if v in renumber
     }
-    return LabeledWGraph(
-        n=g.n,
-        index_set=g.index_set,
-        vertices=tuple(g.vertices[k] for k in ids),
-        tau=tuple(g.tau[k] for k in ids),
-        weights=weights,
+    return LabeledWGraph._trusted(
+        g.n, g.index_set, tuple(g.vertices[k] for k in ids), tuple(g.tau[k] for k in ids), weights
     )
 
 
@@ -193,13 +213,14 @@ def restrict_parabolic(g: LabeledWGraph, j_set) -> LabeledWGraph:
     label tau'(u) became a subset of tau'(v).
     """
     j_set = frozenset(j_set)
-    if not j_set <= g.index_set:
+    # True == 1 and 1.0 == 1 pass the subset test, so check types too
+    if not (j_set <= g.index_set and all(type(i) is int for i in j_set)):
         raise ValueError(f"J = {set(j_set)} is not a subset of the index set")
     tau = tuple(s & j_set for s in g.tau)
     weights = {
         (u, v): w for (u, v), w in g.weights.items() if not tau[u] <= tau[v]
     }
-    return LabeledWGraph(g.n, j_set, g.vertices, tau, weights)
+    return LabeledWGraph._trusted(g.n, j_set, g.vertices, tau, weights)
 
 
 def simple_underlying(g: LabeledWGraph) -> LabeledWGraph:
@@ -209,7 +230,7 @@ def simple_underlying(g: LabeledWGraph) -> LabeledWGraph:
         for (u, v), w in g.weights.items()
         if u != v and w == 1 and g.weights.get((v, u)) == 1
     }
-    return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
+    return LabeledWGraph._trusted(g.n, g.index_set, g.vertices, g.tau, weights)
 
 
 def _scc_partition(g: LabeledWGraph) -> list[list[int]]:
@@ -280,8 +301,13 @@ def simple_components(g: LabeledWGraph) -> list[LabeledWGraph]:
 
 def simple_component_ids(g: LabeledWGraph) -> list[int]:
     """Per-vertex component number in the simple underlying graph."""
-    ids = [0] * len(g.vertices)
-    for k, comp in enumerate(_scc_partition(simple_underlying(g))):
+    return _component_ids(simple_underlying(g))
+
+
+def _component_ids(simple: LabeledWGraph) -> list[int]:
+    """Per-vertex component number in a graph returned by simple_underlying."""
+    ids = [0] * len(simple.vertices)
+    for k, comp in enumerate(_scc_partition(simple)):
         for v in comp:
             ids[v] = k
     return ids

@@ -190,3 +190,25 @@ class TestDescentCorrespondence:
                 winv = inverse(w)
                 predicted = image.row_of(1) != image.row_of(n) and winv(1) < winv(n)
                 assert (n in affine_descents(image)) == predicted
+
+
+class TestTrustedValues:
+    """Coset representatives, inverses, products and images are built unchecked."""
+
+    def test_derived_permutations_equal_validated_ones(self):
+        def same(w):
+            u = AffinePermutation(w.window)
+            return type(w.window) is tuple and u == w and hash(u) == hash(w)
+
+        for shape in two_row_shapes(3, 9):
+            reps = min_coset_reps(shape)
+            s0 = simple_reflection(0, shape.n)  # window entries 0 and n + 1
+            for w, u in zip(reps, reps[1:] + reps[:1]):
+                assert same(w) and same(inverse(w)) and same(compose(w, u)), (shape, w, u)
+                assert same(compose(s0, w)) and same(inverse(compose(w, s0))), (shape, w)
+
+    def test_images_equal_validated_tableaux(self):
+        for shape in two_row_shapes(3, 9):
+            for w in min_coset_reps(shape):
+                image = upsilon(w, shape)
+                assert image == RowStandardTableau(image.rows) and type(image.rows) is tuple

@@ -301,6 +301,13 @@ class TestRegress:
             "e1c40d6ab18468b034d8bf1315f8665941796bf974d061293479365991cefe82"
         )
 
+    def test_report_bytes_at_ten(self, capsys):
+        code, out = run(capsys, "regress", "--max-n", "10")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "adc5bd1b2018faebe6dcf71e972e0036768e8a450801b4eda93f410f49923d3b"
+        )
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
         code, out = run(capsys, "regress", "--max-n", "4", "--jobs", jobs)

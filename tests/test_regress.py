@@ -4,14 +4,20 @@ once, and the same names, verdicts and details as the checks report alone.
 """
 
 import concurrent.futures
+import importlib
 import multiprocessing
 from collections import Counter
 
 import pytest
 
 import affwgraph.regress as regress
-from affwgraph import LabeledWGraph, Partition
+import affwgraph.verify as verify
+from affwgraph import LabeledWGraph, Partition, RowStandardTableau, enumerate_rsyt
+from affwgraph.rsk import RskPair
 from affwgraph.wgraph import simple_component_ids
+
+# the package exports the function rsk under the module's name
+rsk_module = importlib.import_module("affwgraph.rsk")
 
 
 def _without_first_internal_edge(build, damaged_parts):
@@ -130,3 +136,64 @@ def test_max_n_below_three_rejected(max_n):
         regress.run_regression(max_n=max_n)
     with pytest.raises(ValueError, match="at least 3"):
         regress.check_verification_sweep(max_n=max_n)
+
+
+def test_serial_and_parallel_runs_agree():
+    assert regress.run_regression(max_n=8, jobs=2) == regress.run_regression(max_n=8)
+
+
+def test_rsk_runs_once_per_swept_vertex(monkeypatch):
+    # rsk is reached through regress, verify (classify_restriction_cells) and finsh
+    calls = Counter()
+    original = rsk_module.rsk
+
+    def counted(t):
+        calls[t] += 1
+        return original(t)
+
+    for module in (regress, verify, rsk_module):
+        monkeypatch.setattr(module, "rsk", counted)
+    regress.run_regression(max_n=7)
+    swept = Counter(t for shape in regress.two_row_shapes(3, 7) for t in enumerate_rsyt(shape))
+    # check_rsk_vector runs rsk and finsh on its worked example
+    example = RowStandardTableau(((2, 4, 5, 7), (3, 6, 9), (1, 8)))
+    assert calls == swept + Counter({example: 2})
+
+
+def test_coset_suite_sees_a_missing_representative(monkeypatch):
+    reps = regress.min_coset_reps
+    monkeypatch.setattr(regress, "min_coset_reps", lambda shape: reps(shape)[1:])
+    result = regress._sweep(5, {"coset_suite"})["coset_suite"]
+    assert not result.passed
+    # the suite reports its first four findings
+    assert result.detail == ", ".join(f"{parts}:not-bijective" for parts in ("(2,1)", "(3,1)", "(2,2)", "(4,1)"))
+
+
+@pytest.mark.parametrize(
+    "part, detail",
+    [
+        ("p", "(4,3):(6,1):not-bijective"),
+        ("q", "(4,3):RSK fibers differ from strongly connected components for (4,3)"),
+    ],
+)
+def test_restriction_cells_sees_a_wrong_insertion(monkeypatch, part, detail):
+    # one vertex of (4,3) gets the insertion tableau P of another vertex of
+    # its cell, or the recording tableau Q of a vertex outside it
+    vertices = enumerate_rsyt(Partition((4, 3)))
+    original = regress.rsk
+    pairs = {t: original(t) for t in vertices}
+    victim, other = next(
+        (t, u) for t in vertices for u in vertices
+        if t != u and (pairs[t].q == pairs[u].q) == (part == "p")
+    )
+
+    def damaged(t):
+        if t != victim:
+            return original(t)
+        if part == "p":
+            return RskPair(pairs[other].p, pairs[t].q)
+        return RskPair(pairs[t].p, pairs[other].q)
+
+    monkeypatch.setattr(regress, "rsk", damaged)
+    result = regress._sweep(7, {"restriction_cells"})["restriction_cells"]
+    assert (result.passed, result.detail) == (False, detail)

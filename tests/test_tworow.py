@@ -341,7 +341,7 @@ def test_second_kind_gates_match_literal_oracles():
                         affine = second_kind_valid(s, i, j)
                         assert affine == _literal_second_kind_ok(row1, row2, i, j, n), (s, i, j)
                         valid["affine", affine] += 1
-                    finite = _finite_second_kind_valid(frozenset(row2), i, j)
+                    finite = _finite_second_kind_valid(sum(1 << (e - 1) for e in row2), i, j)
                     assert finite == _literal_finite_second_kind_valid(s, i, j), (s, i, j)
                     valid["finite", finite] += 1
     # both gates accept and reject somewhere

@@ -472,6 +472,17 @@ class TestIntegerHeckeCheck:
         assert list(report.witnesses) == _oracle_hecke_witnesses(g)
 
 
+    def test_negative_weight_enters_the_columns(self):
+        # m(2 > 1) = -1 is in T_1 e_2 and T_2 e_2 and gives the braid witness
+        # at 2; columns without the negative out-edges would lose it
+        g = TestPolygonPathCounts._chain(
+            tau_by_vertex=(set(), {1}, {1, 2}, set()),
+            weights={(2, 1): -1},
+        )
+        witnesses = list(check_hecke_relations(g).witnesses)
+        assert witnesses == _oracle_hecke_witnesses(g) == [("braid", 1, 2, 1), ("braid", 1, 2, 2)]
+
+
 class TestRulesMatchHeckeOnAdmissibleGraphs:
     def test_constructed_graphs(self):
         graphs = [build_affine_graph(shape) for shape in two_row_shapes(3, 7)]

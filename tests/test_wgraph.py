@@ -2,6 +2,7 @@ import copy
 import pickle
 import time
 from dataclasses import FrozenInstanceError
+from types import MappingProxyType
 
 import pytest
 
@@ -257,6 +258,36 @@ def test_full_subgraph_keeps_internal_weights(g32):
         assert g32.weights[
             g32.vertex_index()[sub.vertices[u]], g32.vertex_index()[sub.vertices[v]]
         ] == w
+
+
+@pytest.mark.parametrize("ids", [[0, 0, 1], [0, 99], [-1, 0]], ids=["repeated", "too large", "negative"])
+def test_full_subgraph_rejects_bad_vertex_ids(g32, ids):
+    with pytest.raises(ValueError, match="vertex ids"):
+        full_subgraph(g32, ids)
+
+
+class TestTrustedGraphs:
+    """Restrictions, subgraphs and simple underlying graphs are built unchecked."""
+
+    @staticmethod
+    def _same_as_checked(h):
+        checked = LabeledWGraph(h.n, h.index_set, h.vertices, h.tau, dict(h.weights))
+        kinds = (type(h.index_set), type(h.vertices), type(h.tau), type(h.weights))
+        return checked == h and kinds == (frozenset, tuple, tuple, MappingProxyType)
+
+    def test_derived_graphs_equal_validated_ones(self):
+        for shape in two_row_shapes(3, 9):
+            g = build_affine_graph(shape)
+            restricted = restrict_parabolic(g, range(1, shape.n))
+            derived = [restricted, simple_underlying(g), *cells(restricted), *cells(g)]
+            assert all(self._same_as_checked(h) for h in derived), shape
+            with pytest.raises(TypeError):
+                restricted.weights[(0, 1)] = 1
+
+    @pytest.mark.parametrize("j_set", [{True, 2}, {1.0, 2}])
+    def test_restriction_rejects_look_alike_integers(self, g32, j_set):
+        with pytest.raises(ValueError, match="not a subset"):
+            restrict_parabolic(g32, j_set)
 
 
 class TestConstruction:
