@@ -122,11 +122,12 @@ def min_coset_reps(shape: Partition) -> list[AffinePermutation]:
     # (window prefix, entries left), one block of shape.op at a time
     states = [((), tuple(range(1, shape.n + 1)))]
     for size in shape.op:
-        states = [
-            (prefix + chosen, tuple(e for e in remaining if e not in chosen))
-            for prefix, remaining in states
-            for chosen in combinations(remaining, size)
-        ]
+        grown = []
+        for prefix, remaining in states:
+            for chosen in combinations(remaining, size):
+                picked = set(chosen)
+                grown.append((prefix + chosen, tuple([e for e in remaining if e not in picked])))
+        states = grown
     # each window is an arrangement of 1..n
     return [AffinePermutation._trusted(w) for w in sorted(prefix for prefix, _ in states)]
 

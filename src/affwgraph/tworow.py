@@ -19,6 +19,11 @@ enumerate_rsyt, at the boundary: the builders read each one's mask and hand
 the tableaux to the graph unchanged.  The finite builder keeps its own
 row-2 masks, bit helper and non-cyclic gate with plain intervals, so it is
 not derived from the affine one.
+
+Every builder hands its fresh fields to LabeledWGraph._trusted: distinct
+tableaux of one shape from an enumeration, descent sets inside the index
+set and weights 1 (or the variant's int p) on vertex pairs, so the graph
+is neither copied nor checked again.
 """
 
 from __future__ import annotations
@@ -197,13 +202,8 @@ def build_affine_graph(shape: Partition) -> LabeledWGraph:
     vertices = tuple(enumerate_rsyt(shape))
     masks = [_row2_mask(t) for t in vertices]
     weights = {(src, dst): 1 for _, _, _, src, dst in _moves(masks, n)}
-    return LabeledWGraph(
-        n=n,
-        index_set=frozenset(range(1, n + 1)),
-        vertices=vertices,
-        tau=_descent_sets([_descent_mask(m, n) for m in masks]),
-        weights=weights,
-    )
+    tau = _descent_sets([_descent_mask(m, n) for m in masks])
+    return LabeledWGraph._trusted(n, frozenset(range(1, n + 1)), vertices, tau, weights)
 
 
 def build_dual_equiv(shape: Partition) -> LabeledWGraph:
@@ -230,13 +230,7 @@ def build_dual_equiv(shape: Partition) -> LabeledWGraph:
     for u, v in sorted(pairs):
         weights[(u, v)] = 1
         weights[(v, u)] = 1
-    return LabeledWGraph(
-        n=n,
-        index_set=frozenset(range(1, n + 1)),
-        vertices=vertices,
-        tau=_descent_sets(descents),
-        weights=weights,
-    )
+    return LabeledWGraph._trusted(n, frozenset(range(1, n + 1)), vertices, _descent_sets(descents), weights)
 
 
 def build_equal_variant(shape: Partition, p: int) -> LabeledWGraph:
@@ -247,6 +241,9 @@ def build_equal_variant(shape: Partition, p: int) -> LabeledWGraph:
     """
     if not shape.is_equal_row:
         raise ValueError(f"shape must have two equal rows: {shape}")
+    # the graph is not checked again, so p must be an exact int
+    if type(p) is not int:
+        raise ValueError(f"variant weight must be an integer: {p!r}")
     if p < 0:
         raise ValueError(f"variant weight must be nonnegative: {p}")
     g = build_affine_graph(shape)
@@ -258,7 +255,7 @@ def build_equal_variant(shape: Partition, p: int) -> LabeledWGraph:
                 continue
             w = p
         weights[(u, v)] = w
-    return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
+    return LabeledWGraph._trusted(g.n, g.index_set, g.vertices, g.tau, weights)
 
 
 def _finite_entries(m: int) -> list[int]:
@@ -325,10 +322,6 @@ def build_finite_graph(shape: Partition) -> LabeledWGraph:
             for target in targets:
                 if target in index:
                     weights[(src, index[target])] = 1
-    return LabeledWGraph(
-        n=n,
-        index_set=frozenset(range(1, n)),
-        vertices=vertices,
-        tau=tuple(finite_descents(t) for t in vertices),
-        weights=weights,
+    return LabeledWGraph._trusted(
+        n, frozenset(range(1, n)), vertices, tuple(finite_descents(t) for t in vertices), weights
     )

@@ -31,7 +31,20 @@ V_{i/j}, the mutual edges, the path counts and the relation residuals of
 sigma T_i e_u, and rho keeps Dynkin adjacency, so an orbit fails exactly
 when its representative does.  If none fails there are no witnesses;
 otherwise, and without the precondition, every pair is evaluated.
-Compatibility and simplicity scan the edges once.
+
+Compatibility and simplicity are conditions on one edge (u, v) at a time,
+and under the same precondition sigma carries each edge's verdict onto the
+edge (sigma u, sigma v): sigma preserves weights, so m(sigma v > sigma u) =
+m(v > u) and the edge keeps its weight and its reverse; tau(sigma u) =
+tau(u) + 1 mod n shifts tau(u) - tau(v) and tau(v) - tau(u) by rho and
+keeps the order between tau(u) and tau(v); and rho keeps cyclic Dynkin
+adjacency.  So (u, v) fails exactly when (sigma u, sigma v) does.  Every
+edge (u', v') is sigma^k of an edge (u, sigma^-k v') out of the least
+vertex u of the orbit of u', because sigma maps the edge set onto itself.
+So _edge_witnesses first evaluates only the edges out of one vertex per
+orbit, LabeledWGraph.shift_orbit_representatives.  If none fails there are
+no witnesses; otherwise, and without the precondition, every edge is
+evaluated, so the witness lists are the full scan's.
 
 The quadratic relation holds by construction, for any weights.  If i is
 not in tau(u), T_i^2 e_u = q^2 e_u = (q - 1) T_i e_u + q e_u.  Otherwise
@@ -63,8 +76,12 @@ vectors up to sign), so every coefficient of every residual is at most
 C = 2M^3.  If P != 0 has degree d, |P(X)| >= X^d - C (X^d - 1)/(X - 1) > 0
 once X > C, and X > 2C (asserted) even makes the coefficients the balanced
 base-X digits of P(X).  So P(X) = 0 exactly when P = 0, for any integer
-weights, and the witnesses are those of the polynomial check.  The integer
-columns, with X, are LabeledWGraph.hecke_columns, computed once per graph.
+weights, and the witnesses are those of the polynomial check.  X is
+LabeledWGraph.hecke_x, computed once per graph, and the integer columns of
+a generator i are LabeledWGraph.hecke_columns(i), built when a pair first
+reads them and kept.  So a check that passes on the representatives
+(1, 1 + d) builds the generators 1..n/2 + 1 only, the full loop builds the
+rest, and hecke_holds after check_hecke_relations builds none.
 """
 
 from __future__ import annotations
@@ -103,31 +120,54 @@ def _report(rule: str, witnesses: list) -> RuleReport:
     return RuleReport(rule, not witnesses, tuple(sorted(witnesses)))
 
 
+def _edge_witnesses(g: LabeledWGraph, evaluate) -> list:
+    """
+    The witnesses evaluate(edges) yields over the edges ((u, v), w) of g.
+    When the shift is an automorphism of g and the edges out of its orbit
+    representatives have no witness, there are none (module docstring).
+    """
+    representatives = g.shift_orbit_representatives
+    if representatives is not None:
+        adj = g.adjacency
+        edges = (((u, v), w) for u in representatives for v, w in adj[u])
+        if next(evaluate(edges), None) is None:
+            return []
+    return list(evaluate(g.weights.items()))
+
+
+def _compatibility_edges(g: LabeledWGraph, edges):
+    """The compatibility witnesses (u, v, i, j) of the given edges."""
+    tau = g.tau
+    for (u, v), _ in edges:
+        for i in tau[u] - tau[v]:
+            for j in tau[v] - tau[u]:
+                if not dynkin_adjacent(g, i, j):
+                    yield (u, v, i, j)
+
+
 def check_compatibility(g: LabeledWGraph) -> RuleReport:
     """Every edge only separates Dynkin-adjacent pairs of tau labels."""
-    witnesses = []
-    for (u, v) in g.weights:
-        for i in g.tau[u] - g.tau[v]:
-            for j in g.tau[v] - g.tau[u]:
-                if not dynkin_adjacent(g, i, j):
-                    witnesses.append((u, v, i, j))
-    return _report("compatibility", witnesses)
+    return _report("compatibility", _edge_witnesses(g, partial(_compatibility_edges, g)))
+
+
+def _simplicity_edges(g: LabeledWGraph, edges):
+    """The simplicity witnesses (u, v) of the given edges."""
+    tau, get = g.tau, g.weights.get
+    for (u, v), w in edges:
+        tu, tv = tau[u], tau[v]
+        if tu > tv:
+            if get((v, u), 0) != 0:
+                yield (u, v)
+        elif not (tu <= tv or tv <= tu):
+            if w != 1 or get((v, u), 0) != 1:
+                yield (u, v)
+        else:
+            yield (u, v)  # tau(u) <= tau(v): not even reduced
 
 
 def check_simplicity(g: LabeledWGraph) -> RuleReport:
     """One-way edges go strictly down in tau; incomparable edges are mutual of weight 1."""
-    witnesses = []
-    for (u, v), w in g.weights.items():
-        tu, tv = g.tau[u], g.tau[v]
-        if tu > tv:
-            if g.weights.get((v, u), 0) != 0:
-                witnesses.append((u, v))
-        elif not (tu <= tv or tv <= tu):
-            if w != 1 or g.weights.get((v, u), 0) != 1:
-                witnesses.append((u, v))
-        else:
-            witnesses.append((u, v))  # tau(u) <= tau(v): not even reduced
-    return _report("simplicity", witnesses)
+    return _report("simplicity", _edge_witnesses(g, partial(_simplicity_edges, g)))
 
 
 def _pair_witnesses(g: LabeledWGraph, evaluate):
@@ -292,11 +332,11 @@ def _apply_shifted(
     return out
 
 
-def _hecke_pair(g: LabeledWGraph, columns: dict[int, _Columns], q: int, i: int, j: int):
+def _hecke_pair(g: LabeledWGraph, q: int, i: int, j: int):
     """The witnesses (relation, i, j, u) of the pair i < j, one per basis vertex u where it fails."""
     adjacent = dynkin_adjacent(g, i, j)
     relation = "braid" if adjacent else "commutation"
-    ci, cj = columns[i], columns[j]
+    ci, cj = g.hecke_columns(i), g.hecke_columns(j)
     for u, (a, b) in enumerate(zip(ci, cj)):
         if a is None and b is None:
             continue
@@ -321,8 +361,8 @@ def _hecke_pair(g: LabeledWGraph, columns: dict[int, _Columns], q: int, i: int, 
 
 
 def _hecke_witnesses(g: LabeledWGraph):
-    x, columns = g.hecke_columns
-    return _pair_witnesses(g, partial(_hecke_pair, g, dict(columns), x * x))
+    x = g.hecke_x
+    return _pair_witnesses(g, partial(_hecke_pair, g, x * x))
 
 
 def check_hecke_relations(g: LabeledWGraph) -> RuleReport:

@@ -7,10 +7,12 @@ reducedness, nb-admissibility) and JSON/DOT export.
 The index set is {1..n} for affine graphs and {1..n-1} for finite ones;
 all orderings are canonical so exports are byte-for-byte reproducible.
 What the checks derive from a graph (its adjacency, the shift
-automorphism, the generator columns) is computed once per graph object, on
-first use, and kept on it as tuples.  The public constructor copies and
-checks its fields; restrictions, subgraphs and simple underlying graphs of
-a valid graph are built without either.
+automorphism and its orbit representatives, the evaluation point of the
+Hecke module and each generator's columns) is computed once per graph
+object, on first use, and kept on it as tuples.  The public constructor
+copies and checks its fields; the two-row builders, and restrictions,
+subgraphs and simple underlying graphs of a valid graph, are built without
+either.
 """
 
 from __future__ import annotations
@@ -90,10 +92,12 @@ class LabeledWGraph:
     def _trusted(cls, n, index_set, vertices, tau, weights) -> "LabeledWGraph":
         """
         The graph with these fields, not copied or checked again: only for a
-        graph derived from a valid one (a subgraph, a restriction), with
-        index_set a frozenset, vertices and tau tuples, and weights a fresh
-        dict that nothing else holds, wrapped read-only as the public
-        constructor wraps its copy.
+        graph derived from a valid one (a subgraph, a restriction) or made
+        by a two-row builder, with n a positive int, index_set a frozenset
+        of ints in 1..n, vertices a tuple of distinct tableaux of one shape
+        of size n, tau a tuple of frozensets of the index set, and weights a
+        fresh dict of nonzero int weights on vertex pairs that nothing else
+        holds, wrapped read-only as the public constructor wraps its copy.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
@@ -145,13 +149,29 @@ class LabeledWGraph:
         return sigma
 
     @cached_property
-    def hecke_columns(self) -> tuple[int, tuple[tuple[int, tuple[Edges | None, ...]], ...]]:
+    def shift_orbit_representatives(self) -> tuple[int, ...] | None:
         """
-        (x, columns): the generators of the Hecke module at v = x, as
-        (i, cols) for each generator i in order.  cols[u] is None when i is
-        not in tau(u), where T_i e_u = q e_u, and otherwise
-        T_i e_u = -e_u + v * sum m(u > w) e_w over the out-edges with i not
-        in tau(w), as the pairs (u, -1) and (w, x * m(u > w)).  x = 2**B
+        The least vertex of each orbit of shift_automorphism, in increasing
+        order, or None when the shift is not an automorphism.
+        """
+        sigma = self.shift_automorphism
+        if sigma is None:
+            return None
+        seen = [False] * len(sigma)
+        representatives = []
+        for u in range(len(sigma)):
+            if not seen[u]:
+                representatives.append(u)
+                v = u
+                while not seen[v]:
+                    seen[v] = True
+                    v = sigma[v]
+        return tuple(representatives)
+
+    @cached_property
+    def hecke_x(self) -> int:
+        """
+        The point v = x at which the Hecke module is evaluated: x = 2**B
         exceeds 4 * M**3 for M = 1 + the largest sum of |m(u > w)| over the
         out-edges of one vertex, which verify shows to make the integer
         check of the Hecke relations exact.
@@ -162,20 +182,43 @@ class LabeledWGraph:
         bound = 2 * (1 + max(out_norms, default=0)) ** 3
         x = 1 << (2 * bound).bit_length()
         assert x > 2 * bound, (x, bound)
-        tau = self.tau
-        columns: dict[int, list[Edges | None]] = {i: [None] * len(tau) for i in sorted(self.index_set)}
-        for u, (t, out) in enumerate(zip(tau, self.adjacency)):
-            if t:
-                # the columns of u share these entries; each w occurs once in
-                # out, and a kept w is not u, as i is in tau(u)
-                entries = [((w, x * m), tau[w]) for w, m in out]
-                diagonal = (u, -1)
-                for i in t:
-                    columns[i][u] = (diagonal, *[entry for entry, s in entries if i not in s])
-        return x, tuple((i, tuple(cols)) for i, cols in columns.items())
+        return x
+
+    def hecke_columns(self, i: int) -> tuple[Edges | None, ...]:
+        """
+        The columns of the generator i at v = hecke_x: cols[u] is None when
+        i is not in tau(u), where T_i e_u = q e_u, and otherwise
+        T_i e_u = -e_u + v * sum m(u > w) e_w over the out-edges with i not
+        in tau(w), as the pairs (u, -1) and (w, x * m(u > w)).  Each
+        generator's columns are built from the adjacency on first use and
+        kept, so a check that reads only some generators builds only those.
+        """
+        # True == 1 and 1.0 == 1 pass the membership test, so check the type too
+        if type(i) is not int or i not in self.index_set:
+            raise ValueError(f"{i!r} is not in the index set")
+        built = self._built_columns
+        cols = built.get(i)
+        if cols is None:
+            # threads that race here get the columns stored first
+            cols = built.setdefault(i, _generator_columns(self.tau, self.adjacency, self.hecke_x, i))
+        return cols
+
+    @cached_property
+    def _built_columns(self) -> dict[int, tuple[Edges | None, ...]]:
+        """Generator -> its columns, filled by hecke_columns."""
+        return {}
 
     def vertex_index(self) -> dict[RowStandardTableau, int]:
         return {t: k for k, t in enumerate(self.vertices)}
+
+
+def _generator_columns(tau, adjacency, x: int, i: int) -> tuple[Edges | None, ...]:
+    """The columns of the generator i at v = x (LabeledWGraph.hecke_columns)."""
+    # each w occurs once in adjacency[u], and a kept w is not u, as i is in tau(u)
+    return tuple([
+        ((u, -1), *[(w, x * m) for w, m in adjacency[u] if i not in tau[w]]) if i in t else None
+        for u, t in enumerate(tau)
+    ])
 
 
 def dynkin_adjacent(g: LabeledWGraph, i: int, j: int) -> bool:

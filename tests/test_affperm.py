@@ -112,6 +112,18 @@ class TestCosetReps:
                 ]
                 assert [w.window for w in min_coset_reps(shape)] == expected, parts
 
+    @pytest.mark.parametrize("shape", two_row_shapes(3, 8), ids=str)
+    def test_matches_literal_oracle_on_two_row_shapes(self, shape):
+        # every permutation of 1..n that increases on each block of shape.op, sorted
+        starts = [0]
+        for size in shape.op:
+            starts.append(starts[-1] + size)
+        expected = sorted(
+            w for w in permutations(range(1, shape.n + 1))
+            if all(w[k] < w[k + 1] for a, b in zip(starts, starts[1:]) for k in range(a, b - 1))
+        )
+        assert [w.window for w in min_coset_reps(shape)] == expected
+
     def test_leaves_no_reference_cycles(self):
         gc.collect()
         gc.disable()

@@ -16,8 +16,11 @@ import affwgraph.verify as verify
 SRC = Path(verify.__file__).resolve().parent
 RULES = ("check_compatibility", "check_simplicity", "check_bonding", "check_polygon")
 HECKE = ("check_hecke_relations", "hecke_holds")
-HECKE_HELPERS = {"hecke_columns", "_hecke_pair", "_apply", "_apply_shifted"}
-RULE_HELPERS = {"_polygon_pair", "_bonding_pair", "_paths2", "_paths3"}
+HECKE_HELPERS = {"hecke_x", "hecke_columns", "_generator_columns", "_hecke_pair", "_apply", "_apply_shifted"}
+RULE_HELPERS = {
+    "_polygon_pair", "_bonding_pair", "_paths2", "_paths3",
+    "_edge_witnesses", "_compatibility_edges", "_simplicity_edges", "shift_orbit_representatives",
+}
 
 
 def _tree(module):

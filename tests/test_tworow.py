@@ -1,10 +1,13 @@
 import hashlib
 import json
+import pickle
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
 from affwgraph import (
+    LabeledWGraph,
     Move,
     Partition,
     RowStandardTableau,
@@ -149,6 +152,12 @@ class TestEqualVariant:
         with pytest.raises(ValueError):
             build_equal_variant(Partition((3, 2)), 0)
 
+    @pytest.mark.parametrize("p", [True, 2.0, -1])
+    def test_rejects_weights_other_than_nonnegative_ints(self, p):
+        # the variant is not checked again by the graph constructor
+        with pytest.raises(ValueError, match="variant weight must be"):
+            build_equal_variant(Partition((2, 2)), p)
+
 
 class TestFiniteGraph:
     def test_two_vertex_example(self):
@@ -269,6 +278,36 @@ def test_builders_byte_identical():
     assert affine.hexdigest() == "3f25d6a52832e1502a7f1602133ead8ff0038e4079cb931152445aa0aa6f60d2"
     assert dual.hexdigest() == "dfef95500c3240fcbd03915ba63bba758735fadb472d0ae39acf512c5a59ebb0"
     assert moves.hexdigest() == "46da4ce8ce58142d15ab9671943e071e0d8537d40248c3117b61a52dc2031b4e"
+
+
+def _builder_graphs(shape):
+    graphs = {
+        "affine": build_affine_graph(shape),
+        "dual-equiv": build_dual_equiv(shape),
+        "finite": build_finite_graph(shape),
+    }
+    if shape.is_equal_row:
+        graphs.update((f"p={p}", build_equal_variant(shape, p)) for p in (0, 2))
+    return graphs
+
+
+@pytest.mark.parametrize("shape", two_row_shapes(3, 10), ids=str)
+def test_builders_hand_over_well_formed_fields(shape):
+    # the builders skip the constructor's copy and checks, so their fields
+    # must be what the checked constructor would have made of them
+    for name, g in _builder_graphs(shape).items():
+        rebuilt = LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, dict(g.weights))
+        assert g == rebuilt and list(g.weights.items()) == list(rebuilt.weights.items()), name
+        assert (type(g.n), type(g.index_set), type(g.vertices), type(g.tau)) == (int, frozenset, tuple, tuple)
+        assert all(type(i) is int for i in g.index_set)
+        assert all(type(t) is RowStandardTableau for t in g.vertices)
+        assert all(type(t) is frozenset and all(type(i) is int for i in t) for t in g.tau)
+        assert type(g.weights) is MappingProxyType
+        assert all(type(u) is type(v) is type(w) is int for (u, v), w in g.weights.items())
+        with pytest.raises(TypeError):
+            g.weights[(0, 0)] = 1
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone == g and list(clone.weights.items()) == list(g.weights.items()), name
 
 
 def test_finite_builder_byte_identical():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affwgraph.verify as verify
+import affwgraph.wgraph as wgraph
 from affwgraph import (
     LabeledWGraph,
     Partition,
@@ -189,6 +190,39 @@ def _brute_force_polygon(g):
                         if lhs != rhs:
                             witnesses.append((u, v, i, j, 3, lhs, rhs))
     return sorted(witnesses)
+
+
+def _full_scan_compatibility(g):
+    """check_compatibility as one scan of every edge, before the orbit reduction."""
+    witnesses = []
+    for (u, v) in g.weights:
+        for i in g.tau[u] - g.tau[v]:
+            for j in g.tau[v] - g.tau[u]:
+                if not dynkin_adjacent(g, i, j):
+                    witnesses.append((u, v, i, j))
+    return sorted(witnesses)
+
+
+def _full_scan_simplicity(g):
+    """check_simplicity as one scan of every edge, before the orbit reduction."""
+    witnesses = []
+    for (u, v), w in g.weights.items():
+        tu, tv = g.tau[u], g.tau[v]
+        if tu > tv:
+            if g.weights.get((v, u), 0) != 0:
+                witnesses.append((u, v))
+        elif not (tu <= tv or tv <= tu):
+            if w != 1 or g.weights.get((v, u), 0) != 1:
+                witnesses.append((u, v))
+        else:
+            witnesses.append((u, v))  # tau(u) <= tau(v): not even reduced
+    return sorted(witnesses)
+
+
+EDGE_RULES = {
+    "compatibility": (check_compatibility, _full_scan_compatibility),
+    "simplicity": (check_simplicity, _full_scan_simplicity),
+}
 
 
 class TestCompatibility:
@@ -417,13 +451,13 @@ class TestColumnsMatchLaurentMatrices:
     @staticmethod
     def _assert_agree(g):
         count = len(g.vertices)
-        x, columns = g.hecke_columns
         matrices = laurent_matrices(g)
-        assert [i for i, _ in columns] == sorted(matrices)
-        for i, cols in columns:
+        assert sorted(g.index_set) == sorted(matrices)
+        for i in sorted(matrices):
+            cols = g.hecke_columns(i)
             assert len(cols) == count
             for u, col in enumerate(cols):
-                assert _laurent_column(x, u, col, count) == [row[u] for row in matrices[i]], (i, u)
+                assert _laurent_column(g.hecke_x, u, col, count) == [row[u] for row in matrices[i]], (i, u)
 
     @pytest.mark.parametrize("shape", two_row_shapes(3, 8), ids=str)
     def test_affine_graphs(self, shape):
@@ -437,6 +471,11 @@ class TestColumnsMatchLaurentMatrices:
     def test_negative_weights(self):
         assert any(m < 0 for m in NEGATIVE_WEIGHT_GRAPH.weights.values())
         self._assert_agree(NEGATIVE_WEIGHT_GRAPH)
+
+    @pytest.mark.parametrize("i", [0, 4, True, 1.0, "1"])
+    def test_generator_outside_the_index_set(self, i):
+        with pytest.raises(ValueError, match="not in the index set"):
+            NEGATIVE_WEIGHT_GRAPH.hecke_columns(i)
 
 
 class TestIntegerHeckeCheck:
@@ -571,16 +610,76 @@ def _orbit_perturbed(g, edges, weight):
     return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
 
 
-def _orbit_representatives(g):
-    """One edge of each sigma-orbit of edges."""
+def _orbit_representatives(g, pairs=None):
+    """One pair of each sigma-orbit of the given vertex pairs, by default the edges."""
     sigma, seen, reps = g.shift_automorphism, set(), []
-    for u, v in sorted(g.weights):
+    for u, v in sorted(g.weights if pairs is None else pairs):
         if (u, v) not in seen:
             reps.append((u, v))
             for _ in range(g.n):
                 seen.add((u, v))
                 u, v = sigma[u], sigma[v]
     return reps
+
+
+def _orbit_added(g, pair):
+    """g with the sigma-orbit of an absent vertex pair added as edges of weight 1."""
+    sigma = g.shift_automorphism
+    weights = dict(g.weights)
+    u, v = pair
+    for _ in range(g.n):
+        weights[(u, v)] = 1
+        u, v = sigma[u], sigma[v]
+    return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
+
+
+@pytest.fixture
+def edge_scans(monkeypatch):
+    """The edges each call of the compatibility and simplicity kernels reads, by rule."""
+    scans = {name: [] for name in EDGE_RULES}
+
+    def counted(name, kernel):
+        def call(g, edges):
+            read = []
+            scans[name].append(read)
+
+            def tapped():
+                for edge in edges:
+                    read.append(edge[0])
+                    yield edge
+            return kernel(g, tapped())
+        return call
+
+    for name in EDGE_RULES:
+        kernel = f"_{name}_edges"
+        monkeypatch.setattr(verify, kernel, counted(name, getattr(verify, kernel)))
+    return scans
+
+
+def _assert_edge_rules_match_oracles(g, edge_scans):
+    """
+    Both edge rules give the full scan's witnesses.  A shift-invariant graph
+    is scanned on the representatives' out-edges first and in full only
+    when those fail; any other graph is scanned once, in full.
+    """
+    witnesses = {}
+    for name, (check, oracle) in EDGE_RULES.items():
+        edge_scans[name].clear()
+        expected = oracle(g)
+        assert list(check(g).witnesses) == expected, name
+        scans = edge_scans[name]
+        if g.shift_automorphism is not None:
+            assert len(scans) == 1 + bool(expected), name
+            reps = g.shift_orbit_representatives
+            out = [(u, v) for u in reps for v, _ in g.adjacency[u]]
+            # stops at the first witness of the representatives' edges
+            assert scans[0] == out[:len(scans[0])] and (expected or scans[0] == out), name
+        else:
+            assert len(scans) == 1, name
+        if len(scans) > 1 or g.shift_automorphism is None:
+            assert scans[-1] == list(g.weights), name
+        witnesses[name] = expected
+    return witnesses
 
 
 @pytest.fixture
@@ -598,6 +697,20 @@ def kernel_calls(monkeypatch):
         kernel = f"_{name}_pair"
         monkeypatch.setattr(verify, kernel, counted(name, getattr(verify, kernel)))
     return calls
+
+
+@pytest.fixture
+def built_generators(monkeypatch):
+    """The generators whose Hecke columns are built, in order."""
+    built = []
+    build = wgraph._generator_columns
+
+    def counted(tau, adjacency, x, i):
+        built.append(i)
+        return build(tau, adjacency, x, i)
+
+    monkeypatch.setattr(wgraph, "_generator_columns", counted)
+    return built
 
 
 def _pair_calls(n, failing, stop_on_first=False):
@@ -628,7 +741,9 @@ class TestOrbitReduction:
     """
     When the shift is an automorphism, the bonding, polygon and Hecke checks
     evaluate one generator pair per rotation orbit, and every pair if one of
-    those fails.
+    those fails; compatibility and simplicity scan the out-edges of one
+    vertex per orbit, and every edge if one of those fails.  The Hecke
+    check builds the columns of the generators its pairs read.
     """
 
     @pytest.mark.parametrize("weight", [None, 2, -1, 3])
@@ -680,6 +795,92 @@ class TestOrbitReduction:
             assert check_bonding(g).passed and check_polygon(g).passed
             assert check_hecke_relations(g).passed and hecke_holds(g)
             assert kernel_calls == {"bonding": g.n // 2, "polygon": g.n // 2, "hecke": 2 * (g.n // 2)}
+
+    def test_built_graphs_scan_the_representative_edges(self, edge_scans):
+        graphs = [build_affine_graph(shape) for shape in two_row_shapes(3, 9)]
+        graphs += [build_equal_variant(Partition((a, a)), p) for a in (2, 3, 4) for p in (0, 2)]
+        for g in graphs:
+            sigma = g.shift_automorphism
+            least = set()
+            for u in range(len(sigma)):
+                orbit = [u]
+                while sigma[orbit[-1]] != u:
+                    orbit.append(sigma[orbit[-1]])
+                least.add(min(orbit))
+            assert g.shift_orbit_representatives == tuple(sorted(least))
+            assert _assert_edge_rules_match_oracles(g, edge_scans) == {name: [] for name in EDGE_RULES}
+            scanned = len(edge_scans["compatibility"][0])
+            assert scanned < len(g.weights) <= g.n * scanned
+
+    @pytest.mark.parametrize("change", [None, 2, -1, 3, "added"])
+    @pytest.mark.parametrize("parts", [(3, 2), (4, 2), (2, 2), (3, 3)])
+    def test_orbit_damaged_graphs_match_the_full_scan(self, parts, change, edge_scans):
+        # a whole sigma-orbit of edges deleted, re-weighted or added keeps sigma
+        g = _base_graph(parts)
+        if change == "added":
+            count = len(g.vertices)
+            absent = [(u, v) for u in range(count) for v in range(count) if (u, v) not in g.weights]
+            graphs = [_orbit_added(g, pair) for pair in _orbit_representatives(g, absent)]
+        else:
+            graphs = [_orbit_perturbed(g, [edge], change) for edge in _orbit_representatives(g)]
+        failed = Counter()
+        for h in graphs:
+            assert h.shift_automorphism == g.shift_automorphism
+            witnesses = _assert_edge_rules_match_oracles(h, edge_scans)
+            failed.update(name for name, found in witnesses.items() if found)
+        assert failed["simplicity"]
+        if change == "added":
+            # some added orbit joins tau labels that separate a non-adjacent pair
+            assert failed["compatibility"]
+
+    def test_other_damaged_graphs_match_the_full_scan(self, edge_scans):
+        rng = random.Random(13)
+        graphs = list(self._full_path_inputs().values())
+        for parts in ((3, 2), (4, 2), (3, 3), (4, 3)):
+            g = _base_graph(parts)
+            for _ in range(8):
+                weights = dict(g.weights)
+                for edge in rng.sample(sorted(weights), rng.randint(1, 3)):
+                    del weights[edge]
+                for edge in rng.sample(sorted(weights), rng.randint(0, 3)):
+                    weights[edge] = rng.choice(WEIGHTS)
+                pair = (rng.randrange(len(g.vertices)), rng.randrange(len(g.vertices)))
+                weights[pair] = weights.get(pair, 1)
+                graphs.append(LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights))
+        failed = Counter()
+        for h in graphs:
+            assert h.shift_automorphism is None
+            witnesses = _assert_edge_rules_match_oracles(h, edge_scans)
+            failed.update(name for name, found in witnesses.items() if found)
+        assert failed["compatibility"] and failed["simplicity"]
+
+    def test_passing_check_builds_the_representative_generators(self, built_generators):
+        graphs = [build_affine_graph(shape) for shape in two_row_shapes(3, 9)]
+        graphs += [build_equal_variant(Partition((a, a)), p) for a in (2, 3, 4) for p in (0, 2)]
+        for g in graphs:
+            built_generators.clear()
+            assert check_hecke_relations(g).passed
+            assert built_generators == list(range(1, g.n // 2 + 2))
+            assert hecke_holds(g)
+            assert built_generators == list(range(1, g.n // 2 + 2))
+
+    def test_failing_graphs_build_every_generator(self, built_generators):
+        graphs = []
+        for parts in ((3, 2), (4, 2), (3, 3)):
+            g = _base_graph(parts)
+            edge = next(
+                edge for edge in _orbit_representatives(g)
+                if not check_hecke_relations(_orbit_perturbed(g, [edge], None)).passed
+            )
+            graphs.append(_orbit_perturbed(g, [edge], None))  # fresh, no columns built yet
+            graphs.append(_without_edge(g, sorted(g.weights)[0]))
+        for h in graphs:
+            built_generators.clear()
+            assert not check_hecke_relations(h).passed
+            assert built_generators == sorted(h.index_set)
+            assert not hecke_holds(h)
+            assert built_generators == sorted(h.index_set)
+        assert {h.shift_automorphism is None for h in graphs} == {True, False}
 
     @staticmethod
     def _full_path_inputs():

@@ -378,15 +378,15 @@ class TestConstruction:
         g = LabeledWGraph(g33.n, index_set, vertices, tau, g33.weights)
         assert (type(g.index_set), type(g.vertices), type(g.tau)) == (frozenset, tuple, tuple)
         assert all(type(t) is frozenset for t in g.tau)
-        derived = {name: getattr(g, name) for name in DERIVED}
+        derived = _derived(g)
         assert derived["shift_automorphism"] is not None
         index_set.discard(g33.n)
         vertices.pop()
         for t in tau:
             t.clear()
         assert g == g33
-        assert {name: getattr(g, name) for name in DERIVED} == derived
-        assert derived == {name: getattr(g33, name) for name in DERIVED}
+        assert _derived(g) == derived
+        assert derived == _derived(g33)
 
     def test_exact_containers_kept(self, g33):
         g = LabeledWGraph(g33.n, g33.index_set, g33.vertices, g33.tau, g33.weights)
@@ -394,7 +394,14 @@ class TestConstruction:
         assert all(a is b for a, b in zip(g.tau, g33.tau))
 
 
-DERIVED = ("adjacency", "shift_automorphism", "hecke_columns")
+DERIVED = ("adjacency", "shift_automorphism", "shift_orbit_representatives", "hecke_x")
+
+
+def _derived(g) -> dict:
+    """The derived values of g, with the columns of every generator."""
+    values = {name: getattr(g, name) for name in DERIVED}
+    values.update((("hecke_columns", i), g.hecke_columns(i)) for i in sorted(g.index_set))
+    return values
 
 
 def _frozen(value) -> bool:
@@ -414,11 +421,17 @@ class TestDerivedValues:
                 setattr(g33, name, ())
             with pytest.raises(FrozenInstanceError):
                 delattr(g33, name)
+        with pytest.raises(FrozenInstanceError):
+            g33.hecke_columns = None
+        for i in sorted(g33.index_set):
+            cols = g33.hecke_columns(i)
+            assert len(cols) == len(g33.vertices) and g33.hecke_columns(i) is cols
+            assert _frozen(cols), i
 
     def test_pickle_and_copy(self, g33):
-        derived = {name: getattr(g33, name) for name in DERIVED}
+        derived = _derived(g33)
         for clone in (pickle.loads(pickle.dumps(g33)), copy.copy(g33), copy.deepcopy(g33)):
             assert clone == g33 and clone.vertices == g33.vertices
-            assert {name: getattr(clone, name) for name in DERIVED} == derived
+            assert _derived(clone) == derived
             with pytest.raises(TypeError):
                 clone.weights[(0, 1)] = 1
