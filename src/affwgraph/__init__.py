@@ -8,17 +8,15 @@ from .tableaux import (
     Partition,
     RowStandardTableau,
     affine_descents,
-    dominance_leq,
     enumerate_rsyt,
     enumerate_syt,
     finite_descents,
-    is_knuth_move,
     is_standard,
     mo,
     omega_shift,
     pint,
 )
-from .rsk import RskPair, component_index, finsh, rsk
+from .rsk import RskPair, finsh, rsk
 from .wgraph import (
     LabeledWGraph,
     cells,
@@ -28,29 +26,16 @@ from .wgraph import (
     is_nb_admissible,
     is_reduced,
     restrict_parabolic,
-    simple_components,
     simple_underlying,
 )
 from .tworow import (
-    Move,
     build_affine_graph,
     build_dual_equiv,
     build_equal_variant,
     build_finite_graph,
-    enumerate_moves,
     first_kind_target,
-    second_kind_target,
-    second_kind_valid,
 )
-from .affperm import (
-    AffinePermutation,
-    compose,
-    left_descents,
-    min_coset_reps,
-    right_descents,
-    s0_tableau_action,
-    upsilon,
-)
+from .affperm import AffinePermutation, min_coset_reps
 from .verify import (
     RuleReport,
     check_all_rules,

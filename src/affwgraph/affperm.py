@@ -1,8 +1,8 @@
 """
-Window-notation arithmetic for the extended affine symmetric group, the
-minimal coset representatives of S_n modulo a row-stabilizer, and the
-coset/tableau correspondence sending a representative w to w applied to
-the canonical tableau.
+Elements of the extended affine symmetric group in window notation and
+their inverses, the minimal coset representatives of S_n modulo a
+row-stabilizer, and the coset/tableau correspondence sending a
+representative w to w applied to the canonical tableau.
 
 A window [w(1), ..., w(n)] extends to all of Z by w(k+n) = w(k)+n; the
 group element lies in the non-extended affine symmetric group exactly when
@@ -16,12 +16,7 @@ from itertools import combinations
 
 from .tableaux import Partition, RowStandardTableau, mo
 
-__all__ = [
-    "AffinePermutation", "identity", "simple_reflection", "cyclic_shift",
-    "compose", "inverse", "right_descents", "left_descents",
-    "min_coset_reps", "canonical_tableau", "upsilon",
-    "s0_tableau_action", "tableau_action",
-]
+__all__ = ["AffinePermutation", "inverse", "min_coset_reps", "canonical_tableau", "tableau_action"]
 
 
 @dataclass(frozen=True)
@@ -39,8 +34,8 @@ class AffinePermutation:
     def _trusted(cls, window: tuple[int, ...]) -> "AffinePermutation":
         """
         The permutation with this window, stored as given: only for a tuple
-        whose entries have distinct residues, derived from valid permutations
-        (products, inverses) or an enumeration of valid windows, so it is not
+        whose entries have distinct residues, derived from a valid permutation
+        (its inverse) or an enumeration of valid windows, so it is not
         checked again.
         """
         w = object.__new__(cls)
@@ -66,34 +61,6 @@ class AffinePermutation:
         return "[" + ",".join(str(w) for w in self.window) + "]"
 
 
-def identity(n: int) -> AffinePermutation:
-    return AffinePermutation(tuple(range(1, n + 1)))
-
-
-def simple_reflection(i: int, n: int) -> AffinePermutation:
-    """s_i for 1 <= i <= n-1; s_0 = s_n is [0, 2, ..., n-1, n+1]."""
-    r = mo(i, n)
-    window = list(range(1, n + 1))
-    if r == n:
-        window[0], window[n - 1] = 0, n + 1
-    else:
-        window[r - 1], window[r] = r + 1, r
-    return AffinePermutation(tuple(window))
-
-
-def cyclic_shift(n: int) -> AffinePermutation:
-    """The element [2, 3, ..., n+1] whose conjugation realizes omega."""
-    return AffinePermutation(tuple(range(2, n + 2)))
-
-
-def compose(u: AffinePermutation, w: AffinePermutation) -> AffinePermutation:
-    """(u o w)(k) = u(w(k))."""
-    if u.n != w.n:
-        raise ValueError(f"sizes differ: {u.n} vs {w.n}")
-    # both permute the residues, so their product does
-    return AffinePermutation._trusted(tuple(u(x) for x in w.window))
-
-
 def inverse(w: AffinePermutation) -> AffinePermutation:
     n = w.n
     window = [0] * n
@@ -102,15 +69,6 @@ def inverse(w: AffinePermutation) -> AffinePermutation:
         r = mo(value, n)
         window[r - 1] = i + (r - value)
     return AffinePermutation._trusted(tuple(window))
-
-
-def right_descents(w: AffinePermutation) -> frozenset[int]:
-    """{i in [1,n] : w(i) > w(i+1)}, reading i = n through the extension."""
-    return frozenset(i for i in range(1, w.n + 1) if w(i) > w(i + 1))
-
-
-def left_descents(w: AffinePermutation) -> frozenset[int]:
-    return right_descents(inverse(w))
 
 
 def min_coset_reps(shape: Partition) -> list[AffinePermutation]:
@@ -156,13 +114,3 @@ def tableau_action(w: AffinePermutation, t: RowStandardTableau) -> RowStandardTa
     window = w.window
     rows = tuple(tuple(sorted((window[e - 1] - 1) % n + 1 for e in row)) for row in t.rows)
     return RowStandardTableau._trusted(rows)
-
-
-def upsilon(w: AffinePermutation, shape: Partition) -> RowStandardTableau:
-    """Apply w to the canonical tableau of the shape."""
-    return tableau_action(w, canonical_tableau(shape))
-
-
-def s0_tableau_action(t: RowStandardTableau) -> RowStandardTableau:
-    """Switch the entries 1 and n, re-sorting rows."""
-    return t.with_swapped(1, t.n)

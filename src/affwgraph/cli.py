@@ -81,7 +81,10 @@ def _render(g: LabeledWGraph, fmt: str, name: str) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"{output}: cannot write: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -188,10 +191,14 @@ def cmd_cells(args) -> int:
 def cmd_export(args) -> int:
     g = _build(args)
     outdir = Path(args.output or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
     name = _graph_name(args)
-    (outdir / f"{name}.json").write_text(_render(g, "json", name), encoding="utf-8")
-    (outdir / f"{name}.dot").write_text(_render(g, "dot", name), encoding="utf-8")
+    files = [(outdir / f"{name}.{fmt}", _render(g, fmt, name)) for fmt in ("json", "dot")]
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for path, text in files:
+            path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"{exc.filename}: cannot write: {exc.strerror}") from None
     sys.stdout.write(f"wrote {name}.json and {name}.dot to {outdir}\n")
     return 0
 

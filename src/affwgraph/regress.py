@@ -5,9 +5,10 @@ graphs, runnable from the command line and mirrored by the test suite.
 Each check returns a RegressResult; names are stable so CI can key on them.
 Seven checks sweep the shapes in one pass: each shape's affine graph is
 built once, and what the checks derive from it (the rsk pair of each
-vertex, the restriction to [1, n-1] and its cells, the simple underlying
-graph and its components, the shift's vertex permutation and the Knuth
-graph) is derived at most once, by the first check using it.
+vertex, which vertices are standard, the restriction to [1, n-1] and its
+cells, the simple underlying graph and its components, the shift's vertex
+permutation and the Knuth graph) is derived at most once, by the first
+check using it.
 Each finite graph a restriction cell is compared with is built once per
 run (once per process with `--jobs K`, which splits the shapes into K
 batches, at most one per shape, of about equal vertex counts, largest
@@ -157,6 +158,11 @@ class _Shape:
         return simple.weights, _component_ids(simple)
 
     @cached_property
+    def standard(self) -> list[bool]:
+        """Whether each vertex is a standard tableau, by index."""
+        return [is_standard(t) for t in self.g.vertices]
+
+    @cached_property
     def sigma(self) -> tuple[int, ...]:
         """sigma[k] is the index of omega_shift of vertex k."""
         return shift_permutation(self.g.vertices)
@@ -187,9 +193,10 @@ def _mutation_sensitivity(s: _Shape) -> tuple[list[str], int]:
         if comp[edge[0]] != comp[edge[1]]:
             continue
         total += 1
+        # a fresh dict: the weights of a valid graph minus one key
         weights = dict(g.weights)
         del weights[edge]
-        mutated = LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
+        mutated = LabeledWGraph._trusted(g.n, g.index_set, g.vertices, g.tau, weights)
         if rules_hold(mutated) and hecke_holds(mutated):
             silent.append(f"{s.shape}:{edge}")
     return silent, total
@@ -261,13 +268,13 @@ def _finite_move_labels(s: _Shape) -> tuple[list[str], int]:
     Every move between standard tableaux surviving the restriction swaps
     j out of row 1 and i out of row 2 with j >= i - 1.
     """
-    restricted = s.restricted
+    restricted, standard = s.restricted, s.standard
     bad = []
     checked = 0
     for (u, v) in sorted(restricted.weights):
-        tu, tv = restricted.vertices[u], restricted.vertices[v]
-        if not (is_standard(tu) and is_standard(tv)):
+        if not (standard[u] and standard[v]):
             continue
+        tu, tv = restricted.vertices[u], restricted.vertices[v]
         j = next(iter(set(tu.rows[0]) - set(tv.rows[0])))
         i = next(iter(set(tu.rows[1]) - set(tv.rows[1])))
         checked += 1
@@ -286,7 +293,7 @@ def _shift_suite(s: _Shape) -> tuple[list[str], int]:
     n = shape.n
     # the first two parts of each insertion shape, 0 for a missing second row
     pairs = [(tuple(map(len, pair.p.rows)) + (0,))[:2] for pair in s.insertion]
-    standard = [is_standard(t) for t in vertices]
+    standard = s.standard
     bad = []
     for k, t in enumerate(vertices):
         (a, b), (sa, sb) = pairs[k], pairs[sigma[k]]

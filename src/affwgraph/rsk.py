@@ -6,7 +6,9 @@ as its second row; the first row records, for each entry, the number of
 rows of T minus the row number plus one, so the bottom row is labeled 1.
 P is the insertion tableau of the reading word (standard), Q the recording
 tableau, returned as its rows: they increase weakly, its columns strictly,
-and its content is sh(T) reversed.
+and its content is sh(T) reversed.  Row insertion of the entries 1..n keeps
+every row of P increasing and its row lengths weakly decreasing, so P is
+built from its rows without checking them again.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .tableaux import Partition, RowStandardTableau
 
-__all__ = ["RskPair", "rsk", "finsh", "component_index"]
+__all__ = ["RskPair", "rsk", "finsh"]
 
 
 @dataclass(frozen=True)
@@ -52,25 +54,10 @@ def rsk(t: RowStandardTableau) -> RskPair:
     for a in range(depth, 0, -1):
         for entry in t.rows[a - 1]:
             _row_insert(rows, labels, entry, depth + 1 - a)
-    p = RowStandardTableau(tuple(tuple(row) for row in rows))
+    p = RowStandardTableau._trusted(tuple(tuple(row) for row in rows))
     return RskPair(p, tuple(tuple(row) for row in labels))
 
 
 def finsh(t: RowStandardTableau) -> Partition:
     """The shape of the insertion tableau of t."""
     return rsk(t).p.shape
-
-
-def component_index(t: RowStandardTableau) -> int:
-    """
-    For equal-row shapes (a,a): 0 when the second row of finsh(t) has the
-    same parity as a, else 1.  Constant on connected components of the
-    Knuth-move graph, and 0 exactly on the component of the standard tableaux.
-    """
-    shape = t.shape
-    if not shape.is_equal_row:
-        raise ValueError(f"shape must have two equal rows: {shape}")
-    a = shape.parts[0]
-    fs = finsh(t).parts
-    second = fs[1] if len(fs) > 1 else 0
-    return (a - second) % 2

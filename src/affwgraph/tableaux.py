@@ -1,6 +1,6 @@
 """
 Partitions, row-standard Young tableaux, cyclic residues and intervals,
-descent sets, Knuth moves, and the cyclic-shift action.
+descent sets, standardness, and the cyclic-shift action.
 
 Conventions: rows are numbered from the top starting at 1, a "higher" row
 has a smaller row number, and every tableau stores its rows sorted.
@@ -18,8 +18,7 @@ from itertools import combinations, filterfalse
 __all__ = [
     "Partition", "RowStandardTableau",
     "mo", "pint", "affine_descents", "finite_descents",
-    "omega_shift", "shift_permutation", "is_knuth_move", "enumerate_rsyt", "enumerate_syt",
-    "dominance_leq", "is_standard",
+    "omega_shift", "shift_permutation", "enumerate_rsyt", "enumerate_syt", "is_standard",
     "tableau_text", "tableau_to_json", "tableau_from_json",
 ]
 
@@ -65,19 +64,6 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def dominance_leq(mu: Partition, nu: Partition) -> bool:
-    """True when every prefix sum of mu is at most the one of nu."""
-    if mu.n != nu.n:
-        raise ValueError(f"sizes differ: {mu} vs {nu}")
-    total_mu = total_nu = 0
-    for k in range(max(mu.length, nu.length)):
-        total_mu += mu.parts[k] if k < mu.length else 0
-        total_nu += nu.parts[k] if k < nu.length else 0
-        if total_mu > total_nu:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class RowStandardTableau:
     """Rows of a Young diagram filled with {1..n}, each row strictly increasing."""
@@ -118,13 +104,6 @@ class RowStandardTableau:
             if entry in row:
                 return a
         raise ValueError(f"{entry} not in tableau {self.rows}")
-
-    def reading_word(self) -> tuple[int, ...]:
-        """Concatenation of the rows from bottom to top."""
-        word: list[int] = []
-        for row in reversed(self.rows):
-            word.extend(row)
-        return tuple(word)
 
     def with_swapped(self, x: int, y: int) -> "RowStandardTableau":
         """The tableau with entries x and y interchanged, rows re-sorted."""
@@ -203,24 +182,6 @@ def shift_permutation(tableaux: Sequence[RowStandardTableau]) -> tuple[int, ...]
     index = {word: k for k, word in enumerate(words)}
     sigma = tuple(index.get(word[-1:] + word[:-1]) for word in words)
     return None if None in sigma else sigma
-
-
-def is_knuth_move(t: RowStandardTableau, u: RowStandardTableau) -> bool:
-    """
-    True when u arises from t by interchanging mo(i) and mo(i+1) for some i
-    and the affine descent sets of t and u are incomparable.
-    """
-    if t.shape != u.shape:
-        raise ValueError("tableaux must have the same shape")
-    dt, du = affine_descents(t), affine_descents(u)
-    if dt <= du or du <= dt:
-        return False
-    n = t.n
-    for i in range(1, n + 1):
-        x, y = mo(i, n), mo(i + 1, n)
-        if t.row_of(x) != t.row_of(y) and t.with_swapped(x, y) == u:
-            return True
-    return False
 
 
 def _fill_from_bottom(shape: Partition, rows_for) -> list[RowStandardTableau]:

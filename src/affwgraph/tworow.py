@@ -1,8 +1,9 @@
 """
-The two-row graph constructions: moves of the first and second kind on
-row-standard tableaux, the affine graph they generate, the dual equivalence
-graph of Knuth moves, the equal-row variants, and the finite graph on
-standard tableaux.
+The two-row graph constructions: the affine graph generated by the moves
+of the first and second kind on row-standard tableaux, the dual
+equivalence graph of Knuth moves, the equal-row variants, and the finite
+graph on standard tableaux; and the first-kind move on one tableau, which
+the regression reads.
 
 A move swaps one entry of row 1 with one entry of row 2.  First kind:
 mo(i) in row 1 trades places with mo(i+1) in row 2.  Second kind: mo(i) in
@@ -28,8 +29,6 @@ is neither copied nor checked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .tableaux import (
     Partition,
     RowStandardTableau,
@@ -41,19 +40,9 @@ from .tableaux import (
 from .wgraph import LabeledWGraph, simple_component_ids
 
 __all__ = [
-    "Move", "first_kind_target", "second_kind_valid", "second_kind_target",
-    "enumerate_moves", "build_affine_graph", "build_dual_equiv",
+    "first_kind_target", "build_affine_graph", "build_dual_equiv",
     "build_equal_variant", "build_finite_graph",
 ]
-
-
-@dataclass(frozen=True)
-class Move:
-    kind: str  # "first" | "second"
-    i: int
-    j: int  # equals i + 1 for first-kind moves
-    source: int
-    target: int
 
 
 def _require_two_row(shape: Partition) -> None:
@@ -131,27 +120,6 @@ def first_kind_target(s: RowStandardTableau, i: int) -> RowStandardTableau | Non
     return None
 
 
-def second_kind_valid(s: RowStandardTableau, i: int, j: int) -> bool:
-    """
-    Decide conditions (a)-(e) for the second-kind swap of mo(i) in row 2
-    with mo(j) in row 1.  Raises if (s, i, j) is not even a candidate.
-    """
-    m = _row2_mask(s)
-    n = s.n
-    x, y = mo(i, n), mo(j, n)
-    if not m >> (x - 1) & 1 or m >> (y - 1) & 1 or x == mo(j + 1, n):
-        raise ValueError(f"not a second-kind candidate: i={i}, j={j} on {s}")
-    ends_i, ends_j = _second_kind_ends(m, n)
-    return bool(ends_i >> (x - 1) & 1 and ends_j >> (y - 1) & 1) and _second_kind_gate(m, x, y, n)
-
-
-def second_kind_target(s: RowStandardTableau, i: int, j: int) -> RowStandardTableau | None:
-    """The result of the second-kind move, or None when (a)-(e) fail."""
-    if second_kind_valid(s, i, j):
-        return s.with_swapped(mo(i, s.n), mo(j, s.n))
-    return None
-
-
 def _moves(masks: list[int], n: int):
     """
     The moves between the given row-2 masks of size n as (kind, i, j,
@@ -185,16 +153,6 @@ def _descent_sets(descents: list[int]) -> tuple[frozenset[int], ...]:
     return tuple(sets[d] for d in descents)
 
 
-def enumerate_moves(shape: Partition) -> list[Move]:
-    """
-    All moves between row-standard tableaux of the shape, with source and
-    target given as indices into enumerate_rsyt(shape).
-    """
-    _require_two_row(shape)
-    masks = [_row2_mask(t) for t in enumerate_rsyt(shape)]
-    return [Move(*fields) for fields in _moves(masks, shape.n)]
-
-
 def build_affine_graph(shape: Partition) -> LabeledWGraph:
     """The [1,n]-labeled graph on RSYT(shape) generated by the two moves."""
     _require_two_row(shape)
@@ -216,7 +174,7 @@ def build_dual_equiv(shape: Partition) -> LabeledWGraph:
     descents = [_descent_mask(m, n) for m in masks]
     top = 1 << (n - 1)
     # a Knuth move swaps mo(i) and mo(i+1) from different rows and leaves
-    # incomparable descent sets (see is_knuth_move)
+    # incomparable descent sets
     pairs = []
     for u, m in enumerate(masks):
         split = m ^ _rotate(m, 1, n)

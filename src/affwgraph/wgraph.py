@@ -1,8 +1,8 @@
 """
 I-labeled graphs: tableau vertices, descent labels tau, and a sparse
 nonnegative integer weight map, together with the structural operations
-(parabolic restriction, simple underlying graph, cells, simple components,
-reducedness, nb-admissibility) and JSON/DOT export.
+(parabolic restriction, simple underlying graph, cells, simple component
+numbers, reducedness, nb-admissibility) and JSON/DOT export.
 
 The index set is {1..n} for affine graphs and {1..n-1} for finite ones;
 all orderings are canonical so exports are byte-for-byte reproducible.
@@ -35,8 +35,8 @@ Edges = tuple[tuple[int, int], ...]
 
 __all__ = [
     "LabeledWGraph", "full_subgraph",
-    "restrict_parabolic", "simple_underlying", "cells", "simple_components",
-    "simple_component_ids", "is_reduced", "is_nb_admissible", "dynkin_adjacent",
+    "restrict_parabolic", "simple_underlying", "cells", "simple_component_ids",
+    "is_reduced", "is_nb_admissible", "dynkin_adjacent",
     "graph_to_json", "graph_from_json", "graph_to_dot",
 ]
 
@@ -335,11 +335,6 @@ def cells(g: LabeledWGraph) -> list[LabeledWGraph]:
 # simple_underlying keeps (u, v) exactly when (v, u) is kept too, so its
 # edge relation is symmetric and its strongly connected components are its
 # connected components: _scc_partition serves both, sorted by least vertex.
-
-
-def simple_components(g: LabeledWGraph) -> list[LabeledWGraph]:
-    """Connected components of the simple underlying graph, as full subgraphs of g."""
-    return [full_subgraph(g, comp) for comp in _scc_partition(simple_underlying(g))]
 
 
 def simple_component_ids(g: LabeledWGraph) -> list[int]:

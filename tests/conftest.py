@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from affwgraph import Partition, finite_descents
+from affwgraph import Partition, affine_descents, finite_descents, mo
 
 
 def two_row_shapes(min_n: int, max_n: int) -> list[Partition]:
@@ -59,6 +59,38 @@ def count_ssyt(shape: tuple[int, ...], content: tuple[int, ...], cap: int | None
 
     fill(0)
     return found
+
+
+def dominance_leq(mu: Partition, nu: Partition) -> bool:
+    """True when every prefix sum of mu is at most the one of nu."""
+    if mu.n != nu.n:
+        raise ValueError(f"sizes differ: {mu} vs {nu}")
+    total_mu = total_nu = 0
+    for k in range(max(mu.length, nu.length)):
+        total_mu += mu.parts[k] if k < mu.length else 0
+        total_nu += nu.parts[k] if k < nu.length else 0
+        if total_mu > total_nu:
+            return False
+    return True
+
+
+def is_knuth_move(t, u) -> bool:
+    """
+    True when u arises from t by interchanging mo(i) and mo(i+1) for some i
+    and the affine descent sets of t and u are incomparable: the oracle of
+    build_dual_equiv.
+    """
+    if t.shape != u.shape:
+        raise ValueError("tableaux must have the same shape")
+    dt, du = affine_descents(t), affine_descents(u)
+    if dt <= du or du <= dt:
+        return False
+    n = t.n
+    for i in range(1, n + 1):
+        x, y = mo(i, n), mo(i + 1, n)
+        if t.row_of(x) != t.row_of(y) and t.with_swapped(x, y) == u:
+            return True
+    return False
 
 
 def finite_knuth(t, u) -> bool:

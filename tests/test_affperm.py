@@ -9,30 +9,59 @@ from affwgraph import (
     Partition,
     RowStandardTableau,
     affine_descents,
-    compose,
     enumerate_rsyt,
     finite_descents,
-    left_descents,
     min_coset_reps,
-    right_descents,
-    s0_tableau_action,
-    upsilon,
 )
-from affwgraph.affperm import (
-    canonical_tableau,
-    cyclic_shift,
-    identity,
-    inverse,
-    simple_reflection,
-    tableau_action,
-)
-from affwgraph.tableaux import omega_shift
+from affwgraph.affperm import canonical_tableau, inverse, tableau_action
+from affwgraph.tableaux import mo, omega_shift
 
 from conftest import all_partitions, two_row_shapes
 
 
 def T(*rows):
     return RowStandardTableau(tuple(tuple(r) for r in rows))
+
+
+# Window arithmetic beyond the inverse, which only the tests use: the
+# generators, products and descent sets that the tableau action and the
+# coset correspondence are checked against.
+
+
+def identity(n: int) -> AffinePermutation:
+    return AffinePermutation(tuple(range(1, n + 1)))
+
+
+def simple_reflection(i: int, n: int) -> AffinePermutation:
+    """s_i for 1 <= i <= n-1; s_0 = s_n is [0, 2, ..., n-1, n+1]."""
+    r = mo(i, n)
+    window = list(range(1, n + 1))
+    if r == n:
+        window[0], window[n - 1] = 0, n + 1
+    else:
+        window[r - 1], window[r] = r + 1, r
+    return AffinePermutation(tuple(window))
+
+
+def cyclic_shift(n: int) -> AffinePermutation:
+    """The element [2, 3, ..., n+1] whose conjugation realizes omega."""
+    return AffinePermutation(tuple(range(2, n + 2)))
+
+
+def compose(u: AffinePermutation, w: AffinePermutation) -> AffinePermutation:
+    """(u o w)(k) = u(w(k))."""
+    if u.n != w.n:
+        raise ValueError(f"sizes differ: {u.n} vs {w.n}")
+    return AffinePermutation(tuple(u(x) for x in w.window))
+
+
+def right_descents(w: AffinePermutation) -> frozenset[int]:
+    """{i in [1,n] : w(i) > w(i+1)}, reading i = n through the extension."""
+    return frozenset(i for i in range(1, w.n + 1) if w(i) > w(i + 1))
+
+
+def left_descents(w: AffinePermutation) -> frozenset[int]:
+    return right_descents(inverse(w))
 
 
 class TestWindows:
@@ -135,27 +164,32 @@ class TestCosetReps:
 
 
 class TestUpsilon:
+    """upsilon, the map sending w to w applied to the canonical tableau."""
+
     def test_canonical(self):
         assert canonical_tableau(Partition((2, 1))) == T([2, 3], [1])
-        assert upsilon(identity(3), Partition((2, 1))) == T([2, 3], [1])
+        assert tableau_action(identity(3), canonical_tableau(Partition((2, 1)))) == T([2, 3], [1])
 
     def test_swap(self):
-        assert upsilon(AffinePermutation((2, 1, 3)), Partition((2, 1))) == T([1, 3], [2])
+        canonical = canonical_tableau(Partition((2, 1)))
+        assert tableau_action(AffinePermutation((2, 1, 3)), canonical) == T([1, 3], [2])
 
     def test_bijectivity(self):
         for shape in two_row_shapes(3, 7):
-            images = {upsilon(w, shape) for w in min_coset_reps(shape)}
+            images = {tableau_action(w, canonical_tableau(shape)) for w in min_coset_reps(shape)}
             assert images == set(enumerate_rsyt(shape))
 
 
 class TestTableauAction:
     def test_s0_examples(self):
-        assert s0_tableau_action(T([1, 2, 3], [4, 5])) == T([2, 3, 5], [1, 4])
-        assert s0_tableau_action(T([2, 3, 4], [1, 5])) == T([2, 3, 4], [1, 5])
+        s0 = simple_reflection(0, 5)
+        assert tableau_action(s0, T([1, 2, 3], [4, 5])) == T([2, 3, 5], [1, 4])
+        assert tableau_action(s0, T([2, 3, 4], [1, 5])) == T([2, 3, 4], [1, 5])
 
     def test_s0_involution(self):
+        s0 = simple_reflection(0, 5)
         for t in enumerate_rsyt(Partition((3, 2))):
-            assert s0_tableau_action(s0_tableau_action(t)) == t
+            assert tableau_action(s0, tableau_action(s0, t)) == t
 
     def test_generators_match_closed_form(self):
         # a word in the generators, applied step by step, agrees with the
@@ -170,11 +204,8 @@ class TestTableauAction:
                     w = identity(n)
                     for i in word:
                         gen = simple_reflection(i, n)
-                        stepped = (
-                            s0_tableau_action(stepped)
-                            if i == 0
-                            else stepped.with_swapped(i, i + 1)
-                        )
+                        # s_0 switches 1 and n, s_i switches i and i + 1
+                        stepped = stepped.with_swapped(i, i + 1) if i else stepped.with_swapped(1, n)
                         w = compose(gen, w)
                     assert tableau_action(w, t) == stepped
 
@@ -190,7 +221,7 @@ class TestDescentCorrespondence:
         for shape in two_row_shapes(3, 7):
             n = shape.n
             for w in min_coset_reps(shape):
-                image = upsilon(w, shape)
+                image = tableau_action(w, canonical_tableau(shape))
                 expected = frozenset(i for i in left_descents(w) if i < n)
                 assert finite_descents(image) == expected
 
@@ -198,7 +229,7 @@ class TestDescentCorrespondence:
         for shape in two_row_shapes(3, 7):
             n = shape.n
             for w in min_coset_reps(shape):
-                image = upsilon(w, shape)
+                image = tableau_action(w, canonical_tableau(shape))
                 winv = inverse(w)
                 predicted = image.row_of(1) != image.row_of(n) and winv(1) < winv(n)
                 assert (n in affine_descents(image)) == predicted
@@ -216,11 +247,11 @@ class TestTrustedValues:
             reps = min_coset_reps(shape)
             s0 = simple_reflection(0, shape.n)  # window entries 0 and n + 1
             for w, u in zip(reps, reps[1:] + reps[:1]):
-                assert same(w) and same(inverse(w)) and same(compose(w, u)), (shape, w, u)
-                assert same(compose(s0, w)) and same(inverse(compose(w, s0))), (shape, w)
+                assert same(w) and same(inverse(w)) and same(inverse(compose(w, u))), (shape, w, u)
+                assert same(inverse(compose(s0, w))) and same(inverse(compose(w, s0))), (shape, w)
 
     def test_images_equal_validated_tableaux(self):
         for shape in two_row_shapes(3, 9):
             for w in min_coset_reps(shape):
-                image = upsilon(w, shape)
+                image = tableau_action(w, canonical_tableau(shape))
                 assert image == RowStandardTableau(image.rows) and type(image.rows) is tuple

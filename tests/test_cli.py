@@ -286,6 +286,29 @@ class TestExport:
         assert (tmp_path / "gamma_3_2.dot").read_text().startswith("digraph")
 
 
+UNWRITABLE = {
+    "export into a file": ["export", "3", "2", "--output", "{file}"],
+    "build into a missing directory": ["build", "3", "2", "--output", "{missing}"],
+    "verify into a missing directory": ["verify", "3", "2", "--output", "{missing}"],
+    "cells into a missing directory": ["cells", "3", "2", "--output", "{missing}"],
+    "restrict into a missing directory": ["restrict", "3", "2", "--to", "1..4", "--output", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_unwritable_output_exits_two_with_one_line(capsys, tmp_path, argv):
+    existing = tmp_path / "existing.txt"
+    existing.write_text("kept\n", encoding="utf-8")
+    paths = {"file": str(existing), "missing": str(tmp_path / "no" / "such" / "out.json")}
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert existing.read_text(encoding="utf-8") == "kept\n"
+
+
 class TestRegress:
     def test_small_sweep(self, capsys):
         code, out = run(capsys, "regress", "--max-n", "4")

@@ -3,8 +3,6 @@ import pytest
 from affwgraph import (
     Partition,
     RowStandardTableau,
-    component_index,
-    dominance_leq,
     enumerate_rsyt,
     enumerate_syt,
     finsh,
@@ -13,11 +11,26 @@ from affwgraph import (
     rsk,
 )
 
-from conftest import all_partitions, finite_knuth, two_row_shapes
+from conftest import all_partitions, dominance_leq, finite_knuth, two_row_shapes
 
 
 def T(*rows):
     return RowStandardTableau(tuple(tuple(r) for r in rows))
+
+
+def component_index(t: RowStandardTableau) -> int:
+    """
+    For equal-row shapes (a,a): 0 when the second row of finsh(t) has the
+    same parity as a, else 1.  Constant on connected components of the
+    Knuth-move graph, and 0 exactly on the component of the standard tableaux.
+    """
+    shape = t.shape
+    if not shape.is_equal_row:
+        raise ValueError(f"shape must have two equal rows: {shape}")
+    a = shape.parts[0]
+    fs = finsh(t).parts
+    second = fs[1] if len(fs) > 1 else 0
+    return (a - second) % 2
 
 
 def check_recording_tableau(t, pair):

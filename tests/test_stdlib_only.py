@@ -2,8 +2,11 @@
 The runtime is pure stdlib (pyproject: dependencies = []): importing the
 package, the CLI and the regression suite in a fresh interpreter loads no
 top-level module outside the standard library, apart from affwgraph itself.
+Every name a module or the package exports resolves.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -31,3 +34,23 @@ def test_imports_only_the_standard_library():
     assert "affwgraph.regress" in loaded
     top_level = {name.partition(".")[0] for name in loaded}
     assert top_level - sys.stdlib_module_names == {"affwgraph"}
+
+
+def test_every_export_resolves():
+    # a name left in an __all__ or in the package's imports after its
+    # definition was deleted or moved would only fail on first use
+    modules = sorted(p.stem for p in (SRC / "affwgraph").glob("*.py") if p.stem != "__init__")
+    for name in modules:
+        module = importlib.import_module(f"affwgraph.{name}")
+        assert module.__all__, name
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert not missing, (name, missing)
+    # each name the package re-exports is public in the module it comes from
+    tree = ast.parse((SRC / "affwgraph" / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"affwgraph.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, (node.module, alias.name)
+            assert getattr(affwgraph, alias.asname or alias.name) is getattr(module, alias.name)

@@ -6,19 +6,18 @@ from affwgraph import (
     Partition,
     RowStandardTableau,
     affine_descents,
-    dominance_leq,
     enumerate_rsyt,
     enumerate_syt,
     finite_descents,
-    is_knuth_move,
     is_standard,
     mo,
     omega_shift,
     pint,
+    rsk,
 )
 from affwgraph.tableaux import shift_permutation, tableau_from_json, tableau_text, tableau_to_json
 
-from conftest import all_partitions, two_row_shapes
+from conftest import all_partitions, dominance_leq, is_knuth_move, two_row_shapes
 
 
 def T(*rows):
@@ -151,7 +150,8 @@ class TestEnumeration:
 
     def test_reading_word_order(self):
         tabs = enumerate_rsyt(Partition((3, 2)))
-        words = [t.reading_word() for t in tabs]
+        # the rows from bottom to top
+        words = [sum(reversed(t.rows), ()) for t in tabs]
         assert words == sorted(words)
 
     def test_standard_tableaux_are_the_standard_row_standard_ones(self):
@@ -175,7 +175,8 @@ class TestTableauValue:
                 T(*rows)
 
     def test_derived_tableaux_equal_validated_ones(self):
-        # enumerate_rsyt, omega_shift and with_swapped store their rows unchecked
+        # enumerate_rsyt, omega_shift, with_swapped and the insertion tableau
+        # of rsk store their rows unchecked
         def same(t):
             u = RowStandardTableau(t.rows)
             return u == t and hash(u) == hash(t) and u.rows == t.rows
@@ -185,7 +186,7 @@ class TestTableauValue:
                 if len(parts) > 3:
                     continue
                 for t in enumerate_rsyt(Partition(parts)):
-                    assert same(t) and same(omega_shift(t)), t
+                    assert same(t) and same(omega_shift(t)) and same(rsk(t).p), t
                     for x, y in combinations(range(1, n + 1), 2):
                         assert same(t.with_swapped(x, y)), (t, x, y)
 

@@ -2,13 +2,13 @@ import hashlib
 import json
 import pickle
 from collections import Counter
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import pytest
 
 from affwgraph import (
     LabeledWGraph,
-    Move,
     Partition,
     RowStandardTableau,
     affine_descents,
@@ -16,25 +16,60 @@ from affwgraph import (
     build_dual_equiv,
     build_equal_variant,
     build_finite_graph,
-    enumerate_moves,
     enumerate_rsyt,
     enumerate_syt,
     first_kind_target,
-    is_knuth_move,
     mo,
     omega_shift,
-    second_kind_target,
-    second_kind_valid,
 )
 from affwgraph.tableaux import pint
-from affwgraph.tworow import _finite_second_kind_valid
+from affwgraph.tworow import (
+    _finite_second_kind_valid,
+    _moves,
+    _row2_mask,
+    _second_kind_ends,
+    _second_kind_gate,
+)
 from affwgraph.wgraph import graph_to_dot, graph_to_json, simple_component_ids, simple_underlying
 
-from conftest import two_row_shapes
+from conftest import is_knuth_move, two_row_shapes
 
 
 def T(*rows):
     return RowStandardTableau(tuple(tuple(r) for r in rows))
+
+
+@dataclass(frozen=True)
+class Move:
+    kind: str  # "first" | "second"
+    i: int
+    j: int  # equals i + 1 for first-kind moves
+    source: int
+    target: int
+
+
+def enumerate_moves(shape: Partition) -> list[Move]:
+    """
+    The moves the affine builder draws its edges from, with source and
+    target given as indices into enumerate_rsyt(shape).
+    """
+    masks = [_row2_mask(t) for t in enumerate_rsyt(shape)]
+    return [Move(*fields) for fields in _moves(masks, shape.n)]
+
+
+def second_kind_valid(s: RowStandardTableau, i: int, j: int) -> bool:
+    """
+    The affine builder's decision on conditions (a)-(e) for the second-kind
+    swap of mo(i) in row 2 with mo(j) in row 1.  Raises if (s, i, j) is not
+    even a candidate.
+    """
+    m = _row2_mask(s)
+    n = s.n
+    x, y = mo(i, n), mo(j, n)
+    if not m >> (x - 1) & 1 or m >> (y - 1) & 1 or x == mo(j + 1, n):
+        raise ValueError(f"not a second-kind candidate: i={i}, j={j} on {s}")
+    ends_i, ends_j = _second_kind_ends(m, n)
+    return bool(ends_i >> (x - 1) & 1 and ends_j >> (y - 1) & 1) and _second_kind_gate(m, x, y, n)
 
 
 class TestFirstKind:
@@ -50,8 +85,12 @@ class TestFirstKind:
 
 class TestSecondKind:
     def test_known_swap(self):
-        assert second_kind_valid(T([2, 4, 5], [1, 3]), 1, 4)
-        assert second_kind_target(T([2, 4, 5], [1, 3]), 1, 4) == T([1, 2, 5], [3, 4])
+        s = T([2, 4, 5], [1, 3])
+        assert second_kind_valid(s, 1, 4)
+        # the move is an edge of the affine graph
+        g = build_affine_graph(s.shape)
+        index = g.vertex_index()
+        assert (index[s], index[T([1, 2, 5], [3, 4])]) in g.weights
 
     def test_reverse_of_first_kind(self):
         assert second_kind_valid(T([2, 4, 5], [1, 3]), 3, 4)
@@ -240,11 +279,11 @@ def _moves_oracle(shape):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 try:
-                    t = second_kind_target(s, i, j)
+                    valid = second_kind_valid(s, i, j)
                 except ValueError:  # not a second-kind candidate
                     continue
-                if t is not None:
-                    moves.append(Move("second", i, j, src, index[t]))
+                if valid:
+                    moves.append(Move("second", i, j, src, index[s.with_swapped(mo(i, n), mo(j, n))]))
     return moves
 
 

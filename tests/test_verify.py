@@ -25,14 +25,13 @@ from affwgraph import (
     check_polygon,
     check_simplicity,
     classify_restriction_cells,
-    dominance_leq,
     finsh,
     restrict_parabolic,
 )
 from affwgraph.verify import hecke_holds, rules_hold
 from affwgraph.wgraph import dynkin_adjacent, full_subgraph, is_nb_admissible, is_reduced
 
-from conftest import all_partitions, count_ssyt, two_row_shapes
+from conftest import all_partitions, count_ssyt, dominance_leq, two_row_shapes
 from hecke_oracle import ONE, Q, V, ZERO, laurent_matrices, lp_monomial
 
 
