@@ -13,7 +13,6 @@ from .tableaux import (
     finite_descents,
     is_standard,
     mo,
-    omega_shift,
     pint,
 )
 from .rsk import RskPair, finsh, rsk

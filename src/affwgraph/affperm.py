@@ -4,9 +4,7 @@ their inverses, the minimal coset representatives of S_n modulo a
 row-stabilizer, and the coset/tableau correspondence sending a
 representative w to w applied to the canonical tableau.
 
-A window [w(1), ..., w(n)] extends to all of Z by w(k+n) = w(k)+n; the
-group element lies in the non-extended affine symmetric group exactly when
-the window sums to n(n+1)/2.
+A window [w(1), ..., w(n)] extends to all of Z by w(k+n) = w(k)+n.
 """
 
 from __future__ import annotations
@@ -45,12 +43,6 @@ class AffinePermutation:
     @property
     def n(self) -> int:
         return len(self.window)
-
-    @property
-    def is_affine(self) -> bool:
-        """Member of the non-extended affine group (zero total shift)."""
-        n = self.n
-        return sum(self.window) == n * (n + 1) // 2
 
     def __call__(self, k: int) -> int:
         """Value at any integer, via the periodic extension."""

@@ -59,9 +59,11 @@ def _variant_weight(text: str) -> int:
 
 def _build(args) -> LabeledWGraph:
     shape = Partition(tuple(args.shape))
-    if getattr(args, "variant", None) is not None:
-        return build_equal_variant(shape, _variant_weight(args.variant))
     kind = getattr(args, "kind", "affine")
+    if getattr(args, "variant", None) is not None:
+        if kind != "affine":
+            raise UsageError(f"--variant is an affine graph and cannot be combined with --kind {kind}")
+        return build_equal_variant(shape, _variant_weight(args.variant))
     if kind == "affine":
         return build_affine_graph(shape)
     if kind == "dual-equiv":

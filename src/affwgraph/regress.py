@@ -6,9 +6,10 @@ Each check returns a RegressResult; names are stable so CI can key on them.
 Seven checks sweep the shapes in one pass: each shape's affine graph is
 built once, and what the checks derive from it (the rsk pair of each
 vertex, which vertices are standard, the restriction to [1, n-1] and its
-cells, the simple underlying graph and its components, the shift's vertex
-permutation and the Knuth graph) is derived at most once, by the first
-check using it.
+cells, the simple underlying graph and its components, and the Knuth
+graph) is derived at most once, by the first check using it.  The shift's
+vertex permutation is the graph's shift automorphism, which the graph
+derives once for every check.
 Each finite graph a restriction cell is compared with is built once per
 run (once per process with `--jobs K`, which splits the shapes into K
 batches, at most one per shape, of about equal vertex counts, largest
@@ -33,7 +34,6 @@ from .tableaux import (
     affine_descents,
     is_standard,
     mo,
-    shift_permutation,
 )
 from .tworow import (
     build_affine_graph,
@@ -162,11 +162,6 @@ class _Shape:
         """Whether each vertex is a standard tableau, by index."""
         return [is_standard(t) for t in self.g.vertices]
 
-    @cached_property
-    def sigma(self) -> tuple[int, ...]:
-        """sigma[k] is the index of omega_shift of vertex k."""
-        return shift_permutation(self.g.vertices)
-
     def finite_graph(self, key: Partition) -> LabeledWGraph:
         if key not in self.finite:
             self.finite[key] = build_finite_graph(key)
@@ -288,12 +283,40 @@ def _shift_suite(s: _Shape) -> tuple[list[str], int]:
     The insertion-shape case table under the shift, the standardization
     properties for unequal and equal rows, first-kind cross-component edges,
     and the two components of the equal-row Knuth graph swapped by the shift.
+    The items about the shift's vertex permutation sigma are skipped when
+    the shift is not an automorphism of the graph.
     """
-    shape, vertices, sigma = s.shape, s.g.vertices, s.sigma
+    shape, vertices, sigma = s.shape, s.g.vertices, s.g.shift_automorphism
+    bad = [f"{shape}:shift"] if sigma is None else _sigma_findings(s, sigma)
+    if not shape.is_equal_row:
+        return bad, 0
+    _, comp = s.simple
+    if len(set(comp)) != 2:
+        return bad + [f"{shape}:component-count"], 0
+    if len(set(simple_component_ids(s.knuth))) != 2:
+        return bad + [f"{shape}:knuth-component-count"], 0
+    if sigma is not None:
+        for k, t in enumerate(vertices):
+            if comp[sigma[k]] == comp[k]:
+                bad.append(f"{shape}:{t}:shift-preserves-component")
+    n = shape.n
+    for (u, v) in sorted(s.g.weights):
+        if comp[u] == comp[v]:
+            continue
+        tu, tv = vertices[u], vertices[v]
+        x = next(iter(set(tu.rows[0]) - set(tv.rows[0])))
+        y = next(iter(set(tu.rows[1]) - set(tv.rows[1])))
+        if y != mo(x + 1, n) or first_kind_target(tu, x) != tv:
+            bad.append(f"{shape}:{(u, v)}:not-first-kind")
+    return bad, 0
+
+
+def _sigma_findings(s: _Shape, sigma: tuple[int, ...]) -> list[str]:
+    """The case table and the standardization properties of _shift_suite."""
+    shape, vertices, standard = s.shape, s.g.vertices, s.standard
     n = shape.n
     # the first two parts of each insertion shape, 0 for a missing second row
     pairs = [(tuple(map(len, pair.p.rows)) + (0,))[:2] for pair in s.insertion]
-    standard = s.standard
     bad = []
     for k, t in enumerate(vertices):
         (a, b), (sa, sb) = pairs[k], pairs[sigma[k]]
@@ -311,35 +334,22 @@ def _shift_suite(s: _Shape) -> tuple[list[str], int]:
             bad.append(f"{shape}:{t}:case-table")
         if (sa, sb) == (a, b) and not (standard[k] and standard[sigma[k]]):
             bad.append(f"{shape}:{t}:equal-implies-standard")
+    # some u on the cycle of sigma through k is standard (unequal rows: u and
+    # sigma u are), which is decided once per cycle, at its first vertex
+    if shape.is_equal_row:
+        item, good = "no-standard", standard
+    else:
+        item, good = "no-consecutive-standard", [standard[u] and standard[v] for u, v in enumerate(sigma)]
+    holds: dict[int, bool] = {}
     for k, t in enumerate(vertices):
-        orbit = [k]
-        for _ in range(n - 1):
-            orbit.append(sigma[orbit[-1]])
-        flags = [standard[u] for u in orbit]
-        if not shape.is_equal_row:
-            if not any(flags[m] and flags[(m + 1) % n] for m in range(n)):
-                bad.append(f"{shape}:{t}:no-consecutive-standard")
-        elif not any(flags):
-            bad.append(f"{shape}:{t}:no-standard")
-    if not shape.is_equal_row:
-        return bad, 0
-    _, comp = s.simple
-    if len(set(comp)) != 2:
-        return bad + [f"{shape}:component-count"], 0
-    if len(set(simple_component_ids(s.knuth))) != 2:
-        return bad + [f"{shape}:knuth-component-count"], 0
-    for k, t in enumerate(vertices):
-        if comp[sigma[k]] == comp[k]:
-            bad.append(f"{shape}:{t}:shift-preserves-component")
-    for (u, v) in sorted(s.g.weights):
-        if comp[u] == comp[v]:
-            continue
-        tu, tv = vertices[u], vertices[v]
-        x = next(iter(set(tu.rows[0]) - set(tv.rows[0])))
-        y = next(iter(set(tu.rows[1]) - set(tv.rows[1])))
-        if y != mo(x + 1, n) or first_kind_target(tu, x) != tv:
-            bad.append(f"{shape}:{(u, v)}:not-first-kind")
-    return bad, 0
+        if k not in holds:
+            cycle = [k]
+            while sigma[cycle[-1]] != k:
+                cycle.append(sigma[cycle[-1]])
+            holds.update(dict.fromkeys(cycle, any(good[u] for u in cycle)))
+        if not holds[k]:
+            bad.append(f"{shape}:{t}:{item}")
+    return bad
 
 
 def _coset_suite(s: _Shape) -> tuple[list[str], int]:

@@ -1,12 +1,12 @@
 """
 Partitions, row-standard Young tableaux, cyclic residues and intervals,
-descent sets, standardness, and the cyclic-shift action.
+descent sets, standardness, and the vertex permutation of the cyclic shift.
 
 Conventions: rows are numbered from the top starting at 1, a "higher" row
 has a smaller row number, and every tableau stores its rows sorted.
 Residues live in {1, ..., n}.  Tableaux from outside (the constructor,
-JSON) are validated; the enumerations, omega_shift and with_swapped derive
-their rows from valid ones and store them without checking them again.
+JSON) are validated; the enumerations and with_swapped derive their rows
+from valid ones and store them without checking them again.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import combinations, filterfalse
 __all__ = [
     "Partition", "RowStandardTableau",
     "mo", "pint", "affine_descents", "finite_descents",
-    "omega_shift", "shift_permutation", "enumerate_rsyt", "enumerate_syt", "is_standard",
+    "shift_permutation", "enumerate_rsyt", "enumerate_syt", "is_standard",
     "tableau_text", "tableau_to_json", "tableau_from_json",
 ]
 
@@ -156,18 +156,12 @@ def finite_descents(t: RowStandardTableau) -> frozenset[int]:
     return affine_descents(t) - {t.n}
 
 
-def omega_shift(t: RowStandardTableau) -> RowStandardTableau:
-    """Replace every entry i with mo(i+1) and re-sort the rows."""
-    n = t.n
-    rows = tuple(tuple(sorted(mo(e + 1, n) for e in row)) for row in t.rows)
-    return RowStandardTableau._trusted(rows)
-
-
 def shift_permutation(tableaux: Sequence[RowStandardTableau]) -> tuple[int, ...] | None:
     """
-    The vertex permutation of omega_shift: sigma[k] is the position of
-    omega_shift(tableaux[k]) in the sequence, or None when some image is not
-    in it.  Whether sigma also preserves labels and weights is for the
+    The vertex permutation of the shift omega, which replaces every entry
+    i with mo(i+1) and re-sorts the rows: sigma[k] is the position of
+    omega(tableaux[k]) in the sequence, or None when some image is not in
+    it.  Whether sigma also preserves labels and weights is for the
     caller to test.
     """
     # a tableau is its row word (the row of each entry 1..n), and the shift

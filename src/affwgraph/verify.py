@@ -17,34 +17,42 @@ report every witness they find.
 The polygon rule compares path sums from each source u into the sinks v.
 It walks the paths out of u and looks only at the sinks they reach: a sink
 that no path reaches has 0 on both sides and cannot be a witness, so the
-work is the number of paths, not |sources| * |sinks|.
+work is the number of paths, not |sources| * |sinks|.  One path step,
+_step, extends a vector of (w, sum) pairs by the out-edges of the kept
+w's.  The 2-step sums through V_{i/j} are _step of the out-edges of u, and
+the 3-step sums through V_{i/j} then V_{j/i} are _step of those 2-step sums
+kept on V_{j/i} (and the same with i and j swapped), so no path out of u
+is walked twice.
 
-Bonding, polygon and the Hecke check go over the generator pairs i < j in
-one loop, _pair_witnesses.  When the shift is an automorphism of the graph
-(the checked precondition LabeledWGraph.shift_automorphism: the index set
-is 1..n, the vertex permutation sigma of omega_shift exists,
+Every check goes over its items (edges or generator pairs i < j) orbit
+first, in one driver, _orbit_first.  When the shift is an automorphism of
+the graph (the checked precondition LabeledWGraph.shift_automorphism: the
+index set is 1..n, the vertex permutation sigma of the shift exists,
 m(sigma u > sigma v) = m(u > v) on every edge and
-tau(sigma u) = tau(u) + 1 mod n), the loop first evaluates one pair per
-orbit of rho(i) = i + 1 mod n, (1, 1 + d) for d = 1..n/2.  sigma carries
-V_{i/j}, the mutual edges, the path counts and the relation residuals of
-(i, j) onto those of (rho i, rho j), as T_{rho i} e_{sigma u} =
-sigma T_i e_u, and rho keeps Dynkin adjacency, so an orbit fails exactly
-when its representative does.  If none fails there are no witnesses;
-otherwise, and without the precondition, every pair is evaluated.
+tau(sigma u) = tau(u) + 1 mod n), every item has the verdict of an item
+among given representatives, as shown below.  So the driver first
+evaluates the representatives; if none fails there are no witnesses, and
+otherwise, and without the precondition, it evaluates every item, so the
+witness lists are the full scan's.
+
+Bonding, polygon and the Hecke check go over the generator pairs i < j,
+with the representatives (1, 1 + d) for d = 1..n/2, one pair per orbit of
+rho(i) = i + 1 mod n.  sigma carries V_{i/j}, the mutual edges, the path
+counts and the relation residuals of (i, j) onto those of (rho i, rho j),
+as T_{rho i} e_{sigma u} = sigma T_i e_u, and rho keeps Dynkin adjacency,
+so an orbit fails exactly when its representative does.
 
 Compatibility and simplicity are conditions on one edge (u, v) at a time,
-and under the same precondition sigma carries each edge's verdict onto the
-edge (sigma u, sigma v): sigma preserves weights, so m(sigma v > sigma u) =
-m(v > u) and the edge keeps its weight and its reverse; tau(sigma u) =
-tau(u) + 1 mod n shifts tau(u) - tau(v) and tau(v) - tau(u) by rho and
-keeps the order between tau(u) and tau(v); and rho keeps cyclic Dynkin
-adjacency.  So (u, v) fails exactly when (sigma u, sigma v) does.  Every
-edge (u', v') is sigma^k of an edge (u, sigma^-k v') out of the least
-vertex u of the orbit of u', because sigma maps the edge set onto itself.
-So _edge_witnesses first evaluates only the edges out of one vertex per
-orbit, LabeledWGraph.shift_orbit_representatives.  If none fails there are
-no witnesses; otherwise, and without the precondition, every edge is
-evaluated, so the witness lists are the full scan's.
+and sigma carries each edge's verdict onto the edge (sigma u, sigma v):
+sigma preserves weights, so m(sigma v > sigma u) = m(v > u) and the edge
+keeps its weight and its reverse; tau(sigma u) = tau(u) + 1 mod n shifts
+tau(u) - tau(v) and tau(v) - tau(u) by rho and keeps the order between
+tau(u) and tau(v); and rho keeps cyclic Dynkin adjacency.  So (u, v) fails
+exactly when (sigma u, sigma v) does.  Every edge (u', v') is sigma^k of
+an edge (u, sigma^-k v') out of the least vertex u of the orbit of u',
+because sigma maps the edge set onto itself.  So the representatives are
+the edges out of one vertex per orbit,
+LabeledWGraph.shift_orbit_representatives.
 
 The quadratic relation holds by construction, for any weights.  If i is
 not in tau(u), T_i^2 e_u = q^2 e_u = (q - 1) T_i e_u + q e_u.  Otherwise
@@ -89,6 +97,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, combinations, starmap
 
 from .rsk import rsk
 from .tableaux import Partition
@@ -120,19 +129,22 @@ def _report(rule: str, witnesses: list) -> RuleReport:
     return RuleReport(rule, not witnesses, tuple(sorted(witnesses)))
 
 
-def _edge_witnesses(g: LabeledWGraph, evaluate) -> list:
+def _orbit_first(g: LabeledWGraph, evaluate, representatives: Iterable, everything: Iterable):
     """
-    The witnesses evaluate(edges) yields over the edges ((u, v), w) of g.
-    When the shift is an automorphism of g and the edges out of its orbit
-    representatives have no witness, there are none (module docstring).
+    The witnesses evaluate(everything) yields, or none when the shift is an
+    automorphism of g and evaluate(representatives) yields none (module
+    docstring).  evaluate is called at most twice and read lazily, so a
+    caller that stops at the first witness evaluates no further.
     """
-    representatives = g.shift_orbit_representatives
-    if representatives is not None:
-        adj = g.adjacency
-        edges = (((u, v), w) for u in representatives for v, w in adj[u])
-        if next(evaluate(edges), None) is None:
-            return []
-    return list(evaluate(g.weights.items()))
+    if g.shift_automorphism is None or next(evaluate(representatives), None) is not None:
+        yield from evaluate(everything)
+
+
+def _edge_witnesses(g: LabeledWGraph, kernel) -> list:
+    """The witnesses kernel(g, edges) yields over the edges ((u, v), w) of g, orbit first."""
+    representatives = g.shift_orbit_representatives or ()
+    out_edges = (((u, v), w) for u in representatives for v, w in g.adjacency[u])
+    return list(_orbit_first(g, partial(kernel, g), out_edges, g.weights.items()))
 
 
 def _compatibility_edges(g: LabeledWGraph, edges):
@@ -147,7 +159,7 @@ def _compatibility_edges(g: LabeledWGraph, edges):
 
 def check_compatibility(g: LabeledWGraph) -> RuleReport:
     """Every edge only separates Dynkin-adjacent pairs of tau labels."""
-    return _report("compatibility", _edge_witnesses(g, partial(_compatibility_edges, g)))
+    return _report("compatibility", _edge_witnesses(g, _compatibility_edges))
 
 
 def _simplicity_edges(g: LabeledWGraph, edges):
@@ -167,23 +179,16 @@ def _simplicity_edges(g: LabeledWGraph, edges):
 
 def check_simplicity(g: LabeledWGraph) -> RuleReport:
     """One-way edges go strictly down in tau; incomparable edges are mutual of weight 1."""
-    return _report("simplicity", _edge_witnesses(g, partial(_simplicity_edges, g)))
+    return _report("simplicity", _edge_witnesses(g, _simplicity_edges))
 
 
-def _pair_witnesses(g: LabeledWGraph, evaluate):
-    """
-    The witnesses evaluate(i, j) yields over the generator pairs i < j.  When
-    the shift is an automorphism of g and no representative (1, 1 + d) has a
-    witness, there are none (module docstring).
-    """
-    if g.shift_automorphism is not None and all(
-        next(iter(evaluate(1, 1 + d)), None) is None for d in range(1, g.n // 2 + 1)
-    ):
-        return
-    generators = sorted(g.index_set)
-    for a, i in enumerate(generators):
-        for j in generators[a + 1:]:
-            yield from evaluate(i, j)
+def _pair_witnesses(g: LabeledWGraph, kernel):
+    """The rule witnesses kernel(i, j) yields over the generator pairs i < j, orbit first."""
+    def evaluate(pairs):
+        return chain.from_iterable(starmap(kernel, pairs))
+
+    representatives = ((1, 1 + d) for d in range(1, g.n // 2 + 1))
+    return _orbit_first(g, evaluate, representatives, combinations(sorted(g.index_set), 2))
 
 
 def _bonding_pair(g: LabeledWGraph, mutual: list[list[int]], i: int, j: int) -> list[tuple]:
@@ -210,30 +215,14 @@ def check_bonding(g: LabeledWGraph) -> RuleReport:
     return _report("bonding", list(_pair_witnesses(g, partial(_bonding_pair, g, mutual))))
 
 
-def _paths2(adj, inner: list[bool], u: int) -> dict[int, int]:
-    """v -> sum over w with inner[w] of m(u>w) m(w>v)."""
+def _step(adj, vec: Iterable[tuple[int, int]], keep: list[bool]) -> dict[int, int]:
+    """v -> sum over the pairs (w, a) of vec with keep[w] of a * m(w > v)."""
     totals: dict[int, int] = {}
     get = totals.get
-    for w, wt1 in adj[u]:
-        if inner[w]:
-            for v, wt2 in adj[w]:
-                totals[v] = get(v, 0) + wt1 * wt2
-    return totals
-
-
-def _paths3(adj, first: list[bool], second: list[bool], u: int) -> dict[int, int]:
-    """v -> sum over w1 with first[w1], w2 with second[w2] of the 3-step products."""
-    totals: dict[int, int] = {}
-    get = totals.get
-    for w1, wt1 in adj[u]:
-        if not first[w1]:
-            continue
-        for w2, wt2 in adj[w1]:
-            if not second[w2]:
-                continue
-            wt12 = wt1 * wt2
-            for v, wt3 in adj[w2]:
-                totals[v] = get(v, 0) + wt12 * wt3
+    for w, a in vec:
+        if keep[w]:
+            for v, m in adj[w]:
+                totals[v] = get(v, 0) + a * m
     return totals
 
 
@@ -250,9 +239,10 @@ def _polygon_pair(g: LabeledWGraph, adj, i: int, j: int) -> list[tuple]:
     adjacent = dynkin_adjacent(g, i, j)
     witnesses = []
     for u in sources:
-        counts = [(2, _paths2(adj, ij, u), _paths2(adj, ji, u))]
+        left, right = _step(adj, adj[u], ij), _step(adj, adj[u], ji)
+        counts = [(2, left, right)]
         if adjacent:
-            counts.append((3, _paths3(adj, ij, ji, u), _paths3(adj, ji, ij, u)))
+            counts.append((3, _step(adj, left.items(), ji), _step(adj, right.items(), ij)))
         # a sink that no path reaches has 0 on both sides
         for r, lhs, rhs in counts:
             for v in lhs.keys() | rhs.keys():
@@ -361,8 +351,14 @@ def _hecke_pair(g: LabeledWGraph, q: int, i: int, j: int):
 
 
 def _hecke_witnesses(g: LabeledWGraph):
+    """The witnesses over the generator pairs i < j, orbit first, as _pair_witnesses for the rules."""
     x = g.hecke_x
-    return _pair_witnesses(g, partial(_hecke_pair, g, x * x))
+    kernel = partial(_hecke_pair, g, x * x)
+    def evaluate(pairs):
+        return chain.from_iterable(starmap(kernel, pairs))
+
+    representatives = ((1, 1 + d) for d in range(1, g.n // 2 + 1))
+    return _orbit_first(g, evaluate, representatives, combinations(sorted(g.index_set), 2))
 
 
 def check_hecke_relations(g: LabeledWGraph) -> RuleReport:

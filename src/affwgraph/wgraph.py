@@ -127,7 +127,7 @@ class LabeledWGraph:
     @cached_property
     def shift_automorphism(self) -> tuple[int, ...] | None:
         """
-        The vertex permutation sigma of omega_shift when it is an
+        The vertex permutation sigma of the shift when it is an
         automorphism, else None: the index set is 1..n, every shifted vertex
         is a vertex, m(sigma u > sigma v) = m(u > v) for every edge (tested
         first, up to the first mismatch) and tau(sigma u) = tau(u) + 1 mod n.
@@ -289,40 +289,39 @@ def _scc_partition(g: LabeledWGraph) -> list[list[int]]:
     for root in range(count):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        # a frame is a vertex and the iterator over its out-edges, resumed after a descent
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pos < len(adj[v]):
-                w = adj[v][pos][0]
-                pos += 1
+            v, edges = work[-1]
+            for w, _ in edges:
                 if index[w] == -1:
-                    work[-1] = (v, pos)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(sorted(comp))
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[v] < lowlink[parent]:
+                        lowlink[parent] = lowlink[v]
     comps.sort(key=lambda c: c[0])
     return comps
 

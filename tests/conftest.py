@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from affwgraph import Partition, affine_descents, finite_descents, mo
+from affwgraph import Partition, RowStandardTableau, affine_descents, finite_descents, mo
 
 
 def two_row_shapes(min_n: int, max_n: int) -> list[Partition]:
@@ -72,6 +72,15 @@ def dominance_leq(mu: Partition, nu: Partition) -> bool:
         if total_mu > total_nu:
             return False
     return True
+
+
+def omega_shift(t: RowStandardTableau) -> RowStandardTableau:
+    """
+    Replace every entry i with mo(i+1) and re-sort the rows: the oracle of
+    tableaux.shift_permutation.
+    """
+    n = t.n
+    return RowStandardTableau(tuple(tuple(sorted(mo(e + 1, n) for e in row)) for row in t.rows))
 
 
 def is_knuth_move(t, u) -> bool:

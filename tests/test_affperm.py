@@ -14,9 +14,9 @@ from affwgraph import (
     min_coset_reps,
 )
 from affwgraph.affperm import canonical_tableau, inverse, tableau_action
-from affwgraph.tableaux import mo, omega_shift
+from affwgraph.tableaux import mo
 
-from conftest import all_partitions, two_row_shapes
+from conftest import all_partitions, omega_shift, two_row_shapes
 
 
 def T(*rows):
@@ -71,9 +71,10 @@ class TestWindows:
             AffinePermutation((1, 1, 3))
 
     def test_is_affine(self):
-        assert identity(4).is_affine
-        assert simple_reflection(0, 3).is_affine
-        assert not cyclic_shift(4).is_affine
+        # the non-extended affine group: windows summing to n(n+1)/2
+        assert sum(identity(4).window) == 10
+        assert sum(simple_reflection(0, 3).window) == 6
+        assert sum(cyclic_shift(4).window) != 10
 
     def test_periodic_extension(self):
         w = AffinePermutation((0, 2, 4))

@@ -292,6 +292,10 @@ UNWRITABLE = {
     "verify into a missing directory": ["verify", "3", "2", "--output", "{missing}"],
     "cells into a missing directory": ["cells", "3", "2", "--output", "{missing}"],
     "restrict into a missing directory": ["restrict", "3", "2", "--to", "1..4", "--output", "{missing}"],
+    # the variant is an affine graph: a non-affine kind with it is a usage error
+    "build finite with a variant": ["build", "3", "3", "--kind", "finite", "--variant", "p=0"],
+    "build dual-equiv with a variant": ["build", "3", "3", "--kind", "dual-equiv", "--variant", "p=0"],
+    "export finite with a variant": ["export", "3", "3", "--kind", "finite", "--variant", "p=0", "--output", "{dir}"],
 }
 
 
@@ -299,7 +303,9 @@ UNWRITABLE = {
 def test_unwritable_output_exits_two_with_one_line(capsys, tmp_path, argv):
     existing = tmp_path / "existing.txt"
     existing.write_text("kept\n", encoding="utf-8")
-    paths = {"file": str(existing), "missing": str(tmp_path / "no" / "such" / "out.json")}
+    paths = {
+        "file": str(existing), "missing": str(tmp_path / "no" / "such" / "out.json"), "dir": str(tmp_path),
+    }
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2

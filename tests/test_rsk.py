@@ -7,11 +7,10 @@ from affwgraph import (
     enumerate_syt,
     finsh,
     is_standard,
-    omega_shift,
     rsk,
 )
 
-from conftest import all_partitions, dominance_leq, finite_knuth, two_row_shapes
+from conftest import all_partitions, dominance_leq, finite_knuth, omega_shift, two_row_shapes
 
 
 def T(*rows):

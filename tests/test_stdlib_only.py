@@ -2,7 +2,8 @@
 The runtime is pure stdlib (pyproject: dependencies = []): importing the
 package, the CLI and the regression suite in a fresh interpreter loads no
 top-level module outside the standard library, apart from affwgraph itself.
-Every name a module or the package exports resolves.
+Every name a module or the package exports resolves, and every name a
+module imports is read there or exported.
 """
 
 import ast
@@ -54,3 +55,22 @@ def test_every_export_resolves():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(affwgraph, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_every_import_is_read():
+    # a helper deleted from a module can leave its imports behind; the
+    # package's own imports are its re-exports, checked above
+    for path in sorted((SRC / "affwgraph").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        module = importlib.import_module(f"affwgraph.{path.stem}")
+        unused = imported - read - set(module.__all__)
+        assert imported and not unused, (path.stem, sorted(unused))

@@ -11,13 +11,12 @@ from affwgraph import (
     finite_descents,
     is_standard,
     mo,
-    omega_shift,
     pint,
     rsk,
 )
 from affwgraph.tableaux import shift_permutation, tableau_from_json, tableau_text, tableau_to_json
 
-from conftest import all_partitions, dominance_leq, is_knuth_move, two_row_shapes
+from conftest import all_partitions, dominance_leq, is_knuth_move, omega_shift, two_row_shapes
 
 
 def T(*rows):
@@ -175,8 +174,8 @@ class TestTableauValue:
                 T(*rows)
 
     def test_derived_tableaux_equal_validated_ones(self):
-        # enumerate_rsyt, omega_shift, with_swapped and the insertion tableau
-        # of rsk store their rows unchecked
+        # enumerate_rsyt, with_swapped and the insertion tableau of rsk store
+        # their rows unchecked
         def same(t):
             u = RowStandardTableau(t.rows)
             return u == t and hash(u) == hash(t) and u.rows == t.rows

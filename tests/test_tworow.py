@@ -20,7 +20,6 @@ from affwgraph import (
     enumerate_syt,
     first_kind_target,
     mo,
-    omega_shift,
 )
 from affwgraph.tableaux import pint
 from affwgraph.tworow import (
@@ -32,7 +31,7 @@ from affwgraph.tworow import (
 )
 from affwgraph.wgraph import graph_to_dot, graph_to_json, simple_component_ids, simple_underlying
 
-from conftest import is_knuth_move, two_row_shapes
+from conftest import is_knuth_move, omega_shift, two_row_shapes
 
 
 def T(*rows):

@@ -146,6 +146,36 @@ class TestCells:
             ids = simple_component_ids(g)
             assert all(ids[v] == k for k, comp in enumerate(components) for v in comp)
 
+        # known answers: the depth-first walk goes thousands of frames deep
+        # on a path and a cycle, and comes back through nested cycles and
+        # self-loops
+        def graph(vertices, weights):
+            n = vertices[0].n
+            tau = tuple(frozenset() for _ in vertices)
+            return LabeledWGraph(n, frozenset(range(1, n + 1)), vertices, tau, weights)
+
+        def partition(g):
+            index = g.vertex_index()
+            return [sorted(index[t] for t in c.vertices) for c in cells(g)]
+
+        long = tuple(enumerate_rsyt(Partition((7, 7))))
+        count = len(long)
+        assert count == 3432
+        path = {(k, k + 1): 1 for k in range(count - 1)}
+        assert partition(graph(long, path)) == [[k] for k in range(count)]
+        assert simple_component_ids(graph(long, path)) == list(range(count))
+        assert partition(graph(long, {**path, (count - 1, 0): 1})) == [list(range(count))]
+        mutual = {**path, **{(k + 1, k): 1 for k in range(count - 1)}}
+        assert simple_component_ids(graph(long, mutual)) == [0] * count
+
+        nested = {
+            (0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 0): 1, (2, 1): 1, (1, 1): 2,  # a cycle around a 2-cycle
+            (3, 4): 1, (4, 4): 1, (4, 5): 1,  # a self-loop alone in its cell
+            (5, 6): 1, (6, 7): 1, (7, 5): 1, (6, 5): 1, (7, 7): 1,  # nested cycles through 5
+        }
+        assert partition(graph(vertices, nested)) == [[0, 1, 2, 3], [4], [5, 6, 7]]
+        assert simple_component_ids(graph(vertices, nested)) == [0, 1, 1, 2, 3, 4, 4, 5]
+
 
 def _component_sizes(g):
     ids = simple_component_ids(g)
