@@ -183,7 +183,7 @@ def check_simplicity(g: LabeledWGraph) -> RuleReport:
 
 
 def _pair_witnesses(g: LabeledWGraph, kernel):
-    """The rule witnesses kernel(i, j) yields over the generator pairs i < j, orbit first."""
+    """The witnesses kernel(i, j) yields over the generator pairs i < j, orbit first."""
     def evaluate(pairs):
         return chain.from_iterable(starmap(kernel, pairs))
 
@@ -351,14 +351,8 @@ def _hecke_pair(g: LabeledWGraph, q: int, i: int, j: int):
 
 
 def _hecke_witnesses(g: LabeledWGraph):
-    """The witnesses over the generator pairs i < j, orbit first, as _pair_witnesses for the rules."""
     x = g.hecke_x
-    kernel = partial(_hecke_pair, g, x * x)
-    def evaluate(pairs):
-        return chain.from_iterable(starmap(kernel, pairs))
-
-    representatives = ((1, 1 + d) for d in range(1, g.n // 2 + 1))
-    return _orbit_first(g, evaluate, representatives, combinations(sorted(g.index_set), 2))
+    return _pair_witnesses(g, partial(_hecke_pair, g, x * x))
 
 
 def check_hecke_relations(g: LabeledWGraph) -> RuleReport:

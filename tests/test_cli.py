@@ -292,10 +292,6 @@ UNWRITABLE = {
     "verify into a missing directory": ["verify", "3", "2", "--output", "{missing}"],
     "cells into a missing directory": ["cells", "3", "2", "--output", "{missing}"],
     "restrict into a missing directory": ["restrict", "3", "2", "--to", "1..4", "--output", "{missing}"],
-    # the variant is an affine graph: a non-affine kind with it is a usage error
-    "build finite with a variant": ["build", "3", "3", "--kind", "finite", "--variant", "p=0"],
-    "build dual-equiv with a variant": ["build", "3", "3", "--kind", "dual-equiv", "--variant", "p=0"],
-    "export finite with a variant": ["export", "3", "3", "--kind", "finite", "--variant", "p=0", "--output", "{dir}"],
 }
 
 
@@ -303,9 +299,7 @@ UNWRITABLE = {
 def test_unwritable_output_exits_two_with_one_line(capsys, tmp_path, argv):
     existing = tmp_path / "existing.txt"
     existing.write_text("kept\n", encoding="utf-8")
-    paths = {
-        "file": str(existing), "missing": str(tmp_path / "no" / "such" / "out.json"), "dir": str(tmp_path),
-    }
+    paths = {"file": str(existing), "missing": str(tmp_path / "no" / "such" / "out.json")}
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -313,6 +307,25 @@ def test_unwritable_output_exits_two_with_one_line(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert existing.read_text(encoding="utf-8") == "kept\n"
+
+
+# the variant is an affine graph: a non-affine kind with it is a usage error
+VARIANT_WITH_NON_AFFINE_KIND = {
+    "build finite": ["build", "3", "3", "--kind", "finite", "--variant", "p=0"],
+    "build dual-equiv": ["build", "3", "3", "--kind", "dual-equiv", "--variant", "p=0"],
+    "export finite": ["export", "3", "3", "--kind", "finite", "--variant", "p=0", "--output", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("argv", VARIANT_WITH_NON_AFFINE_KIND.values(), ids=VARIANT_WITH_NON_AFFINE_KIND.keys())
+def test_variant_with_a_non_affine_kind_exits_two_with_one_line(capsys, tmp_path, argv):
+    code = main([arg.format(dir=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 class TestRegress:

@@ -21,7 +21,7 @@ HECKE_HELPERS = {
     "_apply", "_apply_shifted",
 }
 RULE_HELPERS = {
-    "_polygon_pair", "_bonding_pair", "_step", "_pair_witnesses",
+    "_polygon_pair", "_bonding_pair", "_step",
     "_edge_witnesses", "_compatibility_edges", "_simplicity_edges", "shift_orbit_representatives",
 }
 
@@ -63,7 +63,7 @@ def test_rules_and_hecke_check_share_only_the_pair_loop():
     defs = _functions("verify", "wgraph")
     rules, hecke = _reached(defs, RULES), _reached(defs, HECKE)
     # the reachability is not vacuous
-    assert RULE_HELPERS <= rules and {"_orbit_first", "shift_automorphism"} <= rules
+    assert RULE_HELPERS <= rules and {"_orbit_first", "_pair_witnesses", "shift_automorphism"} <= rules
     assert HECKE_HELPERS <= hecke
     assert not rules & HECKE_HELPERS
     assert not hecke & RULE_HELPERS
@@ -72,7 +72,7 @@ def test_rules_and_hecke_check_share_only_the_pair_loop():
         name for name, value in vars(verify).items()
         if inspect.isfunction(value) and value.__module__.startswith("affwgraph.")
     }
-    assert rules & hecke & helpers == {"_orbit_first", "_report", "dynkin_adjacent"}
+    assert rules & hecke & helpers == {"_orbit_first", "_pair_witnesses", "_report", "dynkin_adjacent"}
 
 
 def test_finite_builder_not_derived_from_the_affine_one():
