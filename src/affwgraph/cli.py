@@ -116,6 +116,8 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.input:
+        if args.shape or args.variant is not None:
+            raise UsageError("--input names the graph to verify: give no shape or --variant with it")
         try:
             with open(args.input, encoding="utf-8") as fh:
                 data = json.load(fh)

@@ -32,8 +32,9 @@ class Partition:
     def __post_init__(self):
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        if not parts or any(p <= 0 for p in parts):
-            raise ValueError(f"parts must be positive: {parts}")
+        # True == 1 and 2.5 > 0 would pass the check on the parts
+        if not parts or any(type(p) is not int or p <= 0 for p in parts):
+            raise ValueError(f"parts must be positive integers: {parts}")
         if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         if sum(parts) < 3:
@@ -71,7 +72,11 @@ class RowStandardTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(sorted(row)) for row in self.rows)
+        rows = tuple(tuple(row) for row in self.rows)
+        # True == 1 and 1.0 == 1 would pass the check on the entries
+        if not all(type(e) is int for row in rows for e in row):
+            raise ValueError(f"tableau entries must be integers: {rows}")
+        rows = tuple(tuple(sorted(row)) for row in rows)
         object.__setattr__(self, "rows", rows)
         shape = tuple(len(row) for row in rows)
         Partition(shape)  # validates weakly decreasing, size >= 3
@@ -112,7 +117,8 @@ class RowStandardTableau:
             for row in self.rows
         )
         entries = range(1, self.n + 1)
-        if x not in entries or y not in entries:
+        # 1.0 and True are in the range too, but would be stored as entries
+        if not (type(x) is int and type(y) is int and x in entries and y in entries):
             return RowStandardTableau(swapped)  # may not be a row-standard filling
         return RowStandardTableau._trusted(swapped)
 
@@ -264,8 +270,4 @@ def tableau_to_json(t: RowStandardTableau) -> dict:
 
 
 def tableau_from_json(data: dict) -> RowStandardTableau:
-    rows = tuple(tuple(row) for row in data["rows"])
-    # True == 1 and 1.0 == 1 would pass the check on the entries
-    if not all(type(e) is int for row in rows for e in row):
-        raise ValueError(f"tableau entries must be integers: {rows}")
-    return RowStandardTableau(rows)
+    return RowStandardTableau(tuple(tuple(row) for row in data["rows"]))

@@ -23,11 +23,15 @@ not derived from the affine one.
 
 Every builder hands its fresh fields to LabeledWGraph._trusted: distinct
 tableaux of one shape from an enumeration, descent sets inside the index
-set and weights 1 (or the variant's int p) on vertex pairs, so the graph
-is neither copied nor checked again.
+set and weights 1 (or the variant's int p) on vertex pairs in (src, dst)
+order, so the graph is neither copied, checked nor sorted again.  Each
+builder reaches the sources in order and sorts one source's targets.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
+from operator import itemgetter
 
 from .tableaux import (
     Partition,
@@ -159,7 +163,8 @@ def build_affine_graph(shape: Partition) -> LabeledWGraph:
     n = shape.n
     vertices = tuple(enumerate_rsyt(shape))
     masks = [_row2_mask(t) for t in vertices]
-    weights = {(src, dst): 1 for _, _, _, src, dst in _moves(masks, n)}
+    by_source = groupby(_moves(masks, n), itemgetter(3))
+    weights = {(src, dst): 1 for src, moves in by_source for dst in sorted(move[4] for move in moves)}
     tau = _descent_sets([_descent_mask(m, n) for m in masks])
     return LabeledWGraph._trusted(n, frozenset(range(1, n + 1)), vertices, tau, weights)
 
@@ -174,20 +179,19 @@ def build_dual_equiv(shape: Partition) -> LabeledWGraph:
     descents = [_descent_mask(m, n) for m in masks]
     top = 1 << (n - 1)
     # a Knuth move swaps mo(i) and mo(i+1) from different rows and leaves
-    # incomparable descent sets
-    pairs = []
+    # incomparable descent sets; swapping them back is a Knuth move too
+    weights: dict[tuple[int, int], int] = {}
     for u, m in enumerate(masks):
+        targets = []
         split = m ^ _rotate(m, 1, n)
         while split:
             low = split & -split
             split ^= low
             v = index[m ^ low ^ (1 if low == top else low << 1)]
-            if u < v and descents[u] & ~descents[v] and descents[v] & ~descents[u]:
-                pairs.append((u, v))
-    weights: dict[tuple[int, int], int] = {}
-    for u, v in sorted(pairs):
-        weights[(u, v)] = 1
-        weights[(v, u)] = 1
+            if descents[u] & ~descents[v] and descents[v] & ~descents[u]:
+                targets.append(v)
+        for v in sorted(targets):
+            weights[(u, v)] = 1
     return LabeledWGraph._trusted(n, frozenset(range(1, n + 1)), vertices, _descent_sets(descents), weights)
 
 
@@ -277,9 +281,8 @@ def build_finite_graph(shape: Partition) -> LabeledWGraph:
                 for i in _finite_entries(m & ~(m >> 1) & below_n & ~1) for j in ends_j
                 if _finite_second_kind_valid(m, i, j)
             ]
-            for target in targets:
-                if target in index:
-                    weights[(src, index[target])] = 1
+            for dst in sorted(index[target] for target in targets if target in index):
+                weights[(src, dst)] = 1
     return LabeledWGraph._trusted(
         n, frozenset(range(1, n)), vertices, tuple(finite_descents(t) for t in vertices), weights
     )

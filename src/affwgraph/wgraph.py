@@ -5,14 +5,16 @@ nonnegative integer weight map, together with the structural operations
 numbers, reducedness, nb-admissibility) and JSON/DOT export.
 
 The index set is {1..n} for affine graphs and {1..n-1} for finite ones;
-all orderings are canonical so exports are byte-for-byte reproducible.
+all orderings are canonical so exports are byte-for-byte reproducible:
+every graph holds its edges in (src, dst) order, set where the graph is
+made, so its readers (the adjacency, JSON and DOT) never sort them.
 What the checks derive from a graph (its adjacency, the shift
 automorphism and its orbit representatives, the evaluation point of the
 Hecke module and each generator's columns) is computed once per graph
 object, on first use, and kept on it as tuples.  The public constructor
 copies and checks its fields; the two-row builders, and restrictions,
 subgraphs and simple underlying graphs of a valid graph, are built without
-either.
+either; they keep the order because they filter their parent's edges.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class LabeledWGraph:
             # True == 1 and 1.0 == 1 pass the subset test, so check types too
             if not (s <= self.index_set and all(type(i) is int for i in s)):
                 raise ValueError(f"tau value {set(s)} outside index set")
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        # the endpoints are ints now, so the (src, dst) keys sort
+        object.__setattr__(self, "weights", MappingProxyType(dict(sorted(self.weights.items()))))
 
     @classmethod
     def _trusted(cls, n, index_set, vertices, tau, weights) -> "LabeledWGraph":
@@ -96,8 +99,9 @@ class LabeledWGraph:
         by a two-row builder, with n a positive int, index_set a frozenset
         of ints in 1..n, vertices a tuple of distinct tableaux of one shape
         of size n, tau a tuple of frozensets of the index set, and weights a
-        fresh dict of nonzero int weights on vertex pairs that nothing else
-        holds, wrapped read-only as the public constructor wraps its copy.
+        fresh dict of nonzero int weights on vertex pairs, in (src, dst)
+        order, that nothing else holds, wrapped read-only as the public
+        constructor wraps its copy.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
@@ -120,7 +124,7 @@ class LabeledWGraph:
     def adjacency(self) -> tuple[Edges, ...]:
         """The out-edges of each vertex as (target, weight) pairs, by target."""
         adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for (u, v), w in sorted(self.weights.items()):
+        for (u, v), w in self.weights.items():
             adj[u].append((v, w))
         return tuple(map(tuple, adj))
 
@@ -377,7 +381,7 @@ def graph_to_json(g: LabeledWGraph) -> dict:
         "tau": [sorted(s) for s in g.tau],
         "edges": [
             {"src": u, "dst": v, "w": w}
-            for (u, v), w in sorted(g.weights.items())
+            for (u, v), w in g.weights.items()
         ],
     }
 
@@ -409,10 +413,10 @@ def graph_to_dot(g: LabeledWGraph, name: str = "wgraph") -> str:
         tau = "{" + ",".join(str(i) for i in sorted(g.tau[k])) + "}"
         lines.append(f'  v{k} [label="{tableau_text(t)}\\n{tau}"];')
     mutual = simple_underlying(g).weights
-    for u, v in sorted(mutual):
+    for u, v in mutual:
         if u < v:
             lines.append(f"  v{u} -> v{v} [dir=none];")
-    for (u, v), w in sorted(g.weights.items()):
+    for (u, v), w in g.weights.items():
         if (u, v) not in mutual:
             attr = "" if w == 1 else f' [label="{w}"]'
             lines.append(f"  v{u} -> v{v}{attr};")

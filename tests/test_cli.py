@@ -309,17 +309,22 @@ def test_unwritable_output_exits_two_with_one_line(capsys, tmp_path, argv):
     assert existing.read_text(encoding="utf-8") == "kept\n"
 
 
-# the variant is an affine graph: a non-affine kind with it is a usage error
-VARIANT_WITH_NON_AFFINE_KIND = {
+# options the command would ignore are usage errors: the variant is an
+# affine graph, so a non-affine kind with it, and --input names the graph, so
+# a shape or a variant with it
+IGNORED_OPTIONS = {
     "build finite": ["build", "3", "3", "--kind", "finite", "--variant", "p=0"],
     "build dual-equiv": ["build", "3", "3", "--kind", "dual-equiv", "--variant", "p=0"],
     "export finite": ["export", "3", "3", "--kind", "finite", "--variant", "p=0", "--output", "{dir}"],
+    "verify input with a shape": ["verify", "4", "4", "--input", "{fixture}"],
+    "verify input with a variant": ["verify", "--variant", "p=0", "--input", "{fixture}"],
 }
 
 
-@pytest.mark.parametrize("argv", VARIANT_WITH_NON_AFFINE_KIND.values(), ids=VARIANT_WITH_NON_AFFINE_KIND.keys())
-def test_variant_with_a_non_affine_kind_exits_two_with_one_line(capsys, tmp_path, argv):
-    code = main([arg.format(dir=tmp_path) for arg in argv])
+@pytest.mark.parametrize("argv", IGNORED_OPTIONS.values(), ids=IGNORED_OPTIONS.keys())
+def test_ignored_options_exit_two_with_one_line(capsys, tmp_path, argv):
+    fixture = Path(affwgraph.__file__).parent / "fixtures" / "gamma_3_2.json"
+    code = main([arg.format(dir=tmp_path, fixture=fixture) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -2,8 +2,9 @@
 The runtime is pure stdlib (pyproject: dependencies = []): importing the
 package, the CLI and the regression suite in a fresh interpreter loads no
 top-level module outside the standard library, apart from affwgraph itself.
-Every name a module or the package exports resolves, and every name a
-module imports is read there or exported.
+Every name a module or the package exports resolves, every name a module
+imports is read there or exported, and only the public graph constructor
+sorts a graph's edges.
 """
 
 import ast
@@ -74,3 +75,30 @@ def test_every_import_is_read():
         module = importlib.import_module(f"affwgraph.{path.stem}")
         unused = imported - read - set(module.__all__)
         assert imported and not unused, (path.stem, sorted(unused))
+
+
+def _scope(parents, node) -> str:
+    """The dotted names of the classes and functions around the node."""
+    names = []
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.append(node.name)
+    return ".".join(reversed(names))
+
+
+def test_no_reader_sorts_the_edges():
+    # every graph holds its edges in (src, dst) order from where it is made,
+    # so a sorted(...) over .weights outside the public constructor, which
+    # puts a caller's edges in that order, re-sorts what is already sorted
+    sorts = set()
+    for path in sorted((SRC / "affwgraph").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        sorts |= {
+            (path.stem, _scope(parents, node), node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sorted"
+            and any(isinstance(read, ast.Attribute) and read.attr == "weights" for read in ast.walk(node))
+        }
+    assert {(module, scope) for module, scope, _ in sorts} == {("wgraph", "LabeledWGraph.__post_init__")}, sorts

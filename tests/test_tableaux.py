@@ -33,6 +33,9 @@ class TestPartition:
             Partition((1, 1))  # size below 3
         with pytest.raises(ValueError):
             Partition((3, 0))
+        for parts in [(2.5, 0.5), (True, True, True)]:
+            with pytest.raises(ValueError):
+                Partition(parts)
 
     def test_dominance(self):
         assert dominance_leq(Partition((3, 2)), Partition((4, 1)))
@@ -163,6 +166,8 @@ class TestEnumeration:
 BAD_ROWS = [
     ([1, 2], [3, 4], [5, 6, 7]),  # shape not weakly decreasing
     ([1, 2], [2, 3]),  # duplicate entry
+    ([1.0, 2, 3], [4, 5]),  # look-alike integers
+    ([True, 2, 3], [4, 5]),
 ]
 
 
@@ -191,7 +196,6 @@ class TestTableauValue:
 
     def test_json_boundary_validates(self):
         bad = [{"rows": rows} for rows in BAD_ROWS]
-        bad += [{"rows": [[1.0, 2, 3], [4, 5]]}, {"rows": [[True, 2, 3], [4, 5]]}]
         for data in bad:
             with pytest.raises(ValueError):
                 tableau_from_json(data)

@@ -239,6 +239,10 @@ class TestSerialization:
         assert back.tau == g32.tau
         assert back.vertices == g32.vertices
         assert data["edges"] == sorted(data["edges"], key=lambda e: (e["src"], e["dst"]))
+        # the constructor puts the edges of a file in any order into (src, dst) order
+        loaded = graph_from_json({**data, "edges": data["edges"][::-1]})
+        assert list(loaded.weights) == sorted(g32.weights)
+        assert graph_to_json(loaded) == data
 
     def test_dot_output(self, g32):
         dot = graph_to_dot(g32, "g")
@@ -305,7 +309,11 @@ class TestTrustedGraphs:
     def _same_as_checked(h):
         checked = LabeledWGraph(h.n, h.index_set, h.vertices, h.tau, dict(h.weights))
         kinds = (type(h.index_set), type(h.vertices), type(h.tau), type(h.weights))
-        return checked == h and kinds == (frozenset, tuple, tuple, MappingProxyType)
+        return (
+            checked == h
+            and list(checked.weights.items()) == list(h.weights.items())
+            and kinds == (frozenset, tuple, tuple, MappingProxyType)
+        )
 
     def test_derived_graphs_equal_validated_ones(self):
         for shape in two_row_shapes(3, 9):
