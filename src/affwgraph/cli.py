@@ -293,10 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

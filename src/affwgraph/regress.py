@@ -52,7 +52,6 @@ from .verify import (
 from .wgraph import (
     LabeledWGraph,
     _component_ids,
-    full_subgraph,
     graph_from_json,
     restrict_parabolic,
     simple_component_ids,
@@ -214,10 +213,11 @@ def _restriction_cells(s: _Shape) -> tuple[list[str], int]:
             if sorted(remap) != list(range(len(target.vertices))):
                 bad.append(f"{s.shape}:{key}:not-bijective")
                 continue
-            cell = full_subgraph(s.restricted, ids)
-            if any(cell.tau[k] != target.tau[remap[k]] for k in range(len(cell.vertices))):
+            renumber = dict(zip(ids, remap))
+            tau, adjacency = s.restricted.tau, s.restricted.adjacency
+            if any(tau[k] != target.tau[renumber[k]] for k in ids):
                 bad.append(f"{s.shape}:{key}:tau")
-            mapped = {(remap[u], remap[v]): w for (u, v), w in cell.weights.items()}
+            mapped = {(renumber[u], renumber[v]): w for u in ids for v, w in adjacency[u] if v in renumber}
             if mapped != target.weights:
                 bad.append(f"{s.shape}:{key}:weights")
     except Exception as exc:  # CellMismatchError carries the detail

@@ -5,8 +5,10 @@ descent sets, standardness, and the vertex permutation of the cyclic shift.
 Conventions: rows are numbered from the top starting at 1, a "higher" row
 has a smaller row number, and every tableau stores its rows sorted.
 Residues live in {1, ..., n}.  Tableaux from outside (the constructor,
-JSON) are validated; the enumerations and with_swapped derive their rows
-from valid ones and store them without checking them again.
+JSON) are validated; enumerate_rsyt and with_swapped derive their rows
+from valid ones and store them without checking them again.  The standard
+tableaux of a shape are those of its row-standard enumeration that
+is_standard accepts, in that order.
 """
 
 from __future__ import annotations
@@ -184,40 +186,34 @@ def shift_permutation(tableaux: Sequence[RowStandardTableau]) -> tuple[int, ...]
     return None if None in sigma else sigma
 
 
-def _fill_from_bottom(shape: Partition, rows_for) -> list[RowStandardTableau]:
-    """
-    The tableaux of the shape whose row a (0-based) is one of
-    rows_for(pool, a, below), sorted by reading word.  The pool is the sorted
-    tuple of the entries not in the rows below row a, and below is the row
-    under it (empty for the last row); the candidate rows must come in
-    lexicographic order and make tableaux filled with exactly 1..n.
-    """
-    # the reading words of one shape sort by the last row, then the row above
-    # it, and so on: the order of filling the rows from the bottom
-    tableaux: list[RowStandardTableau] = []
-    rows = [()] * shape.length
-    _fill_rows(tuple(range(1, shape.n + 1)), shape.length - 1, (), rows, rows_for, tableaux)
-    return tableaux
-
-
-def _fill_rows(pool, a, below, rows, rows_for, tableaux) -> None:
-    """Fill rows a, a-1, ..., 0 under rows[a+1:], appending each tableau."""
-    for row in rows_for(pool, a, below):
-        rows[a] = row
-        if a == 0:
-            tableaux.append(RowStandardTableau._trusted(tuple(rows)))
-        else:
-            rest = tuple(filterfalse(set(row).__contains__, pool))
-            _fill_rows(rest, a - 1, row, rows, rows_for, tableaux)
-
-
 def enumerate_rsyt(shape: Partition) -> list[RowStandardTableau]:
     """
     All row-standard tableaux of the shape, sorted by reading word.
 
     The order is the canonical vertex order used by every graph builder.
     """
-    return _fill_from_bottom(shape, lambda pool, a, below: combinations(pool, shape.parts[a]))
+    # the reading words of one shape sort by the last row, then the row above
+    # it, and so on: the order of filling the rows from the bottom.  A frame
+    # is the entries not in the rows below row a (0-based) and the iterator
+    # over the candidates for row a, resumed after the rows above it are filled
+    tableaux: list[RowStandardTableau] = []
+    rows = [()] * shape.length
+    entries = tuple(range(1, shape.n + 1))
+    work = [(entries, combinations(entries, shape.parts[-1]))]
+    while work:
+        a = shape.length - len(work)
+        pool, candidates = work[-1]
+        for row in candidates:
+            rows[a] = row
+            if a == 0:
+                tableaux.append(RowStandardTableau._trusted(tuple(rows)))
+            else:
+                rest = tuple(filterfalse(set(row).__contains__, pool))
+                work.append((rest, combinations(rest, shape.parts[a - 1])))
+                break
+        else:
+            work.pop()
+    return tableaux
 
 
 def is_standard(t: RowStandardTableau) -> bool:
@@ -230,32 +226,8 @@ def is_standard(t: RowStandardTableau) -> bool:
 
 
 def enumerate_syt(shape: Partition) -> list[RowStandardTableau]:
-    """All standard tableaux of the shape, in the enumerate_rsyt order."""
-    return _fill_from_bottom(
-        shape, lambda pool, a, below: _standard_rows(pool, shape.parts[a], a, below, 0, ())
-    )
-
-
-def _standard_rows(pool, length, a, below, start, prefix):
-    """
-    The increasing rows of length entries from pool[start:] after prefix, in
-    lexicographic order, that can be row a (0-based) of a standard tableau
-    above the row below: entry c is less than below[c] (the column
-    condition) and at least (a+1)(c+1), as it exceeds every other cell
-    weakly above and left of it.
-    """
-    c = len(prefix)
-    if c == length:
-        yield prefix
-        return
-    high = below[c] if c < len(below) else None
-    low = (a + 1) * (c + 1)
-    for p in range(start, len(pool) - length + c + 1):
-        e = pool[p]
-        if high is not None and e >= high:
-            break
-        if e >= low:
-            yield from _standard_rows(pool, length, a, below, p + 1, prefix + (e,))
+    """The standard tableaux among enumerate_rsyt(shape), in its order."""
+    return [t for t in enumerate_rsyt(shape) if is_standard(t)]
 
 
 def tableau_text(t: RowStandardTableau) -> str:

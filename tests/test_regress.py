@@ -197,3 +197,26 @@ def test_restriction_cells_sees_a_wrong_insertion(monkeypatch, part, detail):
     monkeypatch.setattr(regress, "rsk", damaged)
     result = regress._sweep(7, {"restriction_cells"})["restriction_cells"]
     assert (result.passed, result.detail) == (False, detail)
+
+
+@pytest.mark.parametrize("field", ["tau", "weights"])
+def test_restriction_cells_sees_a_wrong_finite_graph(monkeypatch, field):
+    # the finite graph of (4,3) gets a wrong label on vertex 0 or a wrong
+    # weight on its first edge, which its cell in the restriction of (4,3)
+    # no longer matches
+    original = regress.build_finite_graph
+
+    def damaged(key):
+        g = original(key)
+        if key != Partition((4, 3)):
+            return g
+        tau, weights = list(g.tau), dict(g.weights)
+        if field == "tau":
+            tau[0] ^= {1}
+        else:
+            weights[next(iter(weights))] = 2
+        return LabeledWGraph(g.n, g.index_set, g.vertices, tuple(tau), weights)
+
+    monkeypatch.setattr(regress, "build_finite_graph", damaged)
+    result = regress._sweep(7, {"restriction_cells"})["restriction_cells"]
+    assert (result.passed, result.detail) == (False, f"(4,3):(4,3):{field}")

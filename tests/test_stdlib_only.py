@@ -3,8 +3,8 @@ The runtime is pure stdlib (pyproject: dependencies = []): importing the
 package, the CLI and the regression suite in a fresh interpreter loads no
 top-level module outside the standard library, apart from affwgraph itself.
 Every name a module or the package exports resolves, every name a module
-imports is read there or exported, and only the public graph constructor
-sorts a graph's edges.
+imports is read there or exported, every private helper is read outside
+its own body, and only the public graph constructor sorts a graph's edges.
 """
 
 import ast
@@ -102,3 +102,43 @@ def test_no_reader_sorts_the_edges():
             and any(isinstance(read, ast.Attribute) and read.attr == "weights" for read in ast.walk(node))
         }
     assert {(module, scope) for module, scope, _ in sorts} == {("wgraph", "LabeledWGraph.__post_init__")}, sorts
+
+
+def test_every_private_helper_is_read():
+    # a private helper that nothing in the package reads any more is dead:
+    # each _-prefixed module-level function or class, and each _-prefixed
+    # method other than a dunder, is read somewhere outside its own body
+    helpers, reads = [], {}
+    defs = (ast.FunctionDef, ast.ClassDef)
+    for path in sorted((SRC / "affwgraph").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in tree.body:
+            if isinstance(node, defs) and node.name.startswith("_"):
+                helpers.append((path.stem, node))
+            if isinstance(node, ast.ClassDef):
+                helpers += [
+                    (path.stem, method) for method in node.body
+                    if isinstance(method, ast.FunctionDef) and method.name.startswith("_")
+                    and not method.name.endswith("__")
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            # the functions and classes the read is inside
+            around = set()
+            while node in parents:
+                node = parents[node]
+                if isinstance(node, defs):
+                    around.add(node)
+            reads.setdefault(name, []).append(around)
+    assert len(helpers) > 50
+    unread = [
+        (module, helper.name) for module, helper in helpers
+        if all(helper in around for around in reads.get(helper.name, []))
+    ]
+    assert not unread, unread

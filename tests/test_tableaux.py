@@ -1,4 +1,6 @@
+import gc
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -9,7 +11,6 @@ from affwgraph import (
     enumerate_rsyt,
     enumerate_syt,
     finite_descents,
-    is_standard,
     mo,
     pint,
     rsk,
@@ -156,11 +157,43 @@ class TestEnumeration:
         words = [sum(reversed(t.rows), ()) for t in tabs]
         assert words == sorted(words)
 
-    def test_standard_tableaux_are_the_standard_row_standard_ones(self):
+    def test_standard_tableaux_against_the_hook_length_formula(self):
+        # an oracle reading neither enumerate_rsyt nor is_standard: as many
+        # tableaux as the hook-length formula counts, each with rows and
+        # columns strictly increasing, distinct, in reading-word order
         for n in range(3, 10):
             for parts in all_partitions(n):
-                shape = Partition(parts)
-                assert enumerate_syt(shape) == [t for t in enumerate_rsyt(shape) if is_standard(t)]
+                tabs = enumerate_syt(Partition(parts))
+                assert len(tabs) == _hook_length_count(parts), parts
+                for t in tabs:
+                    rows = t.rows
+                    assert tuple(map(len, rows)) == parts
+                    assert sorted(e for row in rows for e in row) == list(range(1, n + 1))
+                    assert all(row[c] < row[c + 1] for row in rows for c in range(len(row) - 1)), t
+                    assert all(
+                        rows[a - 1][c] < rows[a][c] for a in range(1, len(rows)) for c in range(len(rows[a]))
+                    ), t
+                words = [sum(reversed(t.rows), ()) for t in tabs]
+                assert len(set(words)) == len(words) and words == sorted(words), parts
+
+    def test_leaves_no_reference_cycles(self):
+        # a recursive closure would leave a cycle holding the result list
+        # for the cyclic collector on every call
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_syt(Partition((4, 3, 2)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def _hook_length_count(parts: tuple[int, ...]) -> int:
+    """n! over the product of the hook lengths of the cells of the diagram."""
+    column_lengths = [sum(1 for p in parts if p > c) for c in range(parts[0])]
+    # the hook of cell (a, c): its arm (parts[a] - c - 1), its leg and itself
+    hooks = prod(parts[a] - c + column_lengths[c] - a - 1 for a in range(len(parts)) for c in range(parts[a]))
+    return factorial(sum(parts)) // hooks
 
 
 BAD_ROWS = [
@@ -193,6 +226,13 @@ class TestTableauValue:
                     assert same(t) and same(omega_shift(t)) and same(rsk(t).p), t
                     for x, y in combinations(range(1, n + 1), 2):
                         assert same(t.with_swapped(x, y)), (t, x, y)
+
+    def test_with_swapped_rejects_look_alike_entries(self):
+        # 1.0 and True equal entries of the tableau, but are not integers
+        t = T([1, 2, 3], [4, 5])
+        for x, y in [(1.0, 4), (True, 4), (1, 4.0)]:
+            with pytest.raises(ValueError):
+                t.with_swapped(x, y)
 
     def test_json_boundary_validates(self):
         bad = [{"rows": rows} for rows in BAD_ROWS]
