@@ -36,6 +36,8 @@ from .tableaux import (
     mo,
 )
 from .tworow import (
+    _moves,
+    _row2_mask,
     build_affine_graph,
     build_dual_equiv,
     build_equal_variant,
@@ -184,13 +186,27 @@ def _mutation_sensitivity(s: _Shape) -> tuple[list[str], int]:
 
 
 def _underlying_and_omega(s: _Shape) -> tuple[list[str], int]:
-    """Simple underlying graph is the Knuth graph; the shift is an automorphism."""
+    """
+    Simple underlying graph is the Knuth graph; the shift is an automorphism;
+    and the move kernel, run at the shift of each orbit's least vertex, gives
+    that vertex's out-edges.  The builder runs the kernel only at the least
+    vertices and carries their moves round the orbits, so the shift is an
+    automorphism by construction: the kernel run one step round each orbit
+    checks that the moves turn with the shift.
+    """
     bad = []
     simple_weights, _ = s.simple
     if simple_weights != s.knuth.weights:
         bad.append(f"{s.shape}:underlying")
-    if s.g.shift_automorphism is None:
-        bad.append(f"{s.shape}:shift")
+    g = s.g
+    sigma = g.shift_automorphism
+    if sigma is None:
+        return bad + [f"{s.shape}:shift"], 0
+    n, vertices, adjacency = g.n, g.vertices, g.adjacency
+    for u in (sigma[k] for k in g.shift_orbit_representatives):
+        moved = sorted((move[3], 1) for move in _moves(_row2_mask(vertices[u]), n))
+        if moved != sorted((_row2_mask(vertices[v]), w) for v, w in adjacency[u]):
+            bad.append(f"{s.shape}:{vertices[u]}:moves")
     return bad, 0
 
 

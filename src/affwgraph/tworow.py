@@ -15,7 +15,11 @@ complement in 1..n), which the affine builders hold as an int mask: entry e
 is bit e - 1.  Vertex k of the shape (a, b) is the k-th b-subset of 1..n in
 lexicographic order, which is the enumerate_rsyt order (reading words begin
 with row 2).  Descents, moves and the second-kind gate are bit operations
-on the mask and its cyclic rotations.  The tableaux are built once, by
+on the mask and its cyclic rotations.  The affine builder computes the moves
+at one vertex per orbit of the shift omega (entry e becomes mo(e+1), bit
+e - 1 of the mask moves to bit e mod n) and carries them round the orbit by
+rotating the masks.  This is exact because every move condition is stated
+in residues mod n.  The tableaux are built once, by
 enumerate_rsyt, at the boundary: the builders read each one's mask and hand
 the tableaux to the graph unchanged.  The finite builder keeps its own
 row-2 masks, bit helper and non-cyclic gate with plain intervals, so it is
@@ -25,13 +29,12 @@ Every builder hands its fresh fields to LabeledWGraph._trusted: distinct
 tableaux of one shape from an enumeration, descent sets inside the index
 set and weights 1 (or the variant's int p) on vertex pairs in (src, dst)
 order, so the graph is neither copied, checked nor sorted again.  Each
-builder reaches the sources in order and sorts one source's targets.
+builder reaches the sources in order and sorts one source's targets.  No
+builder hands over a derived value: verify derives the shift's vertex
+permutation from the tableaux, not from the affine builder's rotation.
 """
 
 from __future__ import annotations
-
-from itertools import groupby
-from operator import itemgetter
 
 from .tableaux import (
     Partition,
@@ -124,28 +127,26 @@ def first_kind_target(s: RowStandardTableau, i: int) -> RowStandardTableau | Non
     return None
 
 
-def _moves(masks: list[int], n: int):
+def _moves(m: int, n: int):
     """
-    The moves between the given row-2 masks of size n as (kind, i, j,
-    source, target) tuples, by source; per source the first kind by i, then
-    the second kind by i and j.
+    The moves out of the tableau of size n with row-2 mask m as (kind, i, j,
+    target) tuples, target the row-2 mask after the move: the first kind by
+    i, then the second kind by i and j.
     """
-    index = {m: k for k, m in enumerate(masks)}
+    descents = _descent_mask(m, n)
     top = 1 << (n - 1)
-    for src, m in enumerate(masks):
-        descents = _descent_mask(m, n)
-        while descents:
-            low = descents & -descents
-            descents ^= low
-            i = low.bit_length()
-            yield "first", i, mo(i + 1, n), src, index[m ^ low ^ (1 if low == top else low << 1)]
-        ends_i, ends_j = _second_kind_ends(m, n)
-        candidates_j = _entries(ends_j)
-        for i in _entries(ends_i):
-            for j in candidates_j:
-                # j = mo(i-1) would be the first-kind move back
-                if (i - j) % n != 1 and _second_kind_gate(m, i, j, n):
-                    yield "second", i, j, src, index[m ^ (1 << (i - 1)) ^ (1 << (j - 1))]
+    while descents:
+        low = descents & -descents
+        descents ^= low
+        i = low.bit_length()
+        yield "first", i, mo(i + 1, n), m ^ low ^ (1 if low == top else low << 1)
+    ends_i, ends_j = _second_kind_ends(m, n)
+    candidates_j = _entries(ends_j)
+    for i in _entries(ends_i):
+        for j in candidates_j:
+            # j = mo(i-1) would be the first-kind move back
+            if (i - j) % n != 1 and _second_kind_gate(m, i, j, n):
+                yield "second", i, j, m ^ (1 << (i - 1)) ^ (1 << (j - 1))
 
 
 def _descent_sets(descents: list[int]) -> tuple[frozenset[int], ...]:
@@ -157,14 +158,50 @@ def _descent_sets(descents: list[int]) -> tuple[frozenset[int], ...]:
     return tuple(sets[d] for d in descents)
 
 
+def _orbit_weights(masks: list[int], n: int) -> dict[tuple[int, int], int]:
+    """
+    The weight-1 edges of the affine graph on the row-2 masks of size n, in
+    (src, dst) order, from the moves at the least vertex of each orbit of
+    the shift, rotated round the orbit.  A function of its own, so that its
+    index and per-vertex lists are freed before the builder's next step.
+    """
+    index = {m: k for k, m in enumerate(masks)}
+    # moved[k] holds the target masks of the least vertex of k's orbit, and
+    # k's mask is that vertex's mask rotated by turn[k] (_rotate), so k's
+    # targets are those masks rotated alike
+    moved: list[list[int] | None] = [None] * len(masks)
+    turn = [0] * len(masks)
+    for k, m in enumerate(masks):
+        if moved[k] is None:
+            moved[k] = targets = [move[3] for move in _moves(m, n)]
+            r, w = 1, _rotate(m, 1, n)
+            while w != m:
+                v = index[w]
+                moved[v], turn[v] = targets, r
+                r, w = r + 1, _rotate(w, 1, n)
+    full = (1 << n) - 1
+    # the rotation is _rotate(t, r, n), inline: it runs once per edge
+    return {
+        (src, dst): 1
+        for src, (targets, r) in enumerate(zip(moved, turn))
+        for dst in sorted([index[(t >> r | t << (n - r)) & full] for t in targets])
+    }
+
+
 def build_affine_graph(shape: Partition) -> LabeledWGraph:
-    """The [1,n]-labeled graph on RSYT(shape) generated by the two moves."""
+    """
+    The [1,n]-labeled graph on RSYT(shape) generated by the two moves.
+
+    The moves are computed at one vertex per orbit of the shift omega (entry
+    e becomes mo(e+1)) and carried round the orbit.  This is exact because
+    every move condition is stated in residues mod n, so omega maps the
+    moves out of s onto the moves out of omega(s).
+    """
     _require_two_row(shape)
     n = shape.n
     vertices = tuple(enumerate_rsyt(shape))
     masks = [_row2_mask(t) for t in vertices]
-    by_source = groupby(_moves(masks, n), itemgetter(3))
-    weights = {(src, dst): 1 for src, moves in by_source for dst in sorted(move[4] for move in moves)}
+    weights = _orbit_weights(masks, n)
     tau = _descent_sets([_descent_mask(m, n) for m in masks])
     return LabeledWGraph._trusted(n, frozenset(range(1, n + 1)), vertices, tau, weights)
 

@@ -80,10 +80,10 @@ def test_finite_builder_not_derived_from_the_affine_one():
     reached = _reached(defs, ["build_finite_graph"])
     assert "_finite_second_kind_valid" in reached
     # the affine builder's row-2 mask kernel: rotation, descents, condition
-    # (b) masks, the (a), (c)-(e) gate and the move generator
+    # (b) masks, the (a), (c)-(e) gate, the move generator and the orbit walk
     mask_kernel = {
         "_row2_mask", "_entries", "_rotate", "_descent_mask", "_descent_sets",
-        "_second_kind_ends", "_second_kind_gate", "_moves",
+        "_second_kind_ends", "_second_kind_gate", "_moves", "_orbit_weights",
     }
     assert mask_kernel <= _reached(defs, ["build_affine_graph"])
     assert not reached & (mask_kernel | {"build_affine_graph", "build_dual_equiv"})

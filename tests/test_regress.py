@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 import affwgraph.regress as regress
+import affwgraph.tworow as tworow
 import affwgraph.verify as verify
 from affwgraph import LabeledWGraph, Partition, RowStandardTableau, enumerate_rsyt
 from affwgraph.rsk import RskPair
@@ -220,3 +221,21 @@ def test_restriction_cells_sees_a_wrong_finite_graph(monkeypatch, field):
     monkeypatch.setattr(regress, "build_finite_graph", damaged)
     result = regress._sweep(7, {"restriction_cells"})["restriction_cells"]
     assert (result.passed, result.detail) == (False, f"(4,3):(4,3):{field}")
+
+
+def test_underlying_and_omega_sees_moves_that_do_not_turn_with_the_shift(monkeypatch):
+    # a move kernel that drops the second-kind moves of the tableaux with 1
+    # in row 1: the builder runs it only at the least vertex of each orbit,
+    # which has 1 in row 2, so the graph is the right one, and only the
+    # kernel run one step round the orbits sees the fault
+    original = tworow._moves
+
+    def damaged(m, n):
+        return (move for move in original(m, n) if move[0] == "first" or m & 1)
+
+    monkeypatch.setattr(tworow, "_moves", damaged)
+    monkeypatch.setattr(regress, "_moves", damaged)
+    result = regress._sweep(5, {"underlying_and_omega"})["underlying_and_omega"]
+    assert (result.passed, result.detail) == (
+        False, "(2,1):13/2:moves, (3,1):134/2:moves, (2,2):13/24:moves, (4,1):1345/2:moves, (3,2):135/24:moves"
+    )

@@ -53,7 +53,11 @@ def enumerate_moves(shape: Partition) -> list[Move]:
     target given as indices into enumerate_rsyt(shape).
     """
     masks = [_row2_mask(t) for t in enumerate_rsyt(shape)]
-    return [Move(*fields) for fields in _moves(masks, shape.n)]
+    index = {m: k for k, m in enumerate(masks)}
+    return [
+        Move(kind, i, j, src, index[target])
+        for src, m in enumerate(masks) for kind, i, j, target in _moves(m, shape.n)
+    ]
 
 
 def second_kind_valid(s: RowStandardTableau, i: int, j: int) -> bool:
@@ -318,6 +322,20 @@ def test_builders_byte_identical():
     assert moves.hexdigest() == "46da4ce8ce58142d15ab9671943e071e0d8537d40248c3117b61a52dc2031b4e"
 
 
+@pytest.mark.parametrize("shape", [Partition((3, 3)), Partition((4, 4)), *two_row_shapes(11, 14)], ids=str)
+def test_orbit_built_graph_equals_the_per_vertex_one(shape):
+    # the builder runs the move kernel at the least vertex of each shift
+    # orbit and rotates its moves round the orbit; run at every vertex, the
+    # kernel gives the same edges in the same order, so its moves turn with
+    # the shift (n <= 10 is pinned byte for byte above; in (3,3) and (4,4)
+    # the masks 010101 and 00110011 lie on orbits shorter than n)
+    by_source: dict[int, list[int]] = {}
+    for move in enumerate_moves(shape):
+        by_source.setdefault(move.source, []).append(move.target)
+    expected = [((src, dst), 1) for src in sorted(by_source) for dst in sorted(by_source[src])]
+    assert list(build_affine_graph(shape).weights.items()) == expected
+
+
 def _builder_graphs(shape):
     graphs = {
         "affine": build_affine_graph(shape),
@@ -329,11 +347,19 @@ def _builder_graphs(shape):
     return graphs
 
 
+# what a graph derives and keeps on itself when a check first reads it
+DERIVED = {"adjacency", "shift_automorphism", "shift_orbit_representatives", "hecke_x", "_built_columns"}
+
+
 @pytest.mark.parametrize("shape", two_row_shapes(3, 10), ids=str)
 def test_builders_hand_over_well_formed_fields(shape):
     # the builders skip the constructor's copy and checks, so their fields
-    # must be what the checked constructor would have made of them
-    for name, g in _builder_graphs(shape).items():
+    # must be what the checked constructor would have made of them; and they
+    # hand over no derived value, so verify derives the shift's vertex
+    # permutation from the tableaux, never from the affine builder's rotation
+    graphs = _builder_graphs(shape)
+    for name, g in graphs.items():
+        assert not DERIVED & vars(g).keys(), name
         rebuilt = LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, dict(g.weights))
         assert g == rebuilt and list(g.weights.items()) == list(rebuilt.weights.items()), name
         assert (type(g.n), type(g.index_set), type(g.vertices), type(g.tau)) == (int, frozenset, tuple, tuple)
@@ -346,6 +372,8 @@ def test_builders_hand_over_well_formed_fields(shape):
             g.weights[(0, 0)] = 1
         clone = pickle.loads(pickle.dumps(g))
         assert clone == g and list(clone.weights.items()) == list(g.weights.items()), name
+    # a derived value is kept on the graph once it is read
+    assert graphs["affine"].shift_automorphism is not None and "shift_automorphism" in vars(graphs["affine"])
 
 
 def test_finite_builder_byte_identical():
