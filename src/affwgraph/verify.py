@@ -85,18 +85,19 @@ C = 2M^3.  If P != 0 has degree d, |P(X)| >= X^d - C (X^d - 1)/(X - 1) > 0
 once X > C, and X > 2C (asserted) even makes the coefficients the balanced
 base-X digits of P(X).  So P(X) = 0 exactly when P = 0, for any integer
 weights, and the witnesses are those of the polynomial check.  X is
-LabeledWGraph.hecke_x, computed once per graph, and the integer columns of
-a generator i are LabeledWGraph.hecke_columns(i), built when a pair first
-reads them and kept.  So a check that passes on the representatives
-(1, 1 + d) builds the generators 1..n/2 + 1 only, the full loop builds the
-rest, and hecke_holds after check_hecke_relations builds none.
+_hecke_x(g), computed once per check, and the integer columns of a
+generator i are _generator_columns at X, built when a pair of the check
+first reads i and freed when the check returns; the graph keeps none of
+them.  So a check that passes on the representatives (1, 1 + d) builds the
+generators 1..n/2 + 1 only, the full loop builds the rest, and
+hecke_holds after check_hecke_relations builds what it reads again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import chain, combinations, starmap
 
 from .rsk import rsk
@@ -284,49 +285,69 @@ def rules_hold(g: LabeledWGraph) -> bool:
 _Columns = tuple[Edges | None, ...]
 
 
+def _hecke_x(g: LabeledWGraph) -> int:
+    """
+    The point v = x at which the Hecke module is evaluated: x = 2**B
+    exceeds 4 * M**3 for M = 1 + the largest sum of |m(u > w)| over the
+    out-edges of one vertex, which makes the integer check of the relations
+    exact (module docstring).
+    """
+    out_norms = [0] * len(g.vertices)
+    for (u, _), m in g.weights.items():
+        out_norms[u] += abs(m)
+    bound = 2 * (1 + max(out_norms, default=0)) ** 3
+    x = 1 << (2 * bound).bit_length()
+    assert x > 2 * bound, (x, bound)
+    return x
+
+
+def _generator_columns(tau, adjacency, x: int, i: int) -> _Columns:
+    """
+    The columns of the generator i at v = x: cols[u] is None when i is not
+    in tau(u), where T_i e_u = q e_u, and otherwise
+    T_i e_u = -e_u + v * sum m(u > w) e_w over the out-edges with i not in
+    tau(w), as the pairs (u, -1) and (w, x * m(u > w)).
+    """
+    # each w occurs once in adjacency[u], and a kept w is not u, as i is in tau(u)
+    return tuple([
+        ((u, -1), *[(w, x * m) for w, m in adjacency[u] if i not in tau[w]]) if i in t else None
+        for u, t in enumerate(tau)
+    ])
+
+
 def _apply(
     cols: _Columns,
     vec: Iterable[tuple[int, int]],
     out: dict[int, int],
-    q: int,
+    scalar: int,
+    diagonal: int = 0,
     sign: int = 1,
 ) -> dict[int, int]:
-    """Add sign * T * vec into out, for integer columns and (index, value) pairs vec."""
+    """
+    Add A * vec into out, for (index, value) pairs vec, where A e_k is
+    scalar * e_k for a scalar column k and sign * cols[k] + diagonal * e_k
+    otherwise: T is A(q), -T is A(-q, 0, -1) and T - q is A(0, -q).
+    """
     get = out.get
     for k, a in vec:
+        col = cols[k]
+        if col is None:
+            if scalar:
+                out[k] = get(k, 0) + scalar * a
+            continue
+        if diagonal:
+            out[k] = get(k, 0) + diagonal * a
         a *= sign
-        col = cols[k]
-        if col is None:
-            out[k] = get(k, 0) + q * a
-            continue
         for w, c in col:
             out[w] = get(w, 0) + a * c
     return out
 
 
-def _apply_shifted(
-    cols: _Columns,
-    vec: Iterable[tuple[int, int]],
-    out: dict[int, int],
-    q: int,
-) -> dict[int, int]:
-    """Add (T - q) * vec into out; the scalar columns of T contribute nothing."""
-    get = out.get
-    for k, a in vec:
-        col = cols[k]
-        if col is None:
-            continue
-        out[k] = get(k, 0) - q * a
-        for w, c in col:
-            out[w] = get(w, 0) + a * c
-    return out
-
-
-def _hecke_pair(g: LabeledWGraph, q: int, i: int, j: int):
+def _hecke_pair(g: LabeledWGraph, columns, q: int, i: int, j: int):
     """The witnesses (relation, i, j, u) of the pair i < j, one per basis vertex u where it fails."""
     adjacent = dynkin_adjacent(g, i, j)
     relation = "braid" if adjacent else "commutation"
-    ci, cj = g.hecke_columns(i), g.hecke_columns(j)
+    ci, cj = columns(i), columns(j)
     for u, (a, b) in enumerate(zip(ci, cj)):
         if a is None and b is None:
             continue
@@ -337,22 +358,28 @@ def _hecke_pair(g: LabeledWGraph, q: int, i: int, j: int):
             # T_p e_u = col and T_r e_u = q e_u
             p, r, col = (ci, cj, a) if b is None else (cj, ci, b)
             if adjacent:
-                _apply_shifted(p, _apply(r, col, {}, q).items(), diff, q)
+                _apply(p, _apply(r, col, {}, q).items(), diff, 0, -q)
             else:
-                _apply_shifted(r, col, diff, q)
+                _apply(r, col, diff, 0, -q)
         elif adjacent:
             _apply(ci, _apply(cj, a, {}, q).items(), diff, q)
-            _apply(cj, _apply(ci, b, {}, q).items(), diff, q, -1)
+            _apply(cj, _apply(ci, b, {}, q).items(), diff, -q, 0, -1)
         else:
             _apply(ci, b, diff, q)
-            _apply(cj, a, diff, q, -1)
+            _apply(cj, a, diff, -q, 0, -1)
         if any(diff.values()):
             yield (relation, i, j, u)
 
 
 def _hecke_witnesses(g: LabeledWGraph):
-    x = g.hecke_x
-    return _pair_witnesses(g, partial(_hecke_pair, g, x * x))
+    """
+    The Hecke witnesses, orbit first.  Each generator's columns are built
+    when a pair first reads them, kept for the other pairs of this check
+    and freed with it.
+    """
+    x = _hecke_x(g)
+    columns = cache(partial(_generator_columns, g.tau, g.adjacency, x))
+    return _pair_witnesses(g, partial(_hecke_pair, g, columns, x * x))
 
 
 def check_hecke_relations(g: LabeledWGraph) -> RuleReport:

@@ -8,13 +8,14 @@ The index set is {1..n} for affine graphs and {1..n-1} for finite ones;
 all orderings are canonical so exports are byte-for-byte reproducible:
 every graph holds its edges in (src, dst) order, set where the graph is
 made, so its readers (the adjacency, JSON and DOT) never sort them.
-What the checks derive from a graph (its adjacency, the shift
-automorphism and its orbit representatives, the evaluation point of the
-Hecke module and each generator's columns) is computed once per graph
-object, on first use, and kept on it as tuples.  The public constructor
-copies and checks its fields; the two-row builders, and restrictions,
-subgraphs and simple underlying graphs of a valid graph, are built without
-either; they keep the order because they filter their parent's edges.
+The values derived from a graph (its adjacency, the shift automorphism
+and its orbit representatives) are computed once per graph object, on
+first use, and kept on it as tuples; a graph keeps nothing else, and what
+a check builds for itself is freed when the check returns.  The public
+constructor copies and checks its fields; the two-row builders, and
+restrictions, subgraphs and simple underlying graphs of a valid graph, are
+built without either; they keep the order because they filter their
+parent's edges.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .tableaux import (
     tableau_to_json,
 )
 
-# (w, coefficient) pairs: out-edges (w, m(u > w)) or the entries of a column
+# (w, coefficient) pairs, such as the out-edges (w, m(u > w)) of a vertex
 Edges = tuple[tuple[int, int], ...]
 
 __all__ = [
@@ -172,57 +173,8 @@ class LabeledWGraph:
                     v = sigma[v]
         return tuple(representatives)
 
-    @cached_property
-    def hecke_x(self) -> int:
-        """
-        The point v = x at which the Hecke module is evaluated: x = 2**B
-        exceeds 4 * M**3 for M = 1 + the largest sum of |m(u > w)| over the
-        out-edges of one vertex, which verify shows to make the integer
-        check of the Hecke relations exact.
-        """
-        out_norms = [0] * len(self.vertices)
-        for (u, _), m in self.weights.items():
-            out_norms[u] += abs(m)
-        bound = 2 * (1 + max(out_norms, default=0)) ** 3
-        x = 1 << (2 * bound).bit_length()
-        assert x > 2 * bound, (x, bound)
-        return x
-
-    def hecke_columns(self, i: int) -> tuple[Edges | None, ...]:
-        """
-        The columns of the generator i at v = hecke_x: cols[u] is None when
-        i is not in tau(u), where T_i e_u = q e_u, and otherwise
-        T_i e_u = -e_u + v * sum m(u > w) e_w over the out-edges with i not
-        in tau(w), as the pairs (u, -1) and (w, x * m(u > w)).  Each
-        generator's columns are built from the adjacency on first use and
-        kept, so a check that reads only some generators builds only those.
-        """
-        # True == 1 and 1.0 == 1 pass the membership test, so check the type too
-        if type(i) is not int or i not in self.index_set:
-            raise ValueError(f"{i!r} is not in the index set")
-        built = self._built_columns
-        cols = built.get(i)
-        if cols is None:
-            # threads that race here get the columns stored first
-            cols = built.setdefault(i, _generator_columns(self.tau, self.adjacency, self.hecke_x, i))
-        return cols
-
-    @cached_property
-    def _built_columns(self) -> dict[int, tuple[Edges | None, ...]]:
-        """Generator -> its columns, filled by hecke_columns."""
-        return {}
-
     def vertex_index(self) -> dict[RowStandardTableau, int]:
         return {t: k for k, t in enumerate(self.vertices)}
-
-
-def _generator_columns(tau, adjacency, x: int, i: int) -> tuple[Edges | None, ...]:
-    """The columns of the generator i at v = x (LabeledWGraph.hecke_columns)."""
-    # each w occurs once in adjacency[u], and a kept w is not u, as i is in tau(u)
-    return tuple([
-        ((u, -1), *[(w, x * m) for w, m in adjacency[u] if i not in tau[w]]) if i in t else None
-        for u, t in enumerate(tau)
-    ])
 
 
 def dynkin_adjacent(g: LabeledWGraph, i: int, j: int) -> bool:

@@ -16,10 +16,7 @@ import affwgraph.verify as verify
 SRC = Path(verify.__file__).resolve().parent
 RULES = ("check_compatibility", "check_simplicity", "check_bonding", "check_polygon")
 HECKE = ("check_hecke_relations", "hecke_holds")
-HECKE_HELPERS = {
-    "hecke_x", "hecke_columns", "_generator_columns", "_hecke_witnesses", "_hecke_pair",
-    "_apply", "_apply_shifted",
-}
+HECKE_HELPERS = {"_hecke_x", "_generator_columns", "_hecke_witnesses", "_hecke_pair", "_apply"}
 RULE_HELPERS = {
     "_polygon_pair", "_bonding_pair", "_step",
     "_edge_witnesses", "_compatibility_edges", "_simplicity_edges", "shift_orbit_representatives",
@@ -73,6 +70,15 @@ def test_rules_and_hecke_check_share_only_the_pair_loop():
         if inspect.isfunction(value) and value.__module__.startswith("affwgraph.")
     }
     assert rules & hecke & helpers == {"_orbit_first", "_pair_witnesses", "_report", "dynkin_adjacent"}
+
+
+def test_hecke_check_reads_only_what_the_rules_read_of_the_graph():
+    # the graph value holds what both paths read; the Hecke module lives in verify
+    graph = _functions("wgraph")
+    defs = _functions("verify", "wgraph")
+    hecke = _reached(defs, HECKE) & graph.keys()
+    assert {"adjacency", "shift_automorphism", "dynkin_adjacent"} <= hecke
+    assert hecke <= _reached(defs, RULES)
 
 
 def test_finite_builder_not_derived_from_the_affine_one():

@@ -348,7 +348,7 @@ def _builder_graphs(shape):
 
 
 # what a graph derives and keeps on itself when a check first reads it
-DERIVED = {"adjacency", "shift_automorphism", "shift_orbit_representatives", "hecke_x", "_built_columns"}
+DERIVED = {"adjacency", "shift_automorphism", "shift_orbit_representatives"}
 
 
 @pytest.mark.parametrize("shape", two_row_shapes(3, 10), ids=str)

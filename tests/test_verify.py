@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affwgraph.verify as verify
-import affwgraph.wgraph as wgraph
 from affwgraph import (
     LabeledWGraph,
     Partition,
@@ -26,6 +25,7 @@ from affwgraph import (
     check_simplicity,
     classify_restriction_cells,
     finsh,
+    graph_to_json,
     restrict_parabolic,
 )
 from affwgraph.verify import hecke_holds, rules_hold
@@ -70,6 +70,20 @@ def damaged_graphs(draw):
     weights.update(
         draw(st.dictionaries(st.sampled_from(sorted(weights)), st.sampled_from(WEIGHTS), max_size=3))
     )
+    return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
+
+
+@st.composite
+def grown_graphs(draw):
+    """
+    A small affine graph with 1 to 3 mutual weight-1 pairs added, so a
+    vertex can have more than one mutual partner.
+    """
+    g = _base_graph(draw(st.sampled_from(((3, 2), (4, 2), (3, 3)))))
+    pairs = itertools.combinations(range(len(g.vertices)), 2)
+    added = draw(st.sets(st.sampled_from(list(pairs)), min_size=1, max_size=3))
+    weights = dict(g.weights)
+    weights.update(((u, v), 1) for pair in added for u, v in (pair, pair[::-1]))
     return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
 
 
@@ -272,6 +286,27 @@ class TestBonding:
     def test_matches_brute_force(self, g):
         assert list(check_bonding(g).witnesses) == _brute_force_bonding(g)
 
+    @settings(max_examples=40, deadline=None)
+    @given(grown_graphs())
+    def test_matches_brute_force_with_added_pairs(self, g):
+        assert list(check_bonding(g).witnesses) == _brute_force_bonding(g)
+
+    def test_second_partner_fails(self, g32):
+        # u in V_{a/b} keeps its one mutual partner and gains a second one
+        tau = g32.tau
+        u, a, b, v = next(
+            (u, a, b, v)
+            for u, v in itertools.permutations(range(len(tau)), 2)
+            for a, b in itertools.permutations(sorted(g32.index_set), 2)
+            if dynkin_adjacent(g32, a, b) and a in tau[u] - tau[v] and b in tau[v] - tau[u]
+            and (u, v) not in g32.weights and (v, u) not in g32.weights
+        )
+        weights = {**g32.weights, (u, v): 1, (v, u): 1}
+        grown = LabeledWGraph(g32.n, g32.index_set, g32.vertices, tau, weights)
+        witnesses = check_bonding(grown).witnesses
+        assert (u, a, b, 2) in witnesses
+        assert list(witnesses) == _brute_force_bonding(grown)
+
 
 class TestPolygon:
     def test_passes(self, g32):
@@ -452,11 +487,18 @@ class TestColumnsMatchLaurentMatrices:
         count = len(g.vertices)
         matrices = laurent_matrices(g)
         assert sorted(g.index_set) == sorted(matrices)
+        # X = 2**B is the least power of 2 above 2C for C = 2M^3 (verify's
+        # module docstring), with M read from the exported edges
+        norms = Counter()
+        for e in graph_to_json(g)["edges"]:
+            norms[e["src"]] += abs(e["w"])
+        x = verify._hecke_x(g)
+        assert x == 1 << (4 * (1 + max(norms.values(), default=0)) ** 3).bit_length()
         for i in sorted(matrices):
-            cols = g.hecke_columns(i)
+            cols = verify._generator_columns(g.tau, g.adjacency, x, i)
             assert len(cols) == count
             for u, col in enumerate(cols):
-                assert _laurent_column(g.hecke_x, u, col, count) == [row[u] for row in matrices[i]], (i, u)
+                assert _laurent_column(x, u, col, count) == [row[u] for row in matrices[i]], (i, u)
 
     @pytest.mark.parametrize("shape", two_row_shapes(3, 8), ids=str)
     def test_affine_graphs(self, shape):
@@ -470,11 +512,6 @@ class TestColumnsMatchLaurentMatrices:
     def test_negative_weights(self):
         assert any(m < 0 for m in NEGATIVE_WEIGHT_GRAPH.weights.values())
         self._assert_agree(NEGATIVE_WEIGHT_GRAPH)
-
-    @pytest.mark.parametrize("i", [0, 4, True, 1.0, "1"])
-    def test_generator_outside_the_index_set(self, i):
-        with pytest.raises(ValueError, match="not in the index set"):
-            NEGATIVE_WEIGHT_GRAPH.hecke_columns(i)
 
 
 class TestIntegerHeckeCheck:
@@ -702,28 +739,40 @@ def kernel_calls(monkeypatch):
 def built_generators(monkeypatch):
     """The generators whose Hecke columns are built, in order."""
     built = []
-    build = wgraph._generator_columns
+    build = verify._generator_columns
 
     def counted(tau, adjacency, x, i):
         built.append(i)
         return build(tau, adjacency, x, i)
 
-    monkeypatch.setattr(wgraph, "_generator_columns", counted)
+    monkeypatch.setattr(verify, "_generator_columns", counted)
     return built
 
 
-def _pair_calls(n, failing, stop_on_first=False):
+def _pairs_evaluated(n, failing, stop_on_first=False, invariant=True):
     """
-    The pairs evaluated on a shift-invariant graph whose failing generator
-    pairs are `failing`: the representatives (1, 1 + d) up to the first
-    failing one, then every pair i < j, or up to the first failing one.
+    The pairs evaluated, in order, on a graph whose failing generator pairs
+    are `failing`.  On a shift-invariant graph, the representatives
+    (1, 1 + d) up to the first failing one, and the full loop only if one
+    fails; on any other graph, the full loop.  The full loop is every pair
+    i < j, or those up to the first failing one.
     """
-    reps = [(1, 1 + d) for d in range(1, n // 2 + 1)]
-    first = next((k for k, pair in enumerate(reps) if pair in failing), None)
-    if first is None:
-        return len(reps)
+    evaluated = []
+    if invariant:
+        reps = [(1, 1 + d) for d in range(1, n // 2 + 1)]
+        first = next((k for k, pair in enumerate(reps) if pair in failing), None)
+        if first is None:
+            return reps
+        evaluated = reps[: first + 1]
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    return first + 1 + (pairs.index(min(failing)) + 1 if stop_on_first else len(pairs))
+    if stop_on_first:
+        pairs = pairs[: pairs.index(min(failing)) + 1]
+    return evaluated + pairs
+
+
+def _pair_calls(n, failing, stop_on_first=False):
+    """The number of pairs evaluated on a shift-invariant graph (_pairs_evaluated)."""
+    return len(_pairs_evaluated(n, failing, stop_on_first))
 
 
 def _assert_matches_oracles(g):
@@ -860,8 +909,9 @@ class TestOrbitReduction:
             built_generators.clear()
             assert check_hecke_relations(g).passed
             assert built_generators == list(range(1, g.n // 2 + 2))
+            # each check builds its own columns, and the graph keeps none
             assert hecke_holds(g)
-            assert built_generators == list(range(1, g.n // 2 + 2))
+            assert built_generators == list(range(1, g.n // 2 + 2)) * 2
 
     def test_failing_graphs_build_every_generator(self, built_generators):
         graphs = []
@@ -875,10 +925,14 @@ class TestOrbitReduction:
             graphs.append(_without_edge(g, sorted(g.weights)[0]))
         for h in graphs:
             built_generators.clear()
-            assert not check_hecke_relations(h).passed
+            report = check_hecke_relations(h)
+            assert not report.passed
             assert built_generators == sorted(h.index_set)
+            # hecke_holds builds its own columns, those of the pairs up to its first witness
             assert not hecke_holds(h)
-            assert built_generators == sorted(h.index_set)
+            failing = {(i, j) for _, i, j, _ in report.witnesses}
+            pairs = _pairs_evaluated(h.n, failing, True, h.shift_automorphism is not None)
+            assert built_generators == sorted(h.index_set) + list(dict.fromkeys(itertools.chain(*pairs)))
         assert {h.shift_automorphism is None for h in graphs} == {True, False}
 
     @staticmethod

@@ -6,6 +6,7 @@ from types import MappingProxyType
 
 import pytest
 
+import affwgraph.verify as verify
 from affwgraph import (
     LabeledWGraph,
     Partition,
@@ -21,6 +22,7 @@ from affwgraph import (
     restrict_parabolic,
     simple_underlying,
 )
+from affwgraph.verify import check_all_rules, check_hecke_relations, hecke_holds
 from affwgraph.wgraph import full_subgraph, simple_component_ids
 
 from conftest import two_row_shapes
@@ -434,13 +436,16 @@ class TestConstruction:
         assert all(a is b for a, b in zip(g.tau, g33.tau))
 
 
-DERIVED = ("adjacency", "shift_automorphism", "shift_orbit_representatives", "hecke_x")
+DERIVED = ("adjacency", "shift_automorphism", "shift_orbit_representatives")
 
 
 def _derived(g) -> dict:
-    """The derived values of g, with the columns of every generator."""
+    """The derived values of g, with the Hecke check's X and the columns of every generator."""
     values = {name: getattr(g, name) for name in DERIVED}
-    values.update((("hecke_columns", i), g.hecke_columns(i)) for i in sorted(g.index_set))
+    x = values["hecke_x"] = verify._hecke_x(g)
+    values.update(
+        (("columns", i), verify._generator_columns(g.tau, g.adjacency, x, i)) for i in sorted(g.index_set)
+    )
     return values
 
 
@@ -461,12 +466,21 @@ class TestDerivedValues:
                 setattr(g33, name, ())
             with pytest.raises(FrozenInstanceError):
                 delattr(g33, name)
-        with pytest.raises(FrozenInstanceError):
-            g33.hecke_columns = None
-        for i in sorted(g33.index_set):
-            cols = g33.hecke_columns(i)
-            assert len(cols) == len(g33.vertices) and g33.hecke_columns(i) is cols
-            assert _frozen(cols), i
+
+    @pytest.mark.parametrize("damaged", [False, True])
+    def test_checks_leave_only_frozen_values(self, g33, damaged):
+        # a fresh graph, on which the checks derive all that they keep; the
+        # damaged one fails every check but compatibility, on the full scans
+        weights = dict(g33.weights)
+        if damaged:
+            del weights[next(iter(weights))]
+        g = LabeledWGraph(g33.n, g33.index_set, g33.vertices, g33.tau, weights)
+        assert [r.passed for r in check_all_rules(g)] == [True, not damaged, not damaged, not damaged]
+        assert check_hecke_relations(g).passed == hecke_holds(g) == (not damaged)
+        assert set(DERIVED) <= vars(g).keys()
+        for name, value in vars(g).items():
+            assert value is g.weights or type(value) in (tuple, frozenset, int, type(None)), name
+        assert type(g.weights) is MappingProxyType
 
     def test_pickle_and_copy(self, g33):
         derived = _derived(g33)
