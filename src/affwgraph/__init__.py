@@ -32,7 +32,6 @@ from .tworow import (
     build_dual_equiv,
     build_equal_variant,
     build_finite_graph,
-    first_kind_target,
 )
 from .affperm import AffinePermutation, min_coset_reps
 from .verify import (

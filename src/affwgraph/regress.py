@@ -5,9 +5,11 @@ graphs, runnable from the command line and mirrored by the test suite.
 Each check returns a RegressResult; names are stable so CI can key on them.
 Seven checks sweep the shapes in one pass: each shape's affine graph is
 built once, and what the checks derive from it (the rsk pair of each
-vertex, which vertices are standard, the restriction to [1, n-1] and its
-cells, the simple underlying graph and its components, and the Knuth
-graph) is derived at most once, by the first check using it.  The shift's
+vertex, which vertices are standard, the row-2 mask of each vertex, the
+restriction to [1, n-1] and its cells, the simple underlying graph and its
+components, and the Knuth graph) is derived at most once, by the first
+check using it.  Which entries an edge swaps is read from the masks of its
+ends, not from the rows of its tableaux.  The shift's
 vertex permutation is the graph's shift automorphism, which the graph
 derives once for every check.
 Each finite graph a restriction cell is compared with is built once per
@@ -28,23 +30,18 @@ from operator import attrgetter
 from .affperm import canonical_tableau, inverse, min_coset_reps, tableau_action
 from .fixtures import load_fixture, load_fixture_json
 from .rsk import RskPair, finsh, rsk
-from .tableaux import (
-    Partition,
-    RowStandardTableau,
-    affine_descents,
-    is_standard,
-    mo,
-)
+from .tableaux import Partition, RowStandardTableau, affine_descents, is_standard
 from .tworow import (
     _moves,
+    _rotate,
     _row2_mask,
     build_affine_graph,
     build_dual_equiv,
     build_equal_variant,
     build_finite_graph,
-    first_kind_target,
 )
 from .verify import (
+    CellMismatchError,
     _restriction_fibers,
     check_all_rules,
     check_hecke_relations,
@@ -120,6 +117,14 @@ class _Shape:
         self.shape = shape
         self.g = build_affine_graph(shape)
         self.finite = finite
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """
+        The row-2 mask of each vertex, by index (entry e is bit e - 1): the
+        checks read which entries an edge swaps from the masks of its ends.
+        """
+        return [_row2_mask(t) for t in self.g.vertices]
 
     @cached_property
     def restricted(self) -> LabeledWGraph:
@@ -202,11 +207,11 @@ def _underlying_and_omega(s: _Shape) -> tuple[list[str], int]:
     sigma = g.shift_automorphism
     if sigma is None:
         return bad + [f"{s.shape}:shift"], 0
-    n, vertices, adjacency = g.n, g.vertices, g.adjacency
+    n, masks, adjacency = g.n, s.masks, g.adjacency
     for u in (sigma[k] for k in g.shift_orbit_representatives):
-        moved = sorted((move[3], 1) for move in _moves(_row2_mask(vertices[u]), n))
-        if moved != sorted((_row2_mask(vertices[v]), w) for v, w in adjacency[u]):
-            bad.append(f"{s.shape}:{vertices[u]}:moves")
+        moved = sorted((move[3], 1) for move in _moves(masks[u], n))
+        if moved != sorted((masks[v], w) for v, w in adjacency[u]):
+            bad.append(f"{s.shape}:{g.vertices[u]}:moves")
     return bad, 0
 
 
@@ -216,8 +221,9 @@ def _restriction_cells(s: _Shape) -> tuple[list[str], int]:
     and each is isomorphic, via insertion, to the finite graph of its key.
     """
     bad = []
+    insertion = s.insertion
+    tau, adjacency = s.restricted.tau, s.restricted.adjacency
     try:
-        insertion = s.insertion
         for key, ids in s.cells.items():
             target = s.finite_graph(key)
             to_target = target.vertex_index()
@@ -230,13 +236,12 @@ def _restriction_cells(s: _Shape) -> tuple[list[str], int]:
                 bad.append(f"{s.shape}:{key}:not-bijective")
                 continue
             renumber = dict(zip(ids, remap))
-            tau, adjacency = s.restricted.tau, s.restricted.adjacency
             if any(tau[k] != target.tau[renumber[k]] for k in ids):
                 bad.append(f"{s.shape}:{key}:tau")
             mapped = {(renumber[u], renumber[v]): w for u in ids for v, w in adjacency[u] if v in renumber}
             if mapped != target.weights:
                 bad.append(f"{s.shape}:{key}:weights")
-    except Exception as exc:  # CellMismatchError carries the detail
+    except CellMismatchError as exc:  # the detail names the shape
         return [f"{s.shape}:{exc}"], 0
     return bad, 0
 
@@ -262,15 +267,15 @@ def _finite_move_labels(s: _Shape) -> tuple[list[str], int]:
     Every move between standard tableaux surviving the restriction swaps
     j out of row 1 and i out of row 2 with j >= i - 1.
     """
-    restricted, standard = s.restricted, s.standard
+    masks, standard = s.masks, s.standard
     bad = []
     checked = 0
-    for (u, v) in restricted.weights:
+    for (u, v) in s.restricted.weights:
         if not (standard[u] and standard[v]):
             continue
-        tu, tv = restricted.vertices[u], restricted.vertices[v]
-        j = next(iter(set(tu.rows[0]) - set(tv.rows[0])))
-        i = next(iter(set(tu.rows[1]) - set(tv.rows[1])))
+        # j leaves row 1 (enters row 2) and i leaves row 2
+        j = (masks[v] & ~masks[u]).bit_length()
+        i = (masks[u] & ~masks[v]).bit_length()
         checked += 1
         if j < i - 1:
             bad.append(f"{s.shape}:{(u, v)}:j={j},i={i}")
@@ -298,28 +303,28 @@ def _shift_suite(s: _Shape) -> tuple[list[str], int]:
         for k, t in enumerate(vertices):
             if comp[sigma[k]] == comp[k]:
                 bad.append(f"{shape}:{t}:shift-preserves-component")
-    n = shape.n
+    n, masks = shape.n, s.masks
     for (u, v) in s.g.weights:
         if comp[u] == comp[v]:
             continue
-        tu, tv = vertices[u], vertices[v]
-        x = next(iter(set(tu.rows[0]) - set(tv.rows[0])))
-        y = next(iter(set(tu.rows[1]) - set(tv.rows[1])))
-        if y != mo(x + 1, n) or first_kind_target(tu, x) != tv:
+        # first kind: one entry x leaves row 1 and mo(x+1) leaves row 2,
+        # the bit of x rotated one step up
+        x = masks[v] & ~masks[u]
+        if x & (x - 1) or masks[u] & ~masks[v] != _rotate(x, n - 1, n):
             bad.append(f"{shape}:{(u, v)}:not-first-kind")
     return bad, 0
 
 
 def _sigma_findings(s: _Shape, sigma: tuple[int, ...]) -> list[str]:
     """The case table and the standardization properties of _shift_suite."""
-    shape, vertices, standard = s.shape, s.g.vertices, s.standard
+    shape, vertices, standard, masks = s.shape, s.g.vertices, s.standard, s.masks
     n = shape.n
     # the first two parts of each insertion shape, 0 for a missing second row
     pairs = [(tuple(map(len, pair.p.rows)) + (0,))[:2] for pair in s.insertion]
     bad = []
     for k, t in enumerate(vertices):
         (a, b), (sa, sb) = pairs[k], pairs[sigma[k]]
-        top = n in t.rows[0]
+        top = not masks[k] >> (n - 1) & 1  # n in row 1
         if (a, b) == shape.parts:
             expected = shape.parts if top else (a + 1, b - 1)
         elif b == 0:

@@ -5,10 +5,10 @@ descent sets, standardness, and the vertex permutation of the cyclic shift.
 Conventions: rows are numbered from the top starting at 1, a "higher" row
 has a smaller row number, and every tableau stores its rows sorted.
 Residues live in {1, ..., n}.  Tableaux from outside (the constructor,
-JSON) are validated; enumerate_rsyt and with_swapped derive their rows
-from valid ones and store them without checking them again.  The standard
-tableaux of a shape are those of its row-standard enumeration that
-is_standard accepts, in that order.
+JSON) are validated; enumerate_rsyt, the insertion tableau of rsk and the
+tableau action of affperm derive their rows from valid ones and store them
+without checking them again.  The standard tableaux of a shape are those
+of its row-standard enumeration that is_standard accepts, in that order.
 """
 
 from __future__ import annotations
@@ -111,18 +111,6 @@ class RowStandardTableau:
             if entry in row:
                 return a
         raise ValueError(f"{entry} not in tableau {self.rows}")
-
-    def with_swapped(self, x: int, y: int) -> "RowStandardTableau":
-        """The tableau with entries x and y interchanged, rows re-sorted."""
-        swapped = tuple(
-            tuple(sorted(y if e == x else x if e == y else e for e in row))
-            for row in self.rows
-        )
-        entries = range(1, self.n + 1)
-        # 1.0 and True are in the range too, but would be stored as entries
-        if not (type(x) is int and type(y) is int and x in entries and y in entries):
-            return RowStandardTableau(swapped)  # may not be a row-standard filling
-        return RowStandardTableau._trusted(swapped)
 
     def __str__(self) -> str:
         return tableau_text(self)

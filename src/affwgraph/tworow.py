@@ -2,8 +2,7 @@
 The two-row graph constructions: the affine graph generated by the moves
 of the first and second kind on row-standard tableaux, the dual
 equivalence graph of Knuth moves, the equal-row variants, and the finite
-graph on standard tableaux; and the first-kind move on one tableau, which
-the regression reads.
+graph on standard tableaux.
 
 A move swaps one entry of row 1 with one entry of row 2.  First kind:
 mo(i) in row 1 trades places with mo(i+1) in row 2.  Second kind: mo(i) in
@@ -46,10 +45,7 @@ from .tableaux import (
 )
 from .wgraph import LabeledWGraph, simple_component_ids
 
-__all__ = [
-    "first_kind_target", "build_affine_graph", "build_dual_equiv",
-    "build_equal_variant", "build_finite_graph",
-]
+__all__ = ["build_affine_graph", "build_dual_equiv", "build_equal_variant", "build_finite_graph"]
 
 
 def _require_two_row(shape: Partition) -> None:
@@ -116,15 +112,6 @@ def _second_kind_gate(m: int, i: int, j: int, n: int) -> bool:
     # since j-1-(d-3) = i+2 mod n (empty for d == 3); for d == 1 (mo(j) = mo(i+1))
     # there is no condition
     return d == 1 or count == (d - 3) // 2
-
-
-def first_kind_target(s: RowStandardTableau, i: int) -> RowStandardTableau | None:
-    """Swap mo(i) in row 1 with mo(i+1) in row 2, or None if not applicable."""
-    m = _row2_mask(s)
-    n = s.n
-    if _descent_mask(m, n) >> (mo(i, n) - 1) & 1:
-        return s.with_swapped(mo(i, n), mo(i + 1, n))
-    return None
 
 
 def _moves(m: int, n: int):

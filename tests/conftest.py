@@ -83,6 +83,11 @@ def omega_shift(t: RowStandardTableau) -> RowStandardTableau:
     return RowStandardTableau(tuple(tuple(sorted(mo(e + 1, n) for e in row)) for row in t.rows))
 
 
+def swapped(t: RowStandardTableau, x: int, y: int) -> RowStandardTableau:
+    """t with the entries x and y interchanged, through the validated constructor."""
+    return RowStandardTableau(tuple(tuple(y if e == x else x if e == y else e for e in row) for row in t.rows))
+
+
 def is_knuth_move(t, u) -> bool:
     """
     True when u arises from t by interchanging mo(i) and mo(i+1) for some i
@@ -97,7 +102,7 @@ def is_knuth_move(t, u) -> bool:
     n = t.n
     for i in range(1, n + 1):
         x, y = mo(i, n), mo(i + 1, n)
-        if t.row_of(x) != t.row_of(y) and t.with_swapped(x, y) == u:
+        if t.row_of(x) != t.row_of(y) and swapped(t, x, y) == u:
             return True
     return False
 
@@ -110,6 +115,6 @@ def finite_knuth(t, u) -> bool:
     if dt <= du or du <= dt:
         return False
     for i in range(1, t.n):
-        if t.row_of(i) != t.row_of(i + 1) and t.with_swapped(i, i + 1) == u:
+        if t.row_of(i) != t.row_of(i + 1) and swapped(t, i, i + 1) == u:
             return True
     return False

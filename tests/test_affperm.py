@@ -16,7 +16,7 @@ from affwgraph import (
 from affwgraph.affperm import canonical_tableau, inverse, tableau_action
 from affwgraph.tableaux import mo
 
-from conftest import all_partitions, omega_shift, two_row_shapes
+from conftest import all_partitions, omega_shift, swapped, two_row_shapes
 
 
 def T(*rows):
@@ -206,7 +206,7 @@ class TestTableauAction:
                     for i in word:
                         gen = simple_reflection(i, n)
                         # s_0 switches 1 and n, s_i switches i and i + 1
-                        stepped = stepped.with_swapped(i, i + 1) if i else stepped.with_swapped(1, n)
+                        stepped = swapped(stepped, i, i + 1) if i else swapped(stepped, 1, n)
                         w = compose(gen, w)
                     assert tableau_action(w, t) == stepped
 

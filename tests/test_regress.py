@@ -13,7 +13,7 @@ import pytest
 import affwgraph.regress as regress
 import affwgraph.tworow as tworow
 import affwgraph.verify as verify
-from affwgraph import LabeledWGraph, Partition, RowStandardTableau, enumerate_rsyt
+from affwgraph import LabeledWGraph, Partition, RowStandardTableau, enumerate_rsyt, finite_descents, is_standard, mo
 from affwgraph.rsk import RskPair
 from affwgraph.wgraph import simple_component_ids
 
@@ -34,6 +34,27 @@ def _without_first_internal_edge(build, damaged_parts):
         return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
 
     return damaged
+
+
+def _with_added_edge(build, damaged_parts, edge):
+    """A builder whose graph for one shape has the weight-1 edge added."""
+
+    def damaged(shape):
+        g = build(shape)
+        if shape.parts != damaged_parts:
+            return g
+        return LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, {**g.weights, edge: 1})
+
+    return damaged
+
+
+def _swap(t, u):
+    """
+    The entries (x, y) that leave row 1 and row 2 of t when u is t with one
+    entry of row 1 interchanged with one of row 2, or None.
+    """
+    leaving = set(t.rows[0]) - set(u.rows[0]), set(t.rows[1]) - set(u.rows[1])
+    return (min(leaving[0]), min(leaving[1])) if len(leaving[0]) == 1 else None
 
 
 # workers see the patched builder only when they are forked from this process
@@ -239,3 +260,79 @@ def test_underlying_and_omega_sees_moves_that_do_not_turn_with_the_shift(monkeyp
     assert (result.passed, result.detail) == (
         False, "(2,1):13/2:moves, (3,1):134/2:moves, (2,2):13/24:moves, (4,1):1345/2:moves, (3,2):135/24:moves"
     )
+
+
+def test_restriction_cells_lets_a_fault_of_the_check_propagate(monkeypatch):
+    # only a CellMismatchError is a finding; any other error, here raised
+    # for (2,2) alone, is a bug in the check (the (3,2) fixture item, which
+    # reads the cells outside the check's handler, is left alone)
+    original = regress._restriction_fibers
+
+    def broken(restricted, recording):
+        if restricted.vertices[0].shape == Partition((2, 2)):
+            raise RuntimeError("broken fibers")
+        return original(restricted, recording)
+
+    monkeypatch.setattr(regress, "_restriction_fibers", broken)
+    with pytest.raises(RuntimeError, match="broken fibers"):
+        regress._sweep(4, {"restriction_cells"})
+
+
+def test_finite_move_labels_sees_a_move_with_j_below_i_minus_one(monkeypatch):
+    # the first swap between standard tableaux of (3,2) that moves j out of
+    # row 1 and i out of row 2 with j < i - 1, and that the restriction to
+    # [1, 4] keeps, is added to the affine graph as an edge
+    g = regress.build_affine_graph(Partition((3, 2)))
+    vertices = g.vertices
+    u, v = next(
+        (u, v) for u, t in enumerate(vertices) for v, w in enumerate(vertices)
+        if is_standard(t) and is_standard(w) and (u, v) not in g.weights
+        and (swap := _swap(t, w)) and swap[0] < swap[1] - 1
+        and not finite_descents(t) <= finite_descents(w)
+    )
+    assert (str(vertices[u]), str(vertices[v])) == ("123/45", "134/25")
+    damaged = _with_added_edge(regress.build_affine_graph, (3, 2), (u, v))
+    monkeypatch.setattr(regress, "build_affine_graph", damaged)
+    result = regress._sweep(4, {"finite_move_labels"})["finite_move_labels"]
+    assert (result.passed, result.detail) == (False, "(3,2):(9, 6):j=2,i=4")
+
+
+def test_shift_suite_sees_a_cross_component_edge_of_the_second_kind(monkeypatch):
+    # the first swap in (3,3) between the two simple components that is not
+    # of the first kind (the entry leaving row 2 is not mo(x+1)) is added as
+    # a one-way edge, so the components stay the same and the shift is no
+    # longer an automorphism
+    g = regress.build_affine_graph(Partition((3, 3)))
+    comp = simple_component_ids(g)
+    vertices = g.vertices
+    u, v = next(
+        (u, v) for u, t in enumerate(vertices) for v, w in enumerate(vertices)
+        if comp[u] != comp[v] and (u, v) not in g.weights and (v, u) not in g.weights
+        and (swap := _swap(t, w)) and swap[1] != mo(swap[0] + 1, 6)
+    )
+    assert (str(vertices[u]), str(vertices[v])) == ("456/123", "346/125")
+    damaged = _with_added_edge(regress.build_affine_graph, (3, 3), (u, v))
+    monkeypatch.setattr(regress, "build_affine_graph", damaged)
+    result = regress._sweep(6, {"shift_suite"})["shift_suite"]
+    assert (result.passed, result.detail) == (False, "(3,3):shift, (3,3):(0, 2):not-first-kind")
+
+
+def test_shift_suite_sees_a_wrong_insertion_shape(monkeypatch):
+    # the first vertex of (3,2) gets the insertion tableau P of the first
+    # vertex whose insertion shape differs, so the case table fails at it
+    # and at the vertex the shift takes to it
+    vertices = enumerate_rsyt(Partition((3, 2)))
+    original = regress.rsk
+    pairs = {t: original(t) for t in vertices}
+    victim = vertices[0]
+    other = next(t for t in vertices if pairs[t].p.shape != pairs[victim].p.shape)
+
+    def damaged(t):
+        return RskPair(pairs[other].p, pairs[t].q) if t == victim else original(t)
+
+    monkeypatch.setattr(regress, "rsk", damaged)
+    result = regress._sweep(5, {"shift_suite"})["shift_suite"]
+    assert (result.passed, result.detail) == (False, ", ".join([
+        "(3,2):345/12:case-table", "(3,2):345/12:equal-implies-standard",
+        "(3,2):234/15:case-table", "(3,2):234/15:equal-implies-standard",
+    ]))

@@ -18,7 +18,6 @@ from affwgraph import (
     build_finite_graph,
     enumerate_rsyt,
     enumerate_syt,
-    first_kind_target,
     mo,
 )
 from affwgraph.tableaux import pint
@@ -31,7 +30,7 @@ from affwgraph.tworow import (
 )
 from affwgraph.wgraph import graph_to_dot, graph_to_json, simple_component_ids, simple_underlying
 
-from conftest import is_knuth_move, omega_shift, two_row_shapes
+from conftest import is_knuth_move, omega_shift, swapped, two_row_shapes
 
 
 def T(*rows):
@@ -58,6 +57,18 @@ def enumerate_moves(shape: Partition) -> list[Move]:
         Move(kind, i, j, src, index[target])
         for src, m in enumerate(masks) for kind, i, j, target in _moves(m, shape.n)
     ]
+
+
+def first_kind_target(s: RowStandardTableau, i: int) -> RowStandardTableau | None:
+    """
+    Swap mo(i) in row 1 with mo(i+1) in row 2, or None if not applicable:
+    the first-kind move on one tableau, read from its rows.
+    """
+    n = s.n
+    x, y = mo(i, n), mo(i + 1, n)
+    if s.row_of(x) == 1 and s.row_of(y) == 2:
+        return swapped(s, x, y)
+    return None
 
 
 def second_kind_valid(s: RowStandardTableau, i: int, j: int) -> bool:
@@ -286,7 +297,7 @@ def _moves_oracle(shape):
                 except ValueError:  # not a second-kind candidate
                     continue
                 if valid:
-                    moves.append(Move("second", i, j, src, index[s.with_swapped(mo(i, n), mo(j, n))]))
+                    moves.append(Move("second", i, j, src, index[swapped(s, mo(i, n), mo(j, n))]))
     return moves
 
 
