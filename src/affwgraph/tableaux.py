@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, filterfalse
+from itertools import chain, combinations, filterfalse
 
 __all__ = [
     "Partition", "RowStandardTableau",
     "mo", "pint", "affine_descents", "finite_descents",
     "shift_permutation", "enumerate_rsyt", "enumerate_syt", "is_standard",
-    "tableau_text", "tableau_to_json", "tableau_from_json",
+    "tableau_text", "tableau_from_json",
 ]
 
 
@@ -74,15 +74,15 @@ class RowStandardTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
+        entries = list(chain.from_iterable(rows))
         # True == 1 and 1.0 == 1 would pass the check on the entries
-        if not all(type(e) is int for row in rows for e in row):
+        if not set(map(type, entries)) <= {int}:
             raise ValueError(f"tableau entries must be integers: {rows}")
-        rows = tuple(tuple(sorted(row)) for row in rows)
+        rows = tuple(map(tuple, map(sorted, rows)))
         object.__setattr__(self, "rows", rows)
-        shape = tuple(len(row) for row in rows)
-        Partition(shape)  # validates weakly decreasing, size >= 3
-        entries = sorted(e for row in rows for e in row)
+        Partition(tuple(map(len, rows)))  # validates weakly decreasing, size >= 3
+        entries.sort()
         if entries != list(range(1, len(entries) + 1)):
             raise ValueError(f"entries must be exactly 1..n: {rows}")
 
@@ -225,9 +225,6 @@ def tableau_text(t: RowStandardTableau) -> str:
     return "/".join("".join(str(e) for e in row) for row in t.rows)
 
 
-def tableau_to_json(t: RowStandardTableau) -> dict:
-    return {"rows": [list(row) for row in t.rows], "n": t.n}
-
-
 def tableau_from_json(data: dict) -> RowStandardTableau:
-    return RowStandardTableau(tuple(tuple(row) for row in data["rows"]))
+    # the constructor copies the rows into tuples
+    return RowStandardTableau(data["rows"])

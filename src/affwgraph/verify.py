@@ -24,6 +24,20 @@ the 3-step sums through V_{i/j} then V_{j/i} are _step of those 2-step sums
 kept on V_{j/i} (and the same with i and j swapped), so no path out of u
 is walked twice.
 
+Bonding and polygon read per-generator vertex classes: for a generator i,
+the flags (i in tau(u)) of every vertex u and the list of the vertices
+flagged, _generator_class, built once per check when a pair first reads i.
+A pair (i, j) reads V_{i/j} as the vertices flagged for i and not for j,
+the polygon sources as the members of i flagged for j and the sinks as the
+vertices flagged for neither; bonding walks the members of i and of j,
+and counts, for each u of V_{i/j} or V_{j/i} only, the out-edges of u
+into the other class whose reverse edge exists.  So no V-length list is
+built per pair, and a graph that gets the full pair loop (below) pays per
+generator, not per generator pair.  The Hecke check builds its own
+classes: the columns of a generator come with the vertices where it is
+active, and a pair visits only the vertices where i or j is active.  Each
+path builds what it reads, and the two share none of it.
+
 Every check goes over its items (edges or generator pairs i < j) orbit
 first, in one driver, _orbit_first.  When the shift is an automorphism of
 the graph (the checked precondition LabeledWGraph.shift_automorphism: the
@@ -86,11 +100,12 @@ once X > C, and X > 2C (asserted) even makes the coefficients the balanced
 base-X digits of P(X).  So P(X) = 0 exactly when P = 0, for any integer
 weights, and the witnesses are those of the polynomial check.  X is
 _hecke_x(g), computed once per check, and the integer columns of a
-generator i are _generator_columns at X, built when a pair of the check
-first reads i and freed when the check returns; the graph keeps none of
-them.  So a check that passes on the representatives (1, 1 + d) builds the
-generators 1..n/2 + 1 only, the full loop builds the rest, and
-hecke_holds after check_hecke_relations builds what it reads again.
+generator i, with the vertices where i is active, are _generator_columns
+at X, built when a pair of the check first reads i and freed when the
+check returns; the graph keeps none of them.  So a check that passes on
+the representatives (1, 1 + d) builds the generators 1..n/2 + 1 only, the
+full loop builds the rest, and hecke_holds after check_hecke_relations
+builds what it reads again.
 """
 
 from __future__ import annotations
@@ -98,7 +113,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import chain, combinations, starmap
+from itertools import chain, combinations, compress, starmap
 
 from .rsk import rsk
 from .tableaux import Partition
@@ -192,16 +207,30 @@ def _pair_witnesses(g: LabeledWGraph, kernel):
     return _orbit_first(g, evaluate, representatives, combinations(sorted(g.index_set), 2))
 
 
-def _bonding_pair(g: LabeledWGraph, mutual: list[list[int]], i: int, j: int) -> list[tuple]:
+def _generator_class(tau, i: int) -> tuple[list[bool], list[int]]:
+    """The flags (i in tau(u)) of every vertex u, and the vertices flagged, in order."""
+    flags = [i in t for t in tau]
+    return flags, list(compress(range(len(flags)), flags))
+
+
+def _rule_classes(g: LabeledWGraph):
+    """_generator_class of each generator of g, built when a pair of one check first reads it."""
+    return cache(partial(_generator_class, g.tau))
+
+
+def _bonding_pair(g: LabeledWGraph, classes, i: int, j: int) -> list[tuple]:
     """The bonding witnesses (u, a, b, partners) of the generator pair i < j."""
     if not dynkin_adjacent(g, i, j):
         return []
-    tau = g.tau
+    adj, weights = g.adjacency, g.weights
+    (flag_i, members_i), (flag_j, members_j) = classes(i), classes(j)
     witnesses = []
-    for u, t in enumerate(tau):
-        for a, b in ((i, j), (j, i)):
-            if a in t and b not in t:
-                partners = sum(1 for v in mutual[u] if b in tau[v] and a not in tau[v])
+    sides = ((i, j, flag_i, flag_j, members_i), (j, i, flag_j, flag_i, members_j))
+    for a, b, flag_a, flag_b, members in sides:
+        for u in members:
+            if not flag_b[u]:
+                # the mutual partners of u in V_{b/a} (stored weights are nonzero)
+                partners = sum(1 for v, _ in adj[u] if flag_b[v] and not flag_a[v] and (v, u) in weights)
                 if partners != 1:
                     witnesses.append((u, a, b, partners))
     return witnesses
@@ -209,45 +238,41 @@ def _bonding_pair(g: LabeledWGraph, mutual: list[list[int]], i: int, j: int) -> 
 
 def check_bonding(g: LabeledWGraph) -> RuleReport:
     """Adjacent i,j: each u in V_{i/j} has exactly one mutual partner in V_{j/i}."""
-    mutual: list[list[int]] = [[] for _ in g.vertices]
-    for (u, v) in g.weights:
-        if (v, u) in g.weights:  # stored weights are nonzero
-            mutual[u].append(v)
-    return _report("bonding", list(_pair_witnesses(g, partial(_bonding_pair, g, mutual))))
+    return _report("bonding", list(_pair_witnesses(g, partial(_bonding_pair, g, _rule_classes(g)))))
 
 
-def _step(adj, vec: Iterable[tuple[int, int]], keep: list[bool]) -> dict[int, int]:
-    """v -> sum over the pairs (w, a) of vec with keep[w] of a * m(w > v)."""
+def _step(adj, vec: Iterable[tuple[int, int]], yes: list[bool], no: list[bool]) -> dict[int, int]:
+    """v -> sum over the pairs (w, a) of vec with yes[w] and not no[w] of a * m(w > v)."""
     totals: dict[int, int] = {}
     get = totals.get
     for w, a in vec:
-        if keep[w]:
+        if yes[w] and not no[w]:
             for v, m in adj[w]:
                 totals[v] = get(v, 0) + a * m
     return totals
 
 
-def _polygon_pair(g: LabeledWGraph, adj, i: int, j: int) -> list[tuple]:
+def _polygon_pair(g: LabeledWGraph, classes, i: int, j: int) -> list[tuple]:
     """The polygon witnesses (u, v, i, j, r, lhs, rhs) of the generator pair i < j."""
-    tau = g.tau
-    sources = [u for u, t in enumerate(tau) if i in t and j in t]
-    sink = [i not in t and j not in t for t in tau]
-    if not sources or not any(sink):
+    (flag_i, members_i), (flag_j, _) = classes(i), classes(j)
+    sources = [u for u in members_i if flag_j[u]]
+    if not sources:
         return []
-    # V_{i/j} and V_{j/i}, the middle vertices of the paths
-    ij = [i in t and j not in t for t in tau]
-    ji = [j in t and i not in t for t in tau]
+    adj = g.adjacency
     adjacent = dynkin_adjacent(g, i, j)
     witnesses = []
     for u in sources:
-        left, right = _step(adj, adj[u], ij), _step(adj, adj[u], ji)
+        # the middle vertices lie in V_{i/j}, then V_{j/i} (left), and the other way round (right)
+        left, right = _step(adj, adj[u], flag_i, flag_j), _step(adj, adj[u], flag_j, flag_i)
         counts = [(2, left, right)]
         if adjacent:
-            counts.append((3, _step(adj, left.items(), ji), _step(adj, right.items(), ij)))
+            counts.append(
+                (3, _step(adj, left.items(), flag_j, flag_i), _step(adj, right.items(), flag_i, flag_j))
+            )
         # a sink that no path reaches has 0 on both sides
         for r, lhs, rhs in counts:
             for v in lhs.keys() | rhs.keys():
-                if sink[v]:
+                if not (flag_i[v] or flag_j[v]):
                     a, b = lhs.get(v, 0), rhs.get(v, 0)
                     if a != b:
                         witnesses.append((u, v, i, j, r, a, b))
@@ -259,7 +284,7 @@ def check_polygon(g: LabeledWGraph) -> RuleReport:
     N^2_{ij}(u,v) = N^2_{ji}(u,v) for all i != j, and N^3 agreement when i,j
     are adjacent, over all u with i,j in tau(u) and v with i,j outside tau(v).
     """
-    return _report("polygon", list(_pair_witnesses(g, partial(_polygon_pair, g, g.adjacency))))
+    return _report("polygon", list(_pair_witnesses(g, partial(_polygon_pair, g, _rule_classes(g)))))
 
 
 def _rule_reports(g: LabeledWGraph):
@@ -301,18 +326,20 @@ def _hecke_x(g: LabeledWGraph) -> int:
     return x
 
 
-def _generator_columns(tau, adjacency, x: int, i: int) -> _Columns:
+def _generator_columns(tau, adjacency, x: int, i: int) -> tuple[_Columns, list[int]]:
     """
-    The columns of the generator i at v = x: cols[u] is None when i is not
-    in tau(u), where T_i e_u = q e_u, and otherwise
-    T_i e_u = -e_u + v * sum m(u > w) e_w over the out-edges with i not in
-    tau(w), as the pairs (u, -1) and (w, x * m(u > w)).
+    The columns of the generator i at v = x, and the vertices u with i in
+    tau(u), in order: cols[u] is None when i is not in tau(u), where
+    T_i e_u = q e_u, and otherwise T_i e_u = -e_u + v * sum m(u > w) e_w
+    over the out-edges with i not in tau(w), as the pairs (u, -1) and
+    (w, x * m(u > w)).
     """
-    # each w occurs once in adjacency[u], and a kept w is not u, as i is in tau(u)
-    return tuple([
-        ((u, -1), *[(w, x * m) for w, m in adjacency[u] if i not in tau[w]]) if i in t else None
-        for u, t in enumerate(tau)
-    ])
+    cols: list[Edges | None] = [None] * len(tau)
+    active = [u for u, t in enumerate(tau) if i in t]
+    for u in active:
+        # each w occurs once in adjacency[u], and a kept w is not u, as i is in tau(u)
+        cols[u] = ((u, -1), *[(w, x * m) for w, m in adjacency[u] if i not in tau[w]])
+    return tuple(cols), active
 
 
 def _apply(
@@ -347,10 +374,10 @@ def _hecke_pair(g: LabeledWGraph, columns, q: int, i: int, j: int):
     """The witnesses (relation, i, j, u) of the pair i < j, one per basis vertex u where it fails."""
     adjacent = dynkin_adjacent(g, i, j)
     relation = "braid" if adjacent else "commutation"
-    ci, cj = columns(i), columns(j)
-    for u, (a, b) in enumerate(zip(ci, cj)):
-        if a is None and b is None:
-            continue
+    (ci, active_i), (cj, active_j) = columns(i), columns(j)
+    # e_u with neither i nor j in tau(u) is skipped (module docstring)
+    for u in chain(active_i, [u for u in active_j if ci[u] is None]):
+        a, b = ci[u], cj[u]
         # the residual of e_u, or its negative (module docstring); a and b
         # are T_i e_u and T_j e_u when not None
         diff: dict[int, int] = {}

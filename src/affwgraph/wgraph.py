@@ -11,7 +11,10 @@ made, so its readers (the adjacency, JSON and DOT) never sort them.
 The values derived from a graph (its adjacency, the shift automorphism
 and its orbit representatives) are computed once per graph object, on
 first use, and kept on it as tuples; a graph keeps nothing else, and what
-a check builds for itself is freed when the check returns.  The public
+a check builds for itself is freed when the check returns.  The shift
+automorphism is tested on the adjacency rows: the image {sigma v: w} of
+the row of u must be the row of sigma u, so no weight is looked up by its
+vertex pair, and each distinct tau set is shifted once.  The public
 constructor copies and checks its fields; the two-row builders, and
 restrictions, subgraphs and simple underlying graphs of a valid graph, are
 built without either; they keep the order because they filter their
@@ -30,7 +33,6 @@ from .tableaux import (
     shift_permutation,
     tableau_from_json,
     tableau_text,
-    tableau_to_json,
 )
 
 # (w, coefficient) pairs, such as the out-edges (w, m(u > w)) of a vertex
@@ -65,8 +67,34 @@ class LabeledWGraph:
             raise ValueError(f"index set {set(self.index_set)} is not a subset of 1..{self.n}")
         if len(self.tau) != count:
             raise ValueError(f"{len(self.tau)} tau labels for {count} vertices")
-        seen = set()
         first = tuple(map(len, self.vertices[0].rows)) if count else None
+        # n and the shape once per distinct row-length tuple, distinctness
+        # as one set; the vertex at fault is looked for only on failure
+        rows = {t.rows for t in self.vertices}
+        lengths = {tuple(map(len, r)) for r in rows}
+        if len(rows) != count or lengths - {first} or (count and sum(first) != self.n):
+            self._reject_vertices(first)
+        for (u, v), w in self.weights.items():
+            if not (type(u) is int and type(v) is int and 0 <= u < count and 0 <= v < count):
+                raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{count - 1}")
+            if type(w) is not int:
+                raise ValueError(f"weight of edge {(u, v)} is not an integer: {w!r}")
+            if w == 0:
+                raise ValueError(f"stored weight must be nonzero: {(u, v)}")
+        # True == 1 and 1.0 == 1 pass the subset test, so check types too
+        # (and every set: {True} == {1}, so the distinct sets would not do)
+        for s in self.tau:
+            if not (s <= self.index_set and set(map(type, s)) <= {int}):
+                raise ValueError(f"tau value {set(s)} outside index set")
+        # the endpoints are ints now, so the (src, dst) keys sort; edges
+        # given in that order are copied as they are
+        keys = list(self.weights)
+        weights = dict(self.weights) if keys == sorted(keys) else dict(sorted(self.weights.items()))
+        object.__setattr__(self, "weights", MappingProxyType(weights))
+
+    def _reject_vertices(self, first: tuple[int, ...]):
+        """Raise for the first vertex of another size or shape than vertex 0, or repeated."""
+        seen = set()
         for k, t in enumerate(self.vertices):
             if t.n != self.n:
                 raise ValueError(f"vertex {k} ({tableau_text(t)}) has {t.n} entries, not {self.n}")
@@ -78,19 +106,6 @@ class LabeledWGraph:
             if t in seen:
                 raise ValueError(f"vertex {k} ({tableau_text(t)}) is repeated")
             seen.add(t)
-        for (u, v), w in self.weights.items():
-            if not (type(u) is int and type(v) is int and 0 <= u < count and 0 <= v < count):
-                raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{count - 1}")
-            if type(w) is not int:
-                raise ValueError(f"weight of edge {(u, v)} is not an integer: {w!r}")
-            if w == 0:
-                raise ValueError(f"stored weight must be nonzero: {(u, v)}")
-        for s in self.tau:
-            # True == 1 and 1.0 == 1 pass the subset test, so check types too
-            if not (s <= self.index_set and all(type(i) is int for i in s)):
-                raise ValueError(f"tau value {set(s)} outside index set")
-        # the endpoints are ints now, so the (src, dst) keys sort
-        object.__setattr__(self, "weights", MappingProxyType(dict(sorted(self.weights.items()))))
 
     @classmethod
     def _trusted(cls, n, index_set, vertices, tau, weights) -> "LabeledWGraph":
@@ -135,7 +150,8 @@ class LabeledWGraph:
         The vertex permutation sigma of the shift when it is an
         automorphism, else None: the index set is 1..n, every shifted vertex
         is a vertex, m(sigma u > sigma v) = m(u > v) for every edge (tested
-        first, up to the first mismatch) and tau(sigma u) = tau(u) + 1 mod n.
+        first, one adjacency row at a time up to the first mismatch) and
+        tau(sigma u) = tau(u) + 1 mod n (each distinct tau set shifted once).
         """
         n = self.n
         # the members lie in 1..n, so the size decides (n may be too large for a range)
@@ -144,12 +160,17 @@ class LabeledWGraph:
         sigma = shift_permutation(self.vertices)
         if sigma is None:
             return None
-        get = self.weights.get
-        # sigma is a bijection, so preserving every edge maps the edge set onto itself
-        if any(get((sigma[u], sigma[v])) != w for (u, v), w in self.weights.items()):
-            return None
+        # the image {sigma v: w} of each row lies in the row of sigma u; as
+        # sigma is a bijection, that maps the edge set onto itself
+        adj = self.adjacency
+        for row, image in zip(adj, map(adj.__getitem__, sigma)):
+            get = dict(image).get
+            for v, w in row:
+                if get(sigma[v]) != w:
+                    return None
         tau = self.tau
-        if any(tau[sigma[u]] != frozenset(i % n + 1 for i in t) for u, t in enumerate(tau)):
+        shifted = {t: frozenset(i % n + 1 for i in t) for t in set(tau)}
+        if list(map(shifted.__getitem__, tau)) != [tau[k] for k in sigma]:
             return None
         return sigma
 
@@ -326,10 +347,12 @@ def is_nb_admissible(g: LabeledWGraph) -> bool:
 
 
 def graph_to_json(g: LabeledWGraph) -> dict:
+    n = g.n
     return {
-        "n": g.n,
+        "n": n,
         "index_set": sorted(g.index_set),
-        "vertices": [tableau_to_json(t) for t in g.vertices],
+        # the JSON of a vertex, which tableau_from_json reads back
+        "vertices": [{"rows": list(map(list, t.rows)), "n": n} for t in g.vertices],
         "tau": [sorted(s) for s in g.tau],
         "edges": [
             {"src": u, "dst": v, "w": w}

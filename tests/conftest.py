@@ -1,6 +1,17 @@
 from __future__ import annotations
 
-from affwgraph import Partition, RowStandardTableau, affine_descents, finite_descents, mo
+import random
+import re
+
+from affwgraph import (
+    LabeledWGraph,
+    Partition,
+    RowStandardTableau,
+    affine_descents,
+    build_affine_graph,
+    finite_descents,
+    mo,
+)
 
 
 def two_row_shapes(min_n: int, max_n: int) -> list[Partition]:
@@ -9,6 +20,11 @@ def two_row_shapes(min_n: int, max_n: int) -> list[Partition]:
         for n in range(min_n, max_n + 1)
         for b in range(1, n // 2 + 1)
     ]
+
+
+def exactly(message: str) -> str:
+    """A pytest.raises match pattern that accepts this whole message and nothing else."""
+    return "^" + re.escape(message) + r"\Z"
 
 
 def all_partitions(n: int) -> list[tuple[int, ...]]:
@@ -118,3 +134,32 @@ def finite_knuth(t, u) -> bool:
         if t.row_of(i) != t.row_of(i + 1) and swapped(t, i, i + 1) == u:
             return True
     return False
+
+
+# the shapes of n = 8, 9 (those of the benchmark's corrupted graphs)
+BENCH_SHAPES = ((6, 2), (5, 3), (4, 4), (7, 2), (6, 3), (5, 4))
+
+
+def bench_size_damaged_graphs() -> list[LabeledWGraph]:
+    """
+    One seeded damaged graph per shape of BENCH_SHAPES: 1-3 edges deleted
+    and one direction of a mutual pair with incomparable tau labels
+    re-weighted to 2, 3 or -1.  None is shift-invariant, so every check
+    scans in full.
+    """
+    graphs = []
+    for parts in BENCH_SHAPES:
+        g = build_affine_graph(Partition(parts))
+        rng = random.Random(f"bench-size-{parts[0]}-{parts[1]}")
+        tau = g.tau
+        mutual = [
+            (u, v) for u, v in sorted(g.weights)
+            if (v, u) in g.weights and not (tau[u] <= tau[v] or tau[v] <= tau[u])
+        ]
+        reweighted = rng.choice(mutual)
+        weights = dict(g.weights)
+        for edge in rng.sample([e for e in sorted(weights) if e != reweighted], rng.randint(1, 3)):
+            del weights[edge]
+        weights[reweighted] = rng.choice((2, 3, -1))
+        graphs.append(LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights))
+    return graphs

@@ -1,0 +1,112 @@
+"""
+Per-layer times of the `verify --input` path, one process:
+
+    PYTHONPATH=src python tests/layer_times.py [--rounds R] [--big]
+
+Each graph goes through the stages of one benchmark mutant, in order:
+graph_to_json, graph_from_json (the JSON text in between is not timed),
+sigma (shift_automorphism, with the adjacency it does not build), the four
+rules, check_hecke_relations and hecke_holds.  Every stage after
+graph_from_json runs on the graph it returned, so each derived value is
+computed where the first stage reads it, as in the benchmark.  Three sets:
+
+* damaged   the pinned bench-size damaged graphs of tests/conftest.py
+            (none shift-invariant: every check scans in full);
+* verify    the built graphs of (6,6) and (7,6);
+* big       the built graph of (9,9), with --big (at most 3 rounds).
+
+Prints, per set and stage, the median over R rounds of the stage's total
+seconds over the set's graphs, rescaled to reference CPU speed as the
+benchmark does (bench/speed.py): the speed of a shared vCPU drifts by tens
+of percent between runs, so each round is scaled by a reference slice of
+pure-Python work timed just before it.  Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
+
+from affwgraph import Partition, build_affine_graph  # noqa: E402
+from affwgraph import verify  # noqa: E402
+from affwgraph.wgraph import graph_from_json, graph_to_json  # noqa: E402
+from conftest import bench_size_damaged_graphs  # noqa: E402
+from speed import REF_SLICE_S, reference_slice  # noqa: E402
+
+STAGES = (
+    "graph_to_json", "graph_from_json", "sigma", "adjacency",
+    "compatibility", "simplicity", "bonding", "polygon", "hecke", "hecke_holds",
+)
+CHECKS = {
+    "compatibility": verify.check_compatibility,
+    "simplicity": verify.check_simplicity,
+    "bonding": verify.check_bonding,
+    "polygon": verify.check_polygon,
+    "hecke": verify.check_hecke_relations,
+    "hecke_holds": verify.hecke_holds,
+}
+
+
+def _one(graph, seconds: dict) -> None:
+    """Add the stage times of one graph into seconds."""
+    clock = time.perf_counter
+    start = clock()
+    data = graph_to_json(graph)
+    seconds["graph_to_json"] += clock() - start
+    data = json.loads(json.dumps(data))
+    start = clock()
+    g = graph_from_json(data)
+    seconds["graph_from_json"] += clock() - start
+    start = clock()
+    g.shift_automorphism
+    seconds["sigma"] += clock() - start
+    start = clock()
+    g.adjacency
+    seconds["adjacency"] += clock() - start
+    for name, check in CHECKS.items():
+        start = clock()
+        check(g)
+        seconds[name] += clock() - start
+
+
+def layer_times(graphs, rounds: int) -> dict[str, float]:
+    """The median over the rounds of each stage's total over the graphs."""
+    totals = {name: [] for name in STAGES}
+    for _ in range(rounds):
+        factor = REF_SLICE_S / reference_slice()
+        seconds = dict.fromkeys(STAGES, 0.0)
+        for g in graphs:
+            _one(g, seconds)
+        for name in STAGES:
+            totals[name].append(seconds[name] * factor)
+    return {name: statistics.median(values) for name, values in totals.items()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--big", action="store_true", help="also time (9,9), a few seconds a round")
+    args = parser.parse_args()
+    sets = {
+        "damaged": bench_size_damaged_graphs(),
+        "verify": [build_affine_graph(Partition(parts)) for parts in ((6, 6), (7, 6))],
+    }
+    if args.big:
+        sets["big"] = [build_affine_graph(Partition((9, 9)))]
+    print("stage".ljust(16) + "".join(name.rjust(10) for name in sets))
+    rounds = {name: min(args.rounds, 3) if name == "big" else args.rounds for name in sets}
+    times = {name: layer_times(graphs, rounds[name]) for name, graphs in sets.items()}
+    for stage in STAGES:
+        print(stage.ljust(16) + "".join(f"{times[name][stage]:10.4f}" for name in sets))
+    print("total".ljust(16) + "".join(f"{sum(times[name].values()):10.4f}" for name in sets))
+
+
+if __name__ == "__main__":
+    main()

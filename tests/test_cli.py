@@ -92,21 +92,58 @@ class TestVerify:
         assert code == 2
 
 
+# damage to the (3,2) fixture, and the whole error line it exits 2 with
 MALFORMED = {
-    "missing tau": lambda graph: graph.pop("tau"),
-    "short tau": lambda graph: graph.update(tau=graph["tau"][:-1]),
-    "endpoint out of range": lambda graph: graph["edges"][0].update(dst=len(graph["vertices"])),
-    "duplicate edge": lambda graph: graph["edges"].append(dict(graph["edges"][0])),
-    "repeated vertex": lambda graph: graph["vertices"].__setitem__(-1, graph["vertices"][0]),
-    "vertex size not n": lambda graph: graph.update(n=6),
-    "index set outside 1..n": lambda graph: graph["index_set"].append(6),
-    "vertex 0 of shape (4,1)": lambda graph: graph["vertices"][0].update(rows=[[1, 2, 3, 4], [5]]),
-    "vertex 0 of shape (5)": lambda graph: graph["vertices"][0].update(rows=[[1, 2, 3, 4, 5]]),
+    "missing tau": (lambda graph: graph.pop("tau"), "error: {path}: missing key 'tau'"),
+    "short tau": (lambda graph: graph.update(tau=graph["tau"][:-1]), "error: 9 tau labels for 10 vertices"),
+    "endpoint out of range": (
+        lambda graph: graph["edges"][0].update(dst=len(graph["vertices"])),
+        "error: edge (0, 10) has an endpoint outside 0..9",
+    ),
+    "duplicate edge": (
+        lambda graph: graph["edges"].append(dict(graph["edges"][0])), "error: duplicate edge (0, 6)",
+    ),
+    "repeated vertex": (
+        lambda graph: graph["vertices"].__setitem__(-1, graph["vertices"][0]),
+        "error: vertex 9 (345/12) is repeated",
+    ),
+    "vertex size not n": (lambda graph: graph.update(n=6), "error: vertex 0 (345/12) has 5 entries, not 6"),
+    "index set outside 1..n": (
+        lambda graph: graph["index_set"].append(6),
+        "error: index set {{1, 2, 3, 4, 5, 6}} is not a subset of 1..5",
+    ),
+    "vertex 0 of shape (4,1)": (
+        lambda graph: graph["vertices"][0].update(rows=[[1, 2, 3, 4], [5]]),
+        "error: vertex 1 (245/13) has shape (3, 2), not (4, 1) as vertex 0",
+    ),
+    "vertex 0 of shape (5)": (
+        lambda graph: graph["vertices"][0].update(rows=[[1, 2, 3, 4, 5]]),
+        "error: vertex 1 (245/13) has shape (3, 2), not (5,) as vertex 0",
+    ),
+    # the first vertex or label at fault is named, whatever its fault
+    "repeated before resized": (
+        lambda graph: (
+            graph["vertices"].__setitem__(2, graph["vertices"][0]),
+            graph["vertices"][5].update(rows=[[1, 2, 3], [4, 5, 6]]),
+        ),
+        "error: vertex 2 (345/12) is repeated",
+    ),
+    "resized before repeated": (
+        lambda graph: (
+            graph["vertices"][5].update(rows=[[1, 2, 3], [4, 5, 6]]),
+            graph["vertices"].__setitem__(7, graph["vertices"][0]),
+        ),
+        "error: vertex 5 (123/456) has 6 entries, not 5",
+    ),
+    "tau labels outside 1..n": (
+        lambda graph: (graph["tau"][3].append(9), graph["tau"][6].append(0)),
+        "error: tau value {{9, 4}} outside index set",
+    ),
 }
 
 
-@pytest.mark.parametrize("damage", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_exits_two_with_one_line(capsys, tmp_path, damage):
+@pytest.mark.parametrize("damage, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_two_with_one_line(capsys, tmp_path, damage, message):
     graph = load_fixture_json("gamma_3_2")
     damage(graph)
     path = tmp_path / "malformed.json"
@@ -115,8 +152,7 @@ def test_malformed_input_exits_two_with_one_line(capsys, tmp_path, damage):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == message.format(path=path) + "\n"
 
 
 @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing file", "invalid json"])
@@ -133,18 +169,31 @@ def test_unreadable_input_exits_two_with_one_line(capsys, tmp_path, content):
 
 
 LOOK_ALIKES = {
-    "nested too deeply": "[" * 100000 + "]" * 100000,
-    "weight true": lambda graph: graph["edges"][0].update(w=True),
-    "endpoint true": lambda graph: graph["edges"][0].update(src=True),
-    "n = 10**18": lambda graph: graph.update(n=10**18),
-    "n a string": lambda graph: graph.update(n="5"),
-    "entry 1.0": lambda graph: graph["vertices"][0]["rows"][0].__setitem__(0, 1.0),
-    "tau label true": lambda graph: graph["tau"][0].append(True),
+    "nested too deeply": ("[" * 100000 + "]" * 100000, "error: {path}: JSON nested too deeply"),
+    "weight true": (
+        lambda graph: graph["edges"][0].update(w=True),
+        "error: weight of edge (0, 6) is not an integer: True",
+    ),
+    "endpoint true": (
+        lambda graph: graph["edges"][0].update(src=True),
+        "error: edge (True, 6) has an endpoint outside 0..9",
+    ),
+    "n = 10**18": (
+        lambda graph: graph.update(n=10**18), f"error: vertex 0 (345/12) has 5 entries, not {10**18}",
+    ),
+    "n a string": (lambda graph: graph.update(n="5"), "error: n must be a positive integer, not '5'"),
+    "entry 1.0": (
+        lambda graph: graph["vertices"][0]["rows"][0].__setitem__(0, 1.0),
+        "error: tableau entries must be integers: ((1.0, 4, 5), (1, 2))",
+    ),
+    "tau label true": (
+        lambda graph: graph["tau"][0].append(True), "error: tau value {{True, 5}} outside index set",
+    ),
 }
 
 
-@pytest.mark.parametrize("damage", LOOK_ALIKES.values(), ids=LOOK_ALIKES.keys())
-def test_input_boundary_exits_two_with_one_line(capsys, tmp_path, damage):
+@pytest.mark.parametrize("damage, message", LOOK_ALIKES.values(), ids=LOOK_ALIKES.keys())
+def test_input_boundary_exits_two_with_one_line(capsys, tmp_path, damage, message):
     path = tmp_path / "input.json"
     if isinstance(damage, str):
         path.write_text(damage, encoding="utf-8")
@@ -156,8 +205,7 @@ def test_input_boundary_exits_two_with_one_line(capsys, tmp_path, damage):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == message.format(path=path) + "\n"
 
 
 def test_huge_n_input_exits_zero_with_a_report(tmp_path):

@@ -15,9 +15,9 @@ from affwgraph import (
     pint,
     rsk,
 )
-from affwgraph.tableaux import shift_permutation, tableau_from_json, tableau_text, tableau_to_json
+from affwgraph.tableaux import shift_permutation, tableau_from_json, tableau_text
 
-from conftest import all_partitions, dominance_leq, is_knuth_move, omega_shift, two_row_shapes
+from conftest import all_partitions, dominance_leq, exactly, is_knuth_move, omega_shift, two_row_shapes
 
 
 def T(*rows):
@@ -196,19 +196,24 @@ def _hook_length_count(parts: tuple[int, ...]) -> int:
     return factorial(sum(parts)) // hooks
 
 
+# rows, and the whole message they are rejected with
 BAD_ROWS = [
-    ([1, 2], [3, 4], [5, 6, 7]),  # shape not weakly decreasing
-    ([1, 2], [2, 3]),  # duplicate entry
-    ([1.0, 2, 3], [4, 5]),  # look-alike integers
-    ([True, 2, 3], [4, 5]),
+    (([1, 2], [3, 4], [5, 6, 7]), "parts must be weakly decreasing: (2, 2, 3)"),
+    (([2, 1], [2, 3]), "entries must be exactly 1..n: ((1, 2), (2, 3))"),  # duplicate entry
+    (([3, 1, 2], [5, 6]), "entries must be exactly 1..n: ((1, 2, 3), (5, 6))"),  # 4 missing
+    (([1.0, 2, 3], [4, 5]), "tableau entries must be integers: ((1.0, 2, 3), (4, 5))"),  # look-alikes
+    (([True, 2, 3], [4, 5]), "tableau entries must be integers: ((True, 2, 3), (4, 5))"),
+    (([3, 2, "1"], [4, 5]), "tableau entries must be integers: ((3, 2, '1'), (4, 5))"),
+    (([1, 2], []), "parts must be positive integers: (2, 0)"),
+    (([1], [2]), "partition size must be at least 3: (1, 1)"),
 ]
 
 
 class TestTableauValue:
     def test_rows_are_sorted_and_validated(self):
         assert T([3, 1, 2]).rows == ((1, 2, 3),)
-        for rows in BAD_ROWS:
-            with pytest.raises(ValueError):
+        for rows, message in BAD_ROWS:
+            with pytest.raises(ValueError, match=exactly(message)):
                 T(*rows)
 
     def test_derived_tableaux_equal_validated_ones(self):
@@ -226,16 +231,14 @@ class TestTableauValue:
                     assert same(t) and same(omega_shift(t)) and same(rsk(t).p), t
 
     def test_json_boundary_validates(self):
-        bad = [{"rows": rows} for rows in BAD_ROWS]
-        for data in bad:
-            with pytest.raises(ValueError):
-                tableau_from_json(data)
+        for rows, message in BAD_ROWS:
+            with pytest.raises(ValueError, match=exactly(message)):
+                tableau_from_json({"rows": [list(row) for row in rows]})
 
     def test_text_and_json(self):
         t = T([1, 2, 3], [4, 5])
         assert tableau_text(t) == "123/45"
-        assert tableau_to_json(t) == {"rows": [[1, 2, 3], [4, 5]], "n": 5}
-        assert tableau_from_json(tableau_to_json(t)) == t
+        assert tableau_from_json({"rows": [[1, 2, 3], [4, 5]], "n": 5}) == t
 
     def test_text_wide_entries(self):
         t = T(list(range(2, 12)), [1])

@@ -31,7 +31,7 @@ from affwgraph import (
 from affwgraph.verify import hecke_holds, rules_hold
 from affwgraph.wgraph import dynkin_adjacent, full_subgraph, is_nb_admissible, is_reduced
 
-from conftest import all_partitions, count_ssyt, dominance_leq, two_row_shapes
+from conftest import all_partitions, bench_size_damaged_graphs, count_ssyt, dominance_leq, two_row_shapes
 from hecke_oracle import ONE, Q, V, ZERO, laurent_matrices, lp_monomial
 
 
@@ -307,6 +307,17 @@ class TestBonding:
         assert (u, a, b, 2) in witnesses
         assert list(witnesses) == _brute_force_bonding(grown)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sets(st.sampled_from((1, 2))), min_size=4, max_size=4),
+        st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.just(1), max_size=16),
+    )
+    def test_chain_matches_brute_force(self, tau_by_vertex, weights):
+        # any labels, so a mutual neighbour of u in V_{1/2} can have both 1
+        # and 2 in tau (never in a two-row graph), and is then no partner
+        g = TestPolygonPathCounts._chain(tau_by_vertex, weights)
+        assert list(check_bonding(g).witnesses) == _brute_force_bonding(g)
+
 
 class TestPolygon:
     def test_passes(self, g32):
@@ -495,8 +506,9 @@ class TestColumnsMatchLaurentMatrices:
         x = verify._hecke_x(g)
         assert x == 1 << (4 * (1 + max(norms.values(), default=0)) ** 3).bit_length()
         for i in sorted(matrices):
-            cols = verify._generator_columns(g.tau, g.adjacency, x, i)
+            cols, active = verify._generator_columns(g.tau, g.adjacency, x, i)
             assert len(cols) == count
+            assert active == [u for u in range(count) if i in g.tau[u]]
             for u, col in enumerate(cols):
                 assert _laurent_column(x, u, col, count) == [row[u] for row in matrices[i]], (i, u)
 
@@ -632,6 +644,19 @@ def test_witness_lists_pinned_on_mutants():
     )
 
 
+def test_full_scan_reports_pinned_at_bench_size():
+    # digest of the five reports and hecke_holds on the six damaged graphs
+    rows = []
+    for h in bench_size_damaged_graphs():
+        assert h.shift_automorphism is None
+        reports = check_all_rules(h) + [check_hecke_relations(h)]
+        rows.append(([(r.rule, r.passed, r.witnesses) for r in reports], hecke_holds(h)))
+    assert [sum(len(r[2]) for r in reports) for reports, _ in rows] == [35, 21, 75, 20, 55, 56]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "20df15affc005ad2c69340cfbe8be91689fefe97d68bdf067f387d755f3465bf"
+    )
+
+
 def _orbit_perturbed(g, edges, weight):
     """g with the sigma-orbit of each edge deleted (weight None) or re-weighted."""
     sigma = g.shift_automorphism
@@ -746,6 +771,20 @@ def built_generators(monkeypatch):
         return build(tau, adjacency, x, i)
 
     monkeypatch.setattr(verify, "_generator_columns", counted)
+    return built
+
+
+@pytest.fixture
+def built_classes(monkeypatch):
+    """The generators whose rule-side vertex classes are built, in order."""
+    built = []
+    build = verify._generator_class
+
+    def counted(tau, i):
+        built.append(i)
+        return build(tau, i)
+
+    monkeypatch.setattr(verify, "_generator_class", counted)
     return built
 
 
@@ -934,6 +973,21 @@ class TestOrbitReduction:
             pairs = _pairs_evaluated(h.n, failing, True, h.shift_automorphism is not None)
             assert built_generators == sorted(h.index_set) + list(dict.fromkeys(itertools.chain(*pairs)))
         assert {h.shift_automorphism is None for h in graphs} == {True, False}
+
+    def test_rules_build_each_generator_class_once_per_check(self, built_classes):
+        # bonding reads only the adjacent pairs, and the one adjacent representative is (1, 2)
+        for g in (_base_graph((3, 2)), _base_graph((4, 4)), build_affine_graph(Partition((5, 4)))):
+            for check, reps in ((check_bonding, [1, 2]), (check_polygon, list(range(1, g.n // 2 + 2)))):
+                built_classes.clear()
+                assert check(g).passed
+                assert built_classes == reps
+        # the full pair loop builds every generator's classes, once
+        for h in bench_size_damaged_graphs():
+            assert h.shift_automorphism is None
+            for check in (check_bonding, check_polygon):
+                built_classes.clear()
+                check(h)
+                assert sorted(built_classes) == sorted(h.index_set)
 
     @staticmethod
     def _full_path_inputs():
