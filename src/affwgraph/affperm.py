@@ -44,11 +44,6 @@ class AffinePermutation:
     def n(self) -> int:
         return len(self.window)
 
-    def __call__(self, k: int) -> int:
-        """Value at any integer, via the periodic extension."""
-        r = mo(k, self.n)
-        return self.window[r - 1] + (k - r)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(w) for w in self.window) + "]"
 

@@ -11,7 +11,11 @@ Command-line surface.
     affwgraph regress --max-n 8 --jobs 4
 
 Exit status: 0 on success or a passing verification, 1 on verification
-failure (a JSON report is printed), 2 on usage errors.
+failure (a JSON report is printed), 2 on usage errors.  The CLI checks
+only what it parses itself (the form of p=K and a..b, and options that do
+not combine); argparse checks the choices, and the library checks values
+where they enter it (the graph JSON, the variant weight, the interval's
+residues, --jobs and --max-n), with the ValueError printed as the error line.
 """
 
 from __future__ import annotations
@@ -49,12 +53,13 @@ def _variant_weight(text: str) -> int:
     if not text.startswith("p="):
         raise UsageError(f"--variant expects p=K, got {text!r}")
     try:
-        p = int(text[2:])
+        return int(text[2:])
     except ValueError:
         raise UsageError(f"--variant expects an integer weight, got {text!r}") from None
-    if p < 0:
-        raise UsageError("variant weight must be nonnegative")
-    return p
+
+
+# the --kind choices of build and export, and the builder of each
+_BUILDERS = {"affine": build_affine_graph, "dual-equiv": build_dual_equiv, "finite": build_finite_graph}
 
 
 def _build(args) -> LabeledWGraph:
@@ -64,21 +69,13 @@ def _build(args) -> LabeledWGraph:
         if kind != "affine":
             raise UsageError(f"--variant is an affine graph and cannot be combined with --kind {kind}")
         return build_equal_variant(shape, _variant_weight(args.variant))
-    if kind == "affine":
-        return build_affine_graph(shape)
-    if kind == "dual-equiv":
-        return build_dual_equiv(shape)
-    if kind == "finite":
-        return build_finite_graph(shape)
-    raise UsageError(f"unknown graph kind {kind!r}")
+    return _BUILDERS[kind](shape)
 
 
 def _render(g: LabeledWGraph, fmt: str, name: str) -> str:
-    if fmt == "json":
-        return json.dumps(graph_to_json(g), indent=1, sort_keys=True) + "\n"
     if fmt == "dot":
         return graph_to_dot(g, name)
-    raise UsageError(f"unknown format {fmt!r}")
+    return json.dumps(graph_to_json(g), indent=1, sort_keys=True) + "\n"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -100,8 +97,6 @@ def _parse_interval(text: str, n: int) -> list[int]:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
         raise UsageError(f"interval bounds must be integers: {text!r}") from None
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise UsageError(f"interval bounds must lie in 1..{n}")
     return sorted(pint(a, b, n))
 
 
@@ -210,8 +205,6 @@ def cmd_export(args) -> int:
 def cmd_regress(args) -> int:
     from .regress import run_regression
 
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     results = run_regression(max_n=args.max_n, jobs=args.jobs)
     width = max(len(r.name) for r in results)
     ok = True
@@ -242,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="construct a graph and print it")
     _add_shape(p)
-    p.add_argument("--kind", choices=("affine", "dual-equiv", "finite"), default="affine")
+    p.add_argument("--kind", choices=_BUILDERS, default="affine")
     p.add_argument("--variant", metavar="p=K",
                    help="equal-row variant with cross-component weight K")
     _add_io(p)
@@ -275,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write JSON and DOT files")
     _add_shape(p)
-    p.add_argument("--kind", choices=("affine", "dual-equiv", "finite"), default="affine")
+    p.add_argument("--kind", choices=_BUILDERS, default="affine")
     p.add_argument("--variant", metavar="p=K")
     p.add_argument("--output", metavar="DIR")
     p.set_defaults(fn=cmd_export)

@@ -440,6 +440,8 @@ def _sweep(max_n: int, names, jobs: int = 1) -> dict[str, RegressResult]:
     """The named swept checks, with the shapes spread over `jobs` processes, largest first."""
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, the size of the smallest shape, not {max_n}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     parts = [(name, runs) for name, _, runs in _PARTS if name in names]
     shapes = [
         shape for shape in two_row_shapes(3, max(max_n + 1, _FIXTURE_SHAPE.n))

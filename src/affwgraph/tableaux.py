@@ -4,10 +4,11 @@ descent sets, standardness, and the vertex permutation of the cyclic shift.
 
 Conventions: rows are numbered from the top starting at 1, a "higher" row
 has a smaller row number, and every tableau stores its rows sorted.
-Residues live in {1, ..., n}.  Tableaux from outside (the constructor,
-JSON) are validated; enumerate_rsyt, the insertion tableau of rsk and the
-tableau action of affperm derive their rows from valid ones and store them
-without checking them again.  The standard tableaux of a shape are those
+Residues live in {1, ..., n}.  Tableaux from outside are validated by the
+constructor, which graph_from_json (wgraph, where the vertex JSON format
+lives) calls on each vertex's rows; enumerate_rsyt, the insertion tableau
+of rsk and the tableau action of affperm derive their rows from valid ones
+and store them without checking them again.  The standard tableaux of a shape are those
 of its row-standard enumeration that is_standard accepts, in that order.
 """
 
@@ -21,7 +22,7 @@ __all__ = [
     "Partition", "RowStandardTableau",
     "mo", "pint", "affine_descents", "finite_descents",
     "shift_permutation", "enumerate_rsyt", "enumerate_syt", "is_standard",
-    "tableau_text", "tableau_from_json",
+    "tableau_text",
 ]
 
 
@@ -223,8 +224,3 @@ def tableau_text(t: RowStandardTableau) -> str:
     if t.rows and max(e for row in t.rows for e in row) > 9:
         return "/".join(" ".join(str(e) for e in row) for row in t.rows)
     return "/".join("".join(str(e) for e in row) for row in t.rows)
-
-
-def tableau_from_json(data: dict) -> RowStandardTableau:
-    # the constructor copies the rows into tuples
-    return RowStandardTableau(data["rows"])

@@ -54,9 +54,10 @@ def _require_two_row(shape: Partition) -> None:
 
 
 def _row2_mask(s: RowStandardTableau) -> int:
-    """The mask of row 2 of a two-row tableau: bit e - 1 for each entry e."""
-    if len(s.rows) != 2:
-        raise ValueError(f"tableau must have exactly two rows: {s}")
+    """
+    The mask of row 2 of a tableau of a shape checked to have two rows: bit
+    e - 1 for each entry e.
+    """
     m = 0
     for e in s.rows[1]:
         m |= 1 << (e - 1)

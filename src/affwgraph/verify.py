@@ -435,18 +435,19 @@ def classify_restriction_cells(restricted: LabeledWGraph) -> dict[Partition, Lab
     by the insertion shape (which determines the recording tableau for
     two-row content).
     """
+    # the members lie in 1..n, so the size decides (n may be too large for a range)
+    if len(restricted.index_set) != restricted.n - 1 or restricted.n in restricted.index_set:
+        raise ValueError(f"expected a graph restricted to 1..{restricted.n - 1}")
     fibers = _restriction_fibers(restricted, [rsk(t).q for t in restricted.vertices])
     return {key: full_subgraph(restricted, ids) for key, ids in fibers.items()}
 
 
 def _restriction_fibers(restricted: LabeledWGraph, recording: Iterable[tuple]) -> dict[Partition, list[int]]:
     """
-    classify_restriction_cells with recording[k] the rows of the recording
-    tableau of vertex k, returning each cell as its sorted vertex indices.
+    classify_restriction_cells on a graph known to be restricted to 1..n-1,
+    with recording[k] the rows of the recording tableau of vertex k,
+    returning each cell as its sorted vertex indices.
     """
-    # the members lie in 1..n, so the size decides (n may be too large for a range)
-    if len(restricted.index_set) != restricted.n - 1 or restricted.n in restricted.index_set:
-        raise ValueError(f"expected a graph restricted to 1..{restricted.n - 1}")
     shape = restricted.vertices[0].shape
     # rows of the recording tableau -> the vertices it records, in order
     fibers: dict[tuple, list[int]] = {}

@@ -15,7 +15,11 @@ a check builds for itself is freed when the check returns.  The shift
 automorphism is tested on the adjacency rows: the image {sigma v: w} of
 the row of u must be the row of sigma u, so no weight is looked up by its
 vertex pair, and each distinct tau set is shifted once.  The public
-constructor copies and checks its fields; the two-row builders, and
+constructor copies and checks its fields, the vertices in one pass that
+names the first one at fault.  The JSON format of a graph, its vertices
+included, is written and read here only: graph_from_json builds each
+vertex from its rows, checks the graph with the public constructor and
+then each vertex's copy of n.  The two-row builders, and
 restrictions, subgraphs and simple underlying graphs of a valid graph, are
 built without either; they keep the order because they filter their
 parent's edges.
@@ -28,12 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .tableaux import (
-    RowStandardTableau,
-    shift_permutation,
-    tableau_from_json,
-    tableau_text,
-)
+from .tableaux import RowStandardTableau, shift_permutation, tableau_text
 
 # (w, coefficient) pairs, such as the out-edges (w, m(u > w)) of a vertex
 Edges = tuple[tuple[int, int], ...]
@@ -67,13 +66,22 @@ class LabeledWGraph:
             raise ValueError(f"index set {set(self.index_set)} is not a subset of 1..{self.n}")
         if len(self.tau) != count:
             raise ValueError(f"{len(self.tau)} tau labels for {count} vertices")
+        # vertex 0's size, then each vertex's shape against vertex 0's (a
+        # vertex of that shape has its size), then whether it is repeated
         first = tuple(map(len, self.vertices[0].rows)) if count else None
-        # n and the shape once per distinct row-length tuple, distinctness
-        # as one set; the vertex at fault is looked for only on failure
-        rows = {t.rows for t in self.vertices}
-        lengths = {tuple(map(len, r)) for r in rows}
-        if len(rows) != count or lengths - {first} or (count and sum(first) != self.n):
-            self._reject_vertices(first)
+        seen = set()
+        for k, t in enumerate(self.vertices):
+            rows = t.rows
+            shape = tuple(map(len, rows))
+            if shape != first or not k and sum(shape) != self.n:
+                if sum(shape) != self.n:
+                    raise ValueError(f"vertex {k} ({tableau_text(t)}) has {sum(shape)} entries, not {self.n}")
+                raise ValueError(
+                    f"vertex {k} ({tableau_text(t)}) has shape {shape}, not {first} as vertex 0"
+                )
+            if rows in seen:
+                raise ValueError(f"vertex {k} ({tableau_text(t)}) is repeated")
+            seen.add(rows)
         for (u, v), w in self.weights.items():
             if not (type(u) is int and type(v) is int and 0 <= u < count and 0 <= v < count):
                 raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{count - 1}")
@@ -91,21 +99,6 @@ class LabeledWGraph:
         keys = list(self.weights)
         weights = dict(self.weights) if keys == sorted(keys) else dict(sorted(self.weights.items()))
         object.__setattr__(self, "weights", MappingProxyType(weights))
-
-    def _reject_vertices(self, first: tuple[int, ...]):
-        """Raise for the first vertex of another size or shape than vertex 0, or repeated."""
-        seen = set()
-        for k, t in enumerate(self.vertices):
-            if t.n != self.n:
-                raise ValueError(f"vertex {k} ({tableau_text(t)}) has {t.n} entries, not {self.n}")
-            shape = tuple(map(len, t.rows))
-            if shape != first:
-                raise ValueError(
-                    f"vertex {k} ({tableau_text(t)}) has shape {shape}, not {first} as vertex 0"
-                )
-            if t in seen:
-                raise ValueError(f"vertex {k} ({tableau_text(t)}) is repeated")
-            seen.add(t)
 
     @classmethod
     def _trusted(cls, n, index_set, vertices, tau, weights) -> "LabeledWGraph":
@@ -351,7 +344,7 @@ def graph_to_json(g: LabeledWGraph) -> dict:
     return {
         "n": n,
         "index_set": sorted(g.index_set),
-        # the JSON of a vertex, which tableau_from_json reads back
+        # the JSON of a vertex, which graph_from_json reads back
         "vertices": [{"rows": list(map(list, t.rows)), "n": n} for t in g.vertices],
         "tau": [sorted(s) for s in g.tau],
         "edges": [
@@ -368,13 +361,22 @@ def graph_from_json(data: dict) -> LabeledWGraph:
         if edge in weights:
             raise ValueError(f"duplicate edge {edge}")
         weights[edge] = e["w"]
-    return LabeledWGraph(
+    vertices = data["vertices"]
+    g = LabeledWGraph(
         n=data["n"],
         index_set=frozenset(data["index_set"]),
-        vertices=tuple(tableau_from_json(t) for t in data["vertices"]),
+        # the tableau constructor checks the rows and copies them into tuples
+        vertices=tuple(RowStandardTableau(v["rows"]) for v in vertices),
         tau=tuple(frozenset(s) for s in data["tau"]),
         weights=weights,
     )
+    # each vertex repeats n; read once the graph is accepted, so that the
+    # constructor names a vertex of another size first
+    for k, (t, v) in enumerate(zip(g.vertices, vertices)):
+        m = v["n"]
+        if type(m) is not int or m != g.n:
+            raise ValueError(f"vertex {k} ({tableau_text(t)}) has n = {m!r}, not {g.n}")
+    return g
 
 
 def graph_to_dot(g: LabeledWGraph, name: str = "wgraph") -> str:

@@ -23,8 +23,8 @@ def T(*rows):
     return RowStandardTableau(tuple(tuple(r) for r in rows))
 
 
-# Window arithmetic beyond the inverse, which only the tests use: the
-# generators, products and descent sets that the tableau action and the
+# Window arithmetic beyond the inverse, which only the tests use: values
+# at any integer, the generators, products and descent sets that the tableau action and the
 # coset correspondence are checked against.
 
 
@@ -48,16 +48,22 @@ def cyclic_shift(n: int) -> AffinePermutation:
     return AffinePermutation(tuple(range(2, n + 2)))
 
 
+def value(w: AffinePermutation, k: int) -> int:
+    """w(k) at any integer k, via the periodic extension w(k+n) = w(k)+n."""
+    r = mo(k, w.n)
+    return w.window[r - 1] + (k - r)
+
+
 def compose(u: AffinePermutation, w: AffinePermutation) -> AffinePermutation:
     """(u o w)(k) = u(w(k))."""
     if u.n != w.n:
         raise ValueError(f"sizes differ: {u.n} vs {w.n}")
-    return AffinePermutation(tuple(u(x) for x in w.window))
+    return AffinePermutation(tuple(value(u, x) for x in w.window))
 
 
 def right_descents(w: AffinePermutation) -> frozenset[int]:
     """{i in [1,n] : w(i) > w(i+1)}, reading i = n through the extension."""
-    return frozenset(i for i in range(1, w.n + 1) if w(i) > w(i + 1))
+    return frozenset(i for i in range(1, w.n + 1) if value(w, i) > value(w, i + 1))
 
 
 def left_descents(w: AffinePermutation) -> frozenset[int]:
@@ -78,8 +84,8 @@ class TestWindows:
 
     def test_periodic_extension(self):
         w = AffinePermutation((0, 2, 4))
-        assert w(4) == w(1) + 3
-        assert w(0) == w(3) - 3
+        assert value(w, 4) == value(w, 1) + 3
+        assert value(w, 0) == value(w, 3) - 3
 
 
 class TestCompose:
@@ -232,7 +238,7 @@ class TestDescentCorrespondence:
             for w in min_coset_reps(shape):
                 image = tableau_action(w, canonical_tableau(shape))
                 winv = inverse(w)
-                predicted = image.row_of(1) != image.row_of(n) and winv(1) < winv(n)
+                predicted = image.row_of(1) != image.row_of(n) and value(winv, 1) < value(winv, n)
                 assert (n in affine_descents(image)) == predicted
 
 

@@ -139,6 +139,14 @@ MALFORMED = {
         lambda graph: (graph["tau"][3].append(9), graph["tau"][6].append(0)),
         "error: tau value {{9, 4}} outside index set",
     ),
+    # each vertex repeats n, and must agree with the graph
+    "vertex n not the graph's": (
+        lambda graph: (
+            [vertex.update(n=7) for vertex in graph["vertices"]], graph["vertices"][1].pop("n"),
+        ),
+        "error: vertex 0 (345/12) has n = 7, not 5",
+    ),
+    "vertex n missing": (lambda graph: graph["vertices"][3].pop("n"), "error: {path}: missing key 'n'"),
 }
 
 
@@ -188,6 +196,12 @@ LOOK_ALIKES = {
     ),
     "tau label true": (
         lambda graph: graph["tau"][0].append(True), "error: tau value {{True, 5}} outside index set",
+    ),
+    "vertex n 5.0": (
+        lambda graph: graph["vertices"][2].update(n=5.0), "error: vertex 2 (235/14) has n = 5.0, not 5",
+    ),
+    "vertex n true": (
+        lambda graph: graph["vertices"][9].update(n=True), "error: vertex 9 (123/45) has n = True, not 5",
     ),
 }
 
@@ -324,6 +338,24 @@ class TestRestrictAndCells:
         assert code == 2
 
 
+# values the CLI passes on unchecked, and the library's line they exit 2 with
+# (--jobs below 1 is TestRegress's)
+LIBRARY_CHECKED = {
+    "negative variant weight": (["build", "3", "3", "--variant", "p=-1"], "error: variant weight must be nonnegative: -1"),
+    "interval from 0": (["restrict", "3", "2", "--to", "0..3"], "error: residues out of range: a=0, b=3, n=5"),
+    "interval to n + 4": (["restrict", "3", "2", "--to", "1..9"], "error: residues out of range: a=1, b=9, n=5"),
+}
+
+
+@pytest.mark.parametrize("argv, message", LIBRARY_CHECKED.values(), ids=LIBRARY_CHECKED.keys())
+def test_library_checks_exit_two_with_one_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 class TestExport:
     def test_writes_both_formats(self, capsys, tmp_path):
         code, _ = run(capsys, "export", "3", "2", "--output", str(tmp_path))
@@ -405,9 +437,11 @@ class TestRegress:
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
-        code, out = run(capsys, "regress", "--max-n", "4", "--jobs", jobs)
+        code = main(["regress", "--max-n", "4", "--jobs", jobs])
+        captured = capsys.readouterr()
         assert code == 2
-        assert out == ""
+        assert captured.out == ""
+        assert captured.err == f"error: jobs must be at least 1, not {jobs}\n"
 
     @pytest.mark.parametrize("max_n", ["2", "0", "-3"])
     def test_max_n_below_three_rejected(self, capsys, max_n):

@@ -17,6 +17,8 @@ from affwgraph import LabeledWGraph, Partition, RowStandardTableau, enumerate_rs
 from affwgraph.rsk import RskPair
 from affwgraph.wgraph import simple_component_ids
 
+from conftest import exactly
+
 # the package exports the function rsk under the module's name
 rsk_module = importlib.import_module("affwgraph.rsk")
 
@@ -158,6 +160,13 @@ def test_max_n_below_three_rejected(max_n):
         regress.run_regression(max_n=max_n)
     with pytest.raises(ValueError, match="at least 3"):
         regress.check_verification_sweep(max_n=max_n)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(jobs):
+    # a sweep in no process would not run serially in its place
+    with pytest.raises(ValueError, match=exactly(f"jobs must be at least 1, not {jobs}")):
+        regress.run_regression(max_n=4, jobs=jobs)
 
 
 def test_serial_and_parallel_runs_agree():

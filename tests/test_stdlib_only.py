@@ -4,7 +4,8 @@ package, the CLI and the regression suite in a fresh interpreter loads no
 top-level module outside the standard library, apart from affwgraph itself.
 Every name a module or the package exports resolves, every name a module
 imports is read there or exported, every private helper is read outside
-its own body, and only the public graph constructor sorts a graph's edges.
+its own body, only the public graph constructor sorts a graph's edges, and
+only graph_from_json reads the rows of a vertex's JSON.
 """
 
 import ast
@@ -102,6 +103,22 @@ def test_no_reader_sorts_the_edges():
             and any(isinstance(read, ast.Attribute) and read.attr == "weights" for read in ast.walk(node))
         }
     assert {(module, scope) for module, scope, _ in sorts} == {("wgraph", "LabeledWGraph.__post_init__")}, sorts
+
+
+def test_only_wgraph_reads_the_vertex_json():
+    # the JSON of a vertex is written by graph_to_json and read by
+    # graph_from_json, so a ["rows"] subscript elsewhere is a second reader
+    reads = set()
+    for path in sorted((SRC / "affwgraph").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        reads |= {
+            (path.stem, _scope(parents, node), node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant) and node.slice.value == "rows"
+        }
+    assert {(module, scope) for module, scope, _ in reads} == {("wgraph", "graph_from_json")}, reads
 
 
 def test_every_private_helper_is_read():

@@ -15,7 +15,8 @@ from affwgraph import (
     pint,
     rsk,
 )
-from affwgraph.tableaux import shift_permutation, tableau_from_json, tableau_text
+from affwgraph.tableaux import shift_permutation, tableau_text
+from affwgraph.wgraph import graph_from_json
 
 from conftest import all_partitions, dominance_leq, exactly, is_knuth_move, omega_shift, two_row_shapes
 
@@ -209,6 +210,12 @@ BAD_ROWS = [
 ]
 
 
+def _one_vertex_graph(rows: list) -> dict:
+    """The JSON of an edgeless graph whose one vertex has these rows."""
+    n = sum(map(len, rows))
+    return {"n": n, "index_set": [], "vertices": [{"rows": rows, "n": n}], "tau": [[]], "edges": []}
+
+
 class TestTableauValue:
     def test_rows_are_sorted_and_validated(self):
         assert T([3, 1, 2]).rows == ((1, 2, 3),)
@@ -231,14 +238,16 @@ class TestTableauValue:
                     assert same(t) and same(omega_shift(t)) and same(rsk(t).p), t
 
     def test_json_boundary_validates(self):
+        # the vertex JSON format is read by graph_from_json, which builds
+        # each vertex with the checking constructor
         for rows, message in BAD_ROWS:
             with pytest.raises(ValueError, match=exactly(message)):
-                tableau_from_json({"rows": [list(row) for row in rows]})
+                graph_from_json(_one_vertex_graph([list(row) for row in rows]))
 
     def test_text_and_json(self):
         t = T([1, 2, 3], [4, 5])
         assert tableau_text(t) == "123/45"
-        assert tableau_from_json({"rows": [[1, 2, 3], [4, 5]], "n": 5}) == t
+        assert graph_from_json(_one_vertex_graph([[1, 2, 3], [4, 5]])).vertices == (t,)
 
     def test_text_wide_entries(self):
         t = T(list(range(2, 12)), [1])
