@@ -48,11 +48,6 @@ from .wgraph import LabeledWGraph, simple_component_ids
 __all__ = ["build_affine_graph", "build_dual_equiv", "build_equal_variant", "build_finite_graph"]
 
 
-def _require_two_row(shape: Partition) -> None:
-    if not shape.is_two_row:
-        raise ValueError(f"shape must have exactly two rows: {shape}")
-
-
 def _row2_mask(s: RowStandardTableau) -> int:
     """
     The mask of row 2 of a tableau of a shape checked to have two rows: bit
@@ -176,6 +171,14 @@ def _orbit_weights(masks: list[int], n: int) -> dict[tuple[int, int], int]:
     }
 
 
+def _two_row_vertices(shape: Partition) -> tuple[int, tuple[RowStandardTableau, ...], list[int]]:
+    """n, the tableaux of a two-row shape in enumeration order and the row-2 mask of each."""
+    if not shape.is_two_row:
+        raise ValueError(f"shape must have exactly two rows: {shape}")
+    vertices = tuple(enumerate_rsyt(shape))
+    return shape.n, vertices, [_row2_mask(t) for t in vertices]
+
+
 def build_affine_graph(shape: Partition) -> LabeledWGraph:
     """
     The [1,n]-labeled graph on RSYT(shape) generated by the two moves.
@@ -185,10 +188,7 @@ def build_affine_graph(shape: Partition) -> LabeledWGraph:
     every move condition is stated in residues mod n, so omega maps the
     moves out of s onto the moves out of omega(s).
     """
-    _require_two_row(shape)
-    n = shape.n
-    vertices = tuple(enumerate_rsyt(shape))
-    masks = [_row2_mask(t) for t in vertices]
+    n, vertices, masks = _two_row_vertices(shape)
     weights = _orbit_weights(masks, n)
     tau = _descent_sets([_descent_mask(m, n) for m in masks])
     return LabeledWGraph._trusted(n, frozenset(range(1, n + 1)), vertices, tau, weights)
@@ -196,10 +196,7 @@ def build_affine_graph(shape: Partition) -> LabeledWGraph:
 
 def build_dual_equiv(shape: Partition) -> LabeledWGraph:
     """The graph of Knuth moves on RSYT(shape), all edges mutual of weight 1."""
-    _require_two_row(shape)
-    n = shape.n
-    vertices = tuple(enumerate_rsyt(shape))
-    masks = [_row2_mask(t) for t in vertices]
+    n, vertices, masks = _two_row_vertices(shape)
     index = {m: k for k, m in enumerate(masks)}
     descents = [_descent_mask(m, n) for m in masks]
     top = 1 << (n - 1)

@@ -19,7 +19,8 @@ constructor copies and checks its fields, the vertices in one pass that
 names the first one at fault.  The JSON format of a graph, its vertices
 included, is written and read here only: graph_from_json builds each
 vertex from its rows, checks the graph with the public constructor and
-then each vertex's copy of n.  The two-row builders, and
+then each vertex's copy of n and that no label list repeats a label.  The
+two-row builders, and
 restrictions, subgraphs and simple underlying graphs of a valid graph, are
 built without either; they keep the order because they filter their
 parent's edges.
@@ -361,13 +362,13 @@ def graph_from_json(data: dict) -> LabeledWGraph:
         if edge in weights:
             raise ValueError(f"duplicate edge {edge}")
         weights[edge] = e["w"]
-    vertices = data["vertices"]
+    vertices, index_set, tau = data["vertices"], data["index_set"], data["tau"]
     g = LabeledWGraph(
         n=data["n"],
-        index_set=frozenset(data["index_set"]),
+        index_set=frozenset(index_set),
         # the tableau constructor checks the rows and copies them into tuples
         vertices=tuple(RowStandardTableau(v["rows"]) for v in vertices),
-        tau=tuple(frozenset(s) for s in data["tau"]),
+        tau=tuple(frozenset(s) for s in tau),
         weights=weights,
     )
     # each vertex repeats n; read once the graph is accepted, so that the
@@ -376,6 +377,13 @@ def graph_from_json(data: dict) -> LabeledWGraph:
         m = v["n"]
         if type(m) is not int or m != g.n:
             raise ValueError(f"vertex {k} ({tableau_text(t)}) has n = {m!r}, not {g.n}")
+    # a label equal to an earlier one of its list (true or 1.0 after 1, or
+    # 1 again) collapses into it in the set the constructor checked
+    if len(g.index_set) != len(index_set):
+        raise ValueError(f"index set {index_set} repeats an entry")
+    for k, (t, labels, listed) in enumerate(zip(g.vertices, g.tau, tau)):
+        if len(labels) != len(listed):
+            raise ValueError(f"tau of vertex {k} ({tableau_text(t)}) repeats a label: {listed}")
     return g
 
 

@@ -12,6 +12,7 @@ from affwgraph import (
     finite_descents,
     mo,
 )
+from affwgraph.regress import RegressResult, _sweep
 
 
 def two_row_shapes(min_n: int, max_n: int) -> list[Partition]:
@@ -20,6 +21,14 @@ def two_row_shapes(min_n: int, max_n: int) -> list[Partition]:
         for n in range(min_n, max_n + 1)
         for b in range(1, n // 2 + 1)
     ]
+
+
+def check_verification_sweep(max_n: int = 8) -> RegressResult:
+    """
+    The verification sweep of run_regression alone: both verification paths
+    pass on the affine graph of every shape with n <= max_n.
+    """
+    return _sweep(max_n, {"verification_sweep"})["verification_sweep"]
 
 
 def exactly(message: str) -> str:

@@ -15,12 +15,9 @@ from affwgraph import (
     check_hecke_relations,
 )
 from affwgraph.fixtures import load_fixture
-from affwgraph.regress import (
-    check_equal_variants,
-    check_rsk_vector,
-    check_verification_sweep,
-    run_regression,
-)
+from affwgraph.regress import check_equal_variants, check_rsk_vector, run_regression
+
+from conftest import check_verification_sweep
 
 
 @pytest.fixture(scope="module")

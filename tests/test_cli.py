@@ -147,6 +147,19 @@ MALFORMED = {
         "error: vertex 0 (345/12) has n = 7, not 5",
     ),
     "vertex n missing": (lambda graph: graph["vertices"][3].pop("n"), "error: {path}: missing key 'n'"),
+    # a label list with a repeat, which its set would hide
+    "repeated tau label": (
+        lambda graph: graph["tau"].__setitem__(5, [1, 3, 3]),
+        "error: tau of vertex 5 (135/24) repeats a label: [1, 3, 3]",
+    ),
+    "repeated index": (
+        lambda graph: graph["index_set"].insert(2, 2),
+        "error: index set [1, 2, 2, 3, 4, 5] repeats an entry",
+    ),
+    "repeated tau label after vertex n": (
+        lambda graph: (graph["tau"].__setitem__(0, [5, 5]), graph["vertices"][9].update(n=4)),
+        "error: vertex 9 (123/45) has n = 4, not 5",
+    ),
 }
 
 
@@ -202,6 +215,20 @@ LOOK_ALIKES = {
     ),
     "vertex n true": (
         lambda graph: graph["vertices"][9].update(n=True), "error: vertex 9 (123/45) has n = True, not 5",
+    ),
+    "tau label true after 1": (
+        lambda graph: graph["tau"][4].append(True), "error: tau of vertex 4 (145/23) repeats a label: [1, True]",
+    ),
+    "tau label 1.0 after 1": (
+        lambda graph: graph["tau"][4].append(1.0), "error: tau of vertex 4 (145/23) repeats a label: [1, 1.0]",
+    ),
+    "index true": (
+        lambda graph: graph["index_set"].append(True),
+        "error: index set [1, 2, 3, 4, 5, True] repeats an entry",
+    ),
+    "index 5.0": (
+        lambda graph: graph["index_set"].append(5.0),
+        "error: index set [1, 2, 3, 4, 5, 5.0] repeats an entry",
     ),
 }
 

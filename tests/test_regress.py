@@ -14,10 +14,11 @@ import affwgraph.regress as regress
 import affwgraph.tworow as tworow
 import affwgraph.verify as verify
 from affwgraph import LabeledWGraph, Partition, RowStandardTableau, enumerate_rsyt, finite_descents, is_standard, mo
+from affwgraph.cli import main
 from affwgraph.rsk import RskPair
 from affwgraph.wgraph import simple_component_ids
 
-from conftest import exactly
+from conftest import check_verification_sweep, exactly
 
 # the package exports the function rsk under the module's name
 rsk_module = importlib.import_module("affwgraph.rsk")
@@ -104,7 +105,7 @@ def test_each_shape_is_built_once(build_calls):
 
 
 def test_verification_sweep_builds_only_its_shapes(build_calls):
-    result = regress.check_verification_sweep(max_n=5)
+    result = check_verification_sweep(max_n=5)
     assert result == regress.RegressResult(
         "verification_sweep", True, "5 shapes, rules + module relations"
     )
@@ -159,7 +160,7 @@ def test_max_n_below_three_rejected(max_n):
     with pytest.raises(ValueError, match="at least 3"):
         regress.run_regression(max_n=max_n)
     with pytest.raises(ValueError, match="at least 3"):
-        regress.check_verification_sweep(max_n=max_n)
+        check_verification_sweep(max_n=max_n)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -271,10 +272,71 @@ def test_underlying_and_omega_sees_moves_that_do_not_turn_with_the_shift(monkeyp
     )
 
 
+@pytest.fixture
+def mismatched_3_2(monkeypatch):
+    """The cells of (3,2) alone no longer match the strongly connected components."""
+    original = regress._restriction_fibers
+
+    def mismatched(restricted, recording):
+        shape = restricted.vertices[0].shape
+        if shape == Partition((3, 2)):
+            raise verify.CellMismatchError(f"RSK fibers differ from strongly connected components for {shape}")
+        return original(restricted, recording)
+
+    monkeypatch.setattr(regress, "_restriction_fibers", mismatched)
+
+
+MISMATCH_3_2 = "(3,2):RSK fibers differ from strongly connected components for (3,2)"
+
+
+@pytest.mark.parametrize("max_n", [4, 5])
+def test_restriction_cells_reports_a_cell_mismatch_of_the_reference_shape(mismatched_3_2, max_n):
+    # (3,2) is swept for its reference items below n = 5 as well, and its
+    # cells are read once, inside the check's handler
+    results = regress.run_regression(max_n=max_n)
+    assert [r for r in results if not r.passed] == [regress.RegressResult("restriction_cells", False, MISMATCH_3_2)]
+
+
+def test_regress_command_reports_a_cell_mismatch_without_a_traceback(mismatched_3_2, capsys):
+    code = main(["regress", "--max-n", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert [line for line in captured.out.splitlines() if "FAIL" in line] == [
+        f"restriction_cells     FAIL  {MISMATCH_3_2}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "damage, detail",
+    [
+        ("edge", "(3,2):restriction-fixture"),
+        ("cell", "(3,2):cell-partition"),
+        ("edge and cell", "(3,2):restriction-fixture, (3,2):cell-partition"),
+    ],
+)
+def test_restriction_cells_compares_the_reference_of_3_2(monkeypatch, damage, detail):
+    # the transcribed restriction of (3,2) gets a re-weighted edge, or its
+    # vertex 5 moves from the cell (3,2) to the cell (4,1)
+    original = regress.load_fixture_json
+
+    def damaged(name):
+        data = original(name)
+        if name == "restriction_3_2":
+            if "edge" in damage:
+                data["edges"][0]["w"] = 2
+            if "cell" in damage:
+                data["cells"]["3,2"].remove(5)
+                data["cells"]["4,1"].append(5)
+        return data
+
+    monkeypatch.setattr(regress, "load_fixture_json", damaged)
+    result = regress._sweep(5, {"restriction_cells"})["restriction_cells"]
+    assert (result.passed, result.detail) == (False, detail)
+
+
 def test_restriction_cells_lets_a_fault_of_the_check_propagate(monkeypatch):
     # only a CellMismatchError is a finding; any other error, here raised
-    # for (2,2) alone, is a bug in the check (the (3,2) fixture item, which
-    # reads the cells outside the check's handler, is left alone)
+    # for (2,2) alone, is a bug in the check and propagates
     original = regress._restriction_fibers
 
     def broken(restricted, recording):

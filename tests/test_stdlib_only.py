@@ -3,9 +3,10 @@ The runtime is pure stdlib (pyproject: dependencies = []): importing the
 package, the CLI and the regression suite in a fresh interpreter loads no
 top-level module outside the standard library, apart from affwgraph itself.
 Every name a module or the package exports resolves, every name a module
-imports is read there or exported, every private helper is read outside
-its own body, only the public graph constructor sorts a graph's edges, and
-only graph_from_json reads the rows of a vertex's JSON.
+imports is read there or exported, every private helper and every public
+function or class its module does not export is read outside its own body,
+only the public graph constructor sorts a graph's edges, and only
+graph_from_json reads the rows of a vertex's JSON.
 """
 
 import ast
@@ -121,23 +122,23 @@ def test_only_wgraph_reads_the_vertex_json():
     assert {(module, scope) for module, scope, _ in reads} == {("wgraph", "graph_from_json")}, reads
 
 
-def test_every_private_helper_is_read():
-    # a private helper that nothing in the package reads any more is dead:
-    # each _-prefixed module-level function or class, and each _-prefixed
-    # method other than a dunder, is read somewhere outside its own body
-    helpers, reads = [], {}
+def _definitions_and_reads():
+    """
+    The module-level functions and classes of each package module, with
+    the methods of each class, and for each name read anywhere in the
+    package the sets of functions and classes around each of its reads.
+    """
+    definitions, reads = [], {}
     defs = (ast.FunctionDef, ast.ClassDef)
     for path in sorted((SRC / "affwgraph").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in tree.body:
-            if isinstance(node, defs) and node.name.startswith("_"):
-                helpers.append((path.stem, node))
+            if isinstance(node, defs):
+                definitions.append((path.stem, node, False))
             if isinstance(node, ast.ClassDef):
-                helpers += [
-                    (path.stem, method) for method in node.body
-                    if isinstance(method, ast.FunctionDef) and method.name.startswith("_")
-                    and not method.name.endswith("__")
+                definitions += [
+                    (path.stem, method, True) for method in node.body if isinstance(method, ast.FunctionDef)
                 ]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -153,9 +154,42 @@ def test_every_private_helper_is_read():
                 if isinstance(node, defs):
                     around.add(node)
             reads.setdefault(name, []).append(around)
-    assert len(helpers) > 50
-    unread = [
-        (module, helper.name) for module, helper in helpers
-        if all(helper in around for around in reads.get(helper.name, []))
+    return definitions, reads
+
+
+def _unread(definitions, reads) -> list[tuple[str, str]]:
+    """The definitions that nothing in the package reads outside their own body."""
+    return [
+        (module, node.name) for module, node in definitions
+        if all(node in around for around in reads.get(node.name, []))
     ]
+
+
+def test_every_private_helper_is_read():
+    # a private helper that nothing in the package reads any more is dead:
+    # each _-prefixed module-level function or class, and each _-prefixed
+    # method other than a dunder, is read somewhere outside its own body
+    definitions, reads = _definitions_and_reads()
+    helpers = [
+        (module, node) for module, node, _ in definitions
+        if node.name.startswith("_") and not node.name.endswith("__")
+    ]
+    assert len(helpers) > 50
+    unread = _unread(helpers, reads)
+    assert not unread, unread
+
+
+def test_every_unexported_public_name_is_read():
+    # a public module-level function or class that its module does not
+    # export is there for the package's own use: something in the package
+    # reads it outside its own body, or only the tests do and it belongs
+    # in tests/
+    definitions, reads = _definitions_and_reads()
+    unexported = [
+        (module, node) for module, node, method in definitions
+        if not method and not node.name.startswith("_")
+        and node.name not in importlib.import_module(f"affwgraph.{module}").__all__
+    ]
+    assert len(unexported) > 5
+    unread = _unread(unexported, reads)
     assert not unread, unread
