@@ -72,18 +72,36 @@ The quadratic relation holds by construction, for any weights.  If i is
 not in tau(u), T_i^2 e_u = q^2 e_u = (q - 1) T_i e_u + q e_u.  Otherwise
 T_i e_u = -e_u + o, where every w in o has i not in tau(w), so T_i o = q o
 and T_i^2 e_u = e_u - o + q o = (q - 1) T_i e_u + q e_u.  So only the
-commutation and braid relations are evaluated, and on e_u each is reduced
-by the generators that act on e_u as the scalar q:
+commutation and braid relations are evaluated, each on e_u in a reduced
+form: the same vector, with only the terms expanded that can be nonzero.
+Write out_p(z), for p in tau(z), for the pairs (y, v m(z > y)) with p not
+in tau(y), so that T_p e_z = -e_z + out_p(z); then (T_p - q) e_z is
+out_p(z) - (1 + q) e_z, and 0 when p is not in tau(z).  With p a generator
+of the pair in tau(u) and r the other one:
 
 * neither i nor j in tau(u): both sides are q^2 e_u (q^3 e_u); skipped.
-* only i in tau(u): T_j e_u = q e_u, so the commutation residual
-  T_i T_j e_u - T_j T_i e_u is -(T_j - q) T_i e_u and the braid residual
-  T_i T_j T_i e_u - T_j T_i T_j e_u is (T_i - q) T_j T_i e_u.  T - q is 0 on
-  every e_w with a scalar column, so only the other entries are applied,
-  and the -e_u term of T_i e_u drops out of the commutation residual.
-* only j in tau(u): the same with i and j swapped.
-* both in tau(u): both sides are computed, and left - right is
-  accumulated in one residual.
+* commutation, r not in tau(u): T_r e_u = q e_u, so the residual is
+  -(T_r - q) T_p e_u = -(T_r - q)(-e_u + out_p(u)).  T_r - q sends e_u and
+  every w of out_p(u) with r not in tau(w) to 0, which leaves the sum of
+  c ((1 + q) e_w - out_r(w)) over (w, c) in out_p(u) with r in tau(w).
+* braid, r not in tau(u): the residual is (T_p - q) T_r T_p e_u, and
+  T_r T_p e_u = -q e_u + the sum of c T_r e_w over (w, c) in out_p(u), where
+  T_r e_w = q e_w or -e_w + out_r(w).  T_p - q sends every w to 0 (p is not
+  in tau(w)), and every z of out_r(w) with p not in tau(z), which leaves
+  q (1 + q) e_u - q out_p(u) + the sum of c d (out_p(z) - (1 + q) e_z) over
+  (w, c) in out_p(u) with r in tau(w) and (z, d) in out_r(w) with p in
+  tau(z).
+* commutation, both in tau(u): T_i T_j e_u = e_u - out_i(u) + the sum of
+  c T_i e_w over (w, c) in out_j(u).  Against T_j T_i e_u the e_u terms
+  cancel, and so does each w where neither is active: it is in out_i(u)
+  and out_j(u) with the same c, and gives c (1 + q) e_w on both sides.  At
+  a w of out_j(u) with i in tau(w), c T_i e_w = -c e_w + c out_i(w), and
+  its -c e_w cancels the c e_w of out_j(u) (the diagonal of T_i + 1).
+  That leaves the sum of c out_i(w) over (w, c) in out_j(u) with i in
+  tau(w), minus the same with i and j swapped.
+* braid, both in tau(u): both sides are computed in full.  This stays
+  general: it never occurs on a two-row graph (no two-row tableau has two
+  adjacent descents), so no reduction of it would pay for itself.
 
 The relations are checked in exact Python integers with v evaluated at
 X = 2**B.  Every matrix entry (q, -1 or v*m) has no negative power of v, so
@@ -93,11 +111,14 @@ the absolute values of all coefficients of a vector x of polynomials; then
 column, 1 + sum |m(u > w)| over some out-edges of u otherwise).  M is taken
 as 1 + the largest sum of |m(u > w)| over all out-edges of one vertex.
 From a basis vector the commutation residual has norm at most 2M^2 and the
-braid residual at most 2M^3 (the reduced residuals above are the same
-vectors up to sign), so every coefficient of every residual is at most
-C = 2M^3.  If P != 0 has degree d, |P(X)| >= X^d - C (X^d - 1)/(X - 1) > 0
-once X > C, and X > 2C (asserted) even makes the coefficients the balanced
-base-X digits of P(X).  So P(X) = 0 exactly when P = 0, for any integer
+braid residual at most 2M^3.  The reduced forms above are the same vectors
+(the commutation one up to sign): only terms that cancel or vanish are
+left out, so the bound holds for them as it stands, and each is zero
+exactly when the full residual is, which keeps the witnesses.  So every
+coefficient of every residual is at most C = 2M^3.  If P != 0 has degree
+d, |P(X)| >= X^d - C (X^d - 1)/(X - 1) > 0 once X > C, and X > 2C
+(asserted) even makes the coefficients the balanced base-X digits of
+P(X).  So P(X) = 0 exactly when P = 0, for any integer
 weights, and the witnesses are those of the polynomial check.  X is
 _hecke_x(g), computed once per check, and the integer columns of a
 generator i, with the vertices where i is active, are _generator_columns
@@ -110,6 +131,7 @@ builds what it reads again.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -306,10 +328,6 @@ def rules_hold(g: LabeledWGraph) -> bool:
     return all(r.passed for r in _rule_reports(g))
 
 
-# None for a column q * e_u, else the entries of T e_u at v = X
-_Columns = tuple[Edges | None, ...]
-
-
 def _hecke_x(g: LabeledWGraph) -> int:
     """
     The point v = x at which the Hecke module is evaluated: x = 2**B
@@ -326,76 +344,75 @@ def _hecke_x(g: LabeledWGraph) -> int:
     return x
 
 
-def _generator_columns(tau, adjacency, x: int, i: int) -> tuple[_Columns, list[int]]:
+def _generator_columns(tau, adjacency, x: int, i: int) -> tuple[tuple[Edges | None, ...], list[int]]:
     """
     The columns of the generator i at v = x, and the vertices u with i in
     tau(u), in order: cols[u] is None when i is not in tau(u), where
-    T_i e_u = q e_u, and otherwise T_i e_u = -e_u + v * sum m(u > w) e_w
-    over the out-edges with i not in tau(w), as the pairs (u, -1) and
-    (w, x * m(u > w)).
+    T_i e_u = q e_u, and otherwise out_i(u), the pairs (w, x * m(u > w))
+    over the out-edges with i not in tau(w), so that T_i e_u = -e_u + out_i(u).
     """
-    cols: list[Edges | None] = [None] * len(tau)
-    active = [u for u, t in enumerate(tau) if i in t]
-    for u in active:
-        # each w occurs once in adjacency[u], and a kept w is not u, as i is in tau(u)
-        cols[u] = ((u, -1), *[(w, x * m) for w, m in adjacency[u] if i not in tau[w]])
-    return tuple(cols), active
+    # each w occurs once in adjacency[u], and a kept w is not u, as i is in tau(u)
+    cols = tuple(
+        tuple([(w, x * m) for w, m in adjacency[u] if i not in tau[w]]) if i in t else None
+        for u, t in enumerate(tau)
+    )
+    return cols, [u for u, col in enumerate(cols) if col is not None]
 
 
-def _apply(
-    cols: _Columns,
-    vec: Iterable[tuple[int, int]],
-    out: dict[int, int],
-    scalar: int,
-    diagonal: int = 0,
-    sign: int = 1,
-) -> dict[int, int]:
-    """
-    Add A * vec into out, for (index, value) pairs vec, where A e_k is
-    scalar * e_k for a scalar column k and sign * cols[k] + diagonal * e_k
-    otherwise: T is A(q), -T is A(-q, 0, -1) and T - q is A(0, -q).
-    """
-    get = out.get
-    for k, a in vec:
-        col = cols[k]
-        if col is None:
-            if scalar:
-                out[k] = get(k, 0) + scalar * a
-            continue
-        if diagonal:
-            out[k] = get(k, 0) + diagonal * a
-        a *= sign
-        for w, c in col:
-            out[w] = get(w, 0) + a * c
+def _act(cols, vec: Counter, q: int) -> Counter:
+    """T vec, for the generator T with the columns cols."""
+    out = Counter({k: q * a if cols[k] is None else -a for k, a in vec.items()})
+    for k, a in vec.items():
+        for w, c in cols[k] or ():
+            out[w] += a * c
     return out
 
 
 def _hecke_pair(g: LabeledWGraph, columns, q: int, i: int, j: int):
-    """The witnesses (relation, i, j, u) of the pair i < j, one per basis vertex u where it fails."""
+    """
+    The witnesses (relation, i, j, u) of the pair i < j, one per basis
+    vertex u where the residual is nonzero.  Each residual is computed in
+    the reduced form of its case (module docstring), with p a generator
+    active at u and r the other one: only p active (braid, commutation), or
+    both active, where (p, r) = (i, j) (braid in full, commutation).
+    """
     adjacent = dynkin_adjacent(g, i, j)
-    relation = "braid" if adjacent else "commutation"
     (ci, active_i), (cj, active_j) = columns(i), columns(j)
     # e_u with neither i nor j in tau(u) is skipped (module docstring)
-    for u in chain(active_i, [u for u in active_j if ci[u] is None]):
-        a, b = ci[u], cj[u]
-        # the residual of e_u, or its negative (module docstring); a and b
-        # are T_i e_u and T_j e_u when not None
-        diff: dict[int, int] = {}
-        if a is None or b is None:
-            # T_p e_u = col and T_r e_u = q e_u
-            p, r, col = (ci, cj, a) if b is None else (cj, ci, b)
-            if adjacent:
-                _apply(p, _apply(r, col, {}, q).items(), diff, 0, -q)
+    for p, r, units in ((ci, cj, active_i), (cj, ci, [u for u in active_j if ci[u] is None])):
+        for u in units:
+            out, other = p[u], r[u]
+            residual: dict[int, int] = {}
+            get = residual.get
+            if other is None and adjacent:
+                residual[u] = q * (1 + q)
+                for w, c in out:
+                    residual[w] = get(w, 0) - q * c
+                    if (col := r[w]) is not None:
+                        for z, d in col:
+                            if (zcol := p[z]) is not None:
+                                d *= c
+                                residual[z] = get(z, 0) - (1 + q) * d
+                                for y, e in zcol:
+                                    residual[y] = get(y, 0) + d * e
+            elif other is None:
+                for w, c in out:
+                    if (col := r[w]) is not None:
+                        residual[w] = (1 + q) * c  # the only term at w: r is in tau(w), not in tau(z)
+                        for z, d in col:
+                            residual[z] = get(z, 0) - c * d
+            elif adjacent:
+                # never on a two-row graph: T_i T_j T_i e_u - T_j T_i T_j e_u
+                residual = _act(p, _act(r, _act(p, Counter({u: 1}), q), q), q)
+                residual.subtract(_act(r, _act(p, _act(r, Counter({u: 1}), q), q), q))
             else:
-                _apply(r, col, diff, 0, -q)
-        elif adjacent:
-            _apply(ci, _apply(cj, a, {}, q).items(), diff, q)
-            _apply(cj, _apply(ci, b, {}, q).items(), diff, -q, 0, -1)
-        else:
-            _apply(ci, b, diff, q)
-            _apply(cj, a, diff, -q, 0, -1)
-        if any(diff.values()):
-            yield (relation, i, j, u)
+                for s, vec, sign in ((p, other, 1), (r, out, -1)):
+                    for w, c in vec:
+                        if (col := s[w]) is not None:
+                            for y, e in col:
+                                residual[y] = get(y, 0) + sign * c * e
+            if residual and any(residual.values()):
+                yield ("braid" if adjacent else "commutation", i, j, u)
 
 
 def _hecke_witnesses(g: LabeledWGraph):

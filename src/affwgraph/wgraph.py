@@ -19,8 +19,9 @@ constructor copies and checks its fields, the vertices in one pass that
 names the first one at fault.  The JSON format of a graph, its vertices
 included, is written and read here only: graph_from_json builds each
 vertex from its rows, checks the graph with the public constructor and
-then each vertex's copy of n and that no label list repeats a label.  The
-two-row builders, and
+then each vertex's copy of n, that no label list repeats a label, and
+last that each list of the format (the index set, the vertices, tau, each
+label list and the edges) is a JSON list.  The two-row builders, and
 restrictions, subgraphs and simple underlying graphs of a valid graph, are
 built without either; they keep the order because they filter their
 parent's edges.
@@ -384,7 +385,21 @@ def graph_from_json(data: dict) -> LabeledWGraph:
     for k, (t, labels, listed) in enumerate(zip(g.vertices, g.tau, tau)):
         if len(labels) != len(listed):
             raise ValueError(f"tau of vertex {k} ({tableau_text(t)}) repeats a label: {listed}")
+    # a JSON object or string where a list belongs is read as its keys or
+    # characters; checked last, so that each input rejected above keeps its message
+    for name, value in (("index_set", index_set), ("vertices", vertices), ("tau", tau), ("edges", data["edges"])):
+        if type(value) is not list:
+            raise ValueError(f"{name} {_not_a_list(value)}")
+    if set(map(type, tau)) - {list}:
+        k = next(k for k, listed in enumerate(tau) if type(listed) is not list)
+        raise ValueError(f"tau of vertex {k} ({tableau_text(g.vertices[k])}) {_not_a_list(tau[k])}")
     return g
+
+
+def _not_a_list(value) -> str:
+    """The end of the message for a value of graph_from_json where a JSON list belongs."""
+    kind = {dict: "an object", str: "a string"}.get(type(value), type(value).__name__)
+    return f"must be a JSON list, not {kind}"
 
 
 def graph_to_dot(g: LabeledWGraph, name: str = "wgraph") -> str:

@@ -160,6 +160,36 @@ MALFORMED = {
         lambda graph: (graph["tau"].__setitem__(0, [5, 5]), graph["vertices"][9].update(n=4)),
         "error: vertex 9 (123/45) has n = 4, not 5",
     ),
+    # a JSON object or string where a list belongs, which would be read as
+    # its keys or characters: an edgeless graph, an empty label set
+    "edges an object": (lambda graph: graph.update(edges={}), "error: edges must be a JSON list, not an object"),
+    "edges a string": (lambda graph: graph.update(edges=""), "error: edges must be a JSON list, not a string"),
+    "tau entry an object": (
+        lambda graph: graph["tau"].__setitem__(3, {}),
+        "error: tau of vertex 3 (234/15) must be a JSON list, not an object",
+    ),
+    "tau entry a string": (
+        lambda graph: graph["tau"].__setitem__(7, ""),
+        "error: tau of vertex 7 (125/34) must be a JSON list, not a string",
+    ),
+    "index set an object, every tau empty": (
+        lambda graph: graph.update(index_set={}, tau=[[] for _ in graph["tau"]]),
+        "error: index_set must be a JSON list, not an object",
+    ),
+    "vertices an object, no vertices": (
+        lambda graph: graph.update(vertices={}, tau=[], edges=[]),
+        "error: vertices must be a JSON list, not an object",
+    ),
+    "tau a string, no vertices": (
+        lambda graph: graph.update(vertices=[], tau="", edges=[]),
+        "error: tau must be a JSON list, not a string",
+    ),
+    # the container checks come last, so an input rejected before keeps its message
+    "index set an object": (lambda graph: graph.update(index_set={}), "error: tau value {{5}} outside index set"),
+    "tau entry an object after a repeated label": (
+        lambda graph: (graph["tau"].__setitem__(2, {}), graph["tau"].__setitem__(5, [1, 3, 3])),
+        "error: tau of vertex 5 (135/24) repeats a label: [1, 3, 3]",
+    ),
 }
 
 

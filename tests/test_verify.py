@@ -462,20 +462,21 @@ class TestHecke:
 
 
 def _laurent_column(x, u, col, count):
-    """Column u of a generator matrix, read from its integer column col at v = x."""
+    """
+    Column u of a generator matrix, read from its integer column col at
+    v = x: q on the diagonal when col is None, and otherwise the -1 on the
+    diagonal that activity implies, with the entries x * m of col off it.
+    """
     column = [ZERO] * count
     if col is None:
         column[u] = Q
         return column
+    column[u] = -ONE
     for w, c in col:
-        assert column[w] == ZERO  # each row once
-        if w == u:
-            assert c == -1
-            column[w] = -ONE
-        else:
-            m, r = divmod(c, x)
-            assert r == 0
-            column[w] = lp_monomial(m, 1)
+        assert w != u and column[w] == ZERO  # each row once, none on the diagonal
+        m, r = divmod(c, x)
+        assert r == 0
+        column[w] = lp_monomial(m, 1)
     return column
 
 
@@ -524,6 +525,60 @@ class TestColumnsMatchLaurentMatrices:
     def test_negative_weights(self):
         assert any(m < 0 for m in NEGATIVE_WEIGHT_GRAPH.weights.values())
         self._assert_agree(NEGATIVE_WEIGHT_GRAPH)
+
+
+def _commuting_graph(tau_by_vertex, weights):
+    """(2,2) tableaux on the finite index set {1, 3}, whose one pair commutes."""
+    tau = tuple(frozenset(s) for s in tau_by_vertex)
+    return LabeledWGraph(4, frozenset({1, 3}), FOUR_ENTRY_TABLEAUX[: len(tau)], tau, weights)
+
+
+# one small graph per reduced form of the relation kernel (verify's module
+# docstring): the relation, the pair, the number of its generators active at
+# the two basis vertices, and a vertex whose residual is zero and one whose
+# residual is nonzero
+REDUCED_FORMS = {
+    # zero: at 1 only 3 is active, and 1 is not in tau(2), 2 the one w of
+    # out_3(1); nonzero: at 0 only 1 is active, and 3 is in tau(1)
+    "commutation, one active": (
+        lambda: _commuting_graph(({1}, {3}, set()), {(0, 1): 1, (1, 2): 1}),
+        "commutation", (1, 3), 1, 1, 0,
+    ),
+    # zero: 3, where neither is active, drops out, and the paths 0 -> 1 -> 3
+    # and 0 -> 2 -> 3 cancel between the two sums; nonzero: only 4 -> 1 -> 3
+    "commutation, both active": (
+        lambda: _commuting_graph(
+            ({1, 3}, {1}, {3}, set(), {1, 3}),
+            {(0, 1): 1, (0, 2): 1, (0, 3): 2, (1, 3): 1, (2, 3): 1, (4, 1): 1},
+        ),
+        "commutation", (1, 3), 2, 0, 4,
+    ),
+    # zero: a mutual weight-1 pair, where q (1 + q) e_0 cancels against the
+    # diagonal at z = 0; nonzero: the pair 2, 3 with weights 2 and 1
+    "braid, one active": (
+        lambda: TestPolygonPathCounts._chain(({1}, {2}, {1}, {2}), {(0, 1): 1, (1, 0): 1, (2, 3): 2, (3, 2): 1}),
+        "braid", (1, 2), 1, 0, 2,
+    ),
+    # zero: an edge into a vertex where neither is active; nonzero: an
+    # edge into one where only 1 is active
+    "braid, both active": (
+        lambda: TestPolygonPathCounts._chain(({1, 2}, {1, 2}, set(), {1}), {(0, 2): 1, (1, 3): 1}),
+        "braid", (1, 2), 2, 0, 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("make, relation, pair, active, zero, nonzero", REDUCED_FORMS.values(), ids=REDUCED_FORMS)
+def test_each_reduced_form_matches_laurent_oracle(make, relation, pair, active, zero, nonzero):
+    g = make()
+    i, j = pair
+    assert g.index_set == {i, j} and dynkin_adjacent(g, i, j) == (relation == "braid")
+    assert len(g.tau[zero] & {i, j}) == len(g.tau[nonzero] & {i, j}) == active
+    report = check_hecke_relations(g)
+    assert list(report.witnesses) == _oracle_hecke_witnesses(g)
+    assert (relation, i, j, zero) not in report.witnesses
+    assert (relation, i, j, nonzero) in report.witnesses
+    assert hecke_holds(g) == report.passed
 
 
 class TestIntegerHeckeCheck:

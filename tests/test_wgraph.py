@@ -443,12 +443,15 @@ DERIVED = ("adjacency", "shift_automorphism", "shift_orbit_representatives")
 
 
 def _derived(g) -> dict:
-    """The derived values of g, with the Hecke check's X and the columns of every generator."""
+    """
+    The derived values of g, with the Hecke check's X and the columns of
+    every generator, which must be nested tuples of ints and None.
+    """
     values = {name: getattr(g, name) for name in DERIVED}
     x = values["hecke_x"] = verify._hecke_x(g)
-    values.update(
-        (("columns", i), verify._generator_columns(g.tau, g.adjacency, x, i)) for i in sorted(g.index_set)
-    )
+    for i in sorted(g.index_set):
+        cols, active = values["columns", i] = verify._generator_columns(g.tau, g.adjacency, x, i)
+        assert _frozen(cols) and active == [u for u, col in enumerate(cols) if col is not None], i
     return values
 
 
