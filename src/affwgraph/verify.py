@@ -103,30 +103,32 @@ of the pair in tau(u) and r the other one:
   general: it never occurs on a two-row graph (no two-row tableau has two
   adjacent descents), so no reduction of it would pay for itself.
 
-The relations are checked in exact Python integers with v evaluated at
-X = 2**B.  Every matrix entry (q, -1 or v*m) has no negative power of v, so
-each relation residual is a polynomial P(v) in v.  Write |x| for the sum of
-the absolute values of all coefficients of a vector x of polynomials; then
-|T_i x| <= M |x| for any M at least the largest column norm (1 for a q
-column, 1 + sum |m(u > w)| over some out-edges of u otherwise).  M is taken
-as 1 + the largest sum of |m(u > w)| over all out-edges of one vertex.
-From a basis vector the commutation residual has norm at most 2M^2 and the
-braid residual at most 2M^3.  The reduced forms above are the same vectors
-(the commutation one up to sign): only terms that cancel or vanish are
-left out, so the bound holds for them as it stands, and each is zero
-exactly when the full residual is, which keeps the witnesses.  So every
-coefficient of every residual is at most C = 2M^3.  If P != 0 has degree
-d, |P(X)| >= X^d - C (X^d - 1)/(X - 1) > 0 once X > C, and X > 2C
-(asserted) even makes the coefficients the balanced base-X digits of
-P(X).  So P(X) = 0 exactly when P = 0, for any integer
-weights, and the witnesses are those of the polynomial check.  X is
-_hecke_x(g), computed once per check, and the integer columns of a
-generator i, with the vertices where i is active, are _generator_columns
-at X, built when a pair of the check first reads i and freed when the
-check returns; the graph keeps none of them.  So a check that passes on
-the representatives (1, 1 + d) builds the generators 1..n/2 + 1 only, the
-full loop builds the rest, and hecke_holds after check_hecke_relations
-builds what it reads again.
+The relations are checked exactly, in small integers, with no evaluation
+point.  Every matrix entry is q = v^2, -1 or v m, so in each reduced form
+every term carries a power of v that the form fixes, and the residual is
+P_even(v) A + P_odd(v) B: A and B are integer vectors, and P_even and
+P_odd are fixed nonzero polynomials, one with even and one with odd powers
+of v only.  No power of v occurs in both, so the residual is zero exactly
+when A = 0 and B = 0, and the witnesses are those of the polynomial check.
+With c, d, e now the weights m of the successive column entries, each
+entry's v counted in the polynomials:
+
+* braid, only p active: (q + q^2) [e_u - sum c d e_z]
+  + v^3 [-sum c e_w + sum c d e e_y];
+* commutation, only p active: (v + v^3) [sum c e_w] - q [sum c d e_z];
+* commutation, both active: q [the two sums above, with the weights m];
+* braid, both active: computed in full on a vector keyed by (vertex,
+  power of v), which is exact polynomial arithmetic.
+
+The kernel keeps A at key z and B at key ~z = -1 - z of one dict, so the
+two parts never share a key.  The columns of a generator i, with the
+vertices where i is active, are _generator_columns: column u holds the
+adjacency's own (w, m) pairs of u with i not in tau(w), so a column
+allocates no pair.  They are built when a pair of the check first reads i
+and freed when the check returns; the graph keeps none of them.  So a
+check that passes on the representatives (1, 1 + d) builds the generators
+1..n/2 + 1 only, the full loop builds the rest, and hecke_holds after
+check_hecke_relations builds what it reads again.
 """
 
 from __future__ import annotations
@@ -328,53 +330,42 @@ def rules_hold(g: LabeledWGraph) -> bool:
     return all(r.passed for r in _rule_reports(g))
 
 
-def _hecke_x(g: LabeledWGraph) -> int:
+def _generator_columns(tau, adjacency, i: int) -> tuple[tuple[Edges | None, ...], list[int]]:
     """
-    The point v = x at which the Hecke module is evaluated: x = 2**B
-    exceeds 4 * M**3 for M = 1 + the largest sum of |m(u > w)| over the
-    out-edges of one vertex, which makes the integer check of the relations
-    exact (module docstring).
-    """
-    out_norms = [0] * len(g.vertices)
-    for (u, _), m in g.weights.items():
-        out_norms[u] += abs(m)
-    bound = 2 * (1 + max(out_norms, default=0)) ** 3
-    x = 1 << (2 * bound).bit_length()
-    assert x > 2 * bound, (x, bound)
-    return x
-
-
-def _generator_columns(tau, adjacency, x: int, i: int) -> tuple[tuple[Edges | None, ...], list[int]]:
-    """
-    The columns of the generator i at v = x, and the vertices u with i in
-    tau(u), in order: cols[u] is None when i is not in tau(u), where
-    T_i e_u = q e_u, and otherwise out_i(u), the pairs (w, x * m(u > w))
-    over the out-edges with i not in tau(w), so that T_i e_u = -e_u + out_i(u).
+    The columns of the generator i, and the vertices u with i in tau(u), in
+    order: cols[u] is None when i is not in tau(u), where T_i e_u = q e_u,
+    and otherwise the adjacency's own pairs (w, m(u > w)) of the out-edges
+    with i not in tau(w), so that T_i e_u = -e_u + v * (the sum of m e_w).
     """
     # each w occurs once in adjacency[u], and a kept w is not u, as i is in tau(u)
     cols = tuple(
-        tuple([(w, x * m) for w, m in adjacency[u] if i not in tau[w]]) if i in t else None
+        tuple([e for e in adjacency[u] if i not in tau[e[0]]]) if i in t else None
         for u, t in enumerate(tau)
     )
     return cols, [u for u, col in enumerate(cols) if col is not None]
 
 
-def _act(cols, vec: Counter, q: int) -> Counter:
-    """T vec, for the generator T with the columns cols."""
-    out = Counter({k: q * a if cols[k] is None else -a for k, a in vec.items()})
-    for k, a in vec.items():
-        for w, c in cols[k] or ():
-            out[w] += a * c
+def _act(cols, vec: Counter) -> Counter:
+    """T vec, for the generator T with the columns cols, on a vector keyed by (vertex, power of v)."""
+    out = Counter()
+    for (k, e), a in vec.items():
+        if cols[k] is None:
+            out[k, e + 2] += a
+        else:
+            out[k, e] -= a
+            for w, m in cols[k]:
+                out[w, e + 1] += a * m
     return out
 
 
-def _hecke_pair(g: LabeledWGraph, columns, q: int, i: int, j: int):
+def _hecke_pair(g: LabeledWGraph, columns, i: int, j: int):
     """
     The witnesses (relation, i, j, u) of the pair i < j, one per basis
     vertex u where the residual is nonzero.  Each residual is computed in
     the reduced form of its case (module docstring), with p a generator
     active at u and r the other one: only p active (braid, commutation), or
-    both active, where (p, r) = (i, j) (braid in full, commutation).
+    both active, where (p, r) = (i, j) (braid in full, commutation).  The
+    even part of a residual is kept at key z, the odd part at key ~z.
     """
     adjacent = dynkin_adjacent(g, i, j)
     (ci, active_i), (cj, active_j) = columns(i), columns(j)
@@ -385,26 +376,26 @@ def _hecke_pair(g: LabeledWGraph, columns, q: int, i: int, j: int):
             residual: dict[int, int] = {}
             get = residual.get
             if other is None and adjacent:
-                residual[u] = q * (1 + q)
+                residual[u] = 1
                 for w, c in out:
-                    residual[w] = get(w, 0) - q * c
+                    residual[~w] = get(~w, 0) - c
                     if (col := r[w]) is not None:
                         for z, d in col:
                             if (zcol := p[z]) is not None:
                                 d *= c
-                                residual[z] = get(z, 0) - (1 + q) * d
+                                residual[z] = get(z, 0) - d
                                 for y, e in zcol:
-                                    residual[y] = get(y, 0) + d * e
+                                    residual[~y] = get(~y, 0) + d * e
             elif other is None:
                 for w, c in out:
                     if (col := r[w]) is not None:
-                        residual[w] = (1 + q) * c  # the only term at w: r is in tau(w), not in tau(z)
+                        residual[~w] = c  # the only odd term at w: w occurs once in out
                         for z, d in col:
                             residual[z] = get(z, 0) - c * d
             elif adjacent:
                 # never on a two-row graph: T_i T_j T_i e_u - T_j T_i T_j e_u
-                residual = _act(p, _act(r, _act(p, Counter({u: 1}), q), q), q)
-                residual.subtract(_act(r, _act(p, _act(r, Counter({u: 1}), q), q), q))
+                residual = _act(p, _act(r, _act(p, Counter({(u, 0): 1}))))
+                residual.subtract(_act(r, _act(p, _act(r, Counter({(u, 0): 1})))))
             else:
                 for s, vec, sign in ((p, other, 1), (r, out, -1)):
                     for w, c in vec:
@@ -421,9 +412,8 @@ def _hecke_witnesses(g: LabeledWGraph):
     when a pair first reads them, kept for the other pairs of this check
     and freed with it.
     """
-    x = _hecke_x(g)
-    columns = cache(partial(_generator_columns, g.tau, g.adjacency, x))
-    return _pair_witnesses(g, partial(_hecke_pair, g, columns, x * x))
+    columns = cache(partial(_generator_columns, g.tau, g.adjacency))
+    return _pair_witnesses(g, partial(_hecke_pair, g, columns))
 
 
 def check_hecke_relations(g: LabeledWGraph) -> RuleReport:

@@ -364,11 +364,18 @@ def graph_from_json(data: dict) -> LabeledWGraph:
             raise ValueError(f"duplicate edge {edge}")
         weights[edge] = e["w"]
     vertices, index_set, tau = data["vertices"], data["index_set"], data["tau"]
+    tableaux = []
+    try:
+        # the tableau constructor checks the rows and copies them into tuples
+        for v in vertices:
+            tableaux.append(RowStandardTableau(v["rows"]))
+    except (KeyError, TypeError, ValueError):
+        _vertex_containers(vertices, len(tableaux))
+        raise
     g = LabeledWGraph(
         n=data["n"],
         index_set=frozenset(index_set),
-        # the tableau constructor checks the rows and copies them into tuples
-        vertices=tuple(RowStandardTableau(v["rows"]) for v in vertices),
+        vertices=tuple(tableaux),
         tau=tuple(frozenset(s) for s in tau),
         weights=weights,
     )
@@ -389,17 +396,42 @@ def graph_from_json(data: dict) -> LabeledWGraph:
     # characters; checked last, so that each input rejected above keeps its message
     for name, value in (("index_set", index_set), ("vertices", vertices), ("tau", tau), ("edges", data["edges"])):
         if type(value) is not list:
-            raise ValueError(f"{name} {_not_a_list(value)}")
+            raise ValueError(f"{name} {_must_be('list', value)}")
     if set(map(type, tau)) - {list}:
         k = next(k for k, listed in enumerate(tau) if type(listed) is not list)
-        raise ValueError(f"tau of vertex {k} ({tableau_text(g.vertices[k])}) {_not_a_list(tau[k])}")
+        raise ValueError(f"tau of vertex {k} ({tableau_text(g.vertices[k])}) {_must_be('list', tau[k])}")
     return g
 
 
-def _not_a_list(value) -> str:
-    """The end of the message for a value of graph_from_json where a JSON list belongs."""
-    kind = {dict: "an object", str: "a string"}.get(type(value), type(value).__name__)
-    return f"must be a JSON list, not {kind}"
+def _vertex_containers(vertices, k: int) -> None:
+    """
+    Name the container at fault, if any, once the tableau of vertex k could
+    not be read: vertices not a list, vertex k not an object, or its rows
+    or one of them not a list.  A vertex read as keys or characters would
+    get a message about its entries or its shape instead.
+    """
+    if type(vertices) is not list:
+        raise ValueError(f"vertices {_must_be('list', vertices)}")
+    v = vertices[k]
+    if type(v) is not dict:
+        raise ValueError(f"vertex {k} {_must_be('object', v)}")
+    rows = v.get("rows", [])  # a missing key keeps its own message
+    if type(rows) is not list:
+        raise ValueError(f"rows of vertex {k} {_must_be('list', rows)}")
+    if set(map(type, rows)) - {list}:
+        a = next(a for a, row in enumerate(rows) if type(row) is not list)
+        raise ValueError(f"row {a} of vertex {k} {_must_be('list', rows[a])}")
+
+
+_JSON_KINDS = {
+    dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _must_be(kind: str, value) -> str:
+    """The end of the message for a value of graph_from_json where a JSON `kind` belongs."""
+    return f"must be a JSON {kind}, not {_JSON_KINDS.get(type(value), type(value).__name__)}"
 
 
 def graph_to_dot(g: LabeledWGraph, name: str = "wgraph") -> str:

@@ -19,16 +19,21 @@ Prints, per set and stage, the median over R rounds of the stage's total
 seconds over the set's graphs, rescaled to reference CPU speed as the
 benchmark does (bench/speed.py): the speed of a shared vCPU drifts by tens
 of percent between runs, so each round is scaled by a reference slice of
-pure-Python work timed just before it.  Pytest does not collect this file.
+pure-Python work timed just before it.  Then, from one more round under
+tracemalloc, which is not timed, each stage's traced peak in MB above what
+was held when the stage started, the largest over the set's graphs.
+Pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -54,39 +59,60 @@ CHECKS = {
 }
 
 
-def _one(graph, seconds: dict) -> None:
-    """Add the stage times of one graph into seconds."""
-    clock = time.perf_counter
-    start = clock()
-    data = graph_to_json(graph)
-    seconds["graph_to_json"] += clock() - start
+def _one(graph, measure) -> None:
+    """Run the stages of one graph, each as measure(stage, fn, *args), which returns fn(*args)."""
+    data = measure("graph_to_json", graph_to_json, graph)
     data = json.loads(json.dumps(data))
-    start = clock()
-    g = graph_from_json(data)
-    seconds["graph_from_json"] += clock() - start
-    start = clock()
-    g.shift_automorphism
-    seconds["sigma"] += clock() - start
-    start = clock()
-    g.adjacency
-    seconds["adjacency"] += clock() - start
+    g = measure("graph_from_json", graph_from_json, data)
+    measure("sigma", lambda: g.shift_automorphism)
+    measure("adjacency", lambda: g.adjacency)
     for name, check in CHECKS.items():
-        start = clock()
-        check(g)
-        seconds[name] += clock() - start
+        measure(name, check, g)
 
 
 def layer_times(graphs, rounds: int) -> dict[str, float]:
     """The median over the rounds of each stage's total over the graphs."""
     totals = {name: [] for name in STAGES}
+    clock = time.perf_counter
     for _ in range(rounds):
         factor = REF_SLICE_S / reference_slice()
         seconds = dict.fromkeys(STAGES, 0.0)
+
+        def timed(stage, fn, *args):
+            start = clock()
+            result = fn(*args)
+            seconds[stage] += clock() - start
+            return result
+
         for g in graphs:
-            _one(g, seconds)
+            _one(g, timed)
         for name in STAGES:
             totals[name].append(seconds[name] * factor)
     return {name: statistics.median(values) for name, values in totals.items()}
+
+
+def layer_peaks(graphs) -> dict[str, int]:
+    """
+    Each stage's traced peak in bytes, above what was held when it started,
+    the largest over the graphs, from one round under tracemalloc.
+    """
+    peaks = dict.fromkeys(STAGES, 0)
+
+    def traced(stage, fn, *args):
+        gc.collect()  # so that no stage frees an earlier one's garbage
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peaks[stage] = max(peaks[stage], tracemalloc.get_traced_memory()[1] - start)
+        return result
+
+    tracemalloc.start()
+    try:
+        for g in graphs:
+            _one(g, traced)
+    finally:
+        tracemalloc.stop()
+    return peaks
 
 
 def main() -> None:
@@ -106,6 +132,12 @@ def main() -> None:
     for stage in STAGES:
         print(stage.ljust(16) + "".join(f"{times[name][stage]:10.4f}" for name in sets))
     print("total".ljust(16) + "".join(f"{sum(times[name].values()):10.4f}" for name in sets))
+    # an untimed round, as tracemalloc slows every allocation
+    peaks = {name: layer_peaks(graphs) for name, graphs in sets.items()}
+    print()
+    print("peak MB".ljust(16) + "".join(name.rjust(10) for name in sets))
+    for stage in STAGES:
+        print(stage.ljust(16) + "".join(f"{peaks[name][stage] / 1e6:10.3f}" for name in sets))
 
 
 if __name__ == "__main__":

@@ -184,6 +184,14 @@ MALFORMED = {
         lambda graph: graph.update(vertices=[], tau="", edges=[]),
         "error: tau must be a JSON list, not a string",
     ),
+    # vertices that are not a list, read as keys, characters or nothing iterable
+    "vertices null": (lambda graph: graph.update(vertices=None), "error: vertices must be a JSON list, not null"),
+    "vertices a number": (lambda graph: graph.update(vertices=5), "error: vertices must be a JSON list, not a number"),
+    "vertices a string": (lambda graph: graph.update(vertices="ab"), "error: vertices must be a JSON list, not a string"),
+    "vertices an object": (
+        lambda graph: graph.update(vertices={"rows": [[1, 2, 3], [4, 5]]}),
+        "error: vertices must be a JSON list, not an object",
+    ),
     # the container checks come last, so an input rejected before keeps its message
     "index set an object": (lambda graph: graph.update(index_set={}), "error: tau value {{5}} outside index set"),
     "tau entry an object after a repeated label": (
@@ -191,6 +199,99 @@ MALFORMED = {
         "error: tau of vertex 5 (135/24) repeats a label: [1, 3, 3]",
     ),
 }
+
+
+# each JSON kind at each level of vertex 3 of the (3,2) graph, and the line it
+# exits 2 with: a container at fault is named with the vertex and the kind,
+# and a container of the right kind keeps the message of its contents
+VERTEX_VALUES = {
+    "null": None, "true": True, "1.0": 1.0, "a string": "12", "empty string": "",
+    "empty list": [], "object": {}, "nested list": [[1]],
+}
+VERTEX_PATHS = {
+    "vertex": (
+        (),
+        [
+            "vertex 3 must be a JSON object, not null",
+            "vertex 3 must be a JSON object, not a boolean",
+            "vertex 3 must be a JSON object, not a number",
+            "vertex 3 must be a JSON object, not a string",
+            "vertex 3 must be a JSON object, not a string",
+            "vertex 3 must be a JSON object, not a list",
+            "{path}: missing key 'rows'",
+            "vertex 3 must be a JSON object, not a list",
+        ],
+    ),
+    "rows": (
+        ("rows",),
+        [
+            "rows of vertex 3 must be a JSON list, not null",
+            "rows of vertex 3 must be a JSON list, not a boolean",
+            "rows of vertex 3 must be a JSON list, not a number",
+            "rows of vertex 3 must be a JSON list, not a string",
+            "rows of vertex 3 must be a JSON list, not a string",
+            "parts must be positive integers: ()",
+            "rows of vertex 3 must be a JSON list, not an object",
+            "partition size must be at least 3: (1,)",
+        ],
+    ),
+    "row": (
+        ("rows", 0),
+        [
+            "row 0 of vertex 3 must be a JSON list, not null",
+            "row 0 of vertex 3 must be a JSON list, not a boolean",
+            "row 0 of vertex 3 must be a JSON list, not a number",
+            "row 0 of vertex 3 must be a JSON list, not a string",
+            "row 0 of vertex 3 must be a JSON list, not a string",
+            "parts must be positive integers: (0, 2)",
+            "row 0 of vertex 3 must be a JSON list, not an object",
+            "tableau entries must be integers: (([1],), (1, 5))",
+        ],
+    ),
+    "entry": (
+        ("rows", 0, 0),
+        [
+            "tableau entries must be integers: ((None, 3, 4), (1, 5))",
+            "tableau entries must be integers: ((True, 3, 4), (1, 5))",
+            "tableau entries must be integers: ((1.0, 3, 4), (1, 5))",
+            "tableau entries must be integers: (('12', 3, 4), (1, 5))",
+            "tableau entries must be integers: (('', 3, 4), (1, 5))",
+            "tableau entries must be integers: (([], 3, 4), (1, 5))",
+            "tableau entries must be integers: (({{}}, 3, 4), (1, 5))",
+            "tableau entries must be integers: (([[1]], 3, 4), (1, 5))",
+        ],
+    ),
+    "n": (
+        ("n",),
+        [
+            "vertex 3 (234/15) has n = None, not 5",
+            "vertex 3 (234/15) has n = True, not 5",
+            "vertex 3 (234/15) has n = 1.0, not 5",
+            "vertex 3 (234/15) has n = '12', not 5",
+            "vertex 3 (234/15) has n = '', not 5",
+            "vertex 3 (234/15) has n = [], not 5",
+            "vertex 3 (234/15) has n = {{}}, not 5",
+            "vertex 3 (234/15) has n = [[1]], not 5",
+        ],
+    ),
+}
+
+
+def _set_in_vertex_3(keys, value):
+    """The damage that puts value at the path keys of vertex 3."""
+    def damage(graph):
+        parent, key = graph["vertices"], 3
+        for step in keys:
+            parent, key = parent[key], step
+        parent[key] = value
+    return damage
+
+
+MALFORMED.update(
+    (f"vertex 3 {where}: {kind}", (_set_in_vertex_3(keys, value), "error: " + message))
+    for where, (keys, messages) in VERTEX_PATHS.items()
+    for (kind, value), message in zip(VERTEX_VALUES.items(), messages, strict=True)
+)
 
 
 @pytest.mark.parametrize("damage, message", MALFORMED.values(), ids=MALFORMED.keys())

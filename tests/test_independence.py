@@ -16,7 +16,7 @@ import affwgraph.verify as verify
 SRC = Path(verify.__file__).resolve().parent
 RULES = ("check_compatibility", "check_simplicity", "check_bonding", "check_polygon")
 HECKE = ("check_hecke_relations", "hecke_holds")
-HECKE_HELPERS = {"_hecke_x", "_generator_columns", "_hecke_witnesses", "_hecke_pair", "_act"}
+HECKE_HELPERS = {"_generator_columns", "_hecke_witnesses", "_hecke_pair", "_act"}
 RULE_HELPERS = {
     "_polygon_pair", "_bonding_pair", "_step", "_generator_class", "_rule_classes",
     "_edge_witnesses", "_compatibility_edges", "_simplicity_edges", "shift_orbit_representatives",

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -25,7 +26,6 @@ from affwgraph import (
     check_simplicity,
     classify_restriction_cells,
     finsh,
-    graph_to_json,
     restrict_parabolic,
 )
 from affwgraph.verify import hecke_holds, rules_hold
@@ -113,28 +113,29 @@ def three_generator_graphs(draw):
     return LabeledWGraph(4, frozenset({1, 2, 3}), FOUR_ENTRY_TABLEAUX[:count], tuple(tau), weights)
 
 
+def _times(matrix, x):
+    """The dense LaurentPoly matrix times the vector x."""
+    out = [ZERO] * len(x)
+    for k, xk in enumerate(x):
+        if xk:
+            for w in range(len(x)):
+                if matrix[w][k]:
+                    out[w] = out[w] + matrix[w][k] * xk
+    return out
+
+
 def _oracle_hecke_witnesses(g):
     """The relations applied to each basis vector with the dense LaurentPoly matrices."""
     count = len(g.vertices)
     matrices = laurent_matrices(g)
-
-    def times(matrix, x):
-        out = [ZERO] * count
-        for k, xk in enumerate(x):
-            if xk:
-                for w in range(count):
-                    if matrix[w][k]:
-                        out[w] = out[w] + matrix[w][k] * xk
-        return out
-
     generators = sorted(g.index_set)
     witnesses = []
     for u in range(count):
         e = [ONE if k == u else ZERO for k in range(count)]
         for i in generators:
-            te = times(matrices[i], e)
+            te = _times(matrices[i], e)
             residual = [
-                a + (ONE - Q) * b - Q * c for a, b, c in zip(times(matrices[i], te), te, e)
+                a + (ONE - Q) * b - Q * c for a, b, c in zip(_times(matrices[i], te), te, e)
             ]
             if any(residual):
                 witnesses.append(("quadratic", i, i, u))
@@ -143,12 +144,12 @@ def _oracle_hecke_witnesses(g):
                 ti, tj = matrices[i], matrices[j]
                 if dynkin_adjacent(g, i, j):
                     relation = "braid"
-                    left = times(ti, times(tj, times(ti, e)))
-                    right = times(tj, times(ti, times(tj, e)))
+                    left = _times(ti, _times(tj, _times(ti, e)))
+                    right = _times(tj, _times(ti, _times(tj, e)))
                 else:
                     relation = "commutation"
-                    left = times(ti, times(tj, e))
-                    right = times(tj, times(ti, e))
+                    left = _times(ti, _times(tj, e))
+                    right = _times(tj, _times(ti, e))
                 if left != right:
                     witnesses.append((relation, i, j, u))
     return sorted(witnesses)
@@ -461,21 +462,19 @@ class TestHecke:
         assert all(w[0] in ("quadratic", "commutation", "braid") for w in report.witnesses)
 
 
-def _laurent_column(x, u, col, count):
+def _laurent_column(u, col, count):
     """
-    Column u of a generator matrix, read from its integer column col at
-    v = x: q on the diagonal when col is None, and otherwise the -1 on the
-    diagonal that activity implies, with the entries x * m of col off it.
+    Column u of a generator matrix, read from its column col: q on the
+    diagonal when col is None, and otherwise the -1 on the diagonal that
+    activity implies, with v * m off it for each pair (w, m) of col.
     """
     column = [ZERO] * count
     if col is None:
         column[u] = Q
         return column
     column[u] = -ONE
-    for w, c in col:
+    for w, m in col:
         assert w != u and column[w] == ZERO  # each row once, none on the diagonal
-        m, r = divmod(c, x)
-        assert r == 0
         column[w] = lp_monomial(m, 1)
     return column
 
@@ -499,19 +498,12 @@ class TestColumnsMatchLaurentMatrices:
         count = len(g.vertices)
         matrices = laurent_matrices(g)
         assert sorted(g.index_set) == sorted(matrices)
-        # X = 2**B is the least power of 2 above 2C for C = 2M^3 (verify's
-        # module docstring), with M read from the exported edges
-        norms = Counter()
-        for e in graph_to_json(g)["edges"]:
-            norms[e["src"]] += abs(e["w"])
-        x = verify._hecke_x(g)
-        assert x == 1 << (4 * (1 + max(norms.values(), default=0)) ** 3).bit_length()
         for i in sorted(matrices):
-            cols, active = verify._generator_columns(g.tau, g.adjacency, x, i)
+            cols, active = verify._generator_columns(g.tau, g.adjacency, i)
             assert len(cols) == count
             assert active == [u for u in range(count) if i in g.tau[u]]
             for u, col in enumerate(cols):
-                assert _laurent_column(x, u, col, count) == [row[u] for row in matrices[i]], (i, u)
+                assert _laurent_column(u, col, count) == [row[u] for row in matrices[i]], (i, u)
 
     @pytest.mark.parametrize("shape", two_row_shapes(3, 8), ids=str)
     def test_affine_graphs(self, shape):
@@ -581,6 +573,82 @@ def test_each_reduced_form_matches_laurent_oracle(make, relation, pair, active, 
     assert hecke_holds(g) == report.passed
 
 
+def _braid_graph(tau_by_vertex, weights):
+    """(2,2) tableaux on the finite index set {1, 2}, whose one pair is Dynkin adjacent."""
+    tau = tuple(frozenset(s) for s in tau_by_vertex)
+    return LabeledWGraph(4, frozenset({1, 2}), FOUR_ENTRY_TABLEAUX[: len(tau)], tau, weights)
+
+
+# the parity split of the residual on e_u when only one generator of the pair
+# is active at u (verify's module docstring): P_even A + P_odd B, with the
+# vertex u and the parities of the powers of v in the residual: {0} when
+# only A is nonzero, {1} when only B is.  Two such cases cannot occur.  In
+# the braid form A = e_u - the sum of a_z e_z and B = -out_p(u) + the sum of
+# a_z out_p(z), so A = 0 (a_u = 1, every other a_z = 0) forces B = 0.  In
+# the commutation form every term of A comes through an r-active w, which
+# puts its weight, nonzero, at w in B alone, so B = 0 forces A = 0.
+PARITY_CASES = {
+    # A = -e_2: the path 0 -> 1 -> 2 ends where out_1(2) is empty; B =
+    # -e_1 + e_1 through the mutual pair 0, 1
+    "braid, only A": (
+        lambda: _braid_graph(({1}, {2}, {1}), {(0, 1): 1, (1, 0): 1, (1, 2): 1}),
+        "braid", (1, 2), 0, {0},
+    ),
+    # the mutual pair 0, 1 cancels e_0 in A, and -out_1(0) in B, where 2 is
+    # a w of out_1(0) at which 2 is not active
+    "braid, zero": (
+        lambda: _braid_graph(({1}, {2}, set()), {(0, 1): 1, (1, 0): 1, (0, 2): 5}),
+        "braid", (1, 2), 0, set(),
+    ),
+    # B = e_1 + e_2; A = -(1 - 1) e_3 from the paths 0 -> 1 -> 3 and 0 -> 2 -> 3
+    "commutation, only B": (
+        lambda: _commuting_graph(({1}, {3}, {3}, set()), {(0, 1): 1, (0, 2): 1, (1, 3): 1, (2, 3): -1}),
+        "commutation", (1, 3), 0, {1},
+    ),
+    # the one w of out_1(0) has 3 not in its tau
+    "commutation, zero": (
+        lambda: _commuting_graph(({1}, set(), {3}), {(0, 1): 2, (2, 1): 1}),
+        "commutation", (1, 3), 0, set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, relation, pair, u, parities", PARITY_CASES.values(), ids=PARITY_CASES)
+def test_each_parity_part_matches_laurent_oracle(make, relation, pair, u, parities):
+    g = make()
+    i, j = pair
+    assert g.index_set == {i, j} and dynkin_adjacent(g, i, j) == (relation == "braid")
+    assert len(g.tau[u] & {i, j}) == 1
+    # the parities of the powers of v in the oracle's residual on e_u
+    ti, tj = (laurent_matrices(g)[k] for k in pair)
+    e = [ONE if k == u else ZERO for k in range(len(g.vertices))]
+    if relation == "braid":
+        left, right = _times(ti, _times(tj, _times(ti, e))), _times(tj, _times(ti, _times(tj, e)))
+    else:
+        left, right = _times(ti, _times(tj, e)), _times(tj, _times(ti, e))
+    assert {p % 2 for a, b in zip(left, right) for p in (a - b).coeffs} == parities
+    report = check_hecke_relations(g)
+    assert list(report.witnesses) == _oracle_hecke_witnesses(g)
+    assert ((relation, i, j, u) in report.witnesses) == bool(parities)
+    assert hecke_holds(g) == report.passed
+
+
+def test_braid_both_active_on_the_regular_w_graph_of_s3():
+    # the W-graph of the regular representation of S_3: e, s1, s2, s1s2,
+    # s2s1 and w0, the one vertex where both generators are active, with tau
+    # the left descents and weight 1 on every Bruhat cover, mutual between
+    # incomparable labels and downwards otherwise
+    edges = {(1, 0): 1, (2, 0): 1, (1, 4): 1, (4, 1): 1, (2, 3): 1, (3, 2): 1, (5, 3): 1, (5, 4): 1}
+    tau = (set(), {1}, {2}, {1}, {2}, {1, 2})
+    g = _braid_graph(tau, edges)
+    assert rules_hold(g)
+    assert _oracle_hecke_witnesses(g) == [] and check_hecke_relations(g).passed and hecke_holds(g)
+    # weight 2 on one edge out of w0 breaks the relation there
+    broken = _braid_graph(tau, {**edges, (5, 3): 2})
+    witnesses = list(check_hecke_relations(broken).witnesses)
+    assert ("braid", 1, 2, 5) in witnesses and witnesses == _oracle_hecke_witnesses(broken)
+
+
 class TestIntegerHeckeCheck:
     @settings(max_examples=40, deadline=None)
     @given(damaged_graphs())
@@ -623,6 +691,26 @@ class TestIntegerHeckeCheck:
         )
         witnesses = list(check_hecke_relations(g).witnesses)
         assert witnesses == _oracle_hecke_witnesses(g) == [("braid", 1, 2, 1), ("braid", 1, 2, 2)]
+
+
+def test_hecke_check_peak_is_below_half_the_adjacency():
+    # the columns are tuples of the adjacency's own pairs, so the check's
+    # traced peak (the columns of n/2 + 1 generators and the vertices where
+    # each is active) stays well below the adjacency it reads
+    g = build_affine_graph(Partition((7, 6)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g.adjacency
+        adjacency = tracemalloc.get_traced_memory()[0] - start
+        g.shift_automorphism  # derived before the check, as a run of the rules leaves it
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert check_hecke_relations(g).passed
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < adjacency / 2, (peak, adjacency)
 
 
 class TestRulesMatchHeckeOnAdmissibleGraphs:
@@ -821,9 +909,9 @@ def built_generators(monkeypatch):
     built = []
     build = verify._generator_columns
 
-    def counted(tau, adjacency, x, i):
+    def counted(tau, adjacency, i):
         built.append(i)
-        return build(tau, adjacency, x, i)
+        return build(tau, adjacency, i)
 
     monkeypatch.setattr(verify, "_generator_columns", counted)
     return built

@@ -444,14 +444,17 @@ DERIVED = ("adjacency", "shift_automorphism", "shift_orbit_representatives")
 
 def _derived(g) -> dict:
     """
-    The derived values of g, with the Hecke check's X and the columns of
-    every generator, which must be nested tuples of ints and None.
+    The derived values of g, with the Hecke check's columns of every
+    generator, which must be nested tuples of ints and None whose every
+    entry is the adjacency's own pair object.
     """
     values = {name: getattr(g, name) for name in DERIVED}
-    x = values["hecke_x"] = verify._hecke_x(g)
     for i in sorted(g.index_set):
-        cols, active = values["columns", i] = verify._generator_columns(g.tau, g.adjacency, x, i)
+        cols, active = values["columns", i] = verify._generator_columns(g.tau, g.adjacency, i)
         assert _frozen(cols) and active == [u for u, col in enumerate(cols) if col is not None], i
+        for u in active:
+            row = {id(e) for e in g.adjacency[u]}
+            assert all(id(e) in row for e in cols[u]), (i, u)
     return values
 
 
