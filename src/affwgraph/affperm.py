@@ -9,24 +9,22 @@ A window [w(1), ..., w(n)] extends to all of Z by w(k+n) = w(k)+n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .tableaux import Partition, RowStandardTableau, mo
+from .tableaux import Partition, RowStandardTableau, _Frozen, mo
 
 __all__ = ["AffinePermutation", "inverse", "min_coset_reps", "canonical_tableau", "tableau_action"]
 
 
-@dataclass(frozen=True)
-class AffinePermutation:
+class AffinePermutation(_Frozen):
     window: tuple[int, ...]
 
-    def __post_init__(self):
-        window = tuple(self.window)
-        object.__setattr__(self, "window", window)
+    def __init__(self, window):
+        window = tuple(window)
         n = len(window)
         if sorted(mo(w, n) for w in window) != list(range(1, n + 1)):
             raise ValueError(f"window entries must have distinct residues: {window}")
+        object.__setattr__(self, "window", window)
 
     @classmethod
     def _trusted(cls, window: tuple[int, ...]) -> "AffinePermutation":

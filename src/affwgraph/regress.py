@@ -21,7 +21,6 @@ shapes first) by a cache that lives while the shapes of its size are swept.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import groupby, repeat
 from math import comb
@@ -30,7 +29,7 @@ from operator import attrgetter
 from .affperm import canonical_tableau, inverse, min_coset_reps, tableau_action
 from .fixtures import load_fixture, load_fixture_json
 from .rsk import RskPair, finsh, rsk
-from .tableaux import Partition, RowStandardTableau, affine_descents, is_standard
+from .tableaux import Partition, RowStandardTableau, _Frozen, affine_descents, is_standard
 from .tworow import (
     _moves,
     _rotate,
@@ -60,11 +59,13 @@ from .wgraph import (
 __all__ = ["RegressResult", "run_regression", "two_row_shapes", "ALL_CHECKS"]
 
 
-@dataclass(frozen=True)
-class RegressResult:
+class RegressResult(_Frozen):
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name, passed, detail=""):
+        vars(self).update(name=name, passed=passed, detail=detail)
 
 
 def two_row_shapes(min_n: int = 3, max_n: int = 8) -> list[Partition]:

@@ -14,17 +14,18 @@ built from its rows without checking them again.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
-from .tableaux import Partition, RowStandardTableau
+from .tableaux import Partition, RowStandardTableau, _Frozen
 
 __all__ = ["RskPair", "rsk", "finsh"]
 
 
-@dataclass(frozen=True)
-class RskPair:
+class RskPair(_Frozen):
     p: RowStandardTableau
     q: tuple[tuple[int, ...], ...]
+
+    def __init__(self, p, q):
+        vars(self).update(p=p, q=q)
 
 
 def _row_insert(rows: list[list[int]], labels: list[list[int]], entry: int, label: int) -> None:

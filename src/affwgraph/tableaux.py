@@ -1,6 +1,7 @@
 """
 Partitions, row-standard Young tableaux, cyclic residues and intervals,
-descent sets, standardness, and the vertex permutation of the cyclic shift.
+descent sets, standardness, and the vertex permutation of the cyclic shift;
+and _Frozen, the base of the package's immutable value classes.
 
 Conventions: rows are numbered from the top starting at 1, a "higher" row
 has a smaller row number, and every tableau stores its rows sorted.
@@ -15,7 +16,7 @@ of its row-standard enumeration that is_standard accepts, in that order.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import chain, combinations, filterfalse
 
 __all__ = [
@@ -26,15 +27,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """Weakly decreasing positive parts summing to n >= 3."""
+class _Frozen:
+    """
+    The base of the package's value classes: their fields are the names
+    annotated in the class body, in order, which only __init__ sets (in
+    __dict__); any other assignment or deletion raises AttributeError.
+    Values of one class are equal when their fields are, and hash as the
+    tuple of their fields.  No __slots__: pickle and copy restore a value
+    through its __dict__, where cached_property keeps what it computes.
+    """
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__annotations__)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__annotations__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Partition(_Frozen):
+    """Weakly decreasing positive parts summing to n >= 3, ordered as their parts."""
 
     parts: tuple[int, ...]
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts):
+        parts = tuple(parts)
         # True == 1 and 2.5 > 0 would pass the check on the parts
         if not parts or any(type(p) is not int or p <= 0 for p in parts):
             raise ValueError(f"parts must be positive integers: {parts}")
@@ -42,6 +72,17 @@ class Partition:
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         if sum(parts) < 3:
             raise ValueError(f"partition size must be at least 3: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    # one compare or hash of the parts, not of a tuple built per call
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __lt__(self, other):
+        return self.parts < other.parts if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def n(self) -> int:
@@ -68,24 +109,30 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class RowStandardTableau:
+class RowStandardTableau(_Frozen):
     """Rows of a Young diagram filled with {1..n}, each row strictly increasing."""
 
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
+    def __init__(self, rows):
+        rows = tuple(map(tuple, rows))
         entries = list(chain.from_iterable(rows))
         # True == 1 and 1.0 == 1 would pass the check on the entries
         if not set(map(type, entries)) <= {int}:
             raise ValueError(f"tableau entries must be integers: {rows}")
         rows = tuple(map(tuple, map(sorted, rows)))
-        object.__setattr__(self, "rows", rows)
         Partition(tuple(map(len, rows)))  # validates weakly decreasing, size >= 3
         entries.sort()
         if entries != list(range(1, len(entries) + 1)):
             raise ValueError(f"entries must be exactly 1..n: {rows}")
+        object.__setattr__(self, "rows", rows)
+
+    # tableaux key the vertex index and the cell caches
+    def __eq__(self, other):
+        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "RowStandardTableau":

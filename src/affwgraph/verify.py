@@ -135,12 +135,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import chain, combinations, compress, starmap
 
 from .rsk import rsk
-from .tableaux import Partition
+from .tableaux import Partition, _Frozen
 from .wgraph import Edges, LabeledWGraph, _scc_partition, dynkin_adjacent, full_subgraph
 
 __all__ = [
@@ -151,11 +150,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RuleReport:
+class RuleReport(_Frozen):
     rule: str
     passed: bool
-    witnesses: tuple = field(default_factory=tuple)
+    witnesses: tuple
+
+    def __init__(self, rule, passed, witnesses=()):
+        vars(self).update(rule=rule, passed=passed, witnesses=witnesses)
 
     def to_json(self) -> dict:
         return {

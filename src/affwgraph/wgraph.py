@@ -18,7 +18,8 @@ vertex pair, and each distinct tau set is shifted once.  The public
 constructor copies and checks its fields, the vertices in one pass that
 names the first one at fault.  The JSON format of a graph, its vertices
 included, is written and read here only: graph_from_json builds each
-vertex from its rows, checks the graph with the public constructor and
+vertex from its rows (naming the vertex whose rows the tableau
+constructor rejects), checks the graph with the public constructor and
 then each vertex's copy of n, that no label list repeats a label, and
 last that each list of the format (the index set, the vertices, tau, each
 label list and the edges) is a JSON list.  The two-row builders, and
@@ -30,11 +31,10 @@ parent's edges.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .tableaux import RowStandardTableau, shift_permutation, tableau_text
+from .tableaux import RowStandardTableau, _Frozen, shift_permutation, tableau_text
 
 # (w, coefficient) pairs, such as the out-edges (w, m(u > w)) of a vertex
 Edges = tuple[tuple[int, int], ...]
@@ -47,20 +47,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LabeledWGraph:
+class LabeledWGraph(_Frozen):
     n: int
     index_set: frozenset[int]
     vertices: tuple[RowStandardTableau, ...]
     tau: tuple[frozenset[int], ...]
     weights: Mapping[tuple[int, int], int]  # (src, dst) -> nonzero weight, read-only
 
-    def __post_init__(self):
+    def __init__(self, n, index_set, vertices, tau, weights):
         # own copies, so that the caller's containers cannot change the graph
         # (a frozenset or tuple of an exact frozenset or tuple is itself)
-        object.__setattr__(self, "index_set", frozenset(self.index_set))
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "tau", tuple(map(frozenset, self.tau)))
+        vars(self).update(
+            n=n, index_set=frozenset(index_set), vertices=tuple(vertices), tau=tuple(map(frozenset, tau)),
+            weights=weights,
+        )
         count = len(self.vertices)
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"n must be a positive integer, not {self.n!r}")
@@ -115,11 +115,7 @@ class LabeledWGraph:
         constructor wraps its copy.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "index_set", index_set)
-        object.__setattr__(g, "vertices", vertices)
-        object.__setattr__(g, "tau", tau)
-        object.__setattr__(g, "weights", MappingProxyType(weights))
+        vars(g).update(n=n, index_set=index_set, vertices=vertices, tau=tau, weights=MappingProxyType(weights))
         return g
 
     def __reduce__(self):
@@ -369,8 +365,10 @@ def graph_from_json(data: dict) -> LabeledWGraph:
         # the tableau constructor checks the rows and copies them into tuples
         for v in vertices:
             tableaux.append(RowStandardTableau(v["rows"]))
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError) as err:
         _vertex_containers(vertices, len(tableaux))
+        if isinstance(err, ValueError):  # the constructor rejected the rows
+            raise ValueError(f"vertex {len(tableaux)}: {err}") from err
         raise
     g = LabeledWGraph(
         n=data["n"],

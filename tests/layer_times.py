@@ -2,6 +2,7 @@
 Per-layer times of the `verify --input` path, one process:
 
     PYTHONPATH=src python tests/layer_times.py [--rounds R] [--big]
+    PYTHONPATH=src python tests/layer_times.py --startup [--rounds R]
 
 Each graph goes through the stages of one benchmark mutant, in order:
 graph_to_json, graph_from_json (the JSON text in between is not timed),
@@ -22,6 +23,16 @@ of percent between runs, so each round is scaled by a reference slice of
 pure-Python work timed just before it.  Then, from one more round under
 tracemalloc, which is not timed, each stage's traced peak in MB above what
 was held when the stage started, the largest over the set's graphs.
+
+With --startup it times the cold start instead, as the benchmark's setup_s
+does (bench/run.py): after one warm-up pair, R fresh interpreters that run
+the benchmark's set-up code (import affwgraph from src/ and load the five
+fixtures), each followed by an empty interpreter start.  It prints the raw
+medians of both, the median and quartiles of their ratio times the
+benchmark's REF_START_S (the setup_s method), the largest cumulative
+entries of `-X importtime` for one more set-up start, and whether
+PYTHONDONTWRITEBYTECODE is set: when it is, no bytecode cache is written,
+so every start also compiles the package.
 Pytest does not collect this file.
 """
 
@@ -30,7 +41,9 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -43,6 +56,7 @@ from affwgraph import Partition, build_affine_graph  # noqa: E402
 from affwgraph import verify  # noqa: E402
 from affwgraph.wgraph import graph_from_json, graph_to_json  # noqa: E402
 from conftest import bench_size_damaged_graphs  # noqa: E402
+from run import REF_START_S, SETUP_CODE  # noqa: E402
 from speed import REF_SLICE_S, reference_slice  # noqa: E402
 
 STAGES = (
@@ -115,11 +129,51 @@ def layer_peaks(graphs) -> dict[str, int]:
     return peaks
 
 
+def startup(rounds: int) -> None:
+    """Print the cold-start times of --startup (module docstring)."""
+    src = str(HERE.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(HERE.parent / "bench")]), PYTHONHASHSEED="0")
+
+    def start(code: str, *options: str) -> tuple[float, str]:
+        begin = time.perf_counter()
+        proc = subprocess.run([sys.executable, *options, "-c", code, src],
+                              env=env, capture_output=True, text=True, check=True)
+        return time.perf_counter() - begin, proc.stderr
+
+    # the warm-up pair, as in the benchmark
+    start(SETUP_CODE)
+    start("pass")
+    cold, empty = [], []
+    for _ in range(rounds):
+        cold.append(start(SETUP_CODE)[0])
+        empty.append(start("pass")[0])
+    ratios = [c / e * REF_START_S for c, e in zip(cold, empty)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    print(f"{rounds} pairs: cold start median {statistics.median(cold):.4f} s, "
+          f"empty start median {statistics.median(empty):.4f} s")
+    print(f"setup_s (ratio x {REF_START_S}): median {statistics.median(ratios):.4f} s, "
+          f"quartiles {q1:.4f} - {q3:.4f} s")
+    # lines "import time: <self us> | <cumulative us> | <module>"
+    entries = []
+    for line in start(SETUP_CODE, "-X", "importtime")[1].splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        if len(fields) == 3 and fields[0].strip().isdigit():
+            entries.append((int(fields[1]), int(fields[0]), fields[2].strip()))
+    print(f"\nlargest cumulative imports of one start (ms):\n{'cumulative':>10}{'self':>8}  module")
+    for cumulative, own, name in sorted(entries, reverse=True)[:12]:
+        print(f"{cumulative / 1000:10.1f}{own / 1000:8.1f}  {name}")
+    print(f"\nPYTHONDONTWRITEBYTECODE is {'set' if os.environ.get('PYTHONDONTWRITEBYTECODE') else 'not set'}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--big", action="store_true", help="also time (9,9), a few seconds a round")
+    parser.add_argument("--startup", action="store_true", help="time cold starts instead of the stages")
     args = parser.parse_args()
+    if args.startup:
+        startup(args.rounds)
+        return
     sets = {
         "damaged": bench_size_damaged_graphs(),
         "verify": [build_affine_graph(Partition(parts)) for parts in ((6, 6), (7, 6))],

@@ -230,9 +230,9 @@ VERTEX_PATHS = {
             "rows of vertex 3 must be a JSON list, not a number",
             "rows of vertex 3 must be a JSON list, not a string",
             "rows of vertex 3 must be a JSON list, not a string",
-            "parts must be positive integers: ()",
+            "vertex 3: parts must be positive integers: ()",
             "rows of vertex 3 must be a JSON list, not an object",
-            "partition size must be at least 3: (1,)",
+            "vertex 3: partition size must be at least 3: (1,)",
         ],
     ),
     "row": (
@@ -243,22 +243,22 @@ VERTEX_PATHS = {
             "row 0 of vertex 3 must be a JSON list, not a number",
             "row 0 of vertex 3 must be a JSON list, not a string",
             "row 0 of vertex 3 must be a JSON list, not a string",
-            "parts must be positive integers: (0, 2)",
+            "vertex 3: parts must be positive integers: (0, 2)",
             "row 0 of vertex 3 must be a JSON list, not an object",
-            "tableau entries must be integers: (([1],), (1, 5))",
+            "vertex 3: tableau entries must be integers: (([1],), (1, 5))",
         ],
     ),
     "entry": (
         ("rows", 0, 0),
         [
-            "tableau entries must be integers: ((None, 3, 4), (1, 5))",
-            "tableau entries must be integers: ((True, 3, 4), (1, 5))",
-            "tableau entries must be integers: ((1.0, 3, 4), (1, 5))",
-            "tableau entries must be integers: (('12', 3, 4), (1, 5))",
-            "tableau entries must be integers: (('', 3, 4), (1, 5))",
-            "tableau entries must be integers: (([], 3, 4), (1, 5))",
-            "tableau entries must be integers: (({{}}, 3, 4), (1, 5))",
-            "tableau entries must be integers: (([[1]], 3, 4), (1, 5))",
+            "vertex 3: tableau entries must be integers: ((None, 3, 4), (1, 5))",
+            "vertex 3: tableau entries must be integers: ((True, 3, 4), (1, 5))",
+            "vertex 3: tableau entries must be integers: ((1.0, 3, 4), (1, 5))",
+            "vertex 3: tableau entries must be integers: (('12', 3, 4), (1, 5))",
+            "vertex 3: tableau entries must be integers: (('', 3, 4), (1, 5))",
+            "vertex 3: tableau entries must be integers: (([], 3, 4), (1, 5))",
+            "vertex 3: tableau entries must be integers: (({{}}, 3, 4), (1, 5))",
+            "vertex 3: tableau entries must be integers: (([[1]], 3, 4), (1, 5))",
         ],
     ),
     "n": (
@@ -336,7 +336,7 @@ LOOK_ALIKES = {
     "n a string": (lambda graph: graph.update(n="5"), "error: n must be a positive integer, not '5'"),
     "entry 1.0": (
         lambda graph: graph["vertices"][0]["rows"][0].__setitem__(0, 1.0),
-        "error: tableau entries must be integers: ((1.0, 4, 5), (1, 2))",
+        "error: vertex 0: tableau entries must be integers: ((1.0, 4, 5), (1, 2))",
     ),
     "tau label true": (
         lambda graph: graph["tau"][0].append(True), "error: tau value {{True, 5}} outside index set",

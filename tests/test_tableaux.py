@@ -239,9 +239,10 @@ class TestTableauValue:
 
     def test_json_boundary_validates(self):
         # the vertex JSON format is read by graph_from_json, which builds
-        # each vertex with the checking constructor
+        # each vertex with the checking constructor and names the vertex
+        # before the constructor's message
         for rows, message in BAD_ROWS:
-            with pytest.raises(ValueError, match=exactly(message)):
+            with pytest.raises(ValueError, match=exactly("vertex 0: " + message)):
                 graph_from_json(_one_vertex_graph([list(row) for row in rows]))
 
     def test_text_and_json(self):

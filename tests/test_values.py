@@ -91,6 +91,8 @@ def test_equality_and_hash(cls, fields, text):
     # another class, the field tuple included, is never equal
     assert value.__eq__(key) is NotImplemented and value != key and key != value
     assert value.__eq__(object()) is NotImplemented
+    # nor is a subclass with the same fields
+    assert type("Sub", (cls,), {})(**fields) != value
     if cls is LabeledWGraph:
         # the read-only weight map makes a graph unhashable, as its field tuple
         for item in (value, key):

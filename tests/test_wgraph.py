@@ -1,7 +1,6 @@
 import copy
 import pickle
 import time
-from dataclasses import FrozenInstanceError
 from types import MappingProxyType
 
 import pytest
@@ -471,9 +470,9 @@ class TestDerivedValues:
             value = getattr(g33, name)
             assert value is not None and getattr(g33, name) is value
             assert _frozen(value), name
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError, match=exactly(f"cannot assign to field {name!r}")):
                 setattr(g33, name, ())
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError, match=exactly(f"cannot delete field {name!r}")):
                 delattr(g33, name)
 
     @pytest.mark.parametrize("damaged", [False, True])
