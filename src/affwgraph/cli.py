@@ -14,8 +14,9 @@ Exit status: 0 on success or a passing verification, 1 on verification
 failure (a JSON report is printed), 2 on usage errors.  The CLI checks
 only what it parses itself (the form of p=K and a..b, and options that do
 not combine); argparse checks the choices, and the library checks values
-where they enter it (the graph JSON, the variant weight, the interval's
-residues, --jobs and --max-n), with the ValueError printed as the error line.
+where they enter it (the graph JSON, the size of the shape, the variant
+weight, the interval's residues, --jobs and --max-n), with the ValueError
+printed as the error line.
 """
 
 from __future__ import annotations

@@ -234,7 +234,10 @@ def enumerate_rsyt(shape: Partition) -> list[RowStandardTableau]:
     # over the candidates for row a, resumed after the rows above it are filled
     tableaux: list[RowStandardTableau] = []
     rows = [()] * shape.length
-    entries = tuple(range(1, shape.n + 1))
+    try:
+        entries = tuple(range(1, shape.n + 1))
+    except OverflowError:  # more entries than a sequence can index
+        raise ValueError(f"shape {shape} is too large: {shape.n} entries") from None
     work = [(entries, combinations(entries, shape.parts[-1]))]
     while work:
         a = shape.length - len(work)

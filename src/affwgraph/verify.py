@@ -14,15 +14,21 @@ and verifies the quadratic, commutation and braid relations on every basis
 vector (the quadratic one holds by construction, see below).  Rule checkers
 report every witness they find.
 
-The polygon rule compares path sums from each source u into the sinks v.
-It walks the paths out of u and looks only at the sinks they reach: a sink
-that no path reaches has 0 on both sides and cannot be a witness, so the
-work is the number of paths, not |sources| * |sinks|.  One path step,
-_step, extends a vector of (w, sum) pairs by the out-edges of the kept
-w's.  The 2-step sums through V_{i/j} are _step of the out-edges of u, and
-the 3-step sums through V_{i/j} then V_{j/i} are _step of those 2-step sums
-kept on V_{j/i} (and the same with i and j swapped), so no path out of u
-is walked twice.
+The polygon rule compares path sums from each source u into the sinks v,
+the vertices flagged for neither i nor j.  It walks the paths out of u and
+keeps sums only where it compares them: a sink that no path reaches has 0
+on both sides and cannot be a witness, so the work is the number of
+paths, not |sources| * |sinks|.  One path step, _step, extends a vector of
+(w, sum) pairs by the out-edges of the kept w's and adds each path's
+product at its end only when that end is a sink, or, when a 3-step
+follows (i and j adjacent), a vertex of the next middle class.  The
+2-step sums through V_{i/j} are _step of the out-edges of u, and the
+3-step sums through V_{i/j} then V_{j/i} are _step of the 2-step sums that
+the first step kept on V_{j/i} (and the same with i and j swapped), so no
+path out of u is walked twice.  Per source and path length, one equality
+of the two sides' sink sums decides that there is no witness; only when
+they differ are the sinks walked, a sink missing on one side, or whose sum
+cancels to 0, counting as 0 there.
 
 Bonding and polygon read per-generator vertex classes: for a generator i,
 the flags (i in tau(u)) of every vertex u and the list of the vertices
@@ -266,15 +272,28 @@ def check_bonding(g: LabeledWGraph) -> RuleReport:
     return _report("bonding", list(_pair_witnesses(g, partial(_bonding_pair, g, _rule_classes(g)))))
 
 
-def _step(adj, vec: Iterable[tuple[int, int]], yes: list[bool], no: list[bool]) -> dict[int, int]:
-    """v -> sum over the pairs (w, a) of vec with yes[w] and not no[w] of a * m(w > v)."""
-    totals: dict[int, int] = {}
-    get = totals.get
+def _step(
+    adj, vec: Iterable[tuple[int, int]], yes: list[bool], no: list[bool], onward: dict[int, int] | None = None
+) -> dict[int, int]:
+    """
+    One path step, kept at the sinks: v -> the sum over the pairs (w, a) of
+    vec with yes[w] and not no[w] of a * m(w > v), for the v flagged neither
+    yes nor no.  With a dict onward, the sums at the v flagged no and not
+    yes, the middle class of the next step, are added into onward.  Nothing
+    is kept at any other v.
+    """
+    sinks: dict[int, int] = {}
+    get = sinks.get
     for w, a in vec:
         if yes[w] and not no[w]:
             for v, m in adj[w]:
-                totals[v] = get(v, 0) + a * m
-    return totals
+                if yes[v]:
+                    continue
+                if not no[v]:
+                    sinks[v] = get(v, 0) + a * m
+                elif onward is not None:
+                    onward[v] = onward.get(v, 0) + a * m
+    return sinks
 
 
 def _polygon_pair(g: LabeledWGraph, classes, i: int, j: int) -> list[tuple]:
@@ -287,17 +306,22 @@ def _polygon_pair(g: LabeledWGraph, classes, i: int, j: int) -> list[tuple]:
     adjacent = dynkin_adjacent(g, i, j)
     witnesses = []
     for u in sources:
-        # the middle vertices lie in V_{i/j}, then V_{j/i} (left), and the other way round (right)
-        left, right = _step(adj, adj[u], flag_i, flag_j), _step(adj, adj[u], flag_j, flag_i)
+        # the middle vertices lie in V_{i/j}, then V_{j/i} (left), and the
+        # other way round (right); the 2-step keeps sums on the next middle
+        # class only when a 3-step follows
+        mid_left, mid_right = ({}, {}) if adjacent else (None, None)
+        left = _step(adj, adj[u], flag_i, flag_j, mid_left)
+        right = _step(adj, adj[u], flag_j, flag_i, mid_right)
         counts = [(2, left, right)]
         if adjacent:
             counts.append(
-                (3, _step(adj, left.items(), flag_j, flag_i), _step(adj, right.items(), flag_i, flag_j))
+                (3, _step(adj, mid_left.items(), flag_j, flag_i), _step(adj, mid_right.items(), flag_i, flag_j))
             )
-        # a sink that no path reaches has 0 on both sides
         for r, lhs, rhs in counts:
-            for v in lhs.keys() | rhs.keys():
-                if not (flag_i[v] or flag_j[v]):
+            # equal sums at every sink: no witness.  Otherwise a sink that
+            # one side misses, or where a sum cancels, has 0 on that side
+            if lhs != rhs:
+                for v in lhs.keys() | rhs.keys():
                     a, b = lhs.get(v, 0), rhs.get(v, 0)
                     if a != b:
                         witnesses.append((u, v, i, j, r, a, b))

@@ -496,12 +496,21 @@ class TestRestrictAndCells:
         assert code == 2
 
 
+# a part too large to index: the shape fails at once, before anything is allocated
+HUGE_PART = "99999999999999999999"
+TOO_LARGE = f"error: shape ({HUGE_PART},1) is too large: 100000000000000000000 entries"
+
 # values the CLI passes on unchecked, and the library's line they exit 2 with
 # (--jobs below 1 is TestRegress's)
 LIBRARY_CHECKED = {
     "negative variant weight": (["build", "3", "3", "--variant", "p=-1"], "error: variant weight must be nonnegative: -1"),
     "interval from 0": (["restrict", "3", "2", "--to", "0..3"], "error: residues out of range: a=0, b=3, n=5"),
     "interval to n + 4": (["restrict", "3", "2", "--to", "1..9"], "error: residues out of range: a=1, b=9, n=5"),
+    "build a huge part": (["build", HUGE_PART, "1"], TOO_LARGE),
+    "verify a huge part": (["verify", HUGE_PART, "1"], TOO_LARGE),
+    "restrict a huge part": (["restrict", HUGE_PART, "1", "--to", "1..2"], TOO_LARGE),
+    "cells of a huge part": (["cells", HUGE_PART, "1"], TOO_LARGE),
+    "export a huge part": (["export", HUGE_PART, "1"], TOO_LARGE),
 }
 
 

@@ -407,6 +407,78 @@ class TestPolygonPathCounts:
         assert list(check_polygon(g).witnesses) == _brute_force_polygon(g)
 
 
+class TestPolygonComparesOnlySinks:
+    """
+    The rule compares path sums at the sinks only: sums elsewhere are never
+    compared, and a sum that cancels counts as absent.  On the chain, vertex
+    0 is the source of the pair (1, 2) and 3 the sink.
+    """
+
+    @staticmethod
+    def _witnesses(tau_by_vertex, weights):
+        g = TestPolygonPathCounts._chain(tau_by_vertex, weights)
+        witnesses = list(check_polygon(g).witnesses)
+        assert witnesses == _brute_force_polygon(g)
+        return witnesses
+
+    def test_cancelled_sum_is_no_witness(self):
+        # 1 and 2 both lie in V_{1/2}: 1 * 1 + 1 * -1 = 0 at the sink, which
+        # V_{2/1} (empty) never reaches
+        weights = {(0, 1): 1, (1, 3): 1, (0, 2): 1, (2, 3): -1}
+        assert self._witnesses(({1, 2}, {1}, {1}, set()), weights) == []
+
+    def test_sums_off_the_sinks_are_not_compared(self):
+        # 1 lies in V_{1/2}, 2 in V_{2/1}.  The 2-step sums differ at 0 (5
+        # against 0), at 2 (1 against 0) and at 1 (0 against 1), each flagged
+        # for 1 or 2; at the sink both 2-step and both 3-step sums are 1
+        weights = {(0, 1): 1, (0, 2): 1, (1, 3): 1, (2, 3): 1, (1, 0): 5, (1, 2): 1, (2, 1): 1}
+        assert self._witnesses(({1, 2}, {1}, {2}, set()), weights) == []
+
+    THREE_STEP_ONLY = {(0, 1): 1, (0, 2): 1, (1, 3): 1, (2, 3): 1, (1, 2): 1}
+
+    def test_three_step_differs_where_two_step_agrees(self):
+        # both 2-step sums at the sink are 1; only 0 -> 1 -> 2 -> 3 runs
+        # through V_{1/2} then V_{2/1}
+        assert self._witnesses(({1, 2}, {1}, {2}, set()), self.THREE_STEP_ONLY) == [(0, 3, 1, 2, 3, 1, 0)]
+
+    @staticmethod
+    def _stored(monkeypatch, g) -> int:
+        """
+        The entries _step stores while check_polygon(g) runs, each checked
+        to be a sink or, in the dict a 3-step reads, of the next middle class.
+        """
+        step = verify._step
+        stored = []
+
+        def counted(adj, vec, yes, no, onward=None):
+            if onward is None:
+                sinks = step(adj, vec, yes, no)
+            else:
+                before = len(onward)
+                sinks = step(adj, vec, yes, no, onward)
+                assert all(no[v] and not yes[v] for v in onward)
+                stored.append(len(onward) - before)
+            assert not any(yes[v] or no[v] for v in sinks)
+            stored.append(len(sinks))
+            return sinks
+
+        monkeypatch.setattr(verify, "_step", counted)
+        check_polygon(g)
+        monkeypatch.setattr(verify, "_step", step)
+        return sum(stored)
+
+    # the entries the step kernel stored on (6,6) when it kept a sum at every
+    # vertex a 2-step path reached
+    STORED_AT_EVERY_REACHED_VERTEX = 12988
+
+    def test_stores_only_sinks_and_next_middle_class(self, monkeypatch):
+        # the chain's pair is adjacent: the sink 3 on each step, and 2 kept
+        # for the 3-step on the left; no two-row graph has an adjacent source
+        chain = TestPolygonPathCounts._chain(({1, 2}, {1}, {2}, set()), self.THREE_STEP_ONLY)
+        assert self._stored(monkeypatch, chain) == 4
+        assert 0 < self._stored(monkeypatch, _base_graph((6, 6))) < self.STORED_AT_EVERY_REACHED_VERTEX
+
+
 class TestHecke:
     def test_matrix_of_inactive_generator_is_scalar(self):
         g = build_affine_graph(Partition((2, 1)))
