@@ -6,12 +6,13 @@ Each check returns a RegressResult; names are stable so CI can key on them.
 run_regression runs them all.  Seven checks sweep the shapes in one pass,
 each as one per-shape part: each shape's affine graph is built once, and
 what the checks derive from it (the rsk pair of each vertex, which
-vertices are standard, the row-2 mask of each vertex, the restriction to
-[1, n-1] and its cells, the simple underlying graph and its components,
-and the Knuth graph) is derived at most once, by the first check using it.
-Which entries an edge swaps is read from the masks of its ends, not from
-the rows of its tableaux.  The shift's vertex permutation is the graph's
-shift automorphism, which the graph derives once for every check.
+vertices are standard, the restriction to [1, n-1] and its cells, the
+simple underlying graph and its components, and the Knuth graph) is
+derived at most once, by the first check using it.  Which entries an edge
+swaps is read from the row-2 masks of its ends, which the graph holds as
+its vertices, not from the rows of its tableaux.  The shift's vertex
+permutation is the graph's shift automorphism, which the graph derives
+once for every check.
 Each finite graph a restriction cell is compared with is built once per
 run (once per process with `--jobs K`, which splits the shapes into K
 batches, at most one per shape, of about equal vertex counts, largest
@@ -33,7 +34,6 @@ from .tableaux import Partition, RowStandardTableau, _Frozen, affine_descents, i
 from .tworow import (
     _moves,
     _rotate,
-    _row2_mask,
     build_affine_graph,
     build_dual_equiv,
     build_equal_variant,
@@ -119,13 +119,14 @@ class _Shape:
         self.g = build_affine_graph(shape)
         self.finite_graph = finite_graph
 
-    @cached_property
-    def masks(self) -> list[int]:
+    @property
+    def masks(self) -> tuple[int, ...]:
         """
-        The row-2 mask of each vertex, by index (entry e is bit e - 1): the
-        checks read which entries an edge swaps from the masks of its ends.
+        The row-2 mask of each vertex, by index (entry e is bit e - 1), as
+        the graph holds them: the checks read which entries an edge swaps
+        from the masks of its ends.
         """
-        return [_row2_mask(t) for t in self.g.vertices]
+        return self.g.row_codes()[1]
 
     @cached_property
     def restricted(self) -> LabeledWGraph:
@@ -180,7 +181,7 @@ def _mutation_sensitivity(s: _Shape) -> tuple[list[str], int]:
         # a fresh dict: the weights of a valid graph minus one key
         weights = dict(g.weights)
         del weights[edge]
-        mutated = LabeledWGraph._trusted(g.n, g.index_set, g.vertices, g.tau, weights)
+        mutated = g._derived(g.index_set, g.tau, weights)
         if rules_hold(mutated) and hecke_holds(mutated):
             silent.append(f"{s.shape}:{edge}")
     return silent, total

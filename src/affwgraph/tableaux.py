@@ -1,7 +1,8 @@
 """
 Partitions, row-standard Young tableaux, cyclic residues and intervals,
-descent sets, standardness, and the vertex permutation of the cyclic shift;
-and _Frozen, the base of the package's immutable value classes.
+descent sets, standardness, the row codes of tableaux (the row of each
+entry packed bitwise) and the vertex permutation of the cyclic shift on
+them; and _Frozen, the base of the package's immutable value classes.
 
 Conventions: rows are numbered from the top starting at 1, a "higher" row
 has a smaller row number, and every tableau stores its rows sorted.
@@ -15,6 +16,7 @@ of its row-standard enumeration that is_standard accepts, in that order.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from functools import total_ordering
 from itertools import chain, combinations, filterfalse
@@ -22,7 +24,7 @@ from itertools import chain, combinations, filterfalse
 __all__ = [
     "Partition", "RowStandardTableau",
     "mo", "pint", "affine_descents", "finite_descents",
-    "shift_permutation", "enumerate_rsyt", "enumerate_syt", "is_standard",
+    "row_codes", "shift_permutation", "enumerate_rsyt", "enumerate_syt", "is_standard",
     "tableau_text",
 ]
 
@@ -200,26 +202,60 @@ def finite_descents(t: RowStandardTableau) -> frozenset[int]:
     return affine_descents(t) - {t.n}
 
 
-def shift_permutation(tableaux: Sequence[RowStandardTableau]) -> tuple[int, ...] | None:
+def row_codes(tableaux: Sequence[RowStandardTableau]) -> tuple[int, tuple[int, ...]]:
+    """
+    The width w and the row code of each tableau of one shape: the row of
+    each entry e, counted from 0, packed in the w bits from (e - 1)w, with
+    w the bit length of the number of rows less one.  For two rows the code
+    is the row-2 mask (w = 1), and for one row it is 0 (w = 0).
+    """
+    width = (len(tableaux[0].rows) - 1).bit_length() if tableaux else 0
+    codes = []
+    for t in tableaux:
+        code = 0
+        for a, row in enumerate(t.rows[1:], start=1):
+            for e in row:
+                code |= a << (e - 1) * width
+        codes.append(code)
+    return width, tuple(codes)
+
+
+def shift_permutation(n: int, width: int, codes: Sequence[int]) -> tuple[int, ...] | None:
     """
     The vertex permutation of the shift omega, which replaces every entry
-    i with mo(i+1) and re-sorts the rows: sigma[k] is the position of
-    omega(tableaux[k]) in the sequence, or None when some image is not in
-    it.  Whether sigma also preserves labels and weights is for the
-    caller to test.
+    i with mo(i+1) and re-sorts the rows, on tableaux of size n given by
+    their row codes of width w (row_codes): sigma[k] is the position of
+    omega of the k-th tableau, or None when some image is not among them.
+    Whether sigma also preserves labels and weights is for the caller to
+    test.
     """
-    # a tableau is its row word (the row of each entry 1..n), and the shift
-    # moves the row of e to e + 1 and that of n to 1: a rotation of the word
-    words = []
-    for t in tableaux:
-        word = [0] * t.n
-        for a, row in enumerate(t.rows):
-            for e in row:
-                word[e - 1] = a
-        words.append(tuple(word))
-    index = {word: k for k, word in enumerate(words)}
-    sigma = tuple(index.get(word[-1:] + word[:-1]) for word in words)
+    # the shift moves the row of e to e + 1 and that of n to 1: the code
+    # turns by w bits
+    top = (n - 1) * width
+    full = (1 << n * width) - 1
+    index = {code: k for k, code in enumerate(codes)}
+    sigma = tuple([index.get((code << width | code >> top) & full) for code in codes])
     return None if None in sigma else sigma
+
+
+def _check_size(shape: Partition) -> None:
+    """
+    Reject, before anything is allocated, a shape with more entries or more
+    row-standard tableaux than a sequence can index.
+    """
+    if shape.n > sys.maxsize:
+        raise ValueError(f"shape {shape} is too large: {shape.n} entries")
+    # the tableaux are counted as the rows are filled from the bottom, a
+    # factor C(rest, part) per row below the first; C(rest, k) grows with k
+    # up to min(part, rest - part) and is at least 2^k there, so the count
+    # passes the bound at its first step past it, within 64 steps a row
+    count, rest = 1, shape.n
+    for part in shape.parts[:0:-1]:
+        for k in range(min(part, rest - part)):
+            count = count * (rest - k) // (k + 1)
+            if count > sys.maxsize:
+                raise ValueError(f"shape {shape} is too large: more than {sys.maxsize} row-standard tableaux")
+        rest -= part
 
 
 def enumerate_rsyt(shape: Partition) -> list[RowStandardTableau]:
@@ -232,12 +268,10 @@ def enumerate_rsyt(shape: Partition) -> list[RowStandardTableau]:
     # it, and so on: the order of filling the rows from the bottom.  A frame
     # is the entries not in the rows below row a (0-based) and the iterator
     # over the candidates for row a, resumed after the rows above it are filled
+    _check_size(shape)
     tableaux: list[RowStandardTableau] = []
     rows = [()] * shape.length
-    try:
-        entries = tuple(range(1, shape.n + 1))
-    except OverflowError:  # more entries than a sequence can index
-        raise ValueError(f"shape {shape} is too large: {shape.n} entries") from None
+    entries = tuple(range(1, shape.n + 1))
     work = [(entries, combinations(entries, shape.parts[-1]))]
     while work:
         a = shape.length - len(work)

@@ -18,45 +18,33 @@ on the mask and its cyclic rotations.  The affine builder computes the moves
 at one vertex per orbit of the shift omega (entry e becomes mo(e+1), bit
 e - 1 of the mask moves to bit e mod n) and carries them round the orbit by
 rotating the masks.  This is exact because every move condition is stated
-in residues mod n.  The tableaux are built once, by
-enumerate_rsyt, at the boundary: the builders read each one's mask and hand
-the tableaux to the graph unchanged.  The finite builder keeps its own
-row-2 masks, bit helper and non-cyclic gate with plain intervals, so it is
-not derived from the affine one.
+in residues mod n.  The masks are enumerated straight from the b-subsets,
+and no tableau is built: the affine and dual-equivalence builders hand the
+masks to the graph, which makes its tableaux, by enumerate_rsyt, only when
+they are first read, and shares them with the graphs derived from it (the
+equal-row variants among them).  The finite builder keeps its own row-2
+masks, bit helper and non-cyclic gate with plain intervals, so it is not
+derived from the affine one.
 
-Every builder hands its fresh fields to LabeledWGraph._trusted: distinct
-tableaux of one shape from an enumeration, descent sets inside the index
-set and weights 1 (or the variant's int p) on vertex pairs in (src, dst)
-order, so the graph is neither copied, checked nor sorted again.  Each
-builder reaches the sources in order and sorts one source's targets.  No
-builder hands over a derived value: verify derives the shift's vertex
-permutation from the tableaux, not from the affine builder's rotation.
+Every builder hands its fresh fields to LabeledWGraph._trusted: the masks
+of a two-row shape, or distinct tableaux of one shape from an enumeration,
+descent sets inside the index set and weights 1 (or the variant's int p)
+on vertex pairs in (src, dst) order, so the graph is neither copied,
+checked nor sorted again.  Each builder reaches the sources in order and
+sorts one source's targets.  No builder hands over a derived value: verify
+derives the shift's vertex permutation from the row codes of the vertices
+(for these graphs the masks themselves), not from the affine builder's
+rotation.
 """
 
 from __future__ import annotations
 
-from .tableaux import (
-    Partition,
-    RowStandardTableau,
-    enumerate_rsyt,
-    enumerate_syt,
-    finite_descents,
-    mo,
-)
-from .wgraph import LabeledWGraph, simple_component_ids
+from itertools import combinations
+
+from .tableaux import Partition, _check_size, enumerate_syt, finite_descents, mo
+from .wgraph import LabeledWGraph, _TwoRowVertices, simple_component_ids
 
 __all__ = ["build_affine_graph", "build_dual_equiv", "build_equal_variant", "build_finite_graph"]
-
-
-def _row2_mask(s: RowStandardTableau) -> int:
-    """
-    The mask of row 2 of a tableau of a shape checked to have two rows: bit
-    e - 1 for each entry e.
-    """
-    m = 0
-    for e in s.rows[1]:
-        m |= 1 << (e - 1)
-    return m
 
 
 def _entries(m: int) -> tuple[int, ...]:
@@ -141,7 +129,7 @@ def _descent_sets(descents: list[int]) -> tuple[frozenset[int], ...]:
     return tuple(sets[d] for d in descents)
 
 
-def _orbit_weights(masks: list[int], n: int) -> dict[tuple[int, int], int]:
+def _orbit_weights(masks: tuple[int, ...], n: int) -> dict[tuple[int, int], int]:
     """
     The weight-1 edges of the affine graph on the row-2 masks of size n, in
     (src, dst) order, from the moves at the least vertex of each orbit of
@@ -171,12 +159,30 @@ def _orbit_weights(masks: list[int], n: int) -> dict[tuple[int, int], int]:
     }
 
 
-def _two_row_vertices(shape: Partition) -> tuple[int, tuple[RowStandardTableau, ...], list[int]]:
-    """n, the tableaux of a two-row shape in enumeration order and the row-2 mask of each."""
+def _two_row_masks(shape: Partition) -> tuple[int, ...]:
+    """
+    The row-2 masks of the tableaux of a two-row shape (a, b) in the
+    enumerate_rsyt order: the b-subsets of 1..n in lexicographic order.  A
+    shape that enumerate_rsyt rejects as too large is rejected here too,
+    before anything is allocated.
+    """
     if not shape.is_two_row:
         raise ValueError(f"shape must have exactly two rows: {shape}")
-    vertices = tuple(enumerate_rsyt(shape))
-    return shape.n, vertices, [_row2_mask(t) for t in vertices]
+    _check_size(shape)
+    n, b = shape.n, shape.parts[1]
+    # the positions go in a tuple allocated at once, as enumerate_rsyt's
+    # entries do, so a shape too large to hold fails there, before any mask
+    bits = [1 << e for e in tuple(range(n))]
+    # the b-subsets of the bits of 1..n, in lexicographic order, each summed
+    return tuple(map(sum, combinations(bits, b)))
+
+
+def _graph(shape: Partition, masks: tuple[int, ...], descents: list[int], weights) -> LabeledWGraph:
+    """The [1,n]-labeled graph on the tableaux of the shape, held as their row-2 masks."""
+    n = shape.n
+    return LabeledWGraph._trusted(
+        n, frozenset(range(1, n + 1)), _TwoRowVertices(shape, masks), _descent_sets(descents), weights
+    )
 
 
 def build_affine_graph(shape: Partition) -> LabeledWGraph:
@@ -188,15 +194,13 @@ def build_affine_graph(shape: Partition) -> LabeledWGraph:
     every move condition is stated in residues mod n, so omega maps the
     moves out of s onto the moves out of omega(s).
     """
-    n, vertices, masks = _two_row_vertices(shape)
-    weights = _orbit_weights(masks, n)
-    tau = _descent_sets([_descent_mask(m, n) for m in masks])
-    return LabeledWGraph._trusted(n, frozenset(range(1, n + 1)), vertices, tau, weights)
+    masks, n = _two_row_masks(shape), shape.n
+    return _graph(shape, masks, [_descent_mask(m, n) for m in masks], _orbit_weights(masks, n))
 
 
 def build_dual_equiv(shape: Partition) -> LabeledWGraph:
     """The graph of Knuth moves on RSYT(shape), all edges mutual of weight 1."""
-    n, vertices, masks = _two_row_vertices(shape)
+    masks, n = _two_row_masks(shape), shape.n
     index = {m: k for k, m in enumerate(masks)}
     descents = [_descent_mask(m, n) for m in masks]
     top = 1 << (n - 1)
@@ -214,7 +218,7 @@ def build_dual_equiv(shape: Partition) -> LabeledWGraph:
                 targets.append(v)
         for v in sorted(targets):
             weights[(u, v)] = 1
-    return LabeledWGraph._trusted(n, frozenset(range(1, n + 1)), vertices, _descent_sets(descents), weights)
+    return _graph(shape, masks, descents, weights)
 
 
 def build_equal_variant(shape: Partition, p: int) -> LabeledWGraph:
@@ -239,7 +243,7 @@ def build_equal_variant(shape: Partition, p: int) -> LabeledWGraph:
                 continue
             w = p
         weights[(u, v)] = w
-    return LabeledWGraph._trusted(g.n, g.index_set, g.vertices, g.tau, weights)
+    return g._derived(g.index_set, g.tau, weights)
 
 
 def _finite_entries(m: int) -> list[int]:

@@ -11,10 +11,17 @@ made, so its readers (the adjacency, JSON and DOT) never sort them.
 The values derived from a graph (its adjacency, the shift automorphism
 and its orbit representatives) are computed once per graph object, on
 first use, and kept on it as tuples; a graph keeps nothing else, and what
-a check builds for itself is freed when the check returns.  The shift
-automorphism is tested on the adjacency rows: the image {sigma v: w} of
-the row of u must be the row of sigma u, so no weight is looked up by its
-vertex pair, and each distinct tau set is shifted once.  The public
+a check builds for itself is freed when the check returns.  A graph made
+by a two-row builder holds its vertices as their row-2 masks and makes
+its tableaux in one pass when they are first read; the graphs derived
+from it hold the same store, so the tableaux are made once between them.
+Readers that need only the vertex count take it from the labels.  The
+shift's vertex permutation is derived from the row codes of the vertices
+(tableaux.row_codes), which for such a graph are its masks, so no tableau
+is made for it; the shift automorphism is then tested on the adjacency
+rows: the image {sigma v: w} of the row of u must be the row of sigma u,
+so no weight is looked up by its vertex pair, and each distinct tau set
+is shifted once.  The public
 constructor copies and checks its fields, the vertices in one pass that
 names the first one at fault.  The JSON format of a graph, its vertices
 included, is written and read here only: graph_from_json builds each
@@ -34,7 +41,9 @@ from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
 
-from .tableaux import RowStandardTableau, _Frozen, shift_permutation, tableau_text
+from .tableaux import (
+    Partition, RowStandardTableau, _Frozen, enumerate_rsyt, row_codes, shift_permutation, tableau_text,
+)
 
 # (w, coefficient) pairs, such as the out-edges (w, m(u > w)) of a vertex
 Edges = tuple[tuple[int, int], ...]
@@ -45,6 +54,26 @@ __all__ = [
     "is_reduced", "is_nb_admissible", "dynkin_adjacent",
     "graph_to_json", "graph_from_json", "graph_to_dot",
 ]
+
+
+class _TwoRowVertices:
+    """
+    The vertices of a graph on all the row-standard tableaux of a two-row
+    shape, held as their row-2 masks (entry e is bit e - 1) in the
+    enumerate_rsyt order.  The tableaux are made in one pass, by
+    enumerate_rsyt, when a graph first reads them, and kept here, so that
+    every graph that holds this store reads the same tableaux.
+    """
+
+    __slots__ = ("shape", "masks", "tableaux")
+
+    def __init__(self, shape: Partition, masks: tuple[int, ...]):
+        self.shape, self.masks, self.tableaux = shape, masks, None
+
+    def read(self) -> tuple[RowStandardTableau, ...]:
+        if self.tableaux is None:
+            self.tableaux = tuple(enumerate_rsyt(self.shape))
+        return self.tableaux
 
 
 class LabeledWGraph(_Frozen):
@@ -109,14 +138,32 @@ class LabeledWGraph(_Frozen):
         graph derived from a valid one (a subgraph, a restriction) or made
         by a two-row builder, with n a positive int, index_set a frozenset
         of ints in 1..n, vertices a tuple of distinct tableaux of one shape
-        of size n, tau a tuple of frozensets of the index set, and weights a
-        fresh dict of nonzero int weights on vertex pairs, in (src, dst)
-        order, that nothing else holds, wrapped read-only as the public
-        constructor wraps its copy.
+        of size n, or the _TwoRowVertices of a two-row shape of size n, tau
+        a tuple of frozensets of the index set, and weights a fresh dict of
+        nonzero int weights on vertex pairs, in (src, dst) order, that
+        nothing else holds, wrapped read-only as the public constructor
+        wraps its copy.
         """
         g = object.__new__(cls)
-        vars(g).update(n=n, index_set=index_set, vertices=vertices, tau=tau, weights=MappingProxyType(weights))
+        # a store of row-2 masks stands in for the vertices until they are read
+        held = "_store" if type(vertices) is _TwoRowVertices else "vertices"
+        vars(g).update({held: vertices}, n=n, index_set=index_set, tau=tau, weights=MappingProxyType(weights))
         return g
+
+    def _derived(self, index_set, tau, weights) -> "LabeledWGraph":
+        """
+        The graph on this graph's vertices with these fields, as _trusted
+        takes them.  It holds this graph's store of row-2 masks, if it has
+        one, so that the tableaux are made once between them, whichever
+        graph reads them first.
+        """
+        store = vars(self).get("_store")
+        return LabeledWGraph._trusted(self.n, index_set, self.vertices if store is None else store, tau, weights)
+
+    @cached_property
+    def vertices(self) -> tuple[RowStandardTableau, ...]:
+        """Made from the store of row-2 masks on first read; any other graph sets them when it is made."""
+        return self._store.read()
 
     def __reduce__(self):
         # rebuilt from the fields: the weight proxy cannot be pickled, and
@@ -130,7 +177,8 @@ class LabeledWGraph(_Frozen):
     @cached_property
     def adjacency(self) -> tuple[Edges, ...]:
         """The out-edges of each vertex as (target, weight) pairs, by target."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        # one tau label per vertex: the count, without reading the vertices
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.tau]
         for (u, v), w in self.weights.items():
             adj[u].append((v, w))
         return tuple(map(tuple, adj))
@@ -148,7 +196,7 @@ class LabeledWGraph(_Frozen):
         # the members lie in 1..n, so the size decides (n may be too large for a range)
         if len(self.index_set) != n:
             return None
-        sigma = shift_permutation(self.vertices)
+        sigma = shift_permutation(n, *self.row_codes())
         if sigma is None:
             return None
         # the image {sigma v: w} of each row lies in the row of sigma u; as
@@ -184,6 +232,15 @@ class LabeledWGraph(_Frozen):
                     seen[v] = True
                     v = sigma[v]
         return tuple(representatives)
+
+    def row_codes(self) -> tuple[int, tuple[int, ...]]:
+        """
+        The width and the row code of each vertex, as tableaux.row_codes
+        gives them: a graph held as row-2 masks gives its masks (width 1)
+        and makes no tableau, any other computes them from its tableaux.
+        """
+        store = vars(self).get("_store")
+        return row_codes(self.vertices) if store is None else (1, store.masks)
 
     def vertex_index(self) -> dict[RowStandardTableau, int]:
         return {t: k for k, t in enumerate(self.vertices)}
@@ -231,7 +288,7 @@ def restrict_parabolic(g: LabeledWGraph, j_set) -> LabeledWGraph:
     weights = {
         (u, v): w for (u, v), w in g.weights.items() if not tau[u] <= tau[v]
     }
-    return LabeledWGraph._trusted(g.n, j_set, g.vertices, tau, weights)
+    return g._derived(j_set, tau, weights)
 
 
 def simple_underlying(g: LabeledWGraph) -> LabeledWGraph:
@@ -241,12 +298,12 @@ def simple_underlying(g: LabeledWGraph) -> LabeledWGraph:
         for (u, v), w in g.weights.items()
         if u != v and w == 1 and g.weights.get((v, u)) == 1
     }
-    return LabeledWGraph._trusted(g.n, g.index_set, g.vertices, g.tau, weights)
+    return g._derived(g.index_set, g.tau, weights)
 
 
 def _scc_partition(g: LabeledWGraph) -> list[list[int]]:
     """Strongly connected components (iterative Tarjan), sorted canonically."""
-    count = len(g.vertices)
+    count = len(g.tau)
     adj = g.adjacency
     index = [-1] * count
     lowlink = [0] * count
@@ -311,7 +368,7 @@ def simple_component_ids(g: LabeledWGraph) -> list[int]:
 
 def _component_ids(simple: LabeledWGraph) -> list[int]:
     """Per-vertex component number in a graph returned by simple_underlying."""
-    ids = [0] * len(simple.vertices)
+    ids = [0] * len(simple.tau)
     for k, comp in enumerate(_scc_partition(simple)):
         for v in comp:
             ids[v] = k

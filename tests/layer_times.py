@@ -1,28 +1,36 @@
 """
-Per-layer times of the `verify --input` path, one process:
+Per-layer times of the `verify --input` path and of the `verify A B` path,
+one process:
 
     PYTHONPATH=src python tests/layer_times.py [--rounds R] [--big]
     PYTHONPATH=src python tests/layer_times.py --startup [--rounds R]
 
-Each graph goes through the stages of one benchmark mutant, in order:
-graph_to_json, graph_from_json (the JSON text in between is not timed),
-sigma (shift_automorphism, with the adjacency it does not build), the four
-rules, check_hecke_relations and hecke_holds.  Every stage after
-graph_from_json runs on the graph it returned, so each derived value is
-computed where the first stage reads it, as in the benchmark.  Three sets:
+On the `verify --input` path each graph goes through the stages of one
+benchmark mutant, in order: graph_to_json, graph_from_json (the JSON text
+in between is not timed), sigma (shift_automorphism, with the adjacency
+it does not build), the four rules, check_hecke_relations and hecke_holds.
+Every stage after graph_from_json runs on the graph it returned, so each
+derived value is computed where the first stage reads it, as in the
+benchmark.  On the `verify A B` path each shape goes through build
+(build_affine_graph), adjacency, sigma (on the built adjacency) and the
+same checks, with no JSON round trip.  The sets:
 
 * damaged   the pinned bench-size damaged graphs of tests/conftest.py
             (none shift-invariant: every check scans in full);
-* verify    the built graphs of (6,6) and (7,6);
-* big       the built graph of (9,9), with --big (at most 3 rounds).
+* verify    the built graphs of (6,6) and (7,6), through JSON;
+* big       the built graph of (9,9), through JSON, with --big;
+* built66, built76 and built99 (with --big)
+            the shape, built in each round.
 
-Prints, per set and stage, the median over R rounds of the stage's total
-seconds over the set's graphs, rescaled to reference CPU speed as the
-benchmark does (bench/speed.py): the speed of a shared vCPU drifts by tens
-of percent between runs, so each round is scaled by a reference slice of
-pure-Python work timed just before it.  Then, from one more round under
-tracemalloc, which is not timed, each stage's traced peak in MB above what
-was held when the stage started, the largest over the set's graphs.
+The two sets of (9,9) run at most 3 rounds.  Prints, per set and stage,
+the median over R rounds of the stage's total seconds over the set's
+graphs, rescaled to reference CPU speed as the benchmark does
+(bench/speed.py): the speed of a shared vCPU drifts by tens of percent
+between runs, so each round is scaled by a reference slice of pure-Python
+work timed just before it.  Then, from one more round under tracemalloc,
+which is not timed, each stage's traced peak in MB above what was held
+when the stage started, the largest over the set's graphs, and the
+RowStandardTableau values each stage made, summed over them.
 
 With --startup it times the cold start instead, as the benchmark's setup_s
 does (bench/run.py): after one warm-up pair, R fresh interpreters that run
@@ -52,7 +60,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
 
-from affwgraph import Partition, build_affine_graph  # noqa: E402
+from affwgraph import Partition, RowStandardTableau, build_affine_graph  # noqa: E402
 from affwgraph import verify  # noqa: E402
 from affwgraph.wgraph import graph_from_json, graph_to_json  # noqa: E402
 from conftest import bench_size_damaged_graphs  # noqa: E402
@@ -60,7 +68,7 @@ from run import REF_START_S, SETUP_CODE  # noqa: E402
 from speed import REF_SLICE_S, reference_slice  # noqa: E402
 
 STAGES = (
-    "graph_to_json", "graph_from_json", "sigma", "adjacency",
+    "graph_to_json", "graph_from_json", "build", "sigma", "adjacency",
     "compatibility", "simplicity", "bonding", "polygon", "hecke", "hecke_holds",
 )
 CHECKS = {
@@ -73,8 +81,8 @@ CHECKS = {
 }
 
 
-def _one(graph, measure) -> None:
-    """Run the stages of one graph, each as measure(stage, fn, *args), which returns fn(*args)."""
+def _through_json(graph, measure) -> None:
+    """Run the `verify --input` stages of one graph, each as measure(stage, fn, *args), which returns fn(*args)."""
     data = measure("graph_to_json", graph_to_json, graph)
     data = json.loads(json.dumps(data))
     g = measure("graph_from_json", graph_from_json, data)
@@ -84,8 +92,17 @@ def _one(graph, measure) -> None:
         measure(name, check, g)
 
 
-def layer_times(graphs, rounds: int) -> dict[str, float]:
-    """The median over the rounds of each stage's total over the graphs."""
+def _built(parts, measure) -> None:
+    """Run the `verify A B` stages of one shape, as _through_json does."""
+    g = measure("build", build_affine_graph, Partition(parts))
+    measure("adjacency", lambda: g.adjacency)
+    measure("sigma", lambda: g.shift_automorphism)
+    for name, check in CHECKS.items():
+        measure(name, check, g)
+
+
+def layer_times(run, items, rounds: int) -> dict[str, float]:
+    """The median over the rounds of each stage's total over the items, each run as run(item, measure)."""
     totals = {name: [] for name in STAGES}
     clock = time.perf_counter
     for _ in range(rounds):
@@ -98,35 +115,65 @@ def layer_times(graphs, rounds: int) -> dict[str, float]:
             seconds[stage] += clock() - start
             return result
 
-        for g in graphs:
-            _one(g, timed)
+        for item in items:
+            run(item, timed)
         for name in STAGES:
             totals[name].append(seconds[name] * factor)
     return {name: statistics.median(values) for name, values in totals.items()}
 
 
-def layer_peaks(graphs) -> dict[str, int]:
+def layer_peaks(run, items) -> tuple[dict[str, int], dict[str, int]]:
     """
-    Each stage's traced peak in bytes, above what was held when it started,
-    the largest over the graphs, from one round under tracemalloc.
+    From one round under tracemalloc: each stage's traced peak in bytes,
+    above what was held when it started, the largest over the items, and
+    the tableaux it made (through the checking constructor or _trusted),
+    summed over them.
     """
     peaks = dict.fromkeys(STAGES, 0)
+    tableaux = dict.fromkeys(STAGES, 0)
+    made = 0
+    init, trusted = vars(RowStandardTableau)["__init__"], vars(RowStandardTableau)["_trusted"]
+
+    def counted_init(self, rows):
+        nonlocal made
+        made += 1
+        init(self, rows)
+
+    def counted_trusted(cls, rows):
+        nonlocal made
+        made += 1
+        return trusted.__func__(cls, rows)
 
     def traced(stage, fn, *args):
         gc.collect()  # so that no stage frees an earlier one's garbage
         tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
+        start, before = tracemalloc.get_traced_memory()[0], made
         result = fn(*args)
         peaks[stage] = max(peaks[stage], tracemalloc.get_traced_memory()[1] - start)
+        tableaux[stage] += made - before
         return result
 
+    RowStandardTableau.__init__, RowStandardTableau._trusted = counted_init, classmethod(counted_trusted)
     tracemalloc.start()
     try:
-        for g in graphs:
-            _one(g, traced)
+        for item in items:
+            run(item, traced)
     finally:
         tracemalloc.stop()
-    return peaks
+        RowStandardTableau.__init__, RowStandardTableau._trusted = init, trusted
+    return peaks, tableaux
+
+
+def _table(title: str, sets, values, cell) -> None:
+    """One row per stage, one column per set, "-" where the set has no such stage."""
+    print(title.ljust(16) + "".join(name.rjust(10) for name in sets))
+    for stage in STAGES:
+        ran = [name for name, (run, _) in sets.items() if stage not in _ONLY or _ONLY[stage] is run]
+        print(stage.ljust(16) + "".join(cell(values[name][stage]) if name in ran else "-".rjust(10) for name in sets))
+
+
+# the stages of one path only: every other stage is on both
+_ONLY = {"graph_to_json": _through_json, "graph_from_json": _through_json, "build": _built}
 
 
 def startup(rounds: int) -> None:
@@ -174,24 +221,26 @@ def main() -> None:
     if args.startup:
         startup(args.rounds)
         return
+    verify_shapes = ((6, 6), (7, 6))
+    # name -> (how an item runs, the items)
     sets = {
-        "damaged": bench_size_damaged_graphs(),
-        "verify": [build_affine_graph(Partition(parts)) for parts in ((6, 6), (7, 6))],
+        "damaged": (_through_json, bench_size_damaged_graphs()),
+        "verify": (_through_json, [build_affine_graph(Partition(parts)) for parts in verify_shapes]),
     }
     if args.big:
-        sets["big"] = [build_affine_graph(Partition((9, 9)))]
-    print("stage".ljust(16) + "".join(name.rjust(10) for name in sets))
-    rounds = {name: min(args.rounds, 3) if name == "big" else args.rounds for name in sets}
-    times = {name: layer_times(graphs, rounds[name]) for name, graphs in sets.items()}
-    for stage in STAGES:
-        print(stage.ljust(16) + "".join(f"{times[name][stage]:10.4f}" for name in sets))
+        sets["big"] = (_through_json, [build_affine_graph(Partition((9, 9)))])
+    for parts in verify_shapes + (((9, 9),) if args.big else ()):
+        sets["built" + "".join(map(str, parts))] = (_built, [parts])
+    rounds = {name: min(args.rounds, 3) if name.endswith(("big", "99")) else args.rounds for name in sets}
+    times = {name: layer_times(*sets[name], rounds[name]) for name in sets}
+    _table("stage", sets, times, "{:10.4f}".format)
     print("total".ljust(16) + "".join(f"{sum(times[name].values()):10.4f}" for name in sets))
     # an untimed round, as tracemalloc slows every allocation
-    peaks = {name: layer_peaks(graphs) for name, graphs in sets.items()}
+    traced = {name: layer_peaks(*sets[name]) for name in sets}
     print()
-    print("peak MB".ljust(16) + "".join(name.rjust(10) for name in sets))
-    for stage in STAGES:
-        print(stage.ljust(16) + "".join(f"{peaks[name][stage] / 1e6:10.3f}" for name in sets))
+    _table("peak MB", sets, {name: peaks for name, (peaks, _) in traced.items()}, lambda b: f"{b / 1e6:10.3f}")
+    print()
+    _table("tableaux made", sets, {name: made for name, (_, made) in traced.items()}, "{:10d}".format)
 
 
 if __name__ == "__main__":

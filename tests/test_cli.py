@@ -499,6 +499,9 @@ class TestRestrictAndCells:
 # a part too large to index: the shape fails at once, before anything is allocated
 HUGE_PART = "99999999999999999999"
 TOO_LARGE = f"error: shape ({HUGE_PART},1) is too large: 100000000000000000000 entries"
+# C(80, 40) tableaux, more than a sequence can index: the shape fails once
+# their count is known, before the enumeration allocates anything
+TOO_MANY = "error: shape (40,40) is too large: more than 9223372036854775807 row-standard tableaux"
 
 # values the CLI passes on unchecked, and the library's line they exit 2 with
 # (--jobs below 1 is TestRegress's)
@@ -511,6 +514,12 @@ LIBRARY_CHECKED = {
     "restrict a huge part": (["restrict", HUGE_PART, "1", "--to", "1..2"], TOO_LARGE),
     "cells of a huge part": (["cells", HUGE_PART, "1"], TOO_LARGE),
     "export a huge part": (["export", HUGE_PART, "1"], TOO_LARGE),
+    "build too many vertices": (["build", "40", "40"], TOO_MANY),
+    "verify too many vertices": (["verify", "40", "40"], TOO_MANY),
+    "restrict too many vertices": (["restrict", "40", "40", "--to", "1..2"], TOO_MANY),
+    "cells of too many vertices": (["cells", "40", "40"], TOO_MANY),
+    "export too many vertices": (["export", "40", "40"], TOO_MANY),
+    "build a finite graph of too many tableaux": (["build", "40", "40", "--kind", "finite"], TOO_MANY),
 }
 
 

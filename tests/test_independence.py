@@ -85,10 +85,11 @@ def test_finite_builder_not_derived_from_the_affine_one():
     defs = _functions("tworow")
     reached = _reached(defs, ["build_finite_graph"])
     assert "_finite_second_kind_valid" in reached
-    # the affine builder's row-2 mask kernel: rotation, descents, condition
-    # (b) masks, the (a), (c)-(e) gate, the move generator and the orbit walk
+    # the affine builder's row-2 mask kernel: the mask enumeration, rotation,
+    # descents, condition (b) masks, the (a), (c)-(e) gate, the move
+    # generator and the orbit walk
     mask_kernel = {
-        "_row2_mask", "_entries", "_rotate", "_descent_mask", "_descent_sets",
+        "_two_row_masks", "_entries", "_rotate", "_descent_mask", "_descent_sets",
         "_second_kind_ends", "_second_kind_gate", "_moves", "_orbit_weights",
     }
     assert mask_kernel <= _reached(defs, ["build_affine_graph"])

@@ -1,4 +1,5 @@
 import gc
+import sys
 from itertools import combinations
 from math import factorial, prod
 
@@ -15,7 +16,7 @@ from affwgraph import (
     pint,
     rsk,
 )
-from affwgraph.tableaux import shift_permutation, tableau_text
+from affwgraph.tableaux import _check_size, row_codes, shift_permutation, tableau_text
 from affwgraph.wgraph import graph_from_json
 
 from conftest import all_partitions, dominance_leq, exactly, is_knuth_move, omega_shift, two_row_shapes
@@ -105,11 +106,11 @@ class TestOmega:
         for shape in two_row_shapes(3, 10):
             tabs = enumerate_rsyt(shape)
             index = {t: k for k, t in enumerate(tabs)}
-            assert shift_permutation(tabs) == tuple(index[omega_shift(t)] for t in tabs)
+            assert shift_permutation(shape.n, *row_codes(tabs)) == tuple(index[omega_shift(t)] for t in tabs)
 
     def test_shift_permutation_needs_every_image(self):
         tabs = enumerate_rsyt(Partition((3, 2)))
-        assert shift_permutation(tabs[1:]) is None
+        assert shift_permutation(5, *row_codes(tabs[1:])) is None
 
     def test_descent_equivariance(self):
         for shape in two_row_shapes(3, 7):
@@ -176,6 +177,29 @@ class TestEnumeration:
                     ), t
                 words = [sum(reversed(t.rows), ()) for t in tabs]
                 assert len(set(words)) == len(words) and words == sorted(words), parts
+
+    # the row-standard tableaux of each shape against the largest size a
+    # sequence can index; the shapes over it are rejected before anything
+    # is allocated, so none of these is enumerated
+    SIZES = {
+        (33, 33): 7219428434016265740,  # C(66, 33): fits
+        (34, 33): 14226520737620288370,  # C(67, 33): does not
+        (20, 20, 20): factorial(60) // factorial(20) ** 3,
+        (10**19, 1): 10**19 + 1,  # more entries than a sequence can index
+    }
+
+    @pytest.mark.parametrize("parts", SIZES, ids=str)
+    def test_size_checked_before_enumerating(self, parts):
+        shape = Partition(parts)
+        if self.SIZES[parts] <= sys.maxsize:
+            assert _check_size(shape) is None
+        elif shape.n > sys.maxsize:
+            with pytest.raises(ValueError, match=exactly(f"shape {shape} is too large: {shape.n} entries")):
+                enumerate_rsyt(shape)
+        else:
+            message = f"shape {shape} is too large: more than {sys.maxsize} row-standard tableaux"
+            with pytest.raises(ValueError, match=exactly(message)):
+                enumerate_rsyt(shape)
 
     def test_leaves_no_reference_cycles(self):
         # a recursive closure would leave a cycle holding the result list

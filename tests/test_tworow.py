@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import pickle
@@ -7,6 +8,7 @@ from types import MappingProxyType
 
 import pytest
 
+import affwgraph.tworow as tworow
 from affwgraph import (
     LabeledWGraph,
     Partition,
@@ -16,15 +18,18 @@ from affwgraph import (
     build_dual_equiv,
     build_equal_variant,
     build_finite_graph,
+    check_all_rules,
+    check_hecke_relations,
     enumerate_rsyt,
     enumerate_syt,
     mo,
+    restrict_parabolic,
 )
-from affwgraph.tableaux import pint
+from affwgraph.regress import _mutation_sensitivity, _Shape
+from affwgraph.tableaux import pint, row_codes
 from affwgraph.tworow import (
     _finite_second_kind_valid,
     _moves,
-    _row2_mask,
     _second_kind_ends,
     _second_kind_gate,
 )
@@ -35,6 +40,11 @@ from conftest import is_knuth_move, omega_shift, swapped, two_row_shapes
 
 def T(*rows):
     return RowStandardTableau(tuple(tuple(r) for r in rows))
+
+
+def row2_mask(s: RowStandardTableau) -> int:
+    """The mask of row 2 of a two-row tableau, read from its rows: bit e - 1 for each entry e."""
+    return sum(1 << (e - 1) for e in s.rows[1])
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,7 @@ def enumerate_moves(shape: Partition) -> list[Move]:
     The moves the affine builder draws its edges from, with source and
     target given as indices into enumerate_rsyt(shape).
     """
-    masks = [_row2_mask(t) for t in enumerate_rsyt(shape)]
+    masks = [row2_mask(t) for t in enumerate_rsyt(shape)]
     index = {m: k for k, m in enumerate(masks)}
     return [
         Move(kind, i, j, src, index[target])
@@ -77,7 +87,7 @@ def second_kind_valid(s: RowStandardTableau, i: int, j: int) -> bool:
     swap of mo(i) in row 2 with mo(j) in row 1.  Raises if (s, i, j) is not
     even a candidate.
     """
-    m = _row2_mask(s)
+    m = row2_mask(s)
     n = s.n
     x, y = mo(i, n), mo(j, n)
     if not m >> (x - 1) & 1 or m >> (y - 1) & 1 or x == mo(j + 1, n):
@@ -367,7 +377,7 @@ def test_builders_hand_over_well_formed_fields(shape):
     # the builders skip the constructor's copy and checks, so their fields
     # must be what the checked constructor would have made of them; and they
     # hand over no derived value, so verify derives the shift's vertex
-    # permutation from the tableaux, never from the affine builder's rotation
+    # permutation from the vertices (their row codes), never from the affine builder's rotation
     graphs = _builder_graphs(shape)
     for name, g in graphs.items():
         assert not DERIVED & vars(g).keys(), name
@@ -462,3 +472,115 @@ def test_second_kind_gates_match_literal_oracles():
                     valid["finite", finite] += 1
     # both gates accept and reject somewhere
     assert all(valid[kind, verdict] for kind in ("affine", "finite") for verdict in (True, False))
+
+
+# the two-row builders hold their vertices as row-2 masks: a graph makes its
+# tableaux when it first reads them, and a graph derived from it reads the same
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The rows of each RowStandardTableau made, by the checking constructor or by _trusted."""
+    made = []
+    init, trusted = RowStandardTableau.__init__, RowStandardTableau._trusted.__func__
+
+    def counted_init(self, rows):
+        made.append(rows)
+        init(self, rows)
+
+    def counted_trusted(cls, rows):
+        made.append(rows)
+        return trusted(cls, rows)
+
+    monkeypatch.setattr(RowStandardTableau, "__init__", counted_init)
+    monkeypatch.setattr(RowStandardTableau, "_trusted", classmethod(counted_trusted))
+    return made
+
+
+def test_building_and_verifying_makes_no_tableau(made):
+    g = build_affine_graph(Partition((6, 6)))
+    reports = check_all_rules(g) + [check_hecke_relations(g)]
+    assert all(r.passed for r in reports) and g.shift_automorphism is not None
+    assert made == [] and "vertices" not in vars(g)
+    # made in one pass on first read, and never again
+    assert len(g.vertices) == 924 and len(made) == 924
+    assert g.vertices is g.vertices and len(made) == 924
+
+
+def _without_first_edge(g):
+    """A single-edge deletion, as the mutation check of regress makes it."""
+    weights = dict(g.weights)
+    del weights[next(iter(weights))]
+    return g._derived(g.index_set, g.tau, weights)
+
+
+DERIVED_GRAPHS = {
+    "restriction": lambda g: restrict_parabolic(g, range(1, g.n)),
+    "simple underlying": simple_underlying,
+    "single-edge deletion": _without_first_edge,
+}
+
+
+@pytest.mark.parametrize("parent_first", [True, False], ids=["parent first", "derived first"])
+@pytest.mark.parametrize("derive", DERIVED_GRAPHS.values(), ids=DERIVED_GRAPHS.keys())
+@pytest.mark.parametrize("build", [build_affine_graph, build_dual_equiv], ids=["affine", "dual-equiv"])
+def test_derived_graphs_read_the_parents_tableaux(made, build, derive, parent_first):
+    g = build(Partition((4, 3)))
+    h = derive(g)
+    first, second = (g, h) if parent_first else (h, g)
+    assert len(first.vertices) == len(second.vertices) == 35
+    assert all(s is t for s, t in zip(h.vertices, g.vertices))
+    assert len(made) == 35
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_equal_variant_reads_its_affine_graphs_tableaux(made, monkeypatch, p):
+    parents = []
+
+    def kept(shape):
+        parents.append(build_affine_graph(shape))
+        return parents[-1]
+
+    monkeypatch.setattr(tworow, "build_affine_graph", kept)
+    variant = build_equal_variant(Partition((3, 3)), p)
+    assert made == []
+    assert all(s is t for s, t in zip(variant.vertices, parents[0].vertices))
+    assert len(variant.vertices) == len(made) == 20
+
+
+def test_mutation_check_makes_no_tableau(made):
+    silent, total = _mutation_sensitivity(_Shape(Partition((4, 2)), build_finite_graph))
+    assert silent == [] and total > 0 and made == []
+
+
+@pytest.mark.parametrize("shape", two_row_shapes(3, 12), ids=str)
+def test_mask_held_vertices_are_the_enumeration(shape):
+    tableaux = enumerate_rsyt(shape)
+    for g in (build_affine_graph(shape), build_dual_equiv(shape)):
+        # the masks the graph holds are the row codes of the enumeration
+        assert g.row_codes() == row_codes(tableaux) and "vertices" not in vars(g)
+        assert list(g.vertices) == tableaux
+
+
+MASK_HELD = {
+    "affine": lambda: build_affine_graph(Partition((4, 3))),
+    "dual-equiv": lambda: build_dual_equiv(Partition((4, 3))),
+    "p=0": lambda: build_equal_variant(Partition((3, 3)), 0),
+    "p=2": lambda: build_equal_variant(Partition((3, 3)), 2),
+}
+
+
+@pytest.mark.parametrize("fresh", MASK_HELD.values(), ids=MASK_HELD.keys())
+def test_mask_held_graph_behaves_as_rebuilt(fresh):
+    # each fresh() is a graph that has not read its vertices yet
+    g = fresh()
+    rebuilt = LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, dict(g.weights))
+    assert fresh() == rebuilt and rebuilt == fresh()
+    assert repr(fresh()) == repr(rebuilt)
+    assert pickle.dumps(fresh()) == pickle.dumps(rebuilt)
+    for clone in (pickle.loads(pickle.dumps(fresh())), copy.copy(fresh()), copy.deepcopy(fresh())):
+        assert type(clone) is LabeledWGraph and "vertices" in vars(clone)
+        assert clone == rebuilt and list(clone.weights.items()) == list(rebuilt.weights.items())
+    for graph in (fresh(), rebuilt):
+        with pytest.raises(TypeError, match="unhashable type: 'mappingproxy'"):
+            hash(graph)

@@ -239,6 +239,25 @@ EDGE_RULES = {
 }
 
 
+@st.composite
+def chain_draws(draw):
+    """
+    Labels and weights of the 4-vertex chain of TestPolygonPathCounts.  In
+    about half the draws the labels are a source 0, V_{1/2} = {1}, V_{2/1} =
+    {2} and a sink 3, and the path 0 -> 1 -> 2 -> 3 is planted with nonzero
+    weights, so that the 3-step sum at the sink has a nonzero term; any
+    other edge may join it.
+    """
+    weight = st.sampled_from((1, -1, 2, 3, 5))
+    tau_by_vertex = draw(st.lists(st.sets(st.sampled_from((1, 2))), min_size=4, max_size=4))
+    weights = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), weight, max_size=16))
+    if draw(st.booleans()):
+        tau_by_vertex = [{1, 2}, {1}, {2}, set()]
+        for edge in ((0, 1), (1, 2), (2, 3)):
+            weights[edge] = draw(weight)
+    return tau_by_vertex, weights
+
+
 class TestCompatibility:
     def test_passes(self, g32):
         assert check_compatibility(g32).passed
@@ -393,17 +412,10 @@ class TestPolygonPathCounts:
         assert list(check_polygon(g).witnesses) == _brute_force_polygon(g)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.sets(st.sampled_from((1, 2))), min_size=4, max_size=4),
-        st.dictionaries(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)),
-            st.sampled_from((1, -1, 2, 3, 5)),
-            max_size=16,
-        ),
-    )
-    def test_chain_matches_brute_force(self, tau_by_vertex, weights):
+    @given(chain_draws())
+    def test_chain_matches_brute_force(self, draw):
         # finite index set {1, 2}: the only pair is adjacent, so N^3 is compared
-        g = self._chain(tau_by_vertex, weights)
+        g = self._chain(*draw)
         assert list(check_polygon(g).witnesses) == _brute_force_polygon(g)
 
 
