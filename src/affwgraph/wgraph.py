@@ -24,15 +24,18 @@ so no weight is looked up by its vertex pair, and each distinct tau set
 is shifted once.  The public
 constructor copies and checks its fields, the vertices in one pass that
 names the first one at fault.  The JSON format of a graph, its vertices
-included, is written and read here only: graph_from_json builds each
-vertex from its rows (naming the vertex whose rows the tableau
-constructor rejects), checks the graph with the public constructor and
-then each vertex's copy of n, that no label list repeats a label, and
-last that each list of the format (the index set, the vertices, tau, each
-label list and the edges) is a JSON list.  The two-row builders, and
-restrictions, subgraphs and simple underlying graphs of a valid graph, are
-built without either; they keep the order because they filter their
-parent's edges.
+included, is written and read here only: graph_from_json reads it top
+down in one pass, naming each container of the wrong JSON kind before
+anything in it is read: the graph an object, the index set, the
+vertices, tau and the edges lists, each edge an object (no edge
+repeated), each vertex an object whose rows and each row are lists, then
+built by the tableau constructor (naming the vertex whose rows it
+rejects), and each vertex's label list a list.  It then checks the graph
+with the public constructor, and last each vertex's copy of n and that
+neither the index set nor a label list repeats an entry.  The two-row
+builders, and restrictions, subgraphs and simple underlying graphs of a
+valid graph, are built without either; they keep the order because they
+filter their parent's edges.
 """
 
 from __future__ import annotations
@@ -410,30 +413,41 @@ def graph_to_json(g: LabeledWGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> LabeledWGraph:
+    # top down, each container checked before anything in it is read: a JSON
+    # object or string where a list belongs would be read as its keys or characters
+    if type(data) is not dict:
+        raise ValueError(f"graph {_must_be('object', data)}")
+    index_set, vertices, tau, edges = data["index_set"], data["vertices"], data["tau"], data["edges"]
+    for name, value in (("index_set", index_set), ("vertices", vertices), ("tau", tau), ("edges", edges)):
+        if type(value) is not list:
+            raise ValueError(f"{name} {_must_be('list', value)}")
     weights: dict[tuple[int, int], int] = {}
-    for e in data["edges"]:
+    for k, e in enumerate(edges):
+        if type(e) is not dict:
+            raise ValueError(f"edge {k} {_must_be('object', e)}")
         edge = (e["src"], e["dst"])
         if edge in weights:
             raise ValueError(f"duplicate edge {edge}")
         weights[edge] = e["w"]
-    vertices, index_set, tau = data["vertices"], data["index_set"], data["tau"]
     tableaux = []
-    try:
-        # the tableau constructor checks the rows and copies them into tuples
-        for v in vertices:
-            tableaux.append(RowStandardTableau(v["rows"]))
-    except (KeyError, TypeError, ValueError) as err:
-        _vertex_containers(vertices, len(tableaux))
-        if isinstance(err, ValueError):  # the constructor rejected the rows
-            raise ValueError(f"vertex {len(tableaux)}: {err}") from err
-        raise
-    g = LabeledWGraph(
-        n=data["n"],
-        index_set=frozenset(index_set),
-        vertices=tuple(tableaux),
-        tau=tuple(frozenset(s) for s in tau),
-        weights=weights,
-    )
+    for k, v in enumerate(vertices):
+        if type(v) is not dict:
+            raise ValueError(f"vertex {k} {_must_be('object', v)}")
+        rows = v["rows"]
+        if type(rows) is not list:
+            raise ValueError(f"rows of vertex {k} {_must_be('list', rows)}")
+        for a, row in enumerate(rows):
+            if type(row) is not list:
+                raise ValueError(f"row {a} of vertex {k} {_must_be('list', row)}")
+        try:  # the tableau constructor checks the rows and copies them into tuples
+            tableaux.append(RowStandardTableau(rows))
+        except ValueError as err:
+            raise ValueError(f"vertex {k}: {err}") from err
+    # the label list of each vertex; one past the last vertex is left for the constructor to count
+    for k, (t, listed) in enumerate(zip(tableaux, tau)):
+        if type(listed) is not list:
+            raise ValueError(f"tau of vertex {k} ({tableau_text(t)}) {_must_be('list', listed)}")
+    g = LabeledWGraph(n=data["n"], index_set=index_set, vertices=tableaux, tau=tau, weights=weights)
     # each vertex repeats n; read once the graph is accepted, so that the
     # constructor names a vertex of another size first
     for k, (t, v) in enumerate(zip(g.vertices, vertices)):
@@ -447,35 +461,7 @@ def graph_from_json(data: dict) -> LabeledWGraph:
     for k, (t, labels, listed) in enumerate(zip(g.vertices, g.tau, tau)):
         if len(labels) != len(listed):
             raise ValueError(f"tau of vertex {k} ({tableau_text(t)}) repeats a label: {listed}")
-    # a JSON object or string where a list belongs is read as its keys or
-    # characters; checked last, so that each input rejected above keeps its message
-    for name, value in (("index_set", index_set), ("vertices", vertices), ("tau", tau), ("edges", data["edges"])):
-        if type(value) is not list:
-            raise ValueError(f"{name} {_must_be('list', value)}")
-    if set(map(type, tau)) - {list}:
-        k = next(k for k, listed in enumerate(tau) if type(listed) is not list)
-        raise ValueError(f"tau of vertex {k} ({tableau_text(g.vertices[k])}) {_must_be('list', tau[k])}")
     return g
-
-
-def _vertex_containers(vertices, k: int) -> None:
-    """
-    Name the container at fault, if any, once the tableau of vertex k could
-    not be read: vertices not a list, vertex k not an object, or its rows
-    or one of them not a list.  A vertex read as keys or characters would
-    get a message about its entries or its shape instead.
-    """
-    if type(vertices) is not list:
-        raise ValueError(f"vertices {_must_be('list', vertices)}")
-    v = vertices[k]
-    if type(v) is not dict:
-        raise ValueError(f"vertex {k} {_must_be('object', v)}")
-    rows = v.get("rows", [])  # a missing key keeps its own message
-    if type(rows) is not list:
-        raise ValueError(f"rows of vertex {k} {_must_be('list', rows)}")
-    if set(map(type, rows)) - {list}:
-        a = next(a for a, row in enumerate(rows) if type(row) is not list)
-        raise ValueError(f"row {a} of vertex {k} {_must_be('list', rows[a])}")
 
 
 _JSON_KINDS = {

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affwgraph
-from affwgraph import regress
+from affwgraph import cli, regress
 from affwgraph.cli import main
 from affwgraph.fixtures import load_fixture_json
 
@@ -91,6 +91,14 @@ class TestVerify:
         code, _ = run(capsys, "verify")
         assert code == 2
 
+    def test_builder_looked_up_on_each_call(self, monkeypatch, tmp_path):
+        # a wrapper patched onto the module, as a tracer installs one, runs
+        calls = []
+        build = cli.build_affine_graph
+        monkeypatch.setattr(cli, "build_affine_graph", lambda shape: calls.append(shape) or build(shape))
+        assert main(["verify", "3", "2", "--output", str(tmp_path / "report.json")]) == 0
+        assert len(calls) == 1
+
 
 # damage to the (3,2) fixture, and the whole error line it exits 2 with
 MALFORMED = {
@@ -161,7 +169,8 @@ MALFORMED = {
         "error: vertex 9 (123/45) has n = 4, not 5",
     ),
     # a JSON object or string where a list belongs, which would be read as
-    # its keys or characters: an edgeless graph, an empty label set
+    # its keys or characters (an edgeless graph, an empty label set), is
+    # named before anything in it is read
     "edges an object": (lambda graph: graph.update(edges={}), "error: edges must be a JSON list, not an object"),
     "edges a string": (lambda graph: graph.update(edges=""), "error: edges must be a JSON list, not a string"),
     "tau entry an object": (
@@ -192,11 +201,33 @@ MALFORMED = {
         lambda graph: graph.update(vertices={"rows": [[1, 2, 3], [4, 5]]}),
         "error: vertices must be a JSON list, not an object",
     ),
-    # the container checks come last, so an input rejected before keeps its message
-    "index set an object": (lambda graph: graph.update(index_set={}), "error: tau value {{5}} outside index set"),
+    # a container is checked before its contents, so it is named before a
+    # fault inside it or in a later part of the graph
+    "index set an object": (
+        lambda graph: graph.update(index_set={}), "error: index_set must be a JSON list, not an object",
+    ),
     "tau entry an object after a repeated label": (
         lambda graph: (graph["tau"].__setitem__(2, {}), graph["tau"].__setitem__(5, [1, 3, 3])),
-        "error: tau of vertex 5 (135/24) repeats a label: [1, 3, 3]",
+        "error: tau of vertex 2 (235/14) must be a JSON list, not an object",
+    ),
+    "vertices an empty object": (
+        lambda graph: graph.update(vertices={}), "error: vertices must be a JSON list, not an object",
+    ),
+    "tau an object": (lambda graph: graph.update(tau={}), "error: tau must be a JSON list, not an object"),
+    "tau entry two characters": (
+        lambda graph: graph["tau"].__setitem__(3, "ab"),
+        "error: tau of vertex 3 (234/15) must be a JSON list, not a string",
+    ),
+    "edges two characters": (
+        lambda graph: graph.update(edges="ab"), "error: edges must be a JSON list, not a string",
+    ),
+    "graph a list": ([load_fixture_json("gamma_3_2")], "error: graph must be a JSON object, not a list"),
+    "edge a list": (
+        lambda graph: graph["edges"].__setitem__(0, [0, 6, 1]), "error: edge 0 must be a JSON object, not a list",
+    ),
+    # a label list past the last vertex is counted, not named by a vertex
+    "tau with a trailing object": (
+        lambda graph: graph["tau"].append({}), "error: 11 tau labels for 10 vertices",
     ),
 }
 
@@ -277,18 +308,19 @@ VERTEX_PATHS = {
 }
 
 
-def _set_in_vertex_3(keys, value):
-    """The damage that puts value at the path keys of vertex 3."""
+def _set_at(keys, value):
+    """The damage that puts value at the path keys of the graph."""
     def damage(graph):
-        parent, key = graph["vertices"], 3
-        for step in keys:
-            parent, key = parent[key], step
-        parent[key] = value
+        *steps, last = keys
+        parent = graph
+        for step in steps:
+            parent = parent[step]
+        parent[last] = value
     return damage
 
 
 MALFORMED.update(
-    (f"vertex 3 {where}: {kind}", (_set_in_vertex_3(keys, value), "error: " + message))
+    (f"vertex 3 {where}: {kind}", (_set_at(("vertices", 3, *keys), value), "error: " + message))
     for where, (keys, messages) in VERTEX_PATHS.items()
     for (kind, value), message in zip(VERTEX_VALUES.items(), messages, strict=True)
 )
@@ -297,7 +329,10 @@ MALFORMED.update(
 @pytest.mark.parametrize("damage, message", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exits_two_with_one_line(capsys, tmp_path, damage, message):
     graph = load_fixture_json("gamma_3_2")
-    damage(graph)
+    if callable(damage):
+        damage(graph)
+    else:  # the whole input, in place of the graph
+        graph = damage
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(graph), encoding="utf-8")
     code = main(["verify", "--input", str(path)])
@@ -305,6 +340,36 @@ def test_malformed_input_exits_two_with_one_line(capsys, tmp_path, damage, messa
     assert code == 2
     assert captured.out == ""
     assert captured.err == message.format(path=path) + "\n"
+
+
+# each JSON kind at each path of the graph outside its vertices: every case
+# exits 2 with one error line, but for the two well-formed graphs, an empty
+# label list and no edges, which fail the checks
+GRAPH_PATHS = {
+    "n": ("n",), "index_set": ("index_set",), "index": ("index_set", 0), "vertices": ("vertices",),
+    "tau": ("tau",), "tau list": ("tau", 3), "tau label": ("tau", 3, 0), "edges": ("edges",),
+    "edge": ("edges", 0), "src": ("edges", 0, "src"), "dst": ("edges", 0, "dst"), "w": ("edges", 0, "w"),
+}
+WELL_FORMED = {"tau list: empty list", "edges: empty list"}
+KIND_AT_PATH = {
+    f"{where}: {kind}": (keys, value) for where, keys in GRAPH_PATHS.items() for kind, value in VERTEX_VALUES.items()
+}
+
+
+@pytest.mark.parametrize("case", KIND_AT_PATH)
+def test_each_kind_at_each_path_keeps_exit_contract(capsys, tmp_path, case):
+    graph = load_fixture_json("gamma_3_2")
+    _set_at(*KIND_AT_PATH[case])(graph)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(graph), encoding="utf-8")
+    code = main(["verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    if case in WELL_FORMED:
+        assert code == 1 and captured.err == ""
+        assert not json.loads(captured.out)["passed"]
+    else:
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing file", "invalid json"])

@@ -7,7 +7,7 @@ Every name a module or the package exports resolves, every name a module
 imports is read there or exported, every private helper and every public
 function or class its module does not export is read outside its own body,
 only the public graph constructor sorts a graph's edges, and only
-graph_from_json reads the rows of a vertex's JSON.
+graph_from_json reads a key of a vertex or an edge of the graph JSON.
 """
 
 import ast
@@ -110,19 +110,30 @@ def test_no_reader_sorts_the_edges():
     assert {(module, scope) for module, scope, _ in sorts} == {("wgraph", "LabeledWGraph.__init__")}, sorts
 
 
+# the keys of a vertex and of an edge in the graph JSON
+FORMAT_KEYS = {"rows", "src", "dst", "w"}
+
+
+def _reads_format_key(node) -> bool:
+    """Whether node is a ["rows"], ["src"], ["dst"] or ["w"] subscript, or a .get of one of them."""
+    if isinstance(node, ast.Subscript):
+        key = node.slice
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+        key = node.args[0] if node.args else None
+    else:
+        return False
+    return isinstance(key, ast.Constant) and key.value in FORMAT_KEYS
+
+
 def test_only_wgraph_reads_the_vertex_json():
-    # the JSON of a vertex is written by graph_to_json and read by
-    # graph_from_json, so a ["rows"] subscript elsewhere is a second reader
+    # the JSON of a graph is written by graph_to_json and read by
+    # graph_from_json, so a read of a vertex's or an edge's key elsewhere
+    # is a second reader (the regress fixture's ["cells"] is another format)
     reads = set()
     for path in sorted((SRC / "affwgraph").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        reads |= {
-            (path.stem, _scope(parents, node), node.lineno)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Subscript)
-            and isinstance(node.slice, ast.Constant) and node.slice.value == "rows"
-        }
+        reads |= {(path.stem, _scope(parents, node), node.lineno) for node in ast.walk(tree) if _reads_format_key(node)}
     assert {(module, scope) for module, scope, _ in reads} == {("wgraph", "graph_from_json")}, reads
 
 
