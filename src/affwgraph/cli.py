@@ -11,7 +11,8 @@ Command-line surface.
     affwgraph regress --max-n 8 --jobs 4
 
 Exit status: 0 on success or a passing verification, 1 on verification
-failure (a JSON report is printed), 2 on usage errors.  The CLI checks
+failure (a JSON report is printed), 2 on usage errors and on running out
+of memory (a shape whose tableaux can be indexed but not held).  The CLI checks
 only what it parses itself (the form of p=K and a..b, and options that do
 not combine); argparse checks the choices, and the library checks values
 where they enter it (the graph JSON, the size of the shape, the variant
@@ -291,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 2
 
 

@@ -9,10 +9,9 @@ what the checks derive from it (the rsk pair of each vertex, which
 vertices are standard, the restriction to [1, n-1] and its cells, the
 simple underlying graph and its components, and the Knuth graph) is
 derived at most once, by the first check using it.  Which entries an edge
-swaps is read from the row-2 masks of its ends, which the graph holds as
-its vertices, not from the rows of its tableaux.  The shift's vertex
-permutation is the graph's shift automorphism, which the graph derives
-once for every check.
+swaps is read from the row-2 masks of its ends, the graph's row codes, not
+from the rows of its tableaux.  The shift's vertex permutation is the
+graph's shift automorphism, which the graph derives once for every check.
 Each finite graph a restriction cell is compared with is built once per
 run (once per process with `--jobs K`, which splits the shapes into K
 batches, at most one per shape, of about equal vertex counts, largest
@@ -122,9 +121,9 @@ class _Shape:
     @property
     def masks(self) -> tuple[int, ...]:
         """
-        The row-2 mask of each vertex, by index (entry e is bit e - 1), as
-        the graph holds them: the checks read which entries an edge swaps
-        from the masks of its ends.
+        The row-2 mask of each vertex, by index (entry e is bit e - 1): the
+        graph's row codes, from which the checks read which entries an edge
+        swaps.
         """
         return self.g.row_codes()[1]
 

@@ -1,16 +1,16 @@
 """
 Partitions, row-standard Young tableaux, cyclic residues and intervals,
 descent sets, standardness, the row codes of tableaux (the row of each
-entry packed bitwise) and the vertex permutation of the cyclic shift on
-them; and _Frozen, the base of the package's immutable value classes.
+entry packed bitwise), the tableaux of row codes and the vertex permutation
+of the cyclic shift on them; and _Frozen, the base of the value classes.
 
 Conventions: rows are numbered from the top starting at 1, a "higher" row
 has a smaller row number, and every tableau stores its rows sorted.
 Residues live in {1, ..., n}.  Tableaux from outside are validated by the
 constructor, which graph_from_json (wgraph, where the vertex JSON format
 lives) calls on each vertex's rows; enumerate_rsyt, the insertion tableau
-of rsk and the tableau action of affperm derive their rows from valid ones
-and store them without checking them again.  The standard tableaux of a shape are those
+of rsk, the tableaux of row codes and the tableau action of affperm derive
+their rows from valid ones and store them without checking them again.  The standard tableaux of a shape are those
 of its row-standard enumeration that is_standard accepts, in that order.
 """
 
@@ -24,7 +24,7 @@ from itertools import chain, combinations, filterfalse
 __all__ = [
     "Partition", "RowStandardTableau",
     "mo", "pint", "affine_descents", "finite_descents",
-    "row_codes", "shift_permutation", "enumerate_rsyt", "enumerate_syt", "is_standard",
+    "row_codes", "from_row_codes", "shift_permutation", "enumerate_rsyt", "enumerate_syt", "is_standard",
     "tableau_text",
 ]
 
@@ -218,6 +218,21 @@ def row_codes(tableaux: Sequence[RowStandardTableau]) -> tuple[int, tuple[int, .
                 code |= a << (e - 1) * width
         codes.append(code)
     return width, tuple(codes)
+
+
+def from_row_codes(parts: tuple[int, ...], codes: Sequence[int]) -> tuple[RowStandardTableau, ...]:
+    """The inverse of row_codes: the tableau of each code, in order, for tableaux of the shape with these parts."""
+    width = (len(parts) - 1).bit_length()
+    low = (1 << width) - 1
+    # each entry and the bit offset of its row in a code
+    offsets = [(e, (e - 1) * width) for e in range(1, sum(parts) + 1)]
+    tableaux = []
+    for code in codes:
+        rows: list[list[int]] = [[] for _ in parts]
+        for e, offset in offsets:
+            rows[code >> offset & low].append(e)
+        tableaux.append(RowStandardTableau._trusted(tuple(map(tuple, rows))))
+    return tuple(tableaux)
 
 
 def shift_permutation(n: int, width: int, codes: Sequence[int]) -> tuple[int, ...] | None:

@@ -10,39 +10,34 @@ row 2 trades places with mo(j) in row 1, gated by the parity and cyclic
 interval conditions (a)-(e) below.
 
 A two-row tableau of size n is determined by its row 2 (row 1 is the
-complement in 1..n), which the affine builders hold as an int mask: entry e
-is bit e - 1.  Vertex k of the shape (a, b) is the k-th b-subset of 1..n in
-lexicographic order, which is the enumerate_rsyt order (reading words begin
-with row 2).  Descents, moves and the second-kind gate are bit operations
-on the mask and its cyclic rotations.  The affine builder computes the moves
-at one vertex per orbit of the shift omega (entry e becomes mo(e+1), bit
-e - 1 of the mask moves to bit e mod n) and carries them round the orbit by
-rotating the masks.  This is exact because every move condition is stated
-in residues mod n.  The masks are enumerated straight from the b-subsets,
-and no tableau is built: the affine and dual-equivalence builders hand the
-masks to the graph, which makes its tableaux, by enumerate_rsyt, only when
-they are first read, and shares them with the graphs derived from it (the
-equal-row variants among them).  The finite builder keeps its own row-2
-masks, bit helper and non-cyclic gate with plain intervals, so it is not
+complement in 1..n), held as an int mask, its row code: entry e is bit
+e - 1.  Vertex k of the shape (a, b) is the k-th b-subset of 1..n in
+lexicographic order, which is the enumerate_rsyt order (reading words
+begin with row 2).  Descents, moves and the second-kind gate are bit
+operations on the mask and its cyclic rotations; the affine builder
+carries the moves round each orbit of the shift by rotating the masks
+(bit e - 1 moves to bit e mod n).  The affine builders enumerate the
+masks straight from the b-subsets and build no tableau.  The finite
+builder takes the masks of the standard tableaux it enumerates, and has
+its own bit helper and non-cyclic gate with plain intervals, so it is not
 derived from the affine one.
 
-Every builder hands its fresh fields to LabeledWGraph._trusted: the masks
-of a two-row shape, or distinct tableaux of one shape from an enumeration,
-descent sets inside the index set and weights 1 (or the variant's int p)
-on vertex pairs in (src, dst) order, so the graph is neither copied,
-checked nor sorted again.  Each builder reaches the sources in order and
-sorts one source's targets.  No builder hands over a derived value: verify
-derives the shift's vertex permutation from the row codes of the vertices
-(for these graphs the masks themselves), not from the affine builder's
-rotation.
+Every builder hands its fresh fields to LabeledWGraph._trusted: the parts
+of the shape and the masks (and the finite builder its tableaux), descent
+sets inside the index set and weights 1 (or the variant's int p) on
+vertex pairs in (src, dst) order, so the graph is neither copied, checked
+nor sorted again.  Each builder reaches the sources in order and sorts
+one source's targets.  No builder hands over a derived value: the graph
+derives the shift's vertex permutation from the masks, not from the
+affine builder's rotation, and its tableaux when they are first read.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .tableaux import Partition, _check_size, enumerate_syt, finite_descents, mo
-from .wgraph import LabeledWGraph, _TwoRowVertices, simple_component_ids
+from .tableaux import Partition, _check_size, enumerate_syt, finite_descents, mo, row_codes
+from .wgraph import LabeledWGraph, simple_component_ids
 
 __all__ = ["build_affine_graph", "build_dual_equiv", "build_equal_variant", "build_finite_graph"]
 
@@ -178,10 +173,10 @@ def _two_row_masks(shape: Partition) -> tuple[int, ...]:
 
 
 def _graph(shape: Partition, masks: tuple[int, ...], descents: list[int], weights) -> LabeledWGraph:
-    """The [1,n]-labeled graph on the tableaux of the shape, held as their row-2 masks."""
+    """The [1,n]-labeled graph on the tableaux of the shape, given by their row-2 masks."""
     n = shape.n
     return LabeledWGraph._trusted(
-        n, frozenset(range(1, n + 1)), _TwoRowVertices(shape, masks), _descent_sets(descents), weights
+        n, frozenset(range(1, n + 1)), shape.parts, masks, _descent_sets(descents), weights
     )
 
 
@@ -290,25 +285,23 @@ def build_finite_graph(shape: Partition) -> LabeledWGraph:
         raise ValueError(f"shape must have at most two rows: {shape}")
     n = shape.n
     vertices = tuple(enumerate_syt(shape))
+    # row 2 of each vertex as a mask, entry e at bit e - 1: its row code (0 for one row, with no move)
+    masks = row_codes(vertices)[1]
     weights: dict[tuple[int, int], int] = {}
-    if shape.is_two_row:
-        # row 2 of each vertex as a mask, entry e at bit e - 1
-        masks = [sum(1 << (e - 1) for e in t.rows[1]) for t in vertices]
-        index = {m: k for k, m in enumerate(masks)}
-        full, below_n = (1 << n) - 1, (1 << (n - 1)) - 1
-        for src, m in enumerate(masks):
-            # first kind: i in row 1 and i + 1 in row 2, for i < n
-            targets = [m ^ (3 << (i - 1)) for i in _finite_entries(~m & m >> 1 & below_n)]
-            # second kind: (b) as a pre-filter, i in row 2 with i + 1 in row 1,
-            # i > 1, and j in row 1 with j - 1 in row 2
-            ends_j = _finite_entries(~m & m << 1 & full)
-            targets += [
-                m ^ (1 << (i - 1)) ^ (1 << (j - 1))
-                for i in _finite_entries(m & ~(m >> 1) & below_n & ~1) for j in ends_j
-                if _finite_second_kind_valid(m, i, j)
-            ]
-            for dst in sorted(index[target] for target in targets if target in index):
-                weights[(src, dst)] = 1
-    return LabeledWGraph._trusted(
-        n, frozenset(range(1, n)), vertices, tuple(finite_descents(t) for t in vertices), weights
-    )
+    index = {m: k for k, m in enumerate(masks)}
+    full, below_n = (1 << n) - 1, (1 << (n - 1)) - 1
+    for src, m in enumerate(masks):
+        # first kind: i in row 1 and i + 1 in row 2, for i < n
+        targets = [m ^ (3 << (i - 1)) for i in _finite_entries(~m & m >> 1 & below_n)]
+        # second kind: (b) as a pre-filter, i in row 2 with i + 1 in row 1,
+        # i > 1, and j in row 1 with j - 1 in row 2
+        ends_j = _finite_entries(~m & m << 1 & full)
+        targets += [
+            m ^ (1 << (i - 1)) ^ (1 << (j - 1))
+            for i in _finite_entries(m & ~(m >> 1) & below_n & ~1) for j in ends_j
+            if _finite_second_kind_valid(m, i, j)
+        ]
+        for dst in sorted(index[target] for target in targets if target in index):
+            weights[(src, dst)] = 1
+    tau = tuple(finite_descents(t) for t in vertices)
+    return LabeledWGraph._trusted(n, frozenset(range(1, n)), shape.parts, masks, tau, weights, vertices)

@@ -478,19 +478,19 @@ def _restriction_fibers(restricted: LabeledWGraph, recording: Iterable[tuple]) -
     """
     classify_restriction_cells on a graph known to be restricted to 1..n-1,
     with recording[k] the rows of the recording tableau of vertex k,
-    returning each cell as its sorted vertex indices.
+    returning each cell as its sorted vertex indices; a vertex is read only
+    to name the shape in an error.
     """
-    shape = restricted.vertices[0].shape
     # rows of the recording tableau -> the vertices it records, in order
     fibers: dict[tuple, list[int]] = {}
     for k, q in enumerate(recording):
         fibers.setdefault(q, []).append(k)
     components = {frozenset(comp) for comp in _scc_partition(restricted)}
     if {frozenset(ids) for ids in fibers.values()} != components:
-        raise CellMismatchError(
-            f"RSK fibers differ from strongly connected components for {shape}"
-        )
-    result = {Partition(tuple(map(len, q))): ids for q, ids in fibers.items()}
-    if len(result) != len(fibers):
-        raise CellMismatchError(f"insertion shapes do not separate the fibers for {shape}")
-    return result
+        fault = "RSK fibers differ from strongly connected components"
+    else:
+        result = {Partition(tuple(map(len, q))): ids for q, ids in fibers.items()}
+        if len(result) == len(fibers):
+            return result
+        fault = "insertion shapes do not separate the fibers"
+    raise CellMismatchError(f"{fault} for {restricted.vertices[0].shape}")

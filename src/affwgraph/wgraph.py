@@ -4,38 +4,29 @@ nonnegative integer weight map, together with the structural operations
 (parabolic restriction, simple underlying graph, cells, simple component
 numbers, reducedness, nb-admissibility) and JSON/DOT export.
 
-The index set is {1..n} for affine graphs and {1..n-1} for finite ones;
-all orderings are canonical so exports are byte-for-byte reproducible:
-every graph holds its edges in (src, dst) order, set where the graph is
-made, so its readers (the adjacency, JSON and DOT) never sort them.
-The values derived from a graph (its adjacency, the shift automorphism
-and its orbit representatives) are computed once per graph object, on
-first use, and kept on it as tuples; a graph keeps nothing else, and what
-a check builds for itself is freed when the check returns.  A graph made
-by a two-row builder holds its vertices as their row-2 masks and makes
-its tableaux in one pass when they are first read; the graphs derived
-from it hold the same store, so the tableaux are made once between them.
-Readers that need only the vertex count take it from the labels.  The
-shift's vertex permutation is derived from the row codes of the vertices
-(tableaux.row_codes), which for such a graph are its masks, so no tableau
-is made for it; the shift automorphism is then tested on the adjacency
-rows: the image {sigma v: w} of the row of u must be the row of sigma u,
-so no weight is looked up by its vertex pair, and each distinct tau set
-is shifted once.  The public
-constructor copies and checks its fields, the vertices in one pass that
-names the first one at fault.  The JSON format of a graph, its vertices
-included, is written and read here only: graph_from_json reads it top
-down in one pass, naming each container of the wrong JSON kind before
-anything in it is read: the graph an object, the index set, the
-vertices, tau and the edges lists, each edge an object (no edge
-repeated), each vertex an object whose rows and each row are lists, then
-built by the tableau constructor (naming the vertex whose rows it
-rejects), and each vertex's label list a list.  It then checks the graph
-with the public constructor, and last each vertex's copy of n and that
-neither the index set nor a label list repeats an entry.  The two-row
-builders, and restrictions, subgraphs and simple underlying graphs of a
-valid graph, are built without either; they keep the order because they
-filter their parent's edges.
+The index set is {1..n} for affine graphs and {1..n-1} for finite ones.
+Every graph holds its edges in (src, dst) order, set where it is made, so
+the adjacency, JSON and DOT never sort them and exports are reproducible.
+It holds its vertices as the parts of their shape and their row codes
+(tableaux.row_codes; for two rows, the row-2 masks), which equality
+compares.  What a graph derives (its tableaux, made from the codes, its
+adjacency, shift automorphism and orbit representatives) is computed once,
+on first use, and kept on it as tuples: a graph holds nothing mutable.
+The shift's vertex permutation is derived from the row codes, and the
+automorphism is tested on the adjacency rows: the image {sigma v: w} of
+the row of u must be the row of sigma u.  The public constructor copies and checks its fields, the vertices in one
+pass that names the first one at fault, and keeps the tableaux it checked.
+The JSON format of a graph is written and read here only: graph_from_json
+reads it top down in one pass, naming each container of the wrong JSON
+kind before anything in it is read (the graph, the index set, vertices,
+tau and edges, each edge, each vertex, its rows and each row, and each
+vertex's label list), and each JSON list or object where a number of a
+set or key belongs.  It builds the vertices with the tableau constructor
+(naming the vertex whose rows it rejects), checks the graph with the
+public constructor, and last each vertex's copy of n and that neither
+the index set nor a label list repeats an entry.  The builders and the
+graphs derived from a valid one are made by LabeledWGraph._trusted,
+unchecked; derived graphs keep the edge order by filtering their parent's.
 """
 
 from __future__ import annotations
@@ -44,9 +35,7 @@ from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
 
-from .tableaux import (
-    Partition, RowStandardTableau, _Frozen, enumerate_rsyt, row_codes, shift_permutation, tableau_text,
-)
+from .tableaux import RowStandardTableau, _Frozen, from_row_codes, row_codes, shift_permutation, tableau_text
 
 # (w, coefficient) pairs, such as the out-edges (w, m(u > w)) of a vertex
 Edges = tuple[tuple[int, int], ...]
@@ -59,26 +48,6 @@ __all__ = [
 ]
 
 
-class _TwoRowVertices:
-    """
-    The vertices of a graph on all the row-standard tableaux of a two-row
-    shape, held as their row-2 masks (entry e is bit e - 1) in the
-    enumerate_rsyt order.  The tableaux are made in one pass, by
-    enumerate_rsyt, when a graph first reads them, and kept here, so that
-    every graph that holds this store reads the same tableaux.
-    """
-
-    __slots__ = ("shape", "masks", "tableaux")
-
-    def __init__(self, shape: Partition, masks: tuple[int, ...]):
-        self.shape, self.masks, self.tableaux = shape, masks, None
-
-    def read(self) -> tuple[RowStandardTableau, ...]:
-        if self.tableaux is None:
-            self.tableaux = tuple(enumerate_rsyt(self.shape))
-        return self.tableaux
-
-
 class LabeledWGraph(_Frozen):
     n: int
     index_set: frozenset[int]
@@ -89,20 +58,21 @@ class LabeledWGraph(_Frozen):
     def __init__(self, n, index_set, vertices, tau, weights):
         # own copies, so that the caller's containers cannot change the graph
         # (a frozenset or tuple of an exact frozenset or tuple is itself)
-        vars(self).update(
-            n=n, index_set=frozenset(index_set), vertices=tuple(vertices), tau=tuple(map(frozenset, tau)),
-            weights=weights,
-        )
+        vars(self).update(n=n, index_set=frozenset(index_set), vertices=tuple(vertices), weights=weights)
+        tau = tuple(tau)
         count = len(self.vertices)
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"n must be a positive integer, not {self.n!r}")
         if not all(type(i) is int and 1 <= i <= self.n for i in self.index_set):
             raise ValueError(f"index set {set(self.index_set)} is not a subset of 1..{self.n}")
-        if len(self.tau) != count:
-            raise ValueError(f"{len(self.tau)} tau labels for {count} vertices")
+        if len(tau) != count:
+            raise ValueError(f"{len(tau)} tau labels for {count} vertices")
+        # each label list is made a set once they are counted, so that one
+        # past the last vertex is counted, whatever it holds
+        vars(self)["tau"] = tuple(map(frozenset, tau))
         # vertex 0's size, then each vertex's shape against vertex 0's (a
         # vertex of that shape has its size), then whether it is repeated
-        first = tuple(map(len, self.vertices[0].rows)) if count else None
+        first = tuple(map(len, self.vertices[0].rows)) if count else ()
         seen = set()
         for k, t in enumerate(self.vertices):
             rows = t.rows
@@ -132,41 +102,45 @@ class LabeledWGraph(_Frozen):
         # given in that order are copied as they are
         keys = list(self.weights)
         weights = dict(self.weights) if keys == sorted(keys) else dict(sorted(self.weights.items()))
-        object.__setattr__(self, "weights", MappingProxyType(weights))
+        # the row codes are computed from the tableaux when first read
+        vars(self).update(_parts=first, weights=MappingProxyType(weights))
 
     @classmethod
-    def _trusted(cls, n, index_set, vertices, tau, weights) -> "LabeledWGraph":
+    def _trusted(cls, n, index_set, parts, codes, tau, weights, tableaux=None) -> "LabeledWGraph":
         """
         The graph with these fields, not copied or checked again: only for a
-        graph derived from a valid one (a subgraph, a restriction) or made
-        by a two-row builder, with n a positive int, index_set a frozenset
-        of ints in 1..n, vertices a tuple of distinct tableaux of one shape
-        of size n, or the _TwoRowVertices of a two-row shape of size n, tau
-        a tuple of frozensets of the index set, and weights a fresh dict of
-        nonzero int weights on vertex pairs, in (src, dst) order, that
-        nothing else holds, wrapped read-only as the public constructor
-        wraps its copy.
+        graph derived from a valid one or made by a builder, with n a
+        positive int, index_set a frozenset of ints in 1..n, parts the shape
+        of the vertices (() for none), codes their distinct row codes in any
+        order, tau a tuple of frozensets of the index set, and weights a
+        fresh dict of nonzero int weights in (src, dst) order that nothing
+        else holds.  The tableaux of the codes, if given, are the vertices.
         """
         g = object.__new__(cls)
-        # a store of row-2 masks stands in for the vertices until they are read
-        held = "_store" if type(vertices) is _TwoRowVertices else "vertices"
-        vars(g).update({held: vertices}, n=n, index_set=index_set, tau=tau, weights=MappingProxyType(weights))
+        vars(g).update(
+            n=n, index_set=index_set, _parts=parts, _codes=codes, tau=tau, weights=MappingProxyType(weights)
+        )
+        if tableaux is not None:
+            vars(g)["vertices"] = tableaux
         return g
 
     def _derived(self, index_set, tau, weights) -> "LabeledWGraph":
-        """
-        The graph on this graph's vertices with these fields, as _trusted
-        takes them.  It holds this graph's store of row-2 masks, if it has
-        one, so that the tableaux are made once between them, whichever
-        graph reads them first.
-        """
-        store = vars(self).get("_store")
-        return LabeledWGraph._trusted(self.n, index_set, self.vertices if store is None else store, tau, weights)
+        """The graph on this graph's vertices with these fields, as _trusted takes them."""
+        return LabeledWGraph._trusted(self.n, index_set, self._parts, self._codes, tau, weights)
 
     @cached_property
     def vertices(self) -> tuple[RowStandardTableau, ...]:
-        """Made from the store of row-2 masks on first read; any other graph sets them when it is made."""
-        return self._store.read()
+        """Made from the row codes on first read, unless the graph was made with its tableaux."""
+        return from_row_codes(self._parts, self._codes)
+
+    @cached_property
+    def _codes(self) -> tuple[int, ...]:
+        """Computed from the tableaux on first read, unless the graph was made with its codes."""
+        return row_codes(self.vertices)[1]
+
+    def _key(self) -> tuple:
+        # the shape and the row codes stand for the vertices, so that no tableau is made to compare
+        return self.n, self.index_set, self._parts, self._codes, self.tau, self.weights
 
     def __reduce__(self):
         # rebuilt from the fields: the weight proxy cannot be pickled, and
@@ -237,13 +211,9 @@ class LabeledWGraph(_Frozen):
         return tuple(representatives)
 
     def row_codes(self) -> tuple[int, tuple[int, ...]]:
-        """
-        The width and the row code of each vertex, as tableaux.row_codes
-        gives them: a graph held as row-2 masks gives its masks (width 1)
-        and makes no tableau, any other computes them from its tableaux.
-        """
-        store = vars(self).get("_store")
-        return row_codes(self.vertices) if store is None else (1, store.masks)
+        """The width and the row code of each vertex, as tableaux.row_codes gives them."""
+        parts = self._parts
+        return (len(parts) - 1).bit_length() if parts else 0, self._codes
 
     def vertex_index(self) -> dict[RowStandardTableau, int]:
         return {t: k for k, t in enumerate(self.vertices)}
@@ -267,14 +237,12 @@ def full_subgraph(g: LabeledWGraph, vertex_ids: list[int]) -> LabeledWGraph:
     renumber = {old: new for new, old in enumerate(ids)}
     # the out-edges of the kept vertices only, by source and target
     adj = g.adjacency
-    weights = {
-        (renumber[u], renumber[v]): w
-        for u in ids
-        for v, w in adj[u]
-        if v in renumber
-    }
+    weights = {(renumber[u], renumber[v]): w for u in ids for v, w in adj[u] if v in renumber}
+    codes, vertices = g._codes, g.vertices
+    # a graph with no vertex has no shape, as the public constructor makes it
     return LabeledWGraph._trusted(
-        g.n, g.index_set, tuple(g.vertices[k] for k in ids), tuple(g.tau[k] for k in ids), weights
+        g.n, g.index_set, g._parts if ids else (), tuple(codes[k] for k in ids), tuple(g.tau[k] for k in ids),
+        weights, tuple(vertices[k] for k in ids),
     )
 
 
@@ -426,7 +394,12 @@ def graph_from_json(data: dict) -> LabeledWGraph:
         if type(e) is not dict:
             raise ValueError(f"edge {k} {_must_be('object', e)}")
         edge = (e["src"], e["dst"])
-        if edge in weights:
+        try:
+            repeated = edge in weights
+        except TypeError:
+            _name_unhashable((f"{key} of edge {k}", end) for key, end in zip(("src", "dst"), edge))
+            raise
+        if repeated:
             raise ValueError(f"duplicate edge {edge}")
         weights[edge] = e["w"]
     tableaux = []
@@ -447,7 +420,15 @@ def graph_from_json(data: dict) -> LabeledWGraph:
     for k, (t, listed) in enumerate(zip(tableaux, tau)):
         if type(listed) is not list:
             raise ValueError(f"tau of vertex {k} ({tableau_text(t)}) {_must_be('list', listed)}")
-    g = LabeledWGraph(n=data["n"], index_set=index_set, vertices=tableaux, tau=tau, weights=weights)
+    try:
+        g = LabeledWGraph(n=data["n"], index_set=index_set, vertices=tableaux, tau=tau, weights=weights)
+    except TypeError:  # raised where the constructor makes the index set or a label list a set
+        _name_unhashable((f"entry {a} of index_set", i) for a, i in enumerate(index_set))
+        _name_unhashable(
+            (f"label {a} of tau of vertex {k} ({tableau_text(t)})", label)
+            for k, (t, listed) in enumerate(zip(tableaux, tau)) for a, label in enumerate(listed)
+        )
+        raise
     # each vertex repeats n; read once the graph is accepted, so that the
     # constructor names a vertex of another size first
     for k, (t, v) in enumerate(zip(g.vertices, vertices)):
@@ -473,6 +454,13 @@ _JSON_KINDS = {
 def _must_be(kind: str, value) -> str:
     """The end of the message for a value of graph_from_json where a JSON `kind` belongs."""
     return f"must be a JSON {kind}, not {_JSON_KINDS.get(type(value), type(value).__name__)}"
+
+
+def _name_unhashable(places) -> None:
+    """Name the first (place, value) pair whose value is a JSON list or object, which no set or key holds."""
+    for where, value in places:
+        if type(value) in (list, dict):
+            raise ValueError(f"{where} {_must_be('number', value)}") from None
 
 
 def graph_to_dot(g: LabeledWGraph, name: str = "wgraph") -> str:

@@ -52,6 +52,17 @@ class TestBuild:
         code, _ = run(capsys, "build", "2", "3")
         assert code == 2
 
+    def test_out_of_memory_exits_two_with_one_line(self, capsys, monkeypatch):
+        # a shape that passes the size check but whose tableaux cannot be held
+        def build(shape):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_affine_graph", build)
+        code = main(["build", "1000000000000", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: out of memory\n"
+
 
 class TestVerify:
     def test_pass(self, capsys):
@@ -228,6 +239,33 @@ MALFORMED = {
     # a label list past the last vertex is counted, not named by a vertex
     "tau with a trailing object": (
         lambda graph: graph["tau"].append({}), "error: 11 tau labels for 10 vertices",
+    ),
+    "tau with a trailing null": (
+        lambda graph: graph["tau"].append(None), "error: 11 tau labels for 10 vertices",
+    ),
+    # a JSON list or object where a set member or key belongs, which cannot
+    # be hashed, is named with its place; a hashable one keeps the
+    # constructor's message ("endpoint a string" below)
+    "src a list": (
+        lambda graph: graph["edges"][0].update(src=[0]), "error: src of edge 0 must be a JSON number, not a list",
+    ),
+    "dst an object": (
+        lambda graph: graph["edges"][2].update(dst={}), "error: dst of edge 2 must be a JSON number, not an object",
+    ),
+    "index set entry a list": (
+        lambda graph: graph["index_set"].__setitem__(1, [1]),
+        "error: entry 1 of index_set must be a JSON number, not a list",
+    ),
+    "tau label an object": (
+        lambda graph: graph["tau"][3].__setitem__(0, {}),
+        "error: label 0 of tau of vertex 3 (234/15) must be a JSON number, not an object",
+    ),
+    "tau label a list after a label": (
+        lambda graph: graph["tau"][3].append([1]),
+        "error: label 1 of tau of vertex 3 (234/15) must be a JSON number, not a list",
+    ),
+    "endpoint a string": (
+        lambda graph: graph["edges"][0].update(src="a"), "error: edge ('a', 6) has an endpoint outside 0..9",
     ),
 }
 

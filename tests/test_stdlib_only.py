@@ -6,8 +6,9 @@ and neither dataclasses nor inspect.
 Every name a module or the package exports resolves, every name a module
 imports is read there or exported, every private helper and every public
 function or class its module does not export is read outside its own body,
-only the public graph constructor sorts a graph's edges, and only
-graph_from_json reads a key of a vertex or an edge of the graph JSON.
+only the public graph constructor sorts a graph's edges, only
+graph_from_json reads a key of a vertex or an edge of the graph JSON, and
+only wgraph reads the shape and row codes a graph holds.
 """
 
 import ast
@@ -135,6 +136,22 @@ def test_only_wgraph_reads_the_vertex_json():
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         reads |= {(path.stem, _scope(parents, node), node.lineno) for node in ast.walk(tree) if _reads_format_key(node)}
     assert {(module, scope) for module, scope, _ in reads} == {("wgraph", "graph_from_json")}, reads
+
+
+def test_only_wgraph_reads_the_held_row_codes():
+    # a graph holds its shape's parts and its vertices' row codes in _parts
+    # and _codes: the builders hand them to LabeledWGraph._trusted, and the
+    # other modules read row_codes() or the vertices, so that the vertex
+    # representation is known to one module only
+    reads = set()
+    for path in sorted((SRC / "affwgraph").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads |= {
+            (path.stem, node.attr, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in {"_parts", "_codes"}
+        }
+    assert {module for module, _, _ in reads} == {"wgraph"}, reads
 
 
 def _definitions_and_reads():

@@ -1,4 +1,5 @@
 import gc
+import random
 import sys
 from itertools import combinations
 from math import factorial, prod
@@ -16,7 +17,7 @@ from affwgraph import (
     pint,
     rsk,
 )
-from affwgraph.tableaux import _check_size, row_codes, shift_permutation, tableau_text
+from affwgraph.tableaux import _check_size, from_row_codes, row_codes, shift_permutation, tableau_text
 from affwgraph.wgraph import graph_from_json
 
 from conftest import all_partitions, dominance_leq, exactly, is_knuth_move, omega_shift, two_row_shapes
@@ -117,6 +118,22 @@ class TestOmega:
             for t in enumerate_rsyt(shape):
                 shifted = frozenset(mo(i + 1, t.n) for i in affine_descents(t))
                 assert affine_descents(omega_shift(t)) == shifted
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_from_row_codes_inverts_row_codes(n):
+    # every shape of size n, its codes in the enumeration order and shuffled
+    rng = random.Random(n)
+    for parts in all_partitions(n):
+        tabs = enumerate_rsyt(Partition(parts))
+        _, codes = row_codes(tabs)
+        made = from_row_codes(parts, codes)
+        assert type(made) is tuple and list(made) == tabs, parts
+        assert all(type(t) is RowStandardTableau and type(t.rows) is tuple for t in made)
+        order = list(range(len(tabs)))
+        rng.shuffle(order)
+        assert list(from_row_codes(parts, [codes[k] for k in order])) == [tabs[k] for k in order], parts
+    assert from_row_codes((n,), []) == ()
 
 
 class TestKnuth:

@@ -25,6 +25,8 @@ from affwgraph import (
     mo,
     restrict_parabolic,
 )
+from affwgraph.cli import main
+from affwgraph.fixtures import load_fixture
 from affwgraph.regress import _mutation_sensitivity, _Shape
 from affwgraph.tableaux import pint, row_codes
 from affwgraph.tworow import (
@@ -474,8 +476,9 @@ def test_second_kind_gates_match_literal_oracles():
     assert all(valid[kind, verdict] for kind in ("affine", "finite") for verdict in (True, False))
 
 
-# the two-row builders hold their vertices as row-2 masks: a graph makes its
-# tableaux when it first reads them, and a graph derived from it reads the same
+# the two-row builders hand over the row-2 masks of their vertices: a graph
+# makes its tableaux from them when it first reads them, and a graph derived
+# from it holds the same masks and makes its own tableaux alike
 
 
 @pytest.fixture
@@ -525,12 +528,15 @@ DERIVED_GRAPHS = {
 @pytest.mark.parametrize("derive", DERIVED_GRAPHS.values(), ids=DERIVED_GRAPHS.keys())
 @pytest.mark.parametrize("build", [build_affine_graph, build_dual_equiv], ids=["affine", "dual-equiv"])
 def test_derived_graphs_read_the_parents_tableaux(made, build, derive, parent_first):
+    # no tableau until a graph reads its vertices, then one per vertex, and
+    # the derived graph's are equal to the parent's
     g = build(Partition((4, 3)))
     h = derive(g)
+    assert made == []
     first, second = (g, h) if parent_first else (h, g)
-    assert len(first.vertices) == len(second.vertices) == 35
-    assert all(s is t for s, t in zip(h.vertices, g.vertices))
-    assert len(made) == 35
+    assert len(first.vertices) == len(made) == 35
+    assert len(second.vertices) == 35 and len(made) == 70
+    assert h.vertices == g.vertices
 
 
 @pytest.mark.parametrize("p", [0, 2])
@@ -544,13 +550,38 @@ def test_equal_variant_reads_its_affine_graphs_tableaux(made, monkeypatch, p):
     monkeypatch.setattr(tworow, "build_affine_graph", kept)
     variant = build_equal_variant(Partition((3, 3)), p)
     assert made == []
-    assert all(s is t for s, t in zip(variant.vertices, parents[0].vertices))
     assert len(variant.vertices) == len(made) == 20
+    assert variant.vertices == parents[0].vertices and len(made) == 40
 
 
 def test_mutation_check_makes_no_tableau(made):
     silent, total = _mutation_sensitivity(_Shape(Partition((4, 2)), build_finite_graph))
     assert silent == [] and total > 0 and made == []
+
+
+def test_comparing_with_a_fixture_makes_no_tableau_for_the_built_graph(made):
+    fixture = load_fixture("gamma_3_2")
+    assert len(made) == 10
+    g = build_affine_graph(Partition((3, 2)))
+    assert g == fixture and fixture == g
+    assert len(made) == 10 and "vertices" not in vars(g)
+
+
+# the most tableaux each command may make: verify reads no vertex, regress
+# and cells read the vertices for rsk (which makes the insertion tableaux),
+# and cells prints them
+MADE_AT_MOST = {
+    "verify 7 6": 0,
+    "regress --max-n 10": 5942,
+    "cells 6 6 --restrict 1..11": 1848,
+}
+
+
+@pytest.mark.parametrize("command", MADE_AT_MOST)
+def test_commands_make_at_most_their_tableaux(made, capsys, command):
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out
+    assert len(made) <= MADE_AT_MOST[command]
 
 
 @pytest.mark.parametrize("shape", two_row_shapes(3, 12), ids=str)

@@ -10,9 +10,13 @@ from affwgraph import (
     LabeledWGraph,
     Partition,
     RowStandardTableau,
+    affine_descents,
     build_affine_graph,
     build_dual_equiv,
+    build_equal_variant,
+    build_finite_graph,
     cells,
+    enumerate_rsyt,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -232,6 +236,30 @@ class TestPredicates:
         assert is_reduced(g) and is_nb_admissible(g)
 
 
+# the row codes and shift permutation of the graphs of
+# test_json_graph_of_one_or_three_rows_keeps_codes_and_shift
+ROW_CODES_READ = {
+    (5,): ((0, (0,)), (0,)),
+    (2, 1, 1): (
+        (2, (6, 18, 66, 9, 24, 72, 33, 36, 96, 129, 132, 144)),
+        (4, 5, 3, 7, 8, 6, 10, 11, 9, 0, 1, 2),
+    ),
+    (2, 2, 1): (
+        (
+            2,
+            (
+                22, 70, 262, 82, 274, 322, 25, 73, 265, 88, 280, 328, 37, 97, 289,
+                100, 292, 352, 133, 145, 385, 148, 388, 400, 517, 529, 577, 532, 580, 592,
+            ),
+        ),
+        (
+            9, 10, 6, 11, 7, 8, 15, 16, 12, 17, 13, 14, 21, 22, 18,
+            23, 19, 20, 27, 28, 24, 29, 25, 26, 0, 1, 2, 3, 4, 5,
+        ),
+    ),
+}
+
+
 class TestSerialization:
     def test_json_round_trip(self, g32):
         data = graph_to_json(g32)
@@ -272,6 +300,19 @@ class TestSerialization:
     def test_dual_equiv_matches_underlying(self, g32):
         assert build_dual_equiv(Partition((3, 2))).weights == simple_underlying(g32).weights
 
+    @pytest.mark.parametrize("parts", list(ROW_CODES_READ), ids=str)
+    def test_json_graph_of_one_or_three_rows_keeps_codes_and_shift(self, parts):
+        # every tableau of the shape, labelled by its affine descents, no edge:
+        # the codes are computed from the tableaux read, and the shift's
+        # vertex permutation from the codes
+        tableaux = enumerate_rsyt(Partition(parts))
+        n = sum(parts)
+        g = LabeledWGraph(n, range(1, n + 1), tableaux, [affine_descents(t) for t in tableaux], {})
+        read = graph_from_json(graph_to_json(g))
+        codes, sigma = ROW_CODES_READ[parts]
+        assert read.row_codes() == codes and read.shift_automorphism == sigma
+        assert read == g and read.vertices == g.vertices
+
 
 def _tiny(tau, weights):
     from affwgraph import RowStandardTableau
@@ -295,6 +336,13 @@ def test_full_subgraph_keeps_internal_weights(g32):
         assert g32.weights[
             g32.vertex_index()[sub.vertices[u]], g32.vertex_index()[sub.vertices[v]]
         ] == w
+
+
+def test_empty_full_subgraph_is_the_empty_graph(g32):
+    # a graph with no vertex has no shape, however it is made
+    empty = full_subgraph(g32, [])
+    assert empty == LabeledWGraph(g32.n, g32.index_set, [], [], {})
+    assert empty.vertices == () and empty.row_codes() == (0, ())
 
 
 @pytest.mark.parametrize("ids", [[0, 0, 1], [0, 99], [-1, 0]], ids=["repeated", "too large", "negative"])
@@ -464,6 +512,35 @@ def _frozen(value) -> bool:
     return value is None or type(value) is int
 
 
+def _without_first_edge(g):
+    weights = dict(g.weights)
+    del weights[next(iter(weights))]
+    return g._derived(g.index_set, g.tau, weights)
+
+
+BUILDERS = {
+    "affine": lambda: build_affine_graph(Partition((3, 3))),
+    "dual-equiv": lambda: build_dual_equiv(Partition((3, 3))),
+    "finite": lambda: build_finite_graph(Partition((3, 3))),
+    "p=0": lambda: build_equal_variant(Partition((3, 3)), 0),
+    "p=2": lambda: build_equal_variant(Partition((3, 3)), 2),
+}
+DERIVED_FROM = {
+    "restriction": lambda g: restrict_parabolic(g, range(1, g.n)),
+    "simple underlying": simple_underlying,
+    "single-edge deletion": _without_first_edge,
+    "cell": lambda g: cells(g)[0],
+}
+FROM_BUILDERS = {
+    **BUILDERS,
+    **{
+        f"{derived} of {built}": (lambda build=build, derive=derive: derive(build()))
+        for built, build in BUILDERS.items()
+        for derived, derive in DERIVED_FROM.items()
+    },
+}
+
+
 class TestDerivedValues:
     def test_computed_once_and_immutable(self, g33):
         for name in DERIVED:
@@ -488,6 +565,17 @@ class TestDerivedValues:
         assert set(DERIVED) <= vars(g).keys()
         for name, value in vars(g).items():
             assert value is g.weights or type(value) in (tuple, frozenset, int, type(None)), name
+        assert type(g.weights) is MappingProxyType
+
+    @pytest.mark.parametrize("name", FROM_BUILDERS)
+    def test_builder_and_derived_graphs_leave_only_frozen_values(self, name):
+        # the graphs of every builder and the graphs derived from them, after
+        # the checks and a read of the vertices and row codes
+        g = FROM_BUILDERS[name]()
+        check_all_rules(g), check_hecke_relations(g), hecke_holds(g)
+        assert g.vertices and g.row_codes()
+        for key, value in vars(g).items():
+            assert value is g.weights or type(value) in (tuple, frozenset, int, type(None)), (name, key)
         assert type(g.weights) is MappingProxyType
 
     def test_pickle_and_copy(self, g33):
