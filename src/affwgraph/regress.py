@@ -20,7 +20,7 @@ shapes first) by a cache that lives while the shapes of its size are swept.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from functools import cache, cached_property
 from itertools import groupby, repeat
 from math import comb
@@ -47,6 +47,7 @@ from .verify import (
     rules_hold,
 )
 from .wgraph import (
+    Edges,
     LabeledWGraph,
     _component_ids,
     graph_from_json,
@@ -142,14 +143,13 @@ class _Shape:
         return _restriction_fibers(self.restricted, [pair.q for pair in self.insertion])
 
     @cached_property
-    def simple(self) -> tuple[Mapping[tuple[int, int], int], list[int]]:
+    def simple(self) -> tuple[tuple[Edges, ...], list[int]]:
         """
-        The weights of the simple underlying graph and the component number
-        of each vertex in it.  The graph itself is not kept: its adjacency
-        serves only the numbering.
+        The out-edge rows of the simple underlying graph and the component
+        number of each vertex in it.  The graph itself is not kept.
         """
         simple = simple_underlying(self.g)
-        return simple.weights, _component_ids(simple)
+        return simple.adjacency, _component_ids(simple)
 
     @cached_property
     def standard(self) -> list[bool]:
@@ -173,16 +173,17 @@ def _mutation_sensitivity(s: _Shape) -> tuple[list[str], int]:
     _, comp = s.simple
     silent = []
     total = 0
-    for edge in g.weights:
-        if comp[edge[0]] != comp[edge[1]]:
-            continue
-        total += 1
-        # a fresh dict: the weights of a valid graph minus one key
-        weights = dict(g.weights)
-        del weights[edge]
-        mutated = g._derived(g.index_set, g.tau, weights)
-        if rules_hold(mutated) and hecke_holds(mutated):
-            silent.append(f"{s.shape}:{edge}")
+    adj = g.adjacency
+    for u, row in enumerate(adj):
+        for k, (v, _) in enumerate(row):
+            if comp[u] != comp[v]:
+                continue
+            total += 1
+            # the rows of a valid graph with edge k of row u deleted: one
+            # row replaced, the others shared
+            mutated = g._derived(g.index_set, g.tau, adj[:u] + (row[:k] + row[k + 1:],) + adj[u + 1:])
+            if rules_hold(mutated) and hecke_holds(mutated):
+                silent.append(f"{s.shape}:{(u, v)}")
     return silent, total
 
 
@@ -196,8 +197,8 @@ def _underlying_and_omega(s: _Shape) -> tuple[list[str], int]:
     checks that the moves turn with the shift.
     """
     bad = []
-    simple_weights, _ = s.simple
-    if simple_weights != s.knuth.weights:
+    simple_rows, _ = s.simple
+    if simple_rows != s.knuth.adjacency:
         bad.append(f"{s.shape}:underlying")
     g = s.g
     sigma = g.shift_automorphism
@@ -246,8 +247,11 @@ def _restriction_cells(s: _Shape) -> tuple[list[str], int]:
         renumber = dict(zip(ids, remap))
         if any(tau[k] != target.tau[renumber[k]] for k in ids):
             bad.append(f"{s.shape}:{key}:tau")
-        mapped = {(renumber[u], renumber[v]): w for u in ids for v, w in adjacency[u] if v in renumber}
-        if mapped != target.weights:
+        # the out-edges of each cell vertex, carried onto the target's vertices
+        mapped = [()] * len(ids)
+        for u in ids:
+            mapped[renumber[u]] = tuple(sorted([(renumber[v], w) for v, w in adjacency[u] if v in renumber]))
+        if tuple(mapped) != target.adjacency:
             bad.append(f"{s.shape}:{key}:weights")
     if fixture is not None and {",".join(map(str, key.parts)): ids for key, ids in cells.items()} != fixture["cells"]:
         reference.append("(3,2):cell-partition")
@@ -262,15 +266,16 @@ def _finite_move_labels(s: _Shape) -> tuple[list[str], int]:
     masks, standard = s.masks, s.standard
     bad = []
     checked = 0
-    for (u, v) in s.restricted.weights:
-        if not (standard[u] and standard[v]):
-            continue
-        # j leaves row 1 (enters row 2) and i leaves row 2
-        j = (masks[v] & ~masks[u]).bit_length()
-        i = (masks[u] & ~masks[v]).bit_length()
-        checked += 1
-        if j < i - 1:
-            bad.append(f"{s.shape}:{(u, v)}:j={j},i={i}")
+    for u, row in enumerate(s.restricted.adjacency):
+        for v, _ in row:
+            if not (standard[u] and standard[v]):
+                continue
+            # j leaves row 1 (enters row 2) and i leaves row 2
+            j = (masks[v] & ~masks[u]).bit_length()
+            i = (masks[u] & ~masks[v]).bit_length()
+            checked += 1
+            if j < i - 1:
+                bad.append(f"{s.shape}:{(u, v)}:j={j},i={i}")
     return bad, checked
 
 
@@ -296,14 +301,15 @@ def _shift_suite(s: _Shape) -> tuple[list[str], int]:
             if comp[sigma[k]] == comp[k]:
                 bad.append(f"{shape}:{t}:shift-preserves-component")
     n, masks = shape.n, s.masks
-    for (u, v) in s.g.weights:
-        if comp[u] == comp[v]:
-            continue
-        # first kind: one entry x leaves row 1 and mo(x+1) leaves row 2,
-        # the bit of x rotated one step up
-        x = masks[v] & ~masks[u]
-        if x & (x - 1) or masks[u] & ~masks[v] != _rotate(x, n - 1, n):
-            bad.append(f"{shape}:{(u, v)}:not-first-kind")
+    for u, row in enumerate(s.g.adjacency):
+        for v, _ in row:
+            if comp[u] == comp[v]:
+                continue
+            # first kind: one entry x leaves row 1 and mo(x+1) leaves row 2,
+            # the bit of x rotated one step up
+            x = masks[v] & ~masks[u]
+            if x & (x - 1) or masks[u] & ~masks[v] != _rotate(x, n - 1, n):
+                bad.append(f"{shape}:{(u, v)}:not-first-kind")
     return bad, 0
 
 

@@ -24,12 +24,14 @@ derived from the affine one.
 
 Every builder hands its fresh fields to LabeledWGraph._trusted: the parts
 of the shape and the masks (and the finite builder its tableaux), descent
-sets inside the index set and weights 1 (or the variant's int p) on
-vertex pairs in (src, dst) order, so the graph is neither copied, checked
-nor sorted again.  Each builder reaches the sources in order and sorts
-one source's targets.  No builder hands over a derived value: the graph
-derives the shift's vertex permutation from the masks, not from the
-affine builder's rotation, and its tableaux when they are first read.
+sets inside the index set and the out-edge rows, so the graph is neither
+copied, checked nor sorted again.  Each builder reaches the sources in
+order and sorts one source's targets into its row, as (target, 1) pairs,
+one per target vertex, shared by the rows it is in (the variant keeps its
+affine graph's pairs and shares one (target, p) pair per target).  No
+builder hands over a derived value: the graph derives the shift's vertex
+permutation from the masks, not from the affine builder's rotation, and
+its tableaux when they are first read.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .tableaux import Partition, _check_size, enumerate_syt, finite_descents, mo, row_codes
-from .wgraph import LabeledWGraph, simple_component_ids
+from .wgraph import Edges, LabeledWGraph, _shared_rows, simple_component_ids
 
 __all__ = ["build_affine_graph", "build_dual_equiv", "build_equal_variant", "build_finite_graph"]
 
@@ -124,12 +126,13 @@ def _descent_sets(descents: list[int]) -> tuple[frozenset[int], ...]:
     return tuple(sets[d] for d in descents)
 
 
-def _orbit_weights(masks: tuple[int, ...], n: int) -> dict[tuple[int, int], int]:
+def _orbit_weights(masks: tuple[int, ...], n: int) -> tuple[Edges, ...]:
     """
-    The weight-1 edges of the affine graph on the row-2 masks of size n, in
-    (src, dst) order, from the moves at the least vertex of each orbit of
-    the shift, rotated round the orbit.  A function of its own, so that its
-    index and per-vertex lists are freed before the builder's next step.
+    The out-edge rows of the affine graph on the row-2 masks of size n, each
+    a tuple of (target, 1) pairs sorted by target, from the moves at the
+    least vertex of each orbit of the shift, rotated round the orbit.  A
+    function of its own, so that its index and per-vertex lists are freed
+    before the builder's next step.
     """
     index = {m: k for k, m in enumerate(masks)}
     # moved[k] holds the target masks of the least vertex of k's orbit, and
@@ -146,12 +149,13 @@ def _orbit_weights(masks: tuple[int, ...], n: int) -> dict[tuple[int, int], int]
                 moved[v], turn[v] = targets, r
                 r, w = r + 1, _rotate(w, 1, n)
     full = (1 << n) - 1
+    # one (target, 1) pair per vertex, shared by the rows it is in
+    ones = [(k, 1) for k in range(len(masks))]
     # the rotation is _rotate(t, r, n), inline: it runs once per edge
-    return {
-        (src, dst): 1
-        for src, (targets, r) in enumerate(zip(moved, turn))
-        for dst in sorted([index[(t >> r | t << (n - r)) & full] for t in targets])
-    }
+    return tuple(
+        tuple([ones[dst] for dst in sorted([index[(t >> r | t << (n - r)) & full] for t in targets])])
+        for targets, r in zip(moved, turn)
+    )
 
 
 def _two_row_masks(shape: Partition) -> tuple[int, ...]:
@@ -172,11 +176,11 @@ def _two_row_masks(shape: Partition) -> tuple[int, ...]:
     return tuple(map(sum, combinations(bits, b)))
 
 
-def _graph(shape: Partition, masks: tuple[int, ...], descents: list[int], weights) -> LabeledWGraph:
+def _graph(shape: Partition, masks: tuple[int, ...], descents: list[int], rows) -> LabeledWGraph:
     """The [1,n]-labeled graph on the tableaux of the shape, given by their row-2 masks."""
     n = shape.n
     return LabeledWGraph._trusted(
-        n, frozenset(range(1, n + 1)), shape.parts, masks, _descent_sets(descents), weights
+        n, frozenset(range(1, n + 1)), shape.parts, masks, _descent_sets(descents), rows
     )
 
 
@@ -199,9 +203,11 @@ def build_dual_equiv(shape: Partition) -> LabeledWGraph:
     index = {m: k for k, m in enumerate(masks)}
     descents = [_descent_mask(m, n) for m in masks]
     top = 1 << (n - 1)
+    # one (target, 1) pair per vertex, shared by the rows it is in
+    ones = [(k, 1) for k in range(len(masks))]
     # a Knuth move swaps mo(i) and mo(i+1) from different rows and leaves
     # incomparable descent sets; swapping them back is a Knuth move too
-    weights: dict[tuple[int, int], int] = {}
+    rows = []
     for u, m in enumerate(masks):
         targets = []
         split = m ^ _rotate(m, 1, n)
@@ -211,9 +217,8 @@ def build_dual_equiv(shape: Partition) -> LabeledWGraph:
             v = index[m ^ low ^ (1 if low == top else low << 1)]
             if descents[u] & ~descents[v] and descents[v] & ~descents[u]:
                 targets.append(v)
-        for v in sorted(targets):
-            weights[(u, v)] = 1
-    return _graph(shape, masks, descents, weights)
+        rows.append(tuple([ones[v] for v in sorted(targets)]))
+    return _graph(shape, masks, descents, tuple(rows))
 
 
 def build_equal_variant(shape: Partition, p: int) -> LabeledWGraph:
@@ -231,14 +236,17 @@ def build_equal_variant(shape: Partition, p: int) -> LabeledWGraph:
         raise ValueError(f"variant weight must be nonnegative: {p}")
     g = build_affine_graph(shape)
     comp = simple_component_ids(g)
-    weights = {}
-    for (u, v), w in g.weights.items():
-        if comp[u] != comp[v]:
-            if p == 0:
-                continue
-            w = p
-        weights[(u, v)] = w
-    return g._derived(g.index_set, g.tau, weights)
+    rows = []
+    for u, row in enumerate(g.adjacency):
+        kept = []
+        for e in row:
+            if comp[e[0]] != comp[u]:
+                if p == 0:
+                    continue
+                e = (e[0], p)
+            kept.append(e)
+        rows.append(kept)
+    return g._derived(g.index_set, g.tau, _shared_rows(rows))
 
 
 def _finite_entries(m: int) -> list[int]:
@@ -287,8 +295,10 @@ def build_finite_graph(shape: Partition) -> LabeledWGraph:
     vertices = tuple(enumerate_syt(shape))
     # row 2 of each vertex as a mask, entry e at bit e - 1: its row code (0 for one row, with no move)
     masks = row_codes(vertices)[1]
-    weights: dict[tuple[int, int], int] = {}
+    rows = []
     index = {m: k for k, m in enumerate(masks)}
+    # one (target, 1) pair per vertex, shared by the rows it is in
+    ones = [(k, 1) for k in range(len(masks))]
     full, below_n = (1 << n) - 1, (1 << (n - 1)) - 1
     for src, m in enumerate(masks):
         # first kind: i in row 1 and i + 1 in row 2, for i < n
@@ -301,7 +311,6 @@ def build_finite_graph(shape: Partition) -> LabeledWGraph:
             for i in _finite_entries(m & ~(m >> 1) & below_n & ~1) for j in ends_j
             if _finite_second_kind_valid(m, i, j)
         ]
-        for dst in sorted(index[target] for target in targets if target in index):
-            weights[(src, dst)] = 1
+        rows.append(tuple([ones[dst] for dst in sorted(index[target] for target in targets if target in index)]))
     tau = tuple(finite_descents(t) for t in vertices)
-    return LabeledWGraph._trusted(n, frozenset(range(1, n)), shape.parts, masks, tau, weights, vertices)
+    return LabeledWGraph._trusted(n, frozenset(range(1, n)), shape.parts, masks, tau, tuple(rows), vertices)

@@ -37,7 +37,8 @@ A pair (i, j) reads V_{i/j} as the vertices flagged for i and not for j,
 the polygon sources as the members of i flagged for j and the sinks as the
 vertices flagged for neither; bonding walks the members of i and of j,
 and counts, for each u of V_{i/j} or V_{j/i} only, the out-edges of u
-into the other class whose reverse edge exists.  So no V-length list is
+into the other class whose reverse edge exists, found by bisection in the
+row of its target.  So no V-length list is
 built per pair, and a graph that gets the full pair loop (below) pays per
 generator, not per generator pair.  The Hecke check builds its own
 classes: the columns of a generator come with the vertices where it is
@@ -72,7 +73,10 @@ exactly when (sigma u, sigma v) does.  Every edge (u', v') is sigma^k of
 an edge (u, sigma^-k v') out of the least vertex u of the orbit of u',
 because sigma maps the edge set onto itself.  So the representatives are
 the edges out of one vertex per orbit,
-LabeledWGraph.shift_orbit_representatives.
+LabeledWGraph.shift_orbit_representatives.  The two edge kernels are
+given the sources whose out-edges they scan in the graph's rows (those
+vertices, or every vertex), and simplicity finds m(v > u) by bisection in
+the row of v.
 
 The quadratic relation holds by construction, for any weights.  If i is
 not in tau(u), T_i^2 e_u = q^2 e_u = (q - 1) T_i e_u + q e_u.  Otherwise
@@ -146,7 +150,7 @@ from itertools import chain, combinations, compress, starmap
 
 from .rsk import rsk
 from .tableaux import Partition, _Frozen
-from .wgraph import Edges, LabeledWGraph, _scc_partition, dynkin_adjacent, full_subgraph
+from .wgraph import Edges, LabeledWGraph, _scc_partition, _weight, dynkin_adjacent, full_subgraph
 
 __all__ = [
     "RuleReport", "check_compatibility", "check_simplicity", "check_bonding",
@@ -188,20 +192,23 @@ def _orbit_first(g: LabeledWGraph, evaluate, representatives: Iterable, everythi
 
 
 def _edge_witnesses(g: LabeledWGraph, kernel) -> list:
-    """The witnesses kernel(g, edges) yields over the edges ((u, v), w) of g, orbit first."""
+    """
+    The witnesses kernel(g, sources) yields over the out-edges of the given
+    sources, orbit first: the orbit representatives, then every vertex.
+    """
     representatives = g.shift_orbit_representatives or ()
-    out_edges = (((u, v), w) for u in representatives for v, w in g.adjacency[u])
-    return list(_orbit_first(g, partial(kernel, g), out_edges, g.weights.items()))
+    return list(_orbit_first(g, partial(kernel, g), representatives, range(len(g.tau))))
 
 
-def _compatibility_edges(g: LabeledWGraph, edges):
-    """The compatibility witnesses (u, v, i, j) of the given edges."""
-    tau = g.tau
-    for (u, v), _ in edges:
-        for i in tau[u] - tau[v]:
-            for j in tau[v] - tau[u]:
-                if not dynkin_adjacent(g, i, j):
-                    yield (u, v, i, j)
+def _compatibility_edges(g: LabeledWGraph, sources):
+    """The compatibility witnesses (u, v, i, j) of the out-edges of the given sources."""
+    tau, adj = g.tau, g.adjacency
+    for u in sources:
+        for v, _ in adj[u]:
+            for i in tau[u] - tau[v]:
+                for j in tau[v] - tau[u]:
+                    if not dynkin_adjacent(g, i, j):
+                        yield (u, v, i, j)
 
 
 def check_compatibility(g: LabeledWGraph) -> RuleReport:
@@ -209,19 +216,21 @@ def check_compatibility(g: LabeledWGraph) -> RuleReport:
     return _report("compatibility", _edge_witnesses(g, _compatibility_edges))
 
 
-def _simplicity_edges(g: LabeledWGraph, edges):
-    """The simplicity witnesses (u, v) of the given edges."""
-    tau, get = g.tau, g.weights.get
-    for (u, v), w in edges:
-        tu, tv = tau[u], tau[v]
-        if tu > tv:
-            if get((v, u), 0) != 0:
-                yield (u, v)
-        elif not (tu <= tv or tv <= tu):
-            if w != 1 or get((v, u), 0) != 1:
-                yield (u, v)
-        else:
-            yield (u, v)  # tau(u) <= tau(v): not even reduced
+def _simplicity_edges(g: LabeledWGraph, sources):
+    """The simplicity witnesses (u, v) of the out-edges of the given sources."""
+    tau, adj = g.tau, g.adjacency
+    for u in sources:
+        tu = tau[u]
+        for v, w in adj[u]:
+            tv = tau[v]
+            if tu > tv:
+                if _weight(adj[v], u) != 0:
+                    yield (u, v)
+            elif not (tu <= tv or tv <= tu):
+                if w != 1 or _weight(adj[v], u) != 1:
+                    yield (u, v)
+            else:
+                yield (u, v)  # tau(u) <= tau(v): not even reduced
 
 
 def check_simplicity(g: LabeledWGraph) -> RuleReport:
@@ -253,7 +262,7 @@ def _bonding_pair(g: LabeledWGraph, classes, i: int, j: int) -> list[tuple]:
     """The bonding witnesses (u, a, b, partners) of the generator pair i < j."""
     if not dynkin_adjacent(g, i, j):
         return []
-    adj, weights = g.adjacency, g.weights
+    adj = g.adjacency
     (flag_i, members_i), (flag_j, members_j) = classes(i), classes(j)
     witnesses = []
     sides = ((i, j, flag_i, flag_j, members_i), (j, i, flag_j, flag_i, members_j))
@@ -261,7 +270,10 @@ def _bonding_pair(g: LabeledWGraph, classes, i: int, j: int) -> list[tuple]:
         for u in members:
             if not flag_b[u]:
                 # the mutual partners of u in V_{b/a} (stored weights are nonzero)
-                partners = sum(1 for v, _ in adj[u] if flag_b[v] and not flag_a[v] and (v, u) in weights)
+                partners = 0
+                for v, _ in adj[u]:
+                    if flag_b[v] and not flag_a[v] and _weight(adj[v], u):
+                        partners += 1
                 if partners != 1:
                     witnesses.append((u, a, b, partners))
     return witnesses

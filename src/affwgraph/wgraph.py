@@ -5,35 +5,45 @@ nonnegative integer weight map, together with the structural operations
 numbers, reducedness, nb-admissibility) and JSON/DOT export.
 
 The index set is {1..n} for affine graphs and {1..n-1} for finite ones.
-Every graph holds its edges in (src, dst) order, set where it is made, so
-the adjacency, JSON and DOT never sort them and exports are reproducible.
-It holds its vertices as the parts of their shape and their row codes
+Every graph holds its edges once, as its out-edge rows (adjacency): the
+row of u is a tuple of (v, m(u > v)) pairs sorted by v, set where the
+graph is made, and the rows share one pair object per (v, weight).  Its
+weights are EdgeWeights, a read-only Mapping view over the rows with the
+(src, dst) keys in that order and a lookup by bisection in the row of the
+source, so the JSON and DOT never sort the edges and exports are
+reproducible.  The walks of the package read the rows, not the view.  A
+graph holds its vertices as the parts of their shape and their row codes
 (tableaux.row_codes; for two rows, the row-2 masks), which equality
-compares.  What a graph derives (its tableaux, made from the codes, its
-adjacency, shift automorphism and orbit representatives) is computed once,
-on first use, and kept on it as tuples: a graph holds nothing mutable.
-The shift's vertex permutation is derived from the row codes, and the
-automorphism is tested on the adjacency rows: the image {sigma v: w} of
-the row of u must be the row of sigma u.  The public constructor copies and checks its fields, the vertices in one
-pass that names the first one at fault, and keeps the tableaux it checked.
+compares, with the rows.  What a graph derives (its tableaux, made from
+the codes, its shift automorphism and orbit representatives) is computed
+once, on first use, and kept on it: a graph holds nothing mutable.  The
+shift's vertex permutation is derived from the row codes, and the
+automorphism is tested on the rows: the image {sigma v: w} of the row of
+u must be the row of sigma u.  The public constructor copies and checks
+its fields, the vertices in one pass that names the first one at fault,
+keeps the tableaux it checked and their row codes, and files each edge it
+checks into the row of its source.  A graph pickles and copies as its
+held fields, the row codes and the rows, and makes no tableau to do so.
 The JSON format of a graph is written and read here only: graph_from_json
 reads it top down in one pass, naming each container of the wrong JSON
 kind before anything in it is read (the graph, the index set, vertices,
 tau and edges, each edge, each vertex, its rows and each row, and each
 vertex's label list), and each JSON list or object where a number of a
-set or key belongs.  It builds the vertices with the tableau constructor
+set or key belongs.  It finds a repeated edge by its (src, dst) key, the
+only such keys made, builds the vertices with the tableau constructor
 (naming the vertex whose rows it rejects), checks the graph with the
 public constructor, and last each vertex's copy of n and that neither
 the index set nor a label list repeats an entry.  The builders and the
-graphs derived from a valid one are made by LabeledWGraph._trusted,
-unchecked; derived graphs keep the edge order by filtering their parent's.
+graphs derived from a valid one are made by LabeledWGraph._trusted from
+rows, unchecked; derived graphs keep the edge order by filtering their
+parent's rows, and share the rows and pairs they keep.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from bisect import bisect_left
+from collections.abc import ItemsView, Mapping
 from functools import cached_property
-from types import MappingProxyType
 
 from .tableaux import RowStandardTableau, _Frozen, from_row_codes, row_codes, shift_permutation, tableau_text
 
@@ -48,117 +58,175 @@ __all__ = [
 ]
 
 
+class EdgeWeights(Mapping):
+    """
+    The read-only (src, dst) -> weight map of a graph, a view over its
+    out-edge rows: the keys in (src, dst) order, the weight of (u, v) found
+    by bisection in row u, its size kept, and equality with another view
+    on as many rows decided by the rows.  Like a dict it is unhashable, so
+    a graph, whose key holds it, is unhashable too.
+    """
+
+    __slots__ = ("_rows", "_count")
+
+    def __init__(self, rows: tuple[Edges, ...]):
+        self._rows, self._count = rows, sum(map(len, rows))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        for u, row in enumerate(self._rows):
+            for v, _ in row:
+                yield u, v
+
+    def __getitem__(self, key) -> int:
+        try:
+            u, v = key
+            w = _weight(self._rows[u], v) if u >= 0 else 0
+        except (TypeError, ValueError, IndexError):  # not a pair of vertex numbers
+            w = 0
+        if not w:  # no stored weight is 0
+            raise KeyError(key)
+        return w
+
+    def items(self):
+        return _EdgeItems(self)
+
+    def __eq__(self, other):
+        if type(other) is EdgeWeights and len(other._rows) == len(self._rows):
+            return self._rows == other._rows
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"EdgeWeights({dict(self.items())!r})"
+
+
+class _EdgeItems(ItemsView):
+    """The ((src, dst), weight) pairs of an EdgeWeights view, read off its rows."""
+
+    def __iter__(self):
+        for u, row in enumerate(self._mapping._rows):
+            for v, w in row:
+                yield (u, v), w
+
+
+def _shared_rows(rows) -> tuple[Edges, ...]:
+    """The rows as tuples, holding one pair object per (target, weight), as a target recurs in many rows."""
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    return tuple(tuple([pairs.setdefault(e, e) for e in row]) for row in rows)
+
+
+def _weight(row: Edges, v: int) -> int:
+    """The weight of target v in a row of (target, weight) pairs sorted by target, 0 when v is not there."""
+    k = bisect_left(row, (v,))  # (v,) sorts just before every pair (v, w)
+    return row[k][1] if k < len(row) and row[k][0] == v else 0
+
+
 class LabeledWGraph(_Frozen):
     n: int
     index_set: frozenset[int]
     vertices: tuple[RowStandardTableau, ...]
     tau: tuple[frozenset[int], ...]
-    weights: Mapping[tuple[int, int], int]  # (src, dst) -> nonzero weight, read-only
+    weights: Mapping[tuple[int, int], int]  # (src, dst) -> nonzero weight, an EdgeWeights view of adjacency
 
     def __init__(self, n, index_set, vertices, tau, weights):
         # own copies, so that the caller's containers cannot change the graph
         # (a frozenset or tuple of an exact frozenset or tuple is itself)
-        vars(self).update(n=n, index_set=frozenset(index_set), vertices=tuple(vertices), weights=weights)
-        tau = tuple(tau)
-        count = len(self.vertices)
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"n must be a positive integer, not {self.n!r}")
-        if not all(type(i) is int and 1 <= i <= self.n for i in self.index_set):
-            raise ValueError(f"index set {set(self.index_set)} is not a subset of 1..{self.n}")
+        index_set, vertices, tau = frozenset(index_set), tuple(vertices), tuple(tau)
+        count = len(vertices)
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be a positive integer, not {n!r}")
+        if not all(type(i) is int and 1 <= i <= n for i in index_set):
+            raise ValueError(f"index set {set(index_set)} is not a subset of 1..{n}")
         if len(tau) != count:
             raise ValueError(f"{len(tau)} tau labels for {count} vertices")
         # each label list is made a set once they are counted, so that one
         # past the last vertex is counted, whatever it holds
-        vars(self)["tau"] = tuple(map(frozenset, tau))
+        tau = tuple(map(frozenset, tau))
         # vertex 0's size, then each vertex's shape against vertex 0's (a
         # vertex of that shape has its size), then whether it is repeated
-        first = tuple(map(len, self.vertices[0].rows)) if count else ()
+        first = tuple(map(len, vertices[0].rows)) if count else ()
         seen = set()
-        for k, t in enumerate(self.vertices):
+        for k, t in enumerate(vertices):
             rows = t.rows
             shape = tuple(map(len, rows))
-            if shape != first or not k and sum(shape) != self.n:
-                if sum(shape) != self.n:
-                    raise ValueError(f"vertex {k} ({tableau_text(t)}) has {sum(shape)} entries, not {self.n}")
+            if shape != first or not k and sum(shape) != n:
+                if sum(shape) != n:
+                    raise ValueError(f"vertex {k} ({tableau_text(t)}) has {sum(shape)} entries, not {n}")
                 raise ValueError(
                     f"vertex {k} ({tableau_text(t)}) has shape {shape}, not {first} as vertex 0"
                 )
             if rows in seen:
                 raise ValueError(f"vertex {k} ({tableau_text(t)}) is repeated")
             seen.add(rows)
-        for (u, v), w in self.weights.items():
+        # each edge is checked and filed into the row of its source
+        out: list[list[tuple[int, int]]] = [[] for _ in vertices]
+        for (u, v), w in weights.items():
             if not (type(u) is int and type(v) is int and 0 <= u < count and 0 <= v < count):
                 raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{count - 1}")
             if type(w) is not int:
                 raise ValueError(f"weight of edge {(u, v)} is not an integer: {w!r}")
             if w == 0:
                 raise ValueError(f"stored weight must be nonzero: {(u, v)}")
+            out[u].append((v, w))
         # True == 1 and 1.0 == 1 pass the subset test, so check types too
         # (and every set: {True} == {1}, so the distinct sets would not do)
-        for s in self.tau:
-            if not (s <= self.index_set and set(map(type, s)) <= {int}):
+        for s in tau:
+            if not (s <= index_set and set(map(type, s)) <= {int}):
                 raise ValueError(f"tau value {set(s)} outside index set")
-        # the endpoints are ints now, so the (src, dst) keys sort; edges
-        # given in that order are copied as they are
-        keys = list(self.weights)
-        weights = dict(self.weights) if keys == sorted(keys) else dict(sorted(self.weights.items()))
-        # the row codes are computed from the tableaux when first read
-        vars(self).update(_parts=first, weights=MappingProxyType(weights))
+        # a row's targets are distinct ints, so sorting its pairs sorts them by target
+        rows = _shared_rows(sorted(row) for row in out)
+        self._hold(n, index_set, first, row_codes(vertices)[1], tau, rows, vertices)
 
     @classmethod
-    def _trusted(cls, n, index_set, parts, codes, tau, weights, tableaux=None) -> "LabeledWGraph":
+    def _trusted(cls, n, index_set, parts, codes, tau, rows, tableaux=None) -> "LabeledWGraph":
         """
         The graph with these fields, not copied or checked again: only for a
         graph derived from a valid one or made by a builder, with n a
         positive int, index_set a frozenset of ints in 1..n, parts the shape
         of the vertices (() for none), codes their distinct row codes in any
-        order, tau a tuple of frozensets of the index set, and weights a
-        fresh dict of nonzero int weights in (src, dst) order that nothing
-        else holds.  The tableaux of the codes, if given, are the vertices.
+        order, tau a tuple of frozensets of the index set, and rows a tuple
+        with the out-edges of each vertex, a tuple of (target, nonzero int
+        weight) pairs sorted by target.  The tableaux of the codes, if
+        given, are the vertices.
         """
         g = object.__new__(cls)
-        vars(g).update(
-            n=n, index_set=index_set, _parts=parts, _codes=codes, tau=tau, weights=MappingProxyType(weights)
-        )
-        if tableaux is not None:
-            vars(g)["vertices"] = tableaux
+        g._hold(n, index_set, parts, codes, tau, rows, tableaux)
         return g
 
-    def _derived(self, index_set, tau, weights) -> "LabeledWGraph":
+    def _hold(self, n, index_set, parts, codes, tau, rows, tableaux) -> None:
+        """Set the fields, as _trusted takes them; the rows are held as the weights view over them."""
+        vars(self).update(n=n, index_set=index_set, _parts=parts, _codes=codes, tau=tau, weights=EdgeWeights(rows))
+        if tableaux is not None:
+            vars(self)["vertices"] = tableaux
+
+    def _derived(self, index_set, tau, rows) -> "LabeledWGraph":
         """The graph on this graph's vertices with these fields, as _trusted takes them."""
-        return LabeledWGraph._trusted(self.n, index_set, self._parts, self._codes, tau, weights)
+        return LabeledWGraph._trusted(self.n, index_set, self._parts, self._codes, tau, rows)
 
     @cached_property
     def vertices(self) -> tuple[RowStandardTableau, ...]:
         """Made from the row codes on first read, unless the graph was made with its tableaux."""
         return from_row_codes(self._parts, self._codes)
 
-    @cached_property
-    def _codes(self) -> tuple[int, ...]:
-        """Computed from the tableaux on first read, unless the graph was made with its codes."""
-        return row_codes(self.vertices)[1]
-
     def _key(self) -> tuple:
         # the shape and the row codes stand for the vertices, so that no tableau is made to compare
         return self.n, self.index_set, self._parts, self._codes, self.tau, self.weights
 
     def __reduce__(self):
-        # rebuilt from the fields: the weight proxy cannot be pickled, and
-        # the cached derived values are recomputed on demand
-        return (LabeledWGraph, (self.n, self.index_set, self.vertices, self.tau, dict(self.weights)))
+        # rebuilt from the held fields, so that no tableau is made to copy
+        # or pickle; the derived values are recomputed on demand
+        return (self._trusted, (self.n, self.index_set, self._parts, self._codes, self.tau, self.adjacency))
 
     @property
     def is_affine(self) -> bool:
         return self.n in self.index_set
 
-    @cached_property
+    @property
     def adjacency(self) -> tuple[Edges, ...]:
-        """The out-edges of each vertex as (target, weight) pairs, by target."""
-        # one tau label per vertex: the count, without reading the vertices
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.tau]
-        for (u, v), w in self.weights.items():
-            adj[u].append((v, w))
-        return tuple(map(tuple, adj))
+        """The out-edges of each vertex as (target, weight) pairs sorted by target: the rows weights views."""
+        return self.weights._rows
 
     @cached_property
     def shift_automorphism(self) -> tuple[int, ...] | None:
@@ -235,14 +303,14 @@ def full_subgraph(g: LabeledWGraph, vertex_ids: list[int]) -> LabeledWGraph:
     if len(set(ids)) != len(ids) or not all(0 <= k < len(g.vertices) for k in ids):
         raise ValueError(f"vertex ids must be distinct and in 0..{len(g.vertices) - 1}")
     renumber = {old: new for new, old in enumerate(ids)}
-    # the out-edges of the kept vertices only, by source and target
+    # the out-edges of the kept vertices only; renumbering keeps their order
     adj = g.adjacency
-    weights = {(renumber[u], renumber[v]): w for u in ids for v, w in adj[u] if v in renumber}
+    rows = _shared_rows([(renumber[v], w) for v, w in adj[u] if v in renumber] for u in ids)
     codes, vertices = g._codes, g.vertices
     # a graph with no vertex has no shape, as the public constructor makes it
     return LabeledWGraph._trusted(
         g.n, g.index_set, g._parts if ids else (), tuple(codes[k] for k in ids), tuple(g.tau[k] for k in ids),
-        weights, tuple(vertices[k] for k in ids),
+        rows, tuple(vertices[k] for k in ids),
     )
 
 
@@ -256,20 +324,19 @@ def restrict_parabolic(g: LabeledWGraph, j_set) -> LabeledWGraph:
     if not (j_set <= g.index_set and all(type(i) is int for i in j_set)):
         raise ValueError(f"J = {set(j_set)} is not a subset of the index set")
     tau = tuple(s & j_set for s in g.tau)
-    weights = {
-        (u, v): w for (u, v), w in g.weights.items() if not tau[u] <= tau[v]
-    }
-    return g._derived(j_set, tau, weights)
+    rows = tuple(tuple([e for e in row if not tu <= tau[e[0]]]) for tu, row in zip(tau, g.adjacency))
+    return g._derived(j_set, tau, rows)
 
 
 def simple_underlying(g: LabeledWGraph) -> LabeledWGraph:
     """Keep exactly the pairs joined by weight 1 in both directions."""
-    weights = {
-        (u, v): 1
-        for (u, v), w in g.weights.items()
-        if u != v and w == 1 and g.weights.get((v, u)) == 1
-    }
-    return g._derived(g.index_set, g.tau, weights)
+    adj = g.adjacency
+    # each kept pair is (v, 1), the parent's own
+    rows = tuple(
+        tuple([e for e in row if e[1] == 1 and e[0] != u and _weight(adj[e[0]], u) == 1])
+        for u, row in enumerate(adj)
+    )
+    return g._derived(g.index_set, g.tau, rows)
 
 
 def _scc_partition(g: LabeledWGraph) -> list[list[int]]:
@@ -348,7 +415,8 @@ def _component_ids(simple: LabeledWGraph) -> list[int]:
 
 def is_reduced(g: LabeledWGraph) -> bool:
     """No nonzero weight u->v with tau(u) a subset of tau(v)."""
-    return all(not g.tau[u] <= g.tau[v] for (u, v) in g.weights)
+    tau = g.tau
+    return all(not tau[u] <= tau[v] for u, row in enumerate(g.adjacency) for v, _ in row)
 
 
 def is_nb_admissible(g: LabeledWGraph) -> bool:
@@ -356,12 +424,12 @@ def is_nb_admissible(g: LabeledWGraph) -> bool:
     Nonnegative integer weights, and symmetric weights on every pair whose
     tau-labels are incomparable (bipartiteness is not required).
     """
-    if any(w < 0 for w in g.weights.values()):
-        return False
-    for (u, v), w in g.weights.items():
-        tu, tv = g.tau[u], g.tau[v]
-        if not (tu <= tv or tv <= tu) and g.weights.get((v, u), 0) != w:
-            return False
+    adj, tau = g.adjacency, g.tau
+    for u, row in enumerate(adj):
+        for v, w in row:
+            tu, tv = tau[u], tau[v]
+            if w < 0 or not (tu <= tv or tv <= tu) and _weight(adj[v], u) != w:
+                return False
     return True
 
 
@@ -373,10 +441,7 @@ def graph_to_json(g: LabeledWGraph) -> dict:
         # the JSON of a vertex, which graph_from_json reads back
         "vertices": [{"rows": list(map(list, t.rows)), "n": n} for t in g.vertices],
         "tau": [sorted(s) for s in g.tau],
-        "edges": [
-            {"src": u, "dst": v, "w": w}
-            for (u, v), w in g.weights.items()
-        ],
+        "edges": [{"src": u, "dst": v, "w": w} for u, row in enumerate(g.adjacency) for v, w in row],
     }
 
 
@@ -431,7 +496,7 @@ def graph_from_json(data: dict) -> LabeledWGraph:
         raise
     # each vertex repeats n; read once the graph is accepted, so that the
     # constructor names a vertex of another size first
-    for k, (t, v) in enumerate(zip(g.vertices, vertices)):
+    for k, (t, v) in enumerate(zip(tableaux, vertices)):
         m = v["n"]
         if type(m) is not int or m != g.n:
             raise ValueError(f"vertex {k} ({tableau_text(t)}) has n = {m!r}, not {g.n}")
@@ -439,7 +504,7 @@ def graph_from_json(data: dict) -> LabeledWGraph:
     # 1 again) collapses into it in the set the constructor checked
     if len(g.index_set) != len(index_set):
         raise ValueError(f"index set {index_set} repeats an entry")
-    for k, (t, labels, listed) in enumerate(zip(g.vertices, g.tau, tau)):
+    for k, (t, labels, listed) in enumerate(zip(tableaux, g.tau, tau)):
         if len(labels) != len(listed):
             raise ValueError(f"tau of vertex {k} ({tableau_text(t)}) repeats a label: {listed}")
     return g
@@ -473,13 +538,15 @@ def graph_to_dot(g: LabeledWGraph, name: str = "wgraph") -> str:
     for k, t in enumerate(g.vertices):
         tau = "{" + ",".join(str(i) for i in sorted(g.tau[k])) + "}"
         lines.append(f'  v{k} [label="{tableau_text(t)}\\n{tau}"];')
-    mutual = simple_underlying(g).weights
-    for u, v in mutual:
-        if u < v:
-            lines.append(f"  v{u} -> v{v} [dir=none];")
-    for (u, v), w in g.weights.items():
-        if (u, v) not in mutual:
-            attr = "" if w == 1 else f' [label="{w}"]'
-            lines.append(f"  v{u} -> v{v}{attr};")
+    mutual = simple_underlying(g).adjacency
+    for u, row in enumerate(mutual):
+        for v, _ in row:
+            if u < v:
+                lines.append(f"  v{u} -> v{v} [dir=none];")
+    for u, (row, kept) in enumerate(zip(g.adjacency, mutual)):
+        for v, w in row:
+            if (v, w) not in kept:
+                attr = "" if w == 1 else f' [label="{w}"]'
+                lines.append(f"  v{u} -> v{v}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,13 +7,14 @@ one process:
 
 On the `verify --input` path each graph goes through the stages of one
 benchmark mutant, in order: graph_to_json, graph_from_json (the JSON text
-in between is not timed), sigma (shift_automorphism, with the adjacency
-it does not build), the four rules, check_hecke_relations and hecke_holds.
+in between is not timed), sigma (shift_automorphism), the four rules,
+check_hecke_relations and hecke_holds.
 Every stage after graph_from_json runs on the graph it returned, so each
 derived value is computed where the first stage reads it, as in the
 benchmark.  On the `verify A B` path each shape goes through build
-(build_affine_graph), adjacency, sigma (on the built adjacency) and the
-same checks, with no JSON round trip.  The sets:
+(build_affine_graph), sigma and the same checks, with no JSON round trip.
+Both graph_from_json and the build make a graph's out-edge rows, so no
+stage derives them.  The sets:
 
 * damaged   the pinned bench-size damaged graphs of tests/conftest.py
             (none shift-invariant: every check scans in full);
@@ -68,7 +69,7 @@ from run import REF_START_S, SETUP_CODE  # noqa: E402
 from speed import REF_SLICE_S, reference_slice  # noqa: E402
 
 STAGES = (
-    "graph_to_json", "graph_from_json", "build", "sigma", "adjacency",
+    "graph_to_json", "graph_from_json", "build", "sigma",
     "compatibility", "simplicity", "bonding", "polygon", "hecke", "hecke_holds",
 )
 CHECKS = {
@@ -87,7 +88,6 @@ def _through_json(graph, measure) -> None:
     data = json.loads(json.dumps(data))
     g = measure("graph_from_json", graph_from_json, data)
     measure("sigma", lambda: g.shift_automorphism)
-    measure("adjacency", lambda: g.adjacency)
     for name, check in CHECKS.items():
         measure(name, check, g)
 
@@ -95,7 +95,6 @@ def _through_json(graph, measure) -> None:
 def _built(parts, measure) -> None:
     """Run the `verify A B` stages of one shape, as _through_json does."""
     g = measure("build", build_affine_graph, Partition(parts))
-    measure("adjacency", lambda: g.adjacency)
     measure("sigma", lambda: g.shift_automorphism)
     for name, check in CHECKS.items():
         measure(name, check, g)

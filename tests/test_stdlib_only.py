@@ -95,9 +95,10 @@ def _scope(parents, node) -> str:
 
 
 def test_no_reader_sorts_the_edges():
-    # every graph holds its edges in (src, dst) order from where it is made,
-    # so a sorted(...) over .weights outside the public constructor, which
-    # puts a caller's edges in that order, re-sorts what is already sorted
+    # every graph holds its out-edge rows sorted by target from where it is
+    # made (the public constructor sorts the rows it files a caller's edges
+    # into), so a sorted(...) over .weights or .adjacency re-sorts what is
+    # already sorted
     sorts = set()
     for path in sorted((SRC / "affwgraph").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -106,9 +107,11 @@ def test_no_reader_sorts_the_edges():
             (path.stem, _scope(parents, node), node.lineno)
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sorted"
-            and any(isinstance(read, ast.Attribute) and read.attr == "weights" for read in ast.walk(node))
+            and any(
+                isinstance(read, ast.Attribute) and read.attr in {"weights", "adjacency"} for read in ast.walk(node)
+            )
         }
-    assert {(module, scope) for module, scope, _ in sorts} == {("wgraph", "LabeledWGraph.__init__")}, sorts
+    assert sorts == set()
 
 
 # the keys of a vertex and of an edge in the graph JSON

@@ -2,9 +2,9 @@ import copy
 import hashlib
 import json
 import pickle
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import pytest
 
@@ -35,7 +35,7 @@ from affwgraph.tworow import (
     _second_kind_ends,
     _second_kind_gate,
 )
-from affwgraph.wgraph import graph_to_dot, graph_to_json, simple_component_ids, simple_underlying
+from affwgraph.wgraph import EdgeWeights, graph_to_dot, graph_to_json, simple_component_ids, simple_underlying
 
 from conftest import is_knuth_move, omega_shift, swapped, two_row_shapes
 
@@ -370,8 +370,9 @@ def _builder_graphs(shape):
     return graphs
 
 
-# what a graph derives and keeps on itself when a check first reads it
-DERIVED = {"adjacency", "shift_automorphism", "shift_orbit_representatives"}
+# what a graph derives and keeps on itself when a check first reads it (its
+# out-edge rows, adjacency, are held from where it is made)
+DERIVED = {"shift_automorphism", "shift_orbit_representatives"}
 
 
 @pytest.mark.parametrize("shape", two_row_shapes(3, 10), ids=str)
@@ -389,7 +390,13 @@ def test_builders_hand_over_well_formed_fields(shape):
         assert all(type(i) is int for i in g.index_set)
         assert all(type(t) is RowStandardTableau for t in g.vertices)
         assert all(type(t) is frozenset and all(type(i) is int for i in t) for t in g.tau)
-        assert type(g.weights) is MappingProxyType
+        # the weights are a read-only view over the rows, which are tuples
+        assert type(g.weights) is EdgeWeights and len(g.weights) == sum(map(len, g.adjacency))
+        assert type(g.adjacency) is tuple and all(type(row) is tuple for row in g.adjacency)
+        # one pair object per (target, weight), in the built and the checked graph alike
+        for h in (g, rebuilt):
+            pairs = [e for row in h.adjacency for e in row]
+            assert len(set(map(id, pairs))) == len(set(pairs)), name
         assert all(type(u) is type(v) is type(w) is int for (u, v), w in g.weights.items())
         with pytest.raises(TypeError):
             g.weights[(0, 0)] = 1
@@ -511,10 +518,9 @@ def test_building_and_verifying_makes_no_tableau(made):
 
 
 def _without_first_edge(g):
-    """A single-edge deletion, as the mutation check of regress makes it."""
-    weights = dict(g.weights)
-    del weights[next(iter(weights))]
-    return g._derived(g.index_set, g.tau, weights)
+    """A single-edge deletion, as the mutation check of regress makes it: one row replaced, the others shared."""
+    u = next(u for u, row in enumerate(g.adjacency) if row)
+    return g._derived(g.index_set, g.tau, g.adjacency[:u] + (g.adjacency[u][1:],) + g.adjacency[u + 1:])
 
 
 DERIVED_GRAPHS = {
@@ -601,17 +607,50 @@ MASK_HELD = {
 }
 
 
+def test_built_graph_holds_at_most_100_bytes_per_edge():
+    # the out-edge rows are the one edge store: reading adjacency makes
+    # nothing, and the rows, their shared pairs, the row codes and the
+    # labels come to about 41 B per edge at (7,6) (192 B when the weights
+    # were a (src, dst)-keyed dict and adjacency a second copy of the edges)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g = build_affine_graph(Partition((7, 6)))
+        g.adjacency
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(g.weights) == 13572 and held <= 100 * len(g.weights), held / len(g.weights)
+
+
+COPIES = {"pickle": lambda g: pickle.loads(pickle.dumps(g)), "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
 @pytest.mark.parametrize("fresh", MASK_HELD.values(), ids=MASK_HELD.keys())
-def test_mask_held_graph_behaves_as_rebuilt(fresh):
+def test_mask_held_graph_behaves_as_rebuilt(made, fresh):
     # each fresh() is a graph that has not read its vertices yet
     g = fresh()
     rebuilt = LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, dict(g.weights))
     assert fresh() == rebuilt and rebuilt == fresh()
     assert repr(fresh()) == repr(rebuilt)
     assert pickle.dumps(fresh()) == pickle.dumps(rebuilt)
-    for clone in (pickle.loads(pickle.dumps(fresh())), copy.copy(fresh()), copy.deepcopy(fresh())):
-        assert type(clone) is LabeledWGraph and "vertices" in vars(clone)
-        assert clone == rebuilt and list(clone.weights.items()) == list(rebuilt.weights.items())
+    for copy_of in COPIES.values():
+        for graph in (fresh(), rebuilt):
+            # no tableau is made until the clone reads its vertices; the clone is equal
+            before = len(made)
+            clone = copy_of(graph)
+            assert type(clone) is LabeledWGraph and len(made) == before
+            assert clone == rebuilt and list(clone.weights.items()) == list(rebuilt.weights.items())
+            assert clone.vertices == rebuilt.vertices
     for graph in (fresh(), rebuilt):
-        with pytest.raises(TypeError, match="unhashable type: 'mappingproxy'"):
+        with pytest.raises(TypeError, match="unhashable type: 'EdgeWeights'"):
             hash(graph)
+
+
+@pytest.mark.parametrize("copy_of", COPIES.values(), ids=COPIES.keys())
+def test_copying_a_built_graph_makes_no_tableau(made, copy_of):
+    # a graph is rebuilt from its row codes and rows, not from its tableaux
+    g = build_affine_graph(Partition((6, 6)))
+    clone = copy_of(g)
+    assert made == [] and clone == g
+    assert len(pickle.dumps(g)) < 108112  # the size when a graph was pickled through its tableaux

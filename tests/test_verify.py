@@ -780,13 +780,17 @@ class TestIntegerHeckeCheck:
 def test_hecke_check_peak_is_below_half_the_adjacency():
     # the columns are tuples of the adjacency's own pairs, so the check's
     # traced peak (the columns of n/2 + 1 generators and the vertices where
-    # each is active) stays well below the adjacency it reads
+    # each is active) stays well below the adjacency it reads.  The graph
+    # holds its rows from where it is made, so their size is that of a
+    # fresh copy of the rows and their pairs
     g = build_affine_graph(Partition((7, 6)))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        g.adjacency
+        rows = tuple(tuple([(v, w) for v, w in row]) for row in g.adjacency)
         adjacency = tracemalloc.get_traced_memory()[0] - start
+        assert rows == g.adjacency
+        del rows
         g.shift_automorphism  # derived before the check, as a run of the rules leaves it
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
@@ -923,18 +927,21 @@ def _orbit_added(g, pair):
 
 @pytest.fixture
 def edge_scans(monkeypatch):
-    """The edges each call of the compatibility and simplicity kernels reads, by rule."""
+    """
+    The edges each call of the compatibility and simplicity kernels reads,
+    by rule: the out-edges (u, v) of each source u, when the kernel takes u.
+    """
     scans = {name: [] for name in EDGE_RULES}
 
     def counted(name, kernel):
-        def call(g, edges):
+        def call(g, sources):
             read = []
             scans[name].append(read)
 
             def tapped():
-                for edge in edges:
-                    read.append(edge[0])
-                    yield edge
+                for u in sources:
+                    read.extend((u, v) for v, _ in g.adjacency[u])
+                    yield u
             return kernel(g, tapped())
         return call
 

@@ -1,7 +1,7 @@
 import copy
+import json
 import pickle
 import time
-from types import MappingProxyType
 
 import pytest
 
@@ -26,7 +26,7 @@ from affwgraph import (
     simple_underlying,
 )
 from affwgraph.verify import check_all_rules, check_hecke_relations, hecke_holds
-from affwgraph.wgraph import full_subgraph, simple_component_ids
+from affwgraph.wgraph import EdgeWeights, full_subgraph, simple_component_ids
 
 from conftest import exactly, two_row_shapes
 
@@ -39,6 +39,46 @@ def g32():
 @pytest.fixture(scope="module")
 def g33():
     return build_affine_graph(Partition((3, 3)))
+
+
+class TestEdgeWeights:
+    """The weights of a graph are a read-only Mapping, a view over its out-edge rows."""
+
+    def test_views_of_equal_rows_are_equal(self, g33):
+        # equal rows, not the same objects
+        rows = tuple(tuple([(v, w) for v, w in row]) for row in g33.adjacency)
+        view, other = EdgeWeights(g33.adjacency), EdgeWeights(rows)
+        edges = {(u, v): w for u, row in enumerate(rows) for v, w in row}
+        assert view == other and other == view and not view != other
+        assert view == edges and edges == view and dict(view) == edges
+        back = graph_from_json(json.loads(json.dumps(graph_to_json(g33))))
+        assert back.weights == g33.weights == view and back == g33
+        # as many edges on as many rows, one weight changed
+        changed = (rows[0][1:] + ((rows[0][0][0], 2),),) + rows[1:]
+        assert EdgeWeights(tuple(tuple(sorted(row)) for row in changed)) != view
+        # views on different numbers of rows compare as the maps they are
+        assert EdgeWeights(((), ())) == EdgeWeights(((),)) == {}
+        assert EdgeWeights((((1, 1),), (), ())) == EdgeWeights((((1, 1),), ())) == {(0, 1): 1}
+
+    def test_reads_as_the_dict_of_its_edges(self, g33):
+        view = g33.weights
+        edges = {(u, v): w for u, row in enumerate(g33.adjacency) for v, w in row}
+        assert len(view) == len(edges) and list(view) == list(edges) == sorted(edges)
+        assert list(view.items()) == list(edges.items()) and list(view.values()) == list(edges.values())
+        assert all(view[key] == view.get(key) == w and key in view for key, w in edges.items())
+        count = len(g33.tau)
+        for missing in [(0, 0), (0, count), (-1, 0), (count, 0), (0, "1"), ("0", 1), (0,), (0, 1, 2), 0, None]:
+            assert missing not in view and view.get(missing) is None, missing
+            with pytest.raises(KeyError):
+                view[missing]
+
+    def test_read_only_and_unhashable(self, g33):
+        with pytest.raises(TypeError):
+            g33.weights[(0, 1)] = 1
+        with pytest.raises(TypeError):
+            del g33.weights[next(iter(g33.weights))]
+        with pytest.raises(TypeError, match="unhashable type: 'EdgeWeights'"):
+            hash(g33.weights)
 
 
 class TestRestriction:
@@ -358,10 +398,13 @@ class TestTrustedGraphs:
     def _same_as_checked(h):
         checked = LabeledWGraph(h.n, h.index_set, h.vertices, h.tau, dict(h.weights))
         kinds = (type(h.index_set), type(h.vertices), type(h.tau), type(h.weights))
+        # one pair object per (target, weight), kept from the parent or shared anew
+        pairs = [e for row in h.adjacency for e in row]
         return (
-            checked == h
+            len(set(map(id, pairs))) == len(set(pairs))
+            and checked == h
             and list(checked.weights.items()) == list(h.weights.items())
-            and kinds == (frozenset, tuple, tuple, MappingProxyType)
+            and kinds == (frozenset, tuple, tuple, EdgeWeights)
         )
 
     def test_derived_graphs_equal_validated_ones(self):
@@ -486,16 +529,18 @@ class TestConstruction:
         assert all(a is b for a, b in zip(g.tau, g33.tau))
 
 
-DERIVED = ("adjacency", "shift_automorphism", "shift_orbit_representatives")
+# what a graph derives and keeps on itself (its out-edge rows, adjacency,
+# are held from where it is made)
+DERIVED = ("shift_automorphism", "shift_orbit_representatives")
 
 
 def _derived(g) -> dict:
     """
-    The derived values of g, with the Hecke check's columns of every
-    generator, which must be nested tuples of ints and None whose every
-    entry is the adjacency's own pair object.
+    The out-edge rows and derived values of g, with the Hecke check's
+    columns of every generator, which must be nested tuples of ints and None
+    whose every entry is the adjacency's own pair object.
     """
-    values = {name: getattr(g, name) for name in DERIVED}
+    values = {name: getattr(g, name) for name in ("adjacency", *DERIVED)}
     for i in sorted(g.index_set):
         cols, active = values["columns", i] = verify._generator_columns(g.tau, g.adjacency, i)
         assert _frozen(cols) and active == [u for u, col in enumerate(cols) if col is not None], i
@@ -513,9 +558,8 @@ def _frozen(value) -> bool:
 
 
 def _without_first_edge(g):
-    weights = dict(g.weights)
-    del weights[next(iter(weights))]
-    return g._derived(g.index_set, g.tau, weights)
+    u = next(u for u, row in enumerate(g.adjacency) if row)
+    return g._derived(g.index_set, g.tau, g.adjacency[:u] + (g.adjacency[u][1:],) + g.adjacency[u + 1:])
 
 
 BUILDERS = {
@@ -543,7 +587,7 @@ FROM_BUILDERS = {
 
 class TestDerivedValues:
     def test_computed_once_and_immutable(self, g33):
-        for name in DERIVED:
+        for name in ("adjacency", *DERIVED):
             value = getattr(g33, name)
             assert value is not None and getattr(g33, name) is value
             assert _frozen(value), name
@@ -565,7 +609,7 @@ class TestDerivedValues:
         assert set(DERIVED) <= vars(g).keys()
         for name, value in vars(g).items():
             assert value is g.weights or type(value) in (tuple, frozenset, int, type(None)), name
-        assert type(g.weights) is MappingProxyType
+        assert type(g.weights) is EdgeWeights and _frozen(g.adjacency)
 
     @pytest.mark.parametrize("name", FROM_BUILDERS)
     def test_builder_and_derived_graphs_leave_only_frozen_values(self, name):
@@ -576,7 +620,7 @@ class TestDerivedValues:
         assert g.vertices and g.row_codes()
         for key, value in vars(g).items():
             assert value is g.weights or type(value) in (tuple, frozenset, int, type(None)), (name, key)
-        assert type(g.weights) is MappingProxyType
+        assert type(g.weights) is EdgeWeights and _frozen(g.adjacency)
 
     def test_pickle_and_copy(self, g33):
         derived = _derived(g33)
