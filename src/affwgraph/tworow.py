@@ -14,13 +14,14 @@ complement in 1..n), held as an int mask, its row code: entry e is bit
 e - 1.  Vertex k of the shape (a, b) is the k-th b-subset of 1..n in
 lexicographic order, which is the enumerate_rsyt order (reading words
 begin with row 2).  Descents, moves and the second-kind gate are bit
-operations on the mask and its cyclic rotations; the affine builder
-carries the moves round each orbit of the shift by rotating the masks
-(bit e - 1 moves to bit e mod n).  The affine builders enumerate the
-masks straight from the b-subsets and build no tableau.  The finite
-builder takes the masks of the standard tableaux it enumerates, and has
-its own bit helper and non-cyclic gate with plain intervals, so it is not
-derived from the affine one.
+operations on the mask and its cyclic rotations.  The affine graph and
+the dual equivalence graph run their moves at the least vertex of each
+orbit of the shift, and carry that row round the orbit by rho, the vertex
+permutation of the one-step rotation of the masks (bit e - 1 to bit e mod
+n).  Both enumerate the masks straight from the b-subsets and build no
+tableau.  The finite builder takes the masks of the standard tableaux it
+enumerates, and has its own bit helper and non-cyclic gate with plain
+intervals, so it is not derived from the affine one.
 
 Every builder hands its fresh fields to LabeledWGraph._trusted: the parts
 of the shape and the masks (and the finite builder its tableaux), descent
@@ -30,7 +31,7 @@ order and sorts one source's targets into its row, as (target, 1) pairs,
 one per target vertex, shared by the rows it is in (the variant keeps its
 affine graph's pairs and shares one (target, p) pair per target).  No
 builder hands over a derived value: the graph derives the shift's vertex
-permutation from the masks, not from the affine builder's rotation, and
+permutation from the masks, not from the builders' rho, and
 its tableaux when they are first read.
 """
 
@@ -126,36 +127,50 @@ def _descent_sets(descents: list[int]) -> tuple[frozenset[int], ...]:
     return tuple(sets[d] for d in descents)
 
 
-def _orbit_weights(masks: tuple[int, ...], n: int) -> tuple[Edges, ...]:
+def _knuth_moves(m: int, n: int):
     """
-    The out-edge rows of the affine graph on the row-2 masks of size n, each
-    a tuple of (target, 1) pairs sorted by target, from the moves at the
-    least vertex of each orbit of the shift, rotated round the orbit.  A
-    function of its own, so that its index and per-vertex lists are freed
-    before the builder's next step.
+    The Knuth moves out of the tableau of size n with row-2 mask m, as
+    _moves gives moves: the swaps of mo(i) and mo(i+1) from different rows
+    that leave incomparable descent sets, by i (the swap back is one too).
+    """
+    descents = _descent_mask(m, n)
+    top = 1 << (n - 1)
+    split = m ^ _rotate(m, 1, n)
+    while split:
+        low = split & -split
+        split ^= low
+        target = m ^ low ^ (1 if low == top else low << 1)
+        moved = _descent_mask(target, n)
+        if descents & ~moved and moved & ~descents:
+            i = low.bit_length()
+            yield "knuth", i, mo(i + 1, n), target
+
+
+def _orbit_weights(masks: tuple[int, ...], n: int, moves) -> tuple[Edges, ...]:
+    """
+    The out-edge rows on the row-2 masks of size n, each a tuple of (target,
+    1) pairs sorted by target, one per move that moves(m, n) gives, for
+    moves that turn with the shift: run at the least vertex of each orbit
+    only, with the row carried round the orbit by rho.  A function of its
+    own, so that its index is freed before the builder's next step.
     """
     index = {m: k for k, m in enumerate(masks)}
-    # moved[k] holds the target masks of the least vertex of k's orbit, and
-    # k's mask is that vertex's mask rotated by turn[k] (_rotate), so k's
-    # targets are those masks rotated alike
-    moved: list[list[int] | None] = [None] * len(masks)
-    turn = [0] * len(masks)
-    for k, m in enumerate(masks):
-        if moved[k] is None:
-            moved[k] = targets = [move[3] for move in _moves(m, n)]
-            r, w = 1, _rotate(m, 1, n)
-            while w != m:
-                v = index[w]
-                moved[v], turn[v] = targets, r
-                r, w = r + 1, _rotate(w, 1, n)
     full = (1 << n) - 1
+    # rho[k] is the vertex of k's mask rotated one step (bit e - 1 to bit e
+    # mod n); the targets of rho[k] are those of k under rho
+    rho = [index[(m << 1 | m >> (n - 1)) & full] for m in masks]
     # one (target, 1) pair per vertex, shared by the rows it is in
     ones = [(k, 1) for k in range(len(masks))]
-    # the rotation is _rotate(t, r, n), inline: it runs once per edge
-    return tuple(
-        tuple([ones[dst] for dst in sorted([index[(t >> r | t << (n - r)) & full] for t in targets])])
-        for targets, r in zip(moved, turn)
-    )
+    rows: list[Edges | None] = [None] * len(masks)
+    for k, m in enumerate(masks):
+        if rows[k] is None:
+            targets = sorted([index[move[3]] for move in moves(m, n)])
+            rows[k], v = tuple([ones[t] for t in targets]), rho[k]
+            # the walk stops at k, so an orbit shorter than n is walked once
+            while v != k:
+                targets = sorted(map(rho.__getitem__, targets))
+                rows[v], v = tuple([ones[t] for t in targets]), rho[v]
+    return tuple(rows)
 
 
 def _two_row_masks(shape: Partition) -> tuple[int, ...]:
@@ -176,9 +191,11 @@ def _two_row_masks(shape: Partition) -> tuple[int, ...]:
     return tuple(map(sum, combinations(bits, b)))
 
 
-def _graph(shape: Partition, masks: tuple[int, ...], descents: list[int], rows) -> LabeledWGraph:
-    """The [1,n]-labeled graph on the tableaux of the shape, given by their row-2 masks."""
-    n = shape.n
+def _graph(shape: Partition, moves) -> LabeledWGraph:
+    """The [1,n]-labeled graph on the row-2 masks of the two-row shape, with the edges of moves."""
+    masks, n = _two_row_masks(shape), shape.n
+    descents = [_descent_mask(m, n) for m in masks]
+    rows = _orbit_weights(masks, n, moves)
     return LabeledWGraph._trusted(
         n, frozenset(range(1, n + 1)), shape.parts, masks, _descent_sets(descents), rows
     )
@@ -193,32 +210,15 @@ def build_affine_graph(shape: Partition) -> LabeledWGraph:
     every move condition is stated in residues mod n, so omega maps the
     moves out of s onto the moves out of omega(s).
     """
-    masks, n = _two_row_masks(shape), shape.n
-    return _graph(shape, masks, [_descent_mask(m, n) for m in masks], _orbit_weights(masks, n))
+    return _graph(shape, _moves)
 
 
 def build_dual_equiv(shape: Partition) -> LabeledWGraph:
-    """The graph of Knuth moves on RSYT(shape), all edges mutual of weight 1."""
-    masks, n = _two_row_masks(shape), shape.n
-    index = {m: k for k, m in enumerate(masks)}
-    descents = [_descent_mask(m, n) for m in masks]
-    top = 1 << (n - 1)
-    # one (target, 1) pair per vertex, shared by the rows it is in
-    ones = [(k, 1) for k in range(len(masks))]
-    # a Knuth move swaps mo(i) and mo(i+1) from different rows and leaves
-    # incomparable descent sets; swapping them back is a Knuth move too
-    rows = []
-    for u, m in enumerate(masks):
-        targets = []
-        split = m ^ _rotate(m, 1, n)
-        while split:
-            low = split & -split
-            split ^= low
-            v = index[m ^ low ^ (1 if low == top else low << 1)]
-            if descents[u] & ~descents[v] and descents[v] & ~descents[u]:
-                targets.append(v)
-        rows.append(tuple([ones[v] for v in sorted(targets)]))
-    return _graph(shape, masks, descents, tuple(rows))
+    """
+    The graph of Knuth moves on RSYT(shape), all edges mutual of weight 1,
+    built as the affine graph is: a Knuth move is stated in residues mod n.
+    """
+    return _graph(shape, _knuth_moves)
 
 
 def build_equal_variant(shape: Partition, p: int) -> LabeledWGraph:

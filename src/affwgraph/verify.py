@@ -374,10 +374,11 @@ def _generator_columns(tau, adjacency, i: int) -> tuple[tuple[Edges | None, ...]
     and otherwise the adjacency's own pairs (w, m(u > w)) of the out-edges
     with i not in tau(w), so that T_i e_u = -e_u + v * (the sum of m e_w).
     """
-    # each w occurs once in adjacency[u], and a kept w is not u, as i is in tau(u)
+    # off[w] is i not in tau(w), read once per vertex, not per edge; each w
+    # occurs once in adjacency[u], and a kept w is not u, as i is in tau(u)
+    off = [i not in t for t in tau]
     cols = tuple(
-        tuple([e for e in adjacency[u] if i not in tau[e[0]]]) if i in t else None
-        for u, t in enumerate(tau)
+        None if skip else tuple([e for e in row if off[e[0]]]) for skip, row in zip(off, adjacency)
     )
     return cols, [u for u, col in enumerate(cols) if col is not None]
 

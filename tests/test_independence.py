@@ -85,14 +85,15 @@ def test_finite_builder_not_derived_from_the_affine_one():
     defs = _functions("tworow")
     reached = _reached(defs, ["build_finite_graph"])
     assert "_finite_second_kind_valid" in reached
-    # the affine builder's row-2 mask kernel: the mask enumeration, rotation,
+    # the affine builders' row-2 mask kernel: the mask enumeration, rotation,
     # descents, condition (b) masks, the (a), (c)-(e) gate, the move
-    # generator and the orbit walk
+    # generator, the Knuth moves and the orbit kernel that carries rows by rho
     mask_kernel = {
         "_two_row_masks", "_entries", "_rotate", "_descent_mask", "_descent_sets",
-        "_second_kind_ends", "_second_kind_gate", "_moves", "_orbit_weights",
+        "_second_kind_ends", "_second_kind_gate", "_moves", "_orbit_weights", "_knuth_moves",
     }
-    assert mask_kernel <= _reached(defs, ["build_affine_graph"])
+    assert mask_kernel - {"_knuth_moves"} <= _reached(defs, ["build_affine_graph"])
+    assert {"_two_row_masks", "_orbit_weights", "_knuth_moves"} <= _reached(defs, ["build_dual_equiv"])
     assert not reached & (mask_kernel | {"build_affine_graph", "build_dual_equiv"})
 
 

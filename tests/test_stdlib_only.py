@@ -7,8 +7,9 @@ Every name a module or the package exports resolves, every name a module
 imports is read there or exported, every private helper and every public
 function or class its module does not export is read outside its own body,
 only the public graph constructor sorts a graph's edges, only
-graph_from_json reads a key of a vertex or an edge of the graph JSON, and
-only wgraph reads the shape and row codes a graph holds.
+graph_from_json reads a key of a vertex or an edge of the graph JSON,
+only wgraph reads the shape and row codes a graph holds, and every module
+parses with the grammar of the oldest supported Python.
 """
 
 import ast
@@ -228,3 +229,12 @@ def test_every_unexported_public_name_is_read():
     assert len(unexported) > 5
     unread = _unread(unexported, reads)
     assert not unread, unread
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject: requires-python = ">=3.10", so no module may use syntax
+    # that a later version added (this checks the grammar, not the library)
+    paths = sorted((SRC / "affwgraph").glob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -345,18 +345,62 @@ def test_builders_byte_identical():
     assert moves.hexdigest() == "46da4ce8ce58142d15ab9671943e071e0d8537d40248c3117b61a52dc2031b4e"
 
 
+def _knuth_targets_oracle(shape):
+    """
+    The Knuth move targets of each tableau of the shape, sorted, by the rule
+    of is_knuth_move (a swap of mo(i) and mo(i+1) from different rows that
+    leaves incomparable affine descent sets), read from the tableaux' rows.
+    """
+    n = shape.n
+    vertices = enumerate_rsyt(shape)
+    index = {t: k for k, t in enumerate(vertices)}
+    descents = [affine_descents(t) for t in vertices]
+    rows = []
+    for u, t in enumerate(vertices):
+        targets = []
+        for x, y in ((mo(i, n), mo(i + 1, n)) for i in range(1, n + 1)):
+            if t.row_of(x) != t.row_of(y):
+                v = index[swapped(t, x, y)]
+                if not (descents[u] <= descents[v] or descents[v] <= descents[u]):
+                    targets.append(v)
+        rows.append(sorted(targets))
+    return rows
+
+
 @pytest.mark.parametrize("shape", [Partition((3, 3)), Partition((4, 4)), *two_row_shapes(11, 14)], ids=str)
 def test_orbit_built_graph_equals_the_per_vertex_one(shape):
-    # the builder runs the move kernel at the least vertex of each shift
-    # orbit and rotates its moves round the orbit; run at every vertex, the
-    # kernel gives the same edges in the same order, so its moves turn with
-    # the shift (n <= 10 is pinned byte for byte above; in (3,3) and (4,4)
-    # the masks 010101 and 00110011 lie on orbits shorter than n)
+    # both builders run their move kernel at the least vertex of each shift
+    # orbit and carry its row round the orbit; run at every vertex, the
+    # affine kernel gives the same edges in the same order, and so does a
+    # Knuth scan on the tableaux, so the moves turn with the shift (n <= 10
+    # is pinned byte for byte above; in (3,3) and (4,4) the masks 010101 and
+    # 00110011 lie on orbits shorter than n)
     by_source: dict[int, list[int]] = {}
     for move in enumerate_moves(shape):
         by_source.setdefault(move.source, []).append(move.target)
     expected = [((src, dst), 1) for src in sorted(by_source) for dst in sorted(by_source[src])]
     assert list(build_affine_graph(shape).weights.items()) == expected
+    knuth = _knuth_targets_oracle(shape)
+    expected = [((src, dst), 1) for src, targets in enumerate(knuth) for dst in targets]
+    assert list(build_dual_equiv(shape).weights.items()) == expected
+
+
+@pytest.mark.parametrize(("build", "kernel"), [(build_affine_graph, "_moves"), (build_dual_equiv, "_knuth_moves")])
+def test_builders_run_their_moves_once_per_orbit(monkeypatch, build, kernel):
+    # the moves run at the least vertex of each orbit of the shift, and
+    # nowhere else: the rest of each row is carried round the orbit
+    original, ran = getattr(tworow, kernel), []
+
+    def counted(m, n):
+        ran.append(m)
+        return original(m, n)
+
+    monkeypatch.setattr(tworow, kernel, counted)
+    for shape in (Partition((3, 3)), Partition((4, 4)), Partition((5, 3)), Partition((6, 6))):
+        ran.clear()
+        g = build(shape)
+        masks = g.row_codes()[1]
+        assert ran == [masks[k] for k in g.shift_orbit_representatives], shape
 
 
 def _builder_graphs(shape):
