@@ -1,7 +1,8 @@
 """
 Elements of the extended affine symmetric group in window notation and
 their inverses, the minimal coset representatives of S_n modulo a
-row-stabilizer, and the coset/tableau correspondence sending a
+row-stabilizer (the reading words of the one enumeration of row-standard
+fillings, in tableaux), and the coset/tableau correspondence sending a
 representative w to w applied to the canonical tableau.
 
 A window [w(1), ..., w(n)] extends to all of Z by w(k+n) = w(k)+n.
@@ -9,9 +10,7 @@ A window [w(1), ..., w(n)] extends to all of Z by w(k+n) = w(k)+n.
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .tableaux import Partition, RowStandardTableau, _Frozen, mo
+from .tableaux import Partition, RowStandardTableau, _fillings, _Frozen, mo
 
 __all__ = ["AffinePermutation", "inverse", "min_coset_reps", "canonical_tableau", "tableau_action"]
 
@@ -31,8 +30,8 @@ class AffinePermutation(_Frozen):
         """
         The permutation with this window, stored as given: only for a tuple
         whose entries have distinct residues, derived from a valid permutation
-        (its inverse) or an enumeration of valid windows, so it is not
-        checked again.
+        (its inverse) or the reading word of a row-standard filling, so it is
+        not checked again.
         """
         w = object.__new__(cls)
         object.__setattr__(w, "window", window)
@@ -58,21 +57,12 @@ def inverse(w: AffinePermutation) -> AffinePermutation:
 
 def min_coset_reps(shape: Partition) -> list[AffinePermutation]:
     """
-    All finite windows increasing on each block, sorted lexicographically.
-    These are the shortest representatives of the cosets modulo the
-    stabilizer of the canonical tableau.
+    The shortest representatives of the cosets modulo the stabilizer of the
+    canonical tableau: the finite windows increasing on each block of
+    shape.op, which are the reading words (bottom row first) of
+    enumerate_rsyt(shape), in its order, which is lexicographic.
     """
-    # (window prefix, entries left), one block of shape.op at a time
-    states = [((), tuple(range(1, shape.n + 1)))]
-    for size in shape.op:
-        grown = []
-        for prefix, remaining in states:
-            for chosen in combinations(remaining, size):
-                picked = set(chosen)
-                grown.append((prefix + chosen, tuple([e for e in remaining if e not in picked])))
-        states = grown
-    # each window is an arrangement of 1..n
-    return [AffinePermutation._trusted(w) for w in sorted(prefix for prefix, _ in states)]
+    return [AffinePermutation._trusted(sum(reversed(rows), ())) for rows in _fillings(shape)]
 
 
 def canonical_tableau(shape: Partition) -> RowStandardTableau:

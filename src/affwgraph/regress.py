@@ -357,17 +357,16 @@ def _sigma_findings(s: _Shape, sigma: tuple[int, ...]) -> list[str]:
 def _coset_suite(s: _Shape) -> tuple[list[str], int]:
     """
     The map w -> w applied to the canonical tableau is a bijection from the
-    minimal coset representatives onto the row-standard tableaux, matching
-    finite descents to left descents and the affine descent n to the
-    two-condition window characterization.
+    minimal coset representatives onto the row-standard tableaux, in order,
+    matching finite descents to left descents and the affine descent n to
+    the two-condition window characterization.
     """
     shape = s.shape
     n = shape.n
     reps = min_coset_reps(shape)
     canonical = canonical_tableau(shape)
     images = [tableau_action(w, canonical) for w in reps]
-    image_set = set(images)
-    if len(image_set) != len(reps) or image_set != set(s.g.vertices):
+    if images != list(s.g.vertices):
         return [f"{shape}:not-bijective"], 0
     bad = []
     for w, image in zip(reps, images):

@@ -10,14 +10,16 @@ Residues live in {1, ..., n}.  Tableaux from outside are validated by the
 constructor, which graph_from_json (wgraph, where the vertex JSON format
 lives) calls on each vertex's rows; enumerate_rsyt, the insertion tableau
 of rsk, the tableaux of row codes and the tableau action of affperm derive
-their rows from valid ones and store them without checking them again.  The standard tableaux of a shape are those
-of its row-standard enumeration that is_standard accepts, in that order.
+their rows from valid ones and store them without checking them again.
+One walk fills the row-standard tableaux of a shape: enumerate_rsyt makes
+them, enumerate_syt keeps the standard ones in order, and affperm reads
+their reading words as the minimal coset representatives.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import total_ordering
 from itertools import chain, combinations, filterfalse
 
@@ -178,7 +180,8 @@ def pint(a: int, b: int, n: int) -> frozenset[int]:
     Empty when b is congruent to a-1 (so the interval from a+1 to a is empty
     rather than everything); otherwise {mo(a+x) : 0 <= x <= (b-a) mod n}.
     """
-    if not (1 <= a <= n and 1 <= b <= n):
+    # True == 1 and 1.0 == 1 would pass the range check
+    if not (type(a) is type(b) is type(n) is int and 1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"residues out of range: a={a}, b={b}, n={n}")
     if mo(a, n) == mo(b + 1, n):
         return frozenset()
@@ -273,35 +276,41 @@ def _check_size(shape: Partition) -> None:
         rest -= part
 
 
+def _fillings(shape: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The rows, top row first, of each row-standard filling of the shape, sorted by reading word."""
+    # the reading words of one shape sort by the last row, then the row above
+    # it, and so on: the order of filling the rows from the bottom.  A frame
+    # is the entries not in the rows below row a >= 1 (0-based) and the iterator
+    # over the candidates for row a, resumed after the rows above it; row 1 leaves row 0
+    _check_size(shape)
+    rows = [()] * shape.length
+    rows[0] = entries = tuple(range(1, shape.n + 1))
+    work = [(entries, combinations(entries, shape.parts[-1]))] if shape.length > 1 else []
+    if not work:  # one row, one filling
+        yield tuple(rows)
+    while work:
+        a = shape.length - len(work)
+        pool, candidates = work[-1]
+        for row in candidates:
+            rows[a] = row
+            rest = tuple(filterfalse(set(row).__contains__, pool))
+            if a == 1:
+                rows[0] = rest
+                yield tuple(rows)
+            else:
+                work.append((rest, combinations(rest, shape.parts[a - 1])))
+                break
+        else:
+            work.pop()
+
+
 def enumerate_rsyt(shape: Partition) -> list[RowStandardTableau]:
     """
     All row-standard tableaux of the shape, sorted by reading word.
 
     The order is the canonical vertex order used by every graph builder.
     """
-    # the reading words of one shape sort by the last row, then the row above
-    # it, and so on: the order of filling the rows from the bottom.  A frame
-    # is the entries not in the rows below row a (0-based) and the iterator
-    # over the candidates for row a, resumed after the rows above it are filled
-    _check_size(shape)
-    tableaux: list[RowStandardTableau] = []
-    rows = [()] * shape.length
-    entries = tuple(range(1, shape.n + 1))
-    work = [(entries, combinations(entries, shape.parts[-1]))]
-    while work:
-        a = shape.length - len(work)
-        pool, candidates = work[-1]
-        for row in candidates:
-            rows[a] = row
-            if a == 0:
-                tableaux.append(RowStandardTableau._trusted(tuple(rows)))
-            else:
-                rest = tuple(filterfalse(set(row).__contains__, pool))
-                work.append((rest, combinations(rest, shape.parts[a - 1])))
-                break
-        else:
-            work.pop()
-    return tableaux
+    return list(map(RowStandardTableau._trusted, _fillings(shape)))
 
 
 def is_standard(t: RowStandardTableau) -> bool:

@@ -299,14 +299,15 @@ def dynkin_adjacent(g: LabeledWGraph, i: int, j: int) -> bool:
 
 def full_subgraph(g: LabeledWGraph, vertex_ids: list[int]) -> LabeledWGraph:
     """Subgraph on the given vertices keeping all internal weights."""
+    codes, vertices = g._codes, g.vertices
+    # True == 1 and 1.0 == 1 would pass the range check, and "a" would not sort
+    if not all(type(k) is int and 0 <= k < len(vertices) for k in vertex_ids) or len(set(vertex_ids)) != len(vertex_ids):
+        raise ValueError(f"vertex ids must be distinct and in 0..{len(vertices) - 1}")
     ids = sorted(vertex_ids)
-    if len(set(ids)) != len(ids) or not all(0 <= k < len(g.vertices) for k in ids):
-        raise ValueError(f"vertex ids must be distinct and in 0..{len(g.vertices) - 1}")
     renumber = {old: new for new, old in enumerate(ids)}
     # the out-edges of the kept vertices only; renumbering keeps their order
     adj = g.adjacency
     rows = _shared_rows([(renumber[v], w) for v, w in adj[u] if v in renumber] for u in ids)
-    codes, vertices = g._codes, g.vertices
     # a graph with no vertex has no shape, as the public constructor makes it
     return LabeledWGraph._trusted(
         g.n, g.index_set, g._parts if ids else (), tuple(codes[k] for k in ids), tuple(g.tau[k] for k in ids),

@@ -16,7 +16,7 @@ from affwgraph import (
 from affwgraph.affperm import canonical_tableau, inverse, tableau_action
 from affwgraph.tableaux import mo
 
-from conftest import all_partitions, omega_shift, swapped, two_row_shapes
+from conftest import all_partitions, exactly, omega_shift, swapped, two_row_shapes
 
 
 def T(*rows):
@@ -160,6 +160,24 @@ class TestCosetReps:
         )
         assert [w.window for w in min_coset_reps(shape)] == expected
 
+    def test_windows_are_the_reading_words_of_the_enumeration(self):
+        # the reading word (bottom row first) of each row-standard tableau,
+        # in enumerate_rsyt order, is the window sending the canonical tableau to it
+        for n in range(3, 9):
+            for parts in all_partitions(n):
+                shape = Partition(parts)
+                words = [tuple(e for row in reversed(t.rows) for e in row) for t in enumerate_rsyt(shape)]
+                assert [w.window for w in min_coset_reps(shape)] == words, parts
+
+    def test_too_large_a_shape_fails_at_once(self):
+        # C(80, 40) windows, more than a list can index: the shape is rejected
+        # as enumerate_rsyt rejects it, before anything is allocated
+        shape = Partition((40, 40))
+        with pytest.raises(ValueError) as rejected:
+            enumerate_rsyt(shape)
+        with pytest.raises(ValueError, match=exactly(str(rejected.value))):
+            min_coset_reps(shape)
+
     def test_leaves_no_reference_cycles(self):
         gc.collect()
         gc.disable()
@@ -192,6 +210,10 @@ class TestTableauAction:
         s0 = simple_reflection(0, 5)
         assert tableau_action(s0, T([1, 2, 3], [4, 5])) == T([2, 3, 5], [1, 4])
         assert tableau_action(s0, T([2, 3, 4], [1, 5])) == T([2, 3, 4], [1, 5])
+
+    def test_rejects_a_window_of_another_size(self):
+        with pytest.raises(ValueError, match=exactly("sizes differ: 4 vs 3")):
+            tableau_action(identity(4), T([2, 3], [1]))
 
     def test_s0_involution(self):
         s0 = simple_reflection(0, 5)

@@ -122,6 +122,7 @@ MALFORMED = {
     "duplicate edge": (
         lambda graph: graph["edges"].append(dict(graph["edges"][0])), "error: duplicate edge (0, 6)",
     ),
+    "zero weight": (lambda graph: graph["edges"][0].update(w=0), "error: stored weight must be nonzero: (0, 6)"),
     "repeated vertex": (
         lambda graph: graph["vertices"].__setitem__(-1, graph["vertices"][0]),
         "error: vertex 9 (345/12) is repeated",
@@ -606,9 +607,14 @@ TOO_LARGE = f"error: shape ({HUGE_PART},1) is too large: 100000000000000000000 e
 # their count is known, before the enumeration allocates anything
 TOO_MANY = "error: shape (40,40) is too large: more than 9223372036854775807 row-standard tableaux"
 
-# values the CLI passes on unchecked, and the library's line they exit 2 with
-# (--jobs below 1 is TestRegress's)
+# values the CLI rejects as it parses them (the first three), or passes on
+# unchecked, and the line they exit 2 with (--jobs below 1 is TestRegress's)
 LIBRARY_CHECKED = {
+    "variant not p=K": (["build", "3", "3", "--variant", "q=1"], "error: --variant expects p=K, got 'q=1'"),
+    "variant weight not an integer": (
+        ["build", "3", "3", "--variant", "p=x"], "error: --variant expects an integer weight, got 'p=x'",
+    ),
+    "interval bound not an integer": (["restrict", "3", "2", "--to", "a..4"], "error: interval bounds must be integers: 'a..4'"),
     "negative variant weight": (["build", "3", "3", "--variant", "p=-1"], "error: variant weight must be nonnegative: -1"),
     "interval from 0": (["restrict", "3", "2", "--to", "0..3"], "error: residues out of range: a=0, b=3, n=5"),
     "interval to n + 4": (["restrict", "3", "2", "--to", "1..9"], "error: residues out of range: a=1, b=9, n=5"),

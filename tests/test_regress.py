@@ -201,6 +201,32 @@ def test_coset_suite_sees_a_missing_representative(monkeypatch):
     assert result.detail == ", ".join(f"{parts}:not-bijective" for parts in ("(2,1)", "(3,1)", "(2,2)", "(4,1)"))
 
 
+# a damage to every descent set the coset suite reads, and its first four
+# findings, which name the shape and the representative
+COSET_FINDINGS = {
+    # 1 added: the representatives without the left descent 1
+    "finite-descents": (
+        lambda descents, n: descents | {1},
+        "(2,1):[1,2,3]:finite-descents, (2,1):[3,1,2]:finite-descents, "
+        "(3,1):[1,2,3,4]:finite-descents, (3,1):[3,1,2,4]:finite-descents",
+    ),
+    # n toggled: every representative
+    "affine-descent": (
+        lambda descents, n: descents ^ {n},
+        "(2,1):[1,2,3]:affine-descent, (2,1):[2,1,3]:affine-descent, "
+        "(2,1):[3,1,2]:affine-descent, (3,1):[1,2,3,4]:affine-descent",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage, detail", COSET_FINDINGS.values(), ids=COSET_FINDINGS.keys())
+def test_coset_suite_names_the_representative_of_a_wrong_descent(monkeypatch, damage, detail):
+    original = regress.affine_descents
+    monkeypatch.setattr(regress, "affine_descents", lambda t: damage(original(t), t.n))
+    result = regress._sweep(4, {"coset_suite"})["coset_suite"]
+    assert (result.passed, result.detail) == (False, detail)
+
+
 @pytest.mark.parametrize(
     "part, detail",
     [

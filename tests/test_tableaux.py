@@ -65,6 +65,16 @@ class TestResidues:
         # from a+1 around to a-1: everything except a
         assert pint(3, 1, 5) == {3, 4, 5, 1}
 
+    @pytest.mark.parametrize(
+        "a, b, n",
+        # True == 1 and 1.0 == 1 would pass the range check
+        [(0, 3, 5), (1, 6, 5), (1.0, 3, 5), (True, 3, 5), (1, 3.0, 5), (1, True, 5), (1, 3, 5.0)],
+        ids=["a 0", "b n + 1", "a float", "a bool", "b float", "b bool", "n float"],
+    )
+    def test_pint_rejects_a_residue_out_of_range_or_not_an_int(self, a, b, n):
+        with pytest.raises(ValueError, match="residues out of range"):
+            pint(a, b, n)
+
 
 class TestDescents:
     def test_affine_examples(self):
@@ -263,6 +273,12 @@ class TestTableauValue:
         for rows, message in BAD_ROWS:
             with pytest.raises(ValueError, match=exactly(message)):
                 T(*rows)
+
+    def test_row_of_names_a_missing_entry(self):
+        t = T([1, 2, 3], [4, 5])
+        assert [t.row_of(e) for e in range(1, 6)] == [1, 1, 1, 2, 2]
+        with pytest.raises(ValueError, match=exactly("6 not in tableau ((1, 2, 3), (4, 5))")):
+            t.row_of(6)
 
     def test_derived_tableaux_equal_validated_ones(self):
         # enumerate_rsyt and the insertion tableau of rsk store their rows

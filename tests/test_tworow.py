@@ -37,7 +37,7 @@ from affwgraph.tworow import (
 )
 from affwgraph.wgraph import EdgeWeights, graph_to_dot, graph_to_json, simple_component_ids, simple_underlying
 
-from conftest import is_knuth_move, omega_shift, swapped, two_row_shapes
+from conftest import exactly, is_knuth_move, omega_shift, swapped, two_row_shapes
 
 
 def T(*rows):
@@ -250,6 +250,10 @@ class TestFiniteGraph:
         g = build_finite_graph(Partition((4,)))
         assert len(g.vertices) == 1
         assert g.weights == {}
+
+    def test_rejects_three_rows(self):
+        with pytest.raises(ValueError, match=exactly("shape must have at most two rows: (2,2,1)")):
+            build_finite_graph(Partition((2, 2, 1)))
 
 
 def test_omega_equivariance():

@@ -28,10 +28,10 @@ from affwgraph import (
     finsh,
     restrict_parabolic,
 )
-from affwgraph.verify import hecke_holds, rules_hold
-from affwgraph.wgraph import dynkin_adjacent, full_subgraph, is_nb_admissible, is_reduced
+from affwgraph.verify import CellMismatchError, _restriction_fibers, hecke_holds, rules_hold
+from affwgraph.wgraph import _scc_partition, dynkin_adjacent, full_subgraph, is_nb_admissible, is_reduced
 
-from conftest import all_partitions, bench_size_damaged_graphs, count_ssyt, dominance_leq, two_row_shapes
+from conftest import all_partitions, bench_size_damaged_graphs, count_ssyt, dominance_leq, exactly, two_row_shapes
 from hecke_oracle import ONE, Q, V, ZERO, laurent_matrices, lp_monomial
 
 
@@ -1282,6 +1282,16 @@ class TestRestrictionCells:
             classify_restriction_cells(g32)
         with pytest.raises(ValueError, match="restricted to 1..4"):
             classify_restriction_cells(restrict_parabolic(g32, range(2, 6)))
+
+    def test_rejects_fibers_that_share_an_insertion_shape(self):
+        # one recording tableau per strongly connected component, so the
+        # fibers are the components, but each of shape (3,): no shape keys them
+        restricted = _finite_restriction(Partition((3, 2)))
+        cell = {k: c for c, comp in enumerate(_scc_partition(restricted)) for k in comp}
+        recording = [((cell[k],) * 3,) for k in range(len(restricted.vertices))]
+        assert len(set(recording)) == 3
+        with pytest.raises(CellMismatchError, match=exactly("insertion shapes do not separate the fibers for (3,2)")):
+            _restriction_fibers(restricted, recording)
 
     def test_cell_count_against_ssyt_enumeration(self):
         for shape in two_row_shapes(3, 7):

@@ -385,7 +385,12 @@ def test_empty_full_subgraph_is_the_empty_graph(g32):
     assert empty.vertices == () and empty.row_codes() == (0, ())
 
 
-@pytest.mark.parametrize("ids", [[0, 0, 1], [0, 99], [-1, 0]], ids=["repeated", "too large", "negative"])
+@pytest.mark.parametrize(
+    "ids",
+    # True == 1 and 1.0 == 1 would pass a range check, and a string would not compare with 0
+    [[0, 0, 1], [0, 99], [-1, 0], [1.0, 2], ["a"], [True, 2]],
+    ids=["repeated", "too large", "negative", "float", "string", "bool"],
+)
 def test_full_subgraph_rejects_bad_vertex_ids(g32, ids):
     with pytest.raises(ValueError, match="vertex ids"):
         full_subgraph(g32, ids)
