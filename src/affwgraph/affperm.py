@@ -21,6 +21,9 @@ class AffinePermutation(_Frozen):
     def __init__(self, window):
         window = tuple(window)
         n = len(window)
+        # True == 1 and 1.0 == 1 would pass the residue check, and 1.0 cannot index
+        if not all(type(w) is int for w in window):
+            raise ValueError(f"window entries must be integers: {window}")
         if sorted(mo(w, n) for w in window) != list(range(1, n + 1)):
             raise ValueError(f"window entries must have distinct residues: {window}")
         object.__setattr__(self, "window", window)

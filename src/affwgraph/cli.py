@@ -16,8 +16,10 @@ of memory (a shape whose tableaux can be indexed but not held).  The CLI checks
 only what it parses itself (the form of p=K and a..b, and options that do
 not combine); argparse checks the choices, and the library checks values
 where they enter it (the graph JSON, the size of the shape, the variant
-weight, the interval's residues, --jobs and --max-n), with the ValueError
-printed as the error line.
+weight, the interval's residues, --jobs and --max-n).  There is one error
+type: the CLI raises ValueError as the library does, and main prints it as
+the error line.  Every JSON document it writes (a graph, the verify report,
+the cells listing) has one text form: sorted keys, indent 1, a newline.
 """
 
 from __future__ import annotations
@@ -47,17 +49,13 @@ from .wgraph import (
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    pass
-
-
 def _variant_weight(text: str) -> int:
     if not text.startswith("p="):
-        raise UsageError(f"--variant expects p=K, got {text!r}")
+        raise ValueError(f"--variant expects p=K, got {text!r}")
     try:
         return int(text[2:])
     except ValueError:
-        raise UsageError(f"--variant expects an integer weight, got {text!r}") from None
+        raise ValueError(f"--variant expects an integer weight, got {text!r}") from None
 
 
 # the --kind choices of build and export
@@ -67,19 +65,22 @@ _KINDS = ("affine", "dual-equiv", "finite")
 def _build(args) -> LabeledWGraph:
     shape = Partition(tuple(args.shape))
     kind = getattr(args, "kind", "affine")
-    if getattr(args, "variant", None) is not None:
+    if args.variant is not None:
         if kind != "affine":
-            raise UsageError(f"--variant is an affine graph and cannot be combined with --kind {kind}")
+            raise ValueError(f"--variant is an affine graph and cannot be combined with --kind {kind}")
         return build_equal_variant(shape, _variant_weight(args.variant))
     # the builder is looked up by name on each call, so a patched module
     # attribute (a tracer's wrapper, say) is the one that runs
     return {"affine": build_affine_graph, "dual-equiv": build_dual_equiv, "finite": build_finite_graph}[kind](shape)
 
 
+def _json_text(document) -> str:
+    """The one JSON text form the CLI writes: sorted keys, indent 1, a trailing newline."""
+    return json.dumps(document, indent=1, sort_keys=True) + "\n"
+
+
 def _render(g: LabeledWGraph, fmt: str, name: str) -> str:
-    if fmt == "dot":
-        return graph_to_dot(g, name)
-    return json.dumps(graph_to_json(g), indent=1, sort_keys=True) + "\n"
+    return graph_to_dot(g, name) if fmt == "dot" else _json_text(graph_to_json(g))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -87,7 +88,7 @@ def _emit(text: str, output: str | None) -> None:
         try:
             Path(output).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise UsageError(f"{output}: cannot write: {exc.strerror}") from None
+            raise ValueError(f"{output}: cannot write: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -96,11 +97,11 @@ def _parse_interval(text: str, n: int) -> list[int]:
     """Parse "a..b" as the cyclic residue interval from a to b."""
     parts = text.split("..")
     if len(parts) != 2:
-        raise UsageError(f"interval must look like a..b, got {text!r}")
+        raise ValueError(f"interval must look like a..b, got {text!r}")
     try:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
-        raise UsageError(f"interval bounds must be integers: {text!r}") from None
+        raise ValueError(f"interval bounds must be integers: {text!r}") from None
     return sorted(pint(a, b, n))
 
 
@@ -116,24 +117,24 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     if args.input:
         if args.shape or args.variant is not None:
-            raise UsageError("--input names the graph to verify: give no shape or --variant with it")
+            raise ValueError("--input names the graph to verify: give no shape or --variant with it")
         try:
             with open(args.input, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise UsageError(f"{args.input}: cannot read: {exc.strerror}") from None
+            raise ValueError(f"{args.input}: cannot read: {exc.strerror}") from None
         except RecursionError:
-            raise UsageError(f"{args.input}: JSON nested too deeply") from None
+            raise ValueError(f"{args.input}: JSON nested too deeply") from None
         try:
             g = graph_from_json(data)
         except KeyError as exc:
-            raise UsageError(f"{args.input}: missing key {exc}") from None
+            raise ValueError(f"{args.input}: missing key {exc}") from None
         except TypeError as exc:
-            raise UsageError(f"{args.input}: malformed graph: {exc}") from None
+            raise ValueError(f"{args.input}: malformed graph: {exc}") from None
         name = args.input
     else:
         if not args.shape:
-            raise UsageError("verify needs a shape or --input FILE")
+            raise ValueError("verify needs a shape or --input FILE")
         g = _build(args)
         name = _graph_name(args)
     run_rules = args.rules or not args.hecke
@@ -144,15 +145,7 @@ def cmd_verify(args) -> int:
     if run_hecke:
         reports.append(check_hecke_relations(g))
     passed = all(r.passed for r in reports)
-    _emit(
-        json.dumps(
-            {"graph": name, "passed": passed, "reports": [r.to_json() for r in reports]},
-            indent=1,
-            sort_keys=True,
-        )
-        + "\n",
-        args.output,
-    )
+    _emit(_json_text({"graph": name, "passed": passed, "reports": [r.to_json() for r in reports]}), args.output)
     return 0 if passed else 1
 
 
@@ -184,10 +177,7 @@ def cmd_cells(args) -> int:
         if key is not None:
             entry["key"] = list(key.parts)
         listing.append(entry)
-    _emit(
-        json.dumps({"count": len(listing), "cells": listing}, indent=1, sort_keys=True) + "\n",
-        args.output,
-    )
+    _emit(_json_text({"count": len(listing), "cells": listing}), args.output)
     return 0
 
 
@@ -201,7 +191,7 @@ def cmd_export(args) -> int:
         for path, text in files:
             path.write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"{exc.filename}: cannot write: {exc.strerror}") from None
+        raise ValueError(f"{exc.filename}: cannot write: {exc.strerror}") from None
     sys.stdout.write(f"wrote {name}.json and {name}.dot to {outdir}\n")
     return 0
 
@@ -223,6 +213,8 @@ def _add_shape(parser, required=True):
     nargs = 2 if required else "*"
     parser.add_argument("shape", type=int, nargs=nargs, metavar="PART",
                         help="two-row shape as two integers, e.g. 3 2")
+    parser.add_argument("--variant", metavar="p=K",
+                        help="equal-row variant with cross-component weight K")
 
 
 def _add_io(parser):
@@ -240,14 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct a graph and print it")
     _add_shape(p)
     p.add_argument("--kind", choices=_KINDS, default="affine")
-    p.add_argument("--variant", metavar="p=K",
-                   help="equal-row variant with cross-component weight K")
     _add_io(p)
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("verify", help="run the rule and module checks")
     _add_shape(p, required=False)
-    p.add_argument("--variant", metavar="p=K")
     p.add_argument("--rules", action="store_true", help="only the four local rules")
     p.add_argument("--hecke", action="store_true", help="only the module relations")
     p.add_argument("--input", metavar="FILE", help="verify a graph from a JSON file")
@@ -258,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shape(p)
     p.add_argument("--to", metavar="a..b", required=True,
                    help="generator subset as a cyclic interval")
-    p.add_argument("--variant", metavar="p=K")
     _add_io(p)
     p.set_defaults(fn=cmd_restrict)
 
@@ -266,14 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shape(p)
     p.add_argument("--restrict", metavar="a..b",
                    help="restrict first; 1..n-1 keys cells by insertion shape")
-    p.add_argument("--variant", metavar="p=K")
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(fn=cmd_cells)
 
     p = sub.add_parser("export", help="write JSON and DOT files")
     _add_shape(p)
     p.add_argument("--kind", choices=_KINDS, default="affine")
-    p.add_argument("--variant", metavar="p=K")
     p.add_argument("--output", metavar="DIR")
     p.set_defaults(fn=cmd_export)
 
@@ -290,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError:

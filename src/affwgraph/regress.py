@@ -434,6 +434,10 @@ def _run_shapes(shapes: list[Partition], max_n: int, names) -> list[list[tuple[l
 
 def _sweep(max_n: int, names, jobs: int = 1) -> dict[str, RegressResult]:
     """The named swept checks, with the shapes spread over `jobs` processes, largest first."""
+    # 8.0 could not bound a range, and True == 1 would run as one process
+    for name, value in (("max_n", max_n), ("jobs", jobs)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, the size of the smallest shape, not {max_n}")
     if jobs < 1:

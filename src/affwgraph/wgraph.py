@@ -36,7 +36,8 @@ public constructor, and last each vertex's copy of n and that neither
 the index set nor a label list repeats an entry.  The builders and the
 graphs derived from a valid one are made by LabeledWGraph._trusted from
 rows, unchecked; derived graphs keep the edge order by filtering their
-parent's rows, and share the rows and pairs they keep.
+parent's rows, and share the rows and pairs they keep; a subgraph
+shares its parent's tableaux only if the parent has made them.
 """
 
 from __future__ import annotations
@@ -298,11 +299,14 @@ def dynkin_adjacent(g: LabeledWGraph, i: int, j: int) -> bool:
 
 
 def full_subgraph(g: LabeledWGraph, vertex_ids: list[int]) -> LabeledWGraph:
-    """Subgraph on the given vertices keeping all internal weights."""
-    codes, vertices = g._codes, g.vertices
+    """
+    Subgraph on the given vertices keeping all internal weights.  It shares
+    the parent's tableaux only if the parent has made them.
+    """
+    codes, made = g._codes, vars(g).get("vertices")
     # True == 1 and 1.0 == 1 would pass the range check, and "a" would not sort
-    if not all(type(k) is int and 0 <= k < len(vertices) for k in vertex_ids) or len(set(vertex_ids)) != len(vertex_ids):
-        raise ValueError(f"vertex ids must be distinct and in 0..{len(vertices) - 1}")
+    if not all(type(k) is int and 0 <= k < len(codes) for k in vertex_ids) or len(set(vertex_ids)) != len(vertex_ids):
+        raise ValueError(f"vertex ids must be distinct and in 0..{len(codes) - 1}")
     ids = sorted(vertex_ids)
     renumber = {old: new for new, old in enumerate(ids)}
     # the out-edges of the kept vertices only; renumbering keeps their order
@@ -311,7 +315,7 @@ def full_subgraph(g: LabeledWGraph, vertex_ids: list[int]) -> LabeledWGraph:
     # a graph with no vertex has no shape, as the public constructor makes it
     return LabeledWGraph._trusted(
         g.n, g.index_set, g._parts if ids else (), tuple(codes[k] for k in ids), tuple(g.tau[k] for k in ids),
-        rows, tuple(vertices[k] for k in ids),
+        rows, None if made is None else tuple(made[k] for k in ids),
     )
 
 

@@ -76,6 +76,13 @@ class TestWindows:
         with pytest.raises(ValueError):
             AffinePermutation((1, 1, 3))
 
+    @pytest.mark.parametrize("window", [(1.0, 2, 3), (True, 2, 3)])
+    def test_rejects_entries_that_are_not_ints(self, window):
+        # both have distinct residues: 1.0 would then fail to index in
+        # inverse, and True would equal and hash as the window (1, 2, 3)
+        with pytest.raises(ValueError, match=exactly(f"window entries must be integers: {window}")):
+            AffinePermutation(window)
+
     def test_is_affine(self):
         # the non-extended affine group: windows summing to n(n+1)/2
         assert sum(identity(4).window) == 10

@@ -170,6 +170,20 @@ def test_jobs_below_one_rejected(jobs):
         regress.run_regression(max_n=4, jobs=jobs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_n": 8.0}, "max_n must be an integer, not 8.0"),
+        ({"max_n": 5, "jobs": 2.0}, "jobs must be an integer, not 2.0"),
+        # True == 1 would run as one process
+        ({"max_n": 5, "jobs": True}, "jobs must be an integer, not True"),
+    ],
+)
+def test_max_n_and_jobs_that_are_not_ints_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=exactly(message)):
+        regress.run_regression(**kwargs)
+
+
 def test_serial_and_parallel_runs_agree():
     assert regress.run_regression(max_n=8, jobs=2) == regress.run_regression(max_n=8)
 
@@ -433,3 +447,82 @@ def test_shift_suite_sees_a_wrong_insertion_shape(monkeypatch):
         "(3,2):345/12:case-table", "(3,2):345/12:equal-implies-standard",
         "(3,2):234/15:case-table", "(3,2):234/15:equal-implies-standard",
     ]))
+
+
+def test_equal_variants_names_each_case_that_fails(monkeypatch):
+    monkeypatch.setattr(regress, "rules_hold", lambda g: False)
+    result = regress.check_equal_variants()
+    assert (result.passed, result.detail) == (
+        False, "(a=2, p=0), (a=3, p=0), (a=4, p=0), (a=2, p=2), (a=3, p=2)"
+    )
+
+
+def test_mutation_sensitivity_names_each_silent_deletion(monkeypatch):
+    # checks that pass every graph let every within-component deletion through
+    monkeypatch.setattr(regress, "rules_hold", lambda g: True)
+    monkeypatch.setattr(regress, "hecke_holds", lambda g: True)
+    result = regress._sweep(3, {"mutation_sensitivity"})["mutation_sensitivity"]
+    edges = [(u, v) for u in range(3) for v in range(3) if u != v]  # (2,1) is a triangle, one component
+    assert (result.passed, result.detail) == (False, ", ".join(f"(2,1):{e}" for e in edges))
+
+
+def _with_insertion_of_123_45(monkeypatch, rows):
+    """rsk as regress reads it, giving the vertex 123/45 of (3,2) the insertion tableau P with these rows."""
+    victim = RowStandardTableau(((1, 2, 3), (4, 5)))
+    original = regress.rsk
+
+    def damaged(t):
+        pair = original(t)
+        return RskPair(RowStandardTableau(rows), pair.q) if t == victim else pair
+
+    monkeypatch.setattr(regress, "rsk", damaged)
+
+
+def test_restriction_cells_sees_an_insertion_tableau_outside_the_finite_graph(monkeypatch):
+    # 345/12 has the cell's shape (3,2) but is not standard, so no vertex of
+    # the finite graph of (3,2) is its image; the shift suite reads only its shape
+    _with_insertion_of_123_45(monkeypatch, ((3, 4, 5), (1, 2)))
+    results = regress._sweep(4, {"restriction_cells", "shift_suite"})
+    assert [(r.passed, r.detail) for r in results.values()] == [
+        (False, "(3,2):(3,2):insertion-image"), (True, "n <= 4"),
+    ]
+
+
+def test_shift_suite_sees_a_full_row_insertion_with_n_in_row_two(monkeypatch):
+    # 123/45 has n in row 2, where the case table has no one-row insertion
+    # shape; the vertex the shift takes to it fails the case table
+    _with_insertion_of_123_45(monkeypatch, ((1, 2, 3, 4, 5),))
+    result = regress._sweep(5, {"shift_suite"})["shift_suite"]
+    assert (result.passed, result.detail) == (False, "(3,2):125/34:case-table, (3,2):123/45:full-row-top")
+
+
+@pytest.mark.parametrize(
+    "name, ids, detail",
+    [
+        ("_component_ids", lambda count: [0] * count, "(2,2):component-count"),
+        ("simple_component_ids", lambda count: [0] * count, "(2,2):knuth-component-count"),
+        # two components, but the shift keeps all but vertex 0 (34/12) and
+        # its image in the second
+        (
+            "_component_ids", lambda count: [0] + [1] * (count - 1),
+            ", ".join(f"(2,2):{t}:shift-preserves-component" for t in ("24/13", "14/23", "13/24", "12/34")),
+        ),
+    ],
+    ids=["one simple component", "one Knuth component", "shift-preserved component"],
+)
+def test_shift_suite_sees_wrong_components_of_an_equal_row_shape(monkeypatch, name, ids, detail):
+    monkeypatch.setattr(regress, name, lambda g: ids(len(g.tau)))
+    result = regress._sweep(4, {"shift_suite"})["shift_suite"]
+    assert (result.passed, result.detail) == (False, detail)
+
+
+@pytest.mark.parametrize(
+    "parts, item", [((2, 2), "no-standard"), ((3, 2), "no-consecutive-standard")]
+)
+def test_shift_suite_sees_a_shift_cycle_without_standard_tableaux(monkeypatch, parts, item):
+    # with no vertex standard, every vertex is on such a cycle; the suite is
+    # run directly, as the result shows only its first four findings
+    monkeypatch.setattr(regress, "is_standard", lambda t: False)
+    shape = Partition(parts)
+    bad, _ = regress._shift_suite(regress._Shape(shape, regress.build_finite_graph))
+    assert [f for f in bad if f.endswith(f":{item}")] == [f"{shape}:{t}:{item}" for t in enumerate_rsyt(shape)]

@@ -35,7 +35,15 @@ from affwgraph.tworow import (
     _second_kind_ends,
     _second_kind_gate,
 )
-from affwgraph.wgraph import EdgeWeights, graph_to_dot, graph_to_json, simple_component_ids, simple_underlying
+from affwgraph.wgraph import (
+    EdgeWeights,
+    _scc_partition,
+    cells,
+    graph_to_dot,
+    graph_to_json,
+    simple_component_ids,
+    simple_underlying,
+)
 
 from conftest import exactly, is_knuth_move, omega_shift, swapped, two_row_shapes
 
@@ -591,6 +599,17 @@ def test_derived_graphs_read_the_parents_tableaux(made, build, derive, parent_fi
     assert len(first.vertices) == len(made) == 35
     assert len(second.vertices) == 35 and len(made) == 70
     assert h.vertices == g.vertices
+
+
+def test_cells_share_the_parents_tableaux_only_once_made(made):
+    # the cells of a graph that holds only row codes hold only theirs; once
+    # the parent has made its tableaux, each cell holds the same objects
+    g = build_affine_graph(Partition((5, 5)))
+    assert all("vertices" not in vars(cell) for cell in cells(g)) and made == []
+    vertices = g.vertices
+    for cell, ids in zip(cells(g), _scc_partition(g), strict=True):
+        assert all(t is vertices[k] for t, k in zip(cell.vertices, sorted(ids), strict=True))
+    assert len(made) == 252
 
 
 @pytest.mark.parametrize("p", [0, 2])
