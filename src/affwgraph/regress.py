@@ -65,6 +65,9 @@ class RegressResult(_Frozen):
     detail: str
 
     def __init__(self, name, passed, detail=""):
+        for field, value in (("name", name), ("detail", detail)):
+            if type(value) is not str:
+                raise ValueError(f"{field} must be a string, not {value!r}")
         vars(self).update(name=name, passed=passed, detail=detail)
 
 

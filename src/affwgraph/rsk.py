@@ -25,7 +25,8 @@ class RskPair(_Frozen):
     q: tuple[tuple[int, ...], ...]
 
     def __init__(self, p, q):
-        vars(self).update(p=p, q=q)
+        # a copy, so that the caller's lists cannot change the pair (a tuple of a tuple is itself)
+        vars(self).update(p=p, q=tuple(map(tuple, q)))
 
 
 def _row_insert(rows: list[list[int]], labels: list[list[int]], entry: int, label: int) -> None:
@@ -56,7 +57,7 @@ def rsk(t: RowStandardTableau) -> RskPair:
         for entry in t.rows[a - 1]:
             _row_insert(rows, labels, entry, depth + 1 - a)
     p = RowStandardTableau._trusted(tuple(tuple(row) for row in rows))
-    return RskPair(p, tuple(tuple(row) for row in labels))
+    return RskPair(p, labels)
 
 
 def finsh(t: RowStandardTableau) -> Partition:

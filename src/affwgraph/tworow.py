@@ -12,26 +12,27 @@ interval conditions (a)-(e) below.
 A two-row tableau of size n is determined by its row 2 (row 1 is the
 complement in 1..n), held as an int mask, its row code: entry e is bit
 e - 1.  Vertex k of the shape (a, b) is the k-th b-subset of 1..n in
-lexicographic order, which is the enumerate_rsyt order (reading words
-begin with row 2).  Descents, moves and the second-kind gate are bit
-operations on the mask and its cyclic rotations.  The affine graph and
-the dual equivalence graph run their moves at the least vertex of each
-orbit of the shift, and carry that row round the orbit by rho, the vertex
-permutation of the one-step rotation of the masks (bit e - 1 to bit e mod
-n).  Both enumerate the masks straight from the b-subsets and build no
-tableau.  The finite builder takes the masks of the standard tableaux it
-enumerates, and has its own bit helper and non-cyclic gate with plain
-intervals, so it is not derived from the affine one.
+lexicographic order, the enumerate_rsyt order (reading words begin with
+row 2).  Descents, moves and the second-kind gate are bit operations on
+the mask and its cyclic rotations.  The affine graph and the dual
+equivalence graph enumerate the masks straight from the b-subsets, build
+no tableau, run their moves at the least vertex of each orbit of the
+shift, and carry that row round the orbit by rho, the vertex permutation
+of the one-step rotation of the masks (bit e - 1 to bit e mod n).  The
+finite builder takes the masks of the standard tableaux it enumerates and
+has its own bit helper and non-cyclic gate with plain intervals, so it is
+not derived from the affine one; one mask per vertex, the i < n with i in
+row 1 and i + 1 in row 2, gives both its label and its first-kind moves.
 
-Every builder hands its fresh fields to LabeledWGraph._trusted: the parts
-of the shape and the masks (and the finite builder its tableaux), descent
-sets inside the index set and the out-edge rows, so the graph is neither
-copied, checked nor sorted again.  Each builder reaches the sources in
-order and sorts one source's targets into its row, as (target, 1) pairs,
-one per target vertex, shared by the rows it is in (the variant keeps its
-affine graph's pairs and shares one (target, p) pair per target).  No
-builder hands over a derived value: the graph derives the shift's vertex
-permutation from the masks, not from the builders' rho, and
+Every builder hands its fresh fields to LabeledWGraph._trusted, which
+neither copies, checks nor sorts them: the parts of the shape and the
+masks (and the finite builder its tableaux), the descent sets, one
+frozenset per distinct descent mask, and the out-edge rows.  Each builder
+reaches the sources in order and sorts one source's targets into its
+row, as (target, 1) pairs, one per target vertex, shared by the rows it
+is in (the variant keeps its affine graph's pairs and shares one (target,
+p) pair per target).  No builder hands over a derived value: the graph
+derives the shift's vertex permutation from the masks, not from rho, and
 its tableaux when they are first read.
 """
 
@@ -39,8 +40,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .tableaux import Partition, _check_size, enumerate_syt, finite_descents, mo, row_codes
-from .wgraph import Edges, LabeledWGraph, _shared_rows, simple_component_ids
+from .tableaux import Partition, _check_size, enumerate_syt, mo, row_codes
+from .wgraph import Edges, LabeledWGraph, _shared_labels, _shared_rows, simple_component_ids
 
 __all__ = ["build_affine_graph", "build_dual_equiv", "build_equal_variant", "build_finite_graph"]
 
@@ -118,15 +119,6 @@ def _moves(m: int, n: int):
                 yield "second", i, j, m ^ (1 << (i - 1)) ^ (1 << (j - 1))
 
 
-def _descent_sets(descents: list[int]) -> tuple[frozenset[int], ...]:
-    """The descent masks as sets, one frozenset per distinct mask."""
-    sets: dict[int, frozenset[int]] = {}
-    for d in descents:
-        if d not in sets:
-            sets[d] = frozenset(_entries(d))
-    return tuple(sets[d] for d in descents)
-
-
 def _knuth_moves(m: int, n: int):
     """
     The Knuth moves out of the tableau of size n with row-2 mask m, as
@@ -194,11 +186,9 @@ def _two_row_masks(shape: Partition) -> tuple[int, ...]:
 def _graph(shape: Partition, moves) -> LabeledWGraph:
     """The [1,n]-labeled graph on the row-2 masks of the two-row shape, with the edges of moves."""
     masks, n = _two_row_masks(shape), shape.n
-    descents = [_descent_mask(m, n) for m in masks]
-    rows = _orbit_weights(masks, n, moves)
-    return LabeledWGraph._trusted(
-        n, frozenset(range(1, n + 1)), shape.parts, masks, _descent_sets(descents), rows
-    )
+    rows = _orbit_weights(masks, n, moves)  # first, so that the kernel's index is freed before the labels are made
+    tau = _shared_labels([_descent_mask(m, n) for m in masks], lambda d: frozenset(_entries(d)))
+    return LabeledWGraph._trusted(n, frozenset(range(1, n + 1)), shape.parts, masks, tau, rows)
 
 
 def build_affine_graph(shape: Partition) -> LabeledWGraph:
@@ -300,9 +290,10 @@ def build_finite_graph(shape: Partition) -> LabeledWGraph:
     # one (target, 1) pair per vertex, shared by the rows it is in
     ones = [(k, 1) for k in range(len(masks))]
     full, below_n = (1 << n) - 1, (1 << (n - 1)) - 1
-    for src, m in enumerate(masks):
-        # first kind: i in row 1 and i + 1 in row 2, for i < n
-        targets = [m ^ (3 << (i - 1)) for i in _finite_entries(~m & m >> 1 & below_n)]
+    # each vertex's descents i < n, i in row 1 and i + 1 in row 2: its label and its first-kind moves
+    descents = [~m & m >> 1 & below_n for m in masks]
+    for m, d in zip(masks, descents):
+        targets = [m ^ (3 << (i - 1)) for i in _finite_entries(d)]
         # second kind: (b) as a pre-filter, i in row 2 with i + 1 in row 1,
         # i > 1, and j in row 1 with j - 1 in row 2
         ends_j = _finite_entries(~m & m << 1 & full)
@@ -312,5 +303,5 @@ def build_finite_graph(shape: Partition) -> LabeledWGraph:
             if _finite_second_kind_valid(m, i, j)
         ]
         rows.append(tuple([ones[dst] for dst in sorted(index[target] for target in targets if target in index)]))
-    tau = tuple(finite_descents(t) for t in vertices)
+    tau = _shared_labels(descents, lambda d: frozenset(_finite_entries(d)))
     return LabeledWGraph._trusted(n, frozenset(range(1, n)), shape.parts, masks, tau, tuple(rows), vertices)

@@ -166,7 +166,8 @@ class RuleReport(_Frozen):
     witnesses: tuple
 
     def __init__(self, rule, passed, witnesses=()):
-        vars(self).update(rule=rule, passed=passed, witnesses=witnesses)
+        # a copy, so that the caller's lists cannot change the report (a tuple of a tuple is itself)
+        vars(self).update(rule=rule, passed=passed, witnesses=tuple(map(tuple, witnesses)))
 
     def to_json(self) -> dict:
         return {
@@ -177,7 +178,7 @@ class RuleReport(_Frozen):
 
 
 def _report(rule: str, witnesses: list) -> RuleReport:
-    return RuleReport(rule, not witnesses, tuple(sorted(witnesses)))
+    return RuleReport(rule, not witnesses, sorted(witnesses))
 
 
 def _orbit_first(g: LabeledWGraph, evaluate, representatives: Iterable, everything: Iterable):

@@ -7,9 +7,10 @@ numbers, reducedness, nb-admissibility) and JSON/DOT export.
 The index set is {1..n} for affine graphs and {1..n-1} for finite ones.
 Every graph holds its edges once, as its out-edge rows (adjacency): the
 row of u is a tuple of (v, m(u > v)) pairs sorted by v, set where the
-graph is made, and the rows share one pair object per (v, weight).  Its
-weights are EdgeWeights, a read-only Mapping view over the rows with the
-(src, dst) keys in that order and a lookup by bisection in the row of the
+graph is made.  The rows share one pair object per (v, weight), and the
+labels one frozenset per distinct label (_shared_labels).  The weights
+are EdgeWeights, a read-only Mapping view over the rows with the (src,
+dst) keys in that order and a lookup by bisection in the row of the
 source, so the JSON and DOT never sort the edges and exports are
 reproducible.  The walks of the package read the rows, not the view.  A
 graph holds its vertices as the parts of their shape and their row codes
@@ -17,27 +18,25 @@ graph holds its vertices as the parts of their shape and their row codes
 compares, with the rows.  What a graph derives (its tableaux, made from
 the codes, its shift automorphism and orbit representatives) is computed
 once, on first use, and kept on it: a graph holds nothing mutable.  The
-shift's vertex permutation is derived from the row codes, and the
-automorphism is tested on the rows: the image {sigma v: w} of the row of
-u must be the row of sigma u.  The public constructor copies and checks
-its fields, the vertices in one pass that names the first one at fault,
-keeps the tableaux it checked and their row codes, and files each edge it
-checks into the row of its source.  A graph pickles and copies as its
-held fields, the row codes and the rows, and makes no tableau to do so.
-The JSON format of a graph is written and read here only: graph_from_json
-reads it top down in one pass, naming each container of the wrong JSON
-kind before anything in it is read (the graph, the index set, vertices,
-tau and edges, each edge, each vertex, its rows and each row, and each
-vertex's label list), and each JSON list or object where a number of a
-set or key belongs.  It finds a repeated edge by its (src, dst) key, the
-only such keys made, builds the vertices with the tableau constructor
-(naming the vertex whose rows it rejects), checks the graph with the
-public constructor, and last each vertex's copy of n and that neither
-the index set nor a label list repeats an entry.  The builders and the
-graphs derived from a valid one are made by LabeledWGraph._trusted from
-rows, unchecked; derived graphs keep the edge order by filtering their
-parent's rows, and share the rows and pairs they keep; a subgraph
-shares its parent's tableaux only if the parent has made them.
+public constructor copies and checks its fields, the vertices in one
+pass that names the first one at fault, keeps the tableaux it checked and
+their row codes, shares the labels once it has checked them all, and
+files each edge into the row of its source.  The JSON format of a graph
+is written and read here only: graph_from_json reads it top down in one
+pass, naming each container of the wrong JSON kind before anything in it
+is read (the graph, the index set, vertices, tau and edges, each edge,
+each vertex, its rows and each row, and each vertex's label list), and
+each JSON list or object where a number of a set or key belongs.  It
+finds a repeated edge by its (src, dst) key, the only such keys made,
+builds the vertices with the tableau constructor (naming the vertex whose
+rows it rejects), checks the graph with the public constructor, and last
+each vertex's copy of n and that neither the index set nor a label list
+repeats an entry.  The builders and the graphs derived from a valid one
+are made by LabeledWGraph._trusted from rows, unchecked; derived graphs
+keep the edge order by filtering their parent's rows, and share the
+rows, pairs and labels they keep (a restriction, one label per label of
+its parent); a subgraph shares its parent's tableaux only if the parent
+has made them.
 """
 
 from __future__ import annotations
@@ -118,6 +117,14 @@ def _shared_rows(rows) -> tuple[Edges, ...]:
     return tuple(tuple([pairs.setdefault(e, e) for e in row]) for row in rows)
 
 
+def _shared_labels(keys, label) -> tuple[frozenset[int], ...]:
+    """The label(k) of each key in a sequence, made once per distinct key, as a label recurs at many vertices."""
+    made = dict.fromkeys(keys)
+    for k in made:
+        made[k] = label(k)
+    return tuple(map(made.__getitem__, keys))
+
+
 def _weight(row: Edges, v: int) -> int:
     """The weight of target v in a row of (target, weight) pairs sorted by target, 0 when v is not there."""
     k = bisect_left(row, (v,))  # (v,) sorts just before every pair (v, w)
@@ -172,10 +179,11 @@ class LabeledWGraph(_Frozen):
                 raise ValueError(f"stored weight must be nonzero: {(u, v)}")
             out[u].append((v, w))
         # True == 1 and 1.0 == 1 pass the subset test, so check types too
-        # (and every set: {True} == {1}, so the distinct sets would not do)
+        # (and every set: {True} == {1}, so the labels are shared only once all are checked)
         for s in tau:
             if not (s <= index_set and set(map(type, s)) <= {int}):
                 raise ValueError(f"tau value {set(s)} outside index set")
+        tau = _shared_labels(tau, frozenset)
         # a row's targets are distinct ints, so sorting its pairs sorts them by target
         rows = _shared_rows(sorted(row) for row in out)
         self._hold(n, index_set, first, row_codes(vertices)[1], tau, rows, vertices)
@@ -187,10 +195,10 @@ class LabeledWGraph(_Frozen):
         graph derived from a valid one or made by a builder, with n a
         positive int, index_set a frozenset of ints in 1..n, parts the shape
         of the vertices (() for none), codes their distinct row codes in any
-        order, tau a tuple of frozensets of the index set, and rows a tuple
-        with the out-edges of each vertex, a tuple of (target, nonzero int
-        weight) pairs sorted by target.  The tableaux of the codes, if
-        given, are the vertices.
+        order, tau a tuple of frozensets of the index set, one per distinct
+        label, and rows a tuple with the out-edges of each vertex, a tuple of
+        (target, nonzero int weight) pairs sorted by target.  The tableaux
+        of the codes, if given, are the vertices.
         """
         g = object.__new__(cls)
         g._hold(n, index_set, parts, codes, tau, rows, tableaux)
@@ -328,7 +336,7 @@ def restrict_parabolic(g: LabeledWGraph, j_set) -> LabeledWGraph:
     # True == 1 and 1.0 == 1 pass the subset test, so check types too
     if not (j_set <= g.index_set and all(type(i) is int for i in j_set)):
         raise ValueError(f"J = {set(j_set)} is not a subset of the index set")
-    tau = tuple(s & j_set for s in g.tau)
+    tau = _shared_labels(g.tau, j_set.__and__)
     rows = tuple(tuple([e for e in row if not tu <= tau[e[0]]]) for tu, row in zip(tau, g.adjacency))
     return g._derived(j_set, tau, rows)
 

@@ -13,8 +13,9 @@ Every stage after graph_from_json runs on the graph it returned, so each
 derived value is computed where the first stage reads it, as in the
 benchmark.  On the `verify A B` path each shape goes through build
 (build_affine_graph), sigma and the same checks, with no JSON round trip;
-beside them, dual_equiv times build_dual_equiv on the same shape, so one
-run gives both builders.
+beside them, dual_equiv times build_dual_equiv and finite
+build_finite_graph on the same shape, so one run gives every builder, and
+restrict times restrict_parabolic of the built graph to 1..n-1.
 Both graph_from_json and the build make a graph's out-edge rows, so no
 stage derives them.  The sets:
 
@@ -63,7 +64,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
 
-from affwgraph import Partition, RowStandardTableau, build_affine_graph, build_dual_equiv  # noqa: E402
+from affwgraph import (  # noqa: E402
+    Partition, RowStandardTableau, build_affine_graph, build_dual_equiv, build_finite_graph, restrict_parabolic,
+)
 from affwgraph import verify  # noqa: E402
 from affwgraph.wgraph import graph_from_json, graph_to_json  # noqa: E402
 from conftest import bench_size_damaged_graphs  # noqa: E402
@@ -71,7 +74,7 @@ from run import REF_START_S, SETUP_CODE  # noqa: E402
 from speed import REF_SLICE_S, reference_slice  # noqa: E402
 
 STAGES = (
-    "graph_to_json", "graph_from_json", "build", "dual_equiv", "sigma",
+    "graph_to_json", "graph_from_json", "build", "dual_equiv", "finite", "restrict", "sigma",
     "compatibility", "simplicity", "bonding", "polygon", "hecke", "hecke_holds",
 )
 CHECKS = {
@@ -95,9 +98,14 @@ def _through_json(graph, measure) -> None:
 
 
 def _built(parts, measure) -> None:
-    """Run the `verify A B` stages of one shape, as _through_json does, and build its dual equivalence graph."""
+    """
+    Run the `verify A B` stages of one shape, as _through_json does, build
+    its dual equivalence and finite graphs, and restrict the built graph.
+    """
     measure("dual_equiv", build_dual_equiv, Partition(parts))
+    measure("finite", build_finite_graph, Partition(parts))
     g = measure("build", build_affine_graph, Partition(parts))
+    measure("restrict", restrict_parabolic, g, range(1, g.n))
     measure("sigma", lambda: g.shift_automorphism)
     for name, check in CHECKS.items():
         measure(name, check, g)
@@ -175,7 +183,10 @@ def _table(title: str, sets, values, cell) -> None:
 
 
 # the stages of one path only: every other stage is on both
-_ONLY = {"graph_to_json": _through_json, "graph_from_json": _through_json, "build": _built, "dual_equiv": _built}
+_ONLY = {
+    "graph_to_json": _through_json, "graph_from_json": _through_json,
+    "build": _built, "dual_equiv": _built, "finite": _built, "restrict": _built,
+}
 
 
 def startup(rounds: int) -> None:

@@ -89,7 +89,7 @@ def test_finite_builder_not_derived_from_the_affine_one():
     # descents, condition (b) masks, the (a), (c)-(e) gate, the move
     # generator, the Knuth moves and the orbit kernel that carries rows by rho
     mask_kernel = {
-        "_two_row_masks", "_entries", "_rotate", "_descent_mask", "_descent_sets",
+        "_two_row_masks", "_entries", "_rotate", "_descent_mask",
         "_second_kind_ends", "_second_kind_gate", "_moves", "_orbit_weights", "_knuth_moves",
     }
     assert mask_kernel - {"_knuth_moves"} <= _reached(defs, ["build_affine_graph"])

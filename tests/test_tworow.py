@@ -22,6 +22,7 @@ from affwgraph import (
     check_hecke_relations,
     enumerate_rsyt,
     enumerate_syt,
+    finite_descents,
     mo,
     restrict_parabolic,
 )
@@ -39,6 +40,7 @@ from affwgraph.wgraph import (
     EdgeWeights,
     _scc_partition,
     cells,
+    graph_from_json,
     graph_to_dot,
     graph_to_json,
     simple_component_ids,
@@ -303,6 +305,28 @@ def test_affine_labels_and_first_kind_edges_match_tableau_functions():
         assert first == expected
 
 
+def test_finite_labels_and_first_kind_edges_match_tableau_functions():
+    # every two-row shape with n <= 12: tau is finite_descents, and the edges
+    # whose entry entering row 1 follows the one leaving it (i + 1 after i)
+    # are the first-kind moves to a standard tableau
+    for shape in two_row_shapes(3, 12):
+        g = build_finite_graph(shape)
+        index = g.vertex_index()
+        expected = set()
+        for u, t in enumerate(g.vertices):
+            assert g.tau[u] == finite_descents(t), t
+            for i in range(1, shape.n):
+                if t.row_of(i) == 1 and t.row_of(i + 1) == 2 and swapped(t, i, i + 1) in index:
+                    expected.add((u, index[swapped(t, i, i + 1)]))
+        first = set()
+        for u, v in g.weights:
+            (leaving,) = set(g.vertices[u].rows[0]) - set(g.vertices[v].rows[0])
+            (entering,) = set(g.vertices[v].rows[0]) - set(g.vertices[u].rows[0])
+            if entering == leaving + 1:
+                first.add((u, v))
+        assert first == expected
+
+
 def _moves_oracle(shape):
     """Every first-kind i and every second-kind candidate (i, j), tried one by one."""
     n = shape.n
@@ -460,6 +484,19 @@ def test_builders_hand_over_well_formed_fields(shape):
         assert clone == g and list(clone.weights.items()) == list(g.weights.items()), name
     # a derived value is kept on the graph once it is read
     assert graphs["affine"].shift_automorphism is not None and "shift_automorphism" in vars(graphs["affine"])
+
+
+@pytest.mark.parametrize("shape", two_row_shapes(3, 10), ids=str)
+def test_graphs_hold_one_label_object_per_distinct_label(shape):
+    # a label recurs at many vertices: the builders and the checking
+    # constructor hold one frozenset per distinct label, and a restriction at
+    # most one per distinct label of its parent
+    for name, g in _builder_graphs(shape).items():
+        loaded = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
+        for h in (g, loaded):
+            assert len(set(map(id, h.tau))) == len(set(h.tau)), name
+        restricted = restrict_parabolic(g, range(1, g.n))
+        assert len(set(map(id, restricted.tau))) <= len(set(g.tau)), name
 
 
 def test_finite_builder_byte_identical():

@@ -5,7 +5,9 @@ constructed by position or keyword with their defaults, printed as
 Class(field=value, ...), equal exactly when of one class with equal
 fields, hashed as the tuple of their fields, ordered by their parts for
 partitions, unchanged by pickling and copying, and closed to assignment
-and deletion with an AttributeError that names the attribute.
+and deletion with an AttributeError that names the attribute.  The
+reports copy the sequences they are given, so a caller's list changes
+none of them.
 """
 
 import copy
@@ -147,3 +149,32 @@ def test_partitions_order_as_their_parts():
         for compare in (lambda x, y: x < y, lambda x, y: x <= y, lambda x, y: x > y, lambda x, y: x >= y):
             with pytest.raises(TypeError):
                 compare(shapes[0], other)
+
+
+def test_reports_copy_the_sequences_they_are_given():
+    # a caller's lists are copied into tuples of tuples, so changing them
+    # later changes neither the value nor its JSON, and the value hashes
+    witnesses, q = [[0, 1]], [[1, 1, 2], [2, 2]]
+    report, pair = RuleReport("bonding", False, witnesses), RskPair(T321, q)
+    witnesses[0].append(2)
+    witnesses.append([3])
+    q[0].append(3)
+    assert report == RuleReport("bonding", False, ((0, 1),)) and report.witnesses == ((0, 1),)
+    assert report.to_json() == {"rule": "bonding", "passed": False, "witnesses": [[0, 1]]}
+    assert pair == RskPair(T321, ((1, 1, 2), (2, 2))) and pair.q == ((1, 1, 2), (2, 2))
+    assert hash(report) == hash(("bonding", False, ((0, 1),)))
+    assert hash(pair) == hash((T321, ((1, 1, 2), (2, 2))))
+    # tuples of tuples are kept as they are
+    held = ((0, 1), (2, 3))
+    assert all(a is b for a, b in zip(RuleReport("bonding", False, held).witnesses, held))
+
+
+@pytest.mark.parametrize("fields, text", [
+    (("fixtures", True, ["x"]), "detail must be a string, not ['x']"),
+    ((["fixtures"], True), "name must be a string, not ['fixtures']"),
+    ((1, True), "name must be a string, not 1"),
+    (("fixtures", False, None), "detail must be a string, not None"),
+])
+def test_regress_result_rejects_a_name_or_detail_that_is_not_a_string(fields, text):
+    with pytest.raises(ValueError, match=exactly(text)):
+        RegressResult(*fields)
