@@ -13,8 +13,9 @@ Command-line surface.
 Exit status: 0 on success or a passing verification, 1 on verification
 failure (a JSON report is printed), 2 on usage errors and on running out
 of memory (a shape whose tableaux can be indexed but not held).  The CLI checks
-only what it parses itself (the form of p=K and a..b, and options that do
-not combine); argparse checks the choices, and the library checks values
+only what it parses itself (the form of p=K and a..b, whose integers are
+ASCII digits with an optional leading "-", and options that do not
+combine); argparse checks the choices, and the library checks values
 where they enter it (the graph JSON, the size of the shape, the variant
 weight, the interval's residues, --jobs and --max-n).  There is one error
 type: the CLI raises ValueError as the library does, and main prints it as
@@ -49,11 +50,22 @@ from .wgraph import (
 __all__ = ["main"]
 
 
+def _integer(text: str) -> int:
+    """
+    text as an integer when it is ASCII digits with an optional leading "-";
+    int() alone would also take other digits, "_", "+" and spaces.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _variant_weight(text: str) -> int:
     if not text.startswith("p="):
         raise ValueError(f"--variant expects p=K, got {text!r}")
     try:
-        return int(text[2:])
+        return _integer(text[2:])
     except ValueError:
         raise ValueError(f"--variant expects an integer weight, got {text!r}") from None
 
@@ -99,7 +111,7 @@ def _parse_interval(text: str, n: int) -> list[int]:
     if len(parts) != 2:
         raise ValueError(f"interval must look like a..b, got {text!r}")
     try:
-        a, b = int(parts[0]), int(parts[1])
+        a, b = map(_integer, parts)
     except ValueError:
         raise ValueError(f"interval bounds must be integers: {text!r}") from None
     return sorted(pint(a, b, n))
@@ -129,8 +141,6 @@ def cmd_verify(args) -> int:
             g = graph_from_json(data)
         except KeyError as exc:
             raise ValueError(f"{args.input}: missing key {exc}") from None
-        except TypeError as exc:
-            raise ValueError(f"{args.input}: malformed graph: {exc}") from None
         name = args.input
     else:
         if not args.shape:

@@ -11,8 +11,15 @@ matrix check instead builds the generator action
                                                     if i in tau(u)
 
 and verifies the quadratic, commutation and braid relations on every basis
-vector (the quadratic one holds by construction, see below).  Rule checkers
-report every witness they find.
+vector (the quadratic one holds by construction, see below).  Each rule
+yields its witnesses lazily.  The checkers list and sort every witness; the
+verdict rules_hold takes at most the first witness of each rule, simplicity
+first, then compatibility, bonding and polygon.  A rule passes exactly when
+it yields no witness, so the verdict is the and of the four reports' passed
+flags, whose order does not change it, and a damaged graph is rejected at its
+first witness.  Simplicity goes first: deleting or re-weighting an edge can
+break it, but never compatibility, which reads no weight and constrains only
+the edges that are there.
 
 The polygon rule compares path sums from each source u into the sinks v,
 the vertices flagged for neither i nor j.  It walks the paths out of u and
@@ -177,8 +184,9 @@ class RuleReport(_Frozen):
         }
 
 
-def _report(rule: str, witnesses: list) -> RuleReport:
-    return RuleReport(rule, not witnesses, sorted(witnesses))
+def _report(rule: str, witnesses: Iterable) -> RuleReport:
+    witnesses = sorted(witnesses)
+    return RuleReport(rule, not witnesses, witnesses)
 
 
 def _orbit_first(g: LabeledWGraph, evaluate, representatives: Iterable, everything: Iterable):
@@ -192,13 +200,13 @@ def _orbit_first(g: LabeledWGraph, evaluate, representatives: Iterable, everythi
         yield from evaluate(everything)
 
 
-def _edge_witnesses(g: LabeledWGraph, kernel) -> list:
+def _edge_witnesses(g: LabeledWGraph, kernel):
     """
     The witnesses kernel(g, sources) yields over the out-edges of the given
     sources, orbit first: the orbit representatives, then every vertex.
     """
     representatives = g.shift_orbit_representatives or ()
-    return list(_orbit_first(g, partial(kernel, g), representatives, range(len(g.tau))))
+    return _orbit_first(g, partial(kernel, g), representatives, range(len(g.tau)))
 
 
 def _compatibility_edges(g: LabeledWGraph, sources):
@@ -259,13 +267,12 @@ def _rule_classes(g: LabeledWGraph):
     return cache(partial(_generator_class, g.tau))
 
 
-def _bonding_pair(g: LabeledWGraph, classes, i: int, j: int) -> list[tuple]:
+def _bonding_pair(g: LabeledWGraph, classes, i: int, j: int):
     """The bonding witnesses (u, a, b, partners) of the generator pair i < j."""
     if not dynkin_adjacent(g, i, j):
-        return []
+        return
     adj = g.adjacency
     (flag_i, members_i), (flag_j, members_j) = classes(i), classes(j)
-    witnesses = []
     sides = ((i, j, flag_i, flag_j, members_i), (j, i, flag_j, flag_i, members_j))
     for a, b, flag_a, flag_b, members in sides:
         for u in members:
@@ -276,13 +283,12 @@ def _bonding_pair(g: LabeledWGraph, classes, i: int, j: int) -> list[tuple]:
                     if flag_b[v] and not flag_a[v] and _weight(adj[v], u):
                         partners += 1
                 if partners != 1:
-                    witnesses.append((u, a, b, partners))
-    return witnesses
+                    yield (u, a, b, partners)
 
 
 def check_bonding(g: LabeledWGraph) -> RuleReport:
     """Adjacent i,j: each u in V_{i/j} has exactly one mutual partner in V_{j/i}."""
-    return _report("bonding", list(_pair_witnesses(g, partial(_bonding_pair, g, _rule_classes(g)))))
+    return _report("bonding", _pair_witnesses(g, partial(_bonding_pair, g, _rule_classes(g))))
 
 
 def _step(
@@ -309,16 +315,14 @@ def _step(
     return sinks
 
 
-def _polygon_pair(g: LabeledWGraph, classes, i: int, j: int) -> list[tuple]:
+def _polygon_pair(g: LabeledWGraph, classes, i: int, j: int):
     """The polygon witnesses (u, v, i, j, r, lhs, rhs) of the generator pair i < j."""
     (flag_i, members_i), (flag_j, _) = classes(i), classes(j)
-    sources = [u for u in members_i if flag_j[u]]
-    if not sources:
-        return []
     adj = g.adjacency
     adjacent = dynkin_adjacent(g, i, j)
-    witnesses = []
-    for u in sources:
+    for u in members_i:
+        if not flag_j[u]:
+            continue
         # the middle vertices lie in V_{i/j}, then V_{j/i} (left), and the
         # other way round (right); the 2-step keeps sums on the next middle
         # class only when a 3-step follows
@@ -337,8 +341,7 @@ def _polygon_pair(g: LabeledWGraph, classes, i: int, j: int) -> list[tuple]:
                 for v in lhs.keys() | rhs.keys():
                     a, b = lhs.get(v, 0), rhs.get(v, 0)
                     if a != b:
-                        witnesses.append((u, v, i, j, r, a, b))
-    return witnesses
+                        yield (u, v, i, j, r, a, b)
 
 
 def check_polygon(g: LabeledWGraph) -> RuleReport:
@@ -346,26 +349,32 @@ def check_polygon(g: LabeledWGraph) -> RuleReport:
     N^2_{ij}(u,v) = N^2_{ji}(u,v) for all i != j, and N^3 agreement when i,j
     are adjacent, over all u with i,j in tau(u) and v with i,j outside tau(v).
     """
-    return _report("polygon", list(_pair_witnesses(g, partial(_polygon_pair, g, _rule_classes(g)))))
-
-
-def _rule_reports(g: LabeledWGraph):
-    """The four rule reports in order, each computed when it is asked for."""
-    # the rules are looked up by name on each call, so a patched module
-    # attribute (a tracer's wrapper, say) is the one that runs
-    yield check_compatibility(g)
-    yield check_simplicity(g)
-    yield check_bonding(g)
-    yield check_polygon(g)
+    return _report("polygon", _pair_witnesses(g, partial(_polygon_pair, g, _rule_classes(g))))
 
 
 def check_all_rules(g: LabeledWGraph) -> list[RuleReport]:
-    return list(_rule_reports(g))
+    # the rules are looked up by name on each call, so a patched module
+    # attribute (a tracer's wrapper, say) is the one that runs
+    return [check_compatibility(g), check_simplicity(g), check_bonding(g), check_polygon(g)]
 
 
 def rules_hold(g: LabeledWGraph) -> bool:
-    """Whether all four rules pass; stops at the first failing rule."""
-    return all(r.passed for r in _rule_reports(g))
+    """
+    Whether all four rules pass, the same bool as the reports of
+    check_all_rules give: the first witness of any rule decides, and the
+    rules are read simplicity first, then compatibility, bonding and polygon
+    (module docstring).
+    """
+    return all(next(witnesses, None) is None for witnesses in _verdict_witnesses(g))
+
+
+def _verdict_witnesses(g: LabeledWGraph):
+    """The witnesses of each rule, in the order rules_hold reads them, each made when it is asked for."""
+    yield _edge_witnesses(g, _simplicity_edges)
+    yield _edge_witnesses(g, _compatibility_edges)
+    classes = _rule_classes(g)
+    yield _pair_witnesses(g, partial(_bonding_pair, g, classes))
+    yield _pair_witnesses(g, partial(_polygon_pair, g, classes))
 
 
 def _generator_columns(tau, adjacency, i: int) -> tuple[tuple[Edges | None, ...], list[int]]:
@@ -462,7 +471,7 @@ def check_hecke_relations(g: LabeledWGraph) -> RuleReport:
     (T_i - q)(T_i + 1) = 0 holds by construction (module docstring).
     Witnesses are (relation, i, j, basis vertex).
     """
-    return _report("hecke", list(_hecke_witnesses(g)))
+    return _report("hecke", _hecke_witnesses(g))
 
 
 def hecke_holds(g: LabeledWGraph) -> bool:

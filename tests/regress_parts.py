@@ -1,12 +1,18 @@
 """
-Time one serial regression run per swept part:
+Time serial regression runs per swept part:
 
     PYTHONPATH=src python tests/regress_parts.py --max-n 14
+    PYTHONPATH=src python tests/regress_parts.py --max-n 10 --rounds 12
 
-Wraps each regress._PARTS function and regress.build_affine_graph, times the
-generation-2 collections (gc.callbacks), reads the peak RSS (getrusage),
-prints each part's seconds, the builds', the whole run's, the collections'
-count and seconds and the peak, and exits 0 only if every check passes.
+Wraps each regress._PARTS function, the three checks run_regression calls
+outside the sweep (fixtures, equal_variants, rsk_vector) and
+regress.build_affine_graph, times the generation-2 collections
+(gc.callbacks) and reads the peak RSS (getrusage).  It runs the regression
+--rounds times in this process, one after another, and prints, for each
+part, the builds, the whole run and the collections' count and seconds, the
+median, minimum and maximum over the rounds; then the peak RSS.  No cache
+of the package outlives a run.  Exits 0 only if every check passes in
+every round.
 """
 
 import argparse
@@ -14,15 +20,22 @@ import gc
 import resource
 import sys
 from collections import defaultdict
+from statistics import median
 from time import perf_counter
 
 import affwgraph.regress as regress
 
+UNSWEPT = ("check_fixtures", "check_equal_variants", "check_rsk_vector")
+
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Time one serial regression run per swept part.")
+    parser = argparse.ArgumentParser(description="Time serial regression runs per swept part.")
     parser.add_argument("--max-n", type=int, default=8)
-    seconds: dict[str, float] = defaultdict(float)
+    parser.add_argument("--rounds", type=int, default=1, help="serial runs in this process (default 1)")
+    args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    seconds: dict[str, float] = defaultdict(float)  # of the current round
 
     def timed(name, fn):
         def wrapper(*args):
@@ -33,6 +46,8 @@ def main() -> int:
         return wrapper
 
     regress._PARTS = tuple((name, timed(name, part), runs) for name, part, runs in regress._PARTS)
+    for check in UNSWEPT:
+        setattr(regress, check, timed(check.removeprefix("check_"), getattr(regress, check)))
     regress.build_affine_graph = timed("affine builds", regress.build_affine_graph)
     collections, started = [], [0.0]
 
@@ -44,15 +59,30 @@ def main() -> int:
                 collections.append(perf_counter() - started[0])
 
     gc.callbacks.append(on_collection)
-    start = perf_counter()
-    results = regress.run_regression(max_n=parser.parse_args().max_n)
-    seconds["whole run"] = perf_counter() - start
-    for name in [name for name, _, _ in regress._PARTS] + ["affine builds", "whole run"]:
-        print(f"{name:<22} {seconds[name]:8.2f} s")
-    print(f"{'generation-2 gc':<22} {len(collections):8d} in {sum(collections):.2f} s")
-    print(f"{'peak RSS':<22} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:8.0f} MB")
-    failed = [r.name for r in results if not r.passed]
-    print("FAIL: " + ", ".join(failed) if failed else "every check passes")
+    names = [name for name, _, _ in regress._PARTS]
+    names += [check.removeprefix("check_") for check in UNSWEPT] + ["affine builds", "whole run"]
+    rounds: dict[str, list[float]] = defaultdict(list)
+    failed = set()
+    for _ in range(args.rounds):
+        seconds.clear()
+        collections.clear()
+        start = perf_counter()
+        results = regress.run_regression(max_n=args.max_n)
+        seconds["whole run"] = perf_counter() - start
+        for name in names:
+            rounds[name].append(seconds[name])
+        rounds["gc count"].append(len(collections))
+        rounds["gc seconds"].append(sum(collections))
+        failed.update(r.name for r in results if not r.passed)
+    print(f"{'seconds, ' + str(args.rounds) + ' rounds':<22} {'median':>9} {'min':>9} {'max':>9}")
+    for name in names:
+        values = rounds[name]
+        print(f"{name:<22} {median(values):9.4f} {min(values):9.4f} {max(values):9.4f}")
+    for name in ("gc count", "gc seconds"):
+        values = rounds[name]
+        print(f"{'generation-2 ' + name:<22} {median(values):9.4g} {min(values):9.4g} {max(values):9.4g}")
+    print(f"{'peak RSS':<22} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:9.0f} MB")
+    print("FAIL: " + ", ".join(sorted(failed)) if failed else "every check passes")
     return 1 if failed else 0
 
 

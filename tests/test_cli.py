@@ -607,14 +607,27 @@ TOO_LARGE = f"error: shape ({HUGE_PART},1) is too large: 100000000000000000000 e
 # their count is known, before the enumeration allocates anything
 TOO_MANY = "error: shape (40,40) is too large: more than 9223372036854775807 row-standard tableaux"
 
-# values the CLI rejects as it parses them (the first three), or passes on
-# unchecked, and the line they exit 2 with (--jobs below 1 is TestRegress's)
+# values the CLI rejects as it parses them (up to the look-alike integers), or
+# passes on unchecked, and the line they exit 2 with (--jobs below 1 is TestRegress's)
 LIBRARY_CHECKED = {
     "variant not p=K": (["build", "3", "3", "--variant", "q=1"], "error: --variant expects p=K, got 'q=1'"),
     "variant weight not an integer": (
         ["build", "3", "3", "--variant", "p=x"], "error: --variant expects an integer weight, got 'p=x'",
     ),
     "interval bound not an integer": (["restrict", "3", "2", "--to", "a..4"], "error: interval bounds must be integers: 'a..4'"),
+    # int() takes these look-alikes; the CLI's integers are ASCII digits with an optional "-"
+    **{
+        f"variant weight {text!r}": (
+            ["build", "3", "3", "--variant", text], f"error: --variant expects an integer weight, got {text!r}",
+        )
+        for text in ("p=\u0661", "p=1_0", "p= 2", "p=+2", "p=2 ", "p=\u00b2", "p=", "p=-")
+    },
+    **{
+        f"interval {text!r}": (
+            ["restrict", "3", "2", "--to", text], f"error: interval bounds must be integers: {text!r}",
+        )
+        for text in ("\u0661..\u0664", " 1 .. 4 ", "1_0..4", "1..+4", "1..4\n", "..4")
+    },
     "negative variant weight": (["build", "3", "3", "--variant", "p=-1"], "error: variant weight must be nonnegative: -1"),
     "interval from 0": (["restrict", "3", "2", "--to", "0..3"], "error: residues out of range: a=0, b=3, n=5"),
     "interval to n + 4": (["restrict", "3", "2", "--to", "1..9"], "error: residues out of range: a=1, b=9, n=5"),

@@ -14,7 +14,7 @@ from pathlib import Path
 import affwgraph.verify as verify
 
 SRC = Path(verify.__file__).resolve().parent
-RULES = ("check_compatibility", "check_simplicity", "check_bonding", "check_polygon")
+RULES = ("check_compatibility", "check_simplicity", "check_bonding", "check_polygon", "rules_hold")
 HECKE = ("check_hecke_relations", "hecke_holds")
 HECKE_HELPERS = {"_generator_columns", "_hecke_witnesses", "_hecke_pair", "_act"}
 RULE_HELPERS = {

@@ -828,8 +828,16 @@ class TestRulesMatchHeckeOnAdmissibleGraphs:
                     assert not rules_hold(mutated), (shape, removed)
 
 
+def _simplicity_failing(g):
+    """g without one direction of an incomparable mutual pair: compatible, not simple."""
+    tau = g.tau
+    edge = next((u, v) for u, v in sorted(g.weights) if not (tau[u] <= tau[v] or tau[v] <= tau[u]))
+    return _without_edge(g, edge)
+
+
 def test_rules_hold_stops_at_first_failing_rule(monkeypatch):
-    # the rules run through the module attributes, so patched ones are called
+    # check_all_rules runs the rules through the module attributes, so
+    # patched ones are called; rules_hold reads the rule kernels instead
     calls = []
     for name in ("check_bonding", "check_polygon"):
         original = getattr(verify, name)
@@ -840,15 +848,88 @@ def test_rules_hold_stops_at_first_failing_rule(monkeypatch):
     rules = [r.rule for r in check_all_rules(g)]
     assert rules == ["compatibility", "simplicity", "bonding", "polygon"]
     assert calls == ["check_bonding", "check_polygon"]
-    # one direction of an incomparable mutual pair: compatible, not simple
-    tau = g.tau
-    edge = next((u, v) for u, v in sorted(g.weights) if not (tau[u] <= tau[v] or tau[v] <= tau[u]))
-    weights = {e: w for e, w in g.weights.items() if e != edge}
-    mutated = LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, weights)
+    mutated = _simplicity_failing(g)
     assert check_compatibility(mutated).passed and not check_simplicity(mutated).passed
     calls.clear()
     assert not rules_hold(mutated)
     assert calls == []
+
+
+def test_rules_hold_takes_one_simplicity_witness_and_no_compatibility_edge(monkeypatch):
+    # simplicity is read first and decides at its first witness, so the
+    # compatibility kernel never runs
+    calls, taken = Counter(), Counter()
+
+    def counted(name, kernel):
+        def call(g, sources):
+            calls[name] += 1
+
+            def tapped():
+                for witness in kernel(g, sources):
+                    taken[name] += 1
+                    yield witness
+            return tapped()
+        return call
+
+    for name in ("_compatibility_edges", "_simplicity_edges"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    mutated = _simplicity_failing(build_affine_graph(Partition((3, 2))))
+    assert mutated.shift_automorphism is None  # one full scan, no representatives first
+    assert not rules_hold(mutated)
+    assert calls == {"_simplicity_edges": 1} and taken == {"_simplicity_edges": 1}
+    # the reports still scan both rules in full
+    calls.clear()
+    taken.clear()
+    compatibility, simplicity = check_all_rules(mutated)[:2]
+    assert calls == {"_compatibility_edges": 1, "_simplicity_edges": 1}
+    assert compatibility.passed and taken == {"_simplicity_edges": len(simplicity.witnesses)}
+
+
+def _perturbations(g, rng, count):
+    """
+    A seeded sample of single-edge perturbations of g, `count` of each kind:
+    an edge deleted, an edge re-weighted to 2 or -1, a weight-1 edge added.
+    """
+    edges = sorted(g.weights)
+    absent = [(u, v) for u in range(len(g.tau)) for v in range(len(g.tau)) if u != v and (u, v) not in g.weights]
+    perturbed = []
+    for edge in rng.sample(edges, min(count, len(edges))):
+        perturbed.append(_without_edge(g, edge))
+    for w in (2, -1):
+        for edge in rng.sample(edges, min(count, len(edges))):
+            perturbed.append(LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, {**g.weights, edge: w}))
+    for edge in rng.sample(absent, min(count, len(absent))):
+        perturbed.append(LabeledWGraph(g.n, g.index_set, g.vertices, g.tau, {**g.weights, edge: 1}))
+    return perturbed
+
+
+def test_rules_hold_agrees_with_the_reports():
+    # every shape with n <= 6, the equal-row variants p = 0 and 2, and a
+    # seeded sample of single-edge perturbations of each; and, per graph, a
+    # whole sigma-orbit of a mutual and of a one-way edge re-weighted to 2,
+    # which stays shift-invariant, so its representatives fail before the
+    # full scan
+    graphs = [build_affine_graph(shape) for shape in two_row_shapes(3, 6)]
+    graphs += [build_equal_variant(Partition((a, a)), p) for a in (2, 3) for p in (0, 2)]
+    verdicts = Counter()
+    orbit_failures = 0
+    for k, g in enumerate(graphs):
+        damaged = _perturbations(g, random.Random(f"rules-hold-{k}"), 6)
+        tau = g.tau
+        edges = sorted(g.weights)
+        mutual = next((e for e in edges if not (tau[e[0]] <= tau[e[1]] or tau[e[1]] <= tau[e[0]])), None)
+        one_way = next((e for e in edges if tau[e[1]] < tau[e[0]]), None)
+        for edge in (mutual, one_way):
+            if edge is not None:
+                h = _orbit_perturbed(g, [edge], 2)
+                assert h.shift_automorphism is not None
+                damaged.append(h)
+                orbit_failures += not all(r.passed for r in check_all_rules(h))
+        for h in [g, *damaged]:
+            verdict = rules_hold(h)
+            assert verdict == all(r.passed for r in check_all_rules(h)), (k, sorted(h.weights.items()))
+            verdicts[verdict] += 1
+    assert verdicts[True] >= len(graphs) and verdicts[False] > 0 and orbit_failures > 0
 
 
 def test_witness_lists_pinned_on_mutants():
