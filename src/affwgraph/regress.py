@@ -2,18 +2,25 @@
 The full property regression: every verifiable claim about the two-row
 graphs, runnable from the command line and mirrored by the test suite.
 
-Each check returns a RegressResult; names are stable so CI can key on them.
-run_regression runs them all.  Seven checks sweep the shapes in one pass,
-each as one per-shape part: each shape's affine graph is built once, and
-what the checks derive from it (the rsk pair of each vertex, which
-vertices are standard, the restriction to [1, n-1] and its cells, the
-simple underlying graph and its components, and the Knuth graph) is
-derived at most once, by the first check using it.  Which entries an edge
-swaps is read from the row-2 masks of its ends, the graph's row codes, not
-from the rows of its tableaux.  The shift's vertex permutation is the
-graph's shift automorphism, which the graph derives once for every check.
-Each finite graph a restriction cell is compared with is built once per
-run (once per process with `--jobs K`, which splits the shapes into K
+One table, _CHECKS, holds a row per check in report order: its name, the
+shapes it sweeps, its pass detail and how many findings a failing result
+shows.  ALL_CHECKS is its names, stable so CI can key on them.  Each check
+is the function check_<name>, and run_regression calls it through this
+module, by that name looked up on each call, so a wrapper set on the module
+attribute (a tracer's or a test's) is what runs.
+
+Three checks sweep no shape and make their own RegressResult.  The other
+seven sweep the shapes in one pass: check_<name>(s) takes one shape and
+returns its findings there and the items it checked.  Each shape's affine
+graph is built once, and what the checks derive from it (the rsk pair of
+each vertex, which vertices are standard, the restriction to [1, n-1] and
+its cells, the simple underlying graph and its components, and the Knuth
+graph) is derived at most once, by the first check using it.  Which entries
+an edge swaps is read from the row-2 masks of its ends, the graph's row
+codes, not from the rows of its tableaux.  The shift's vertex permutation
+is the graph's shift automorphism, which the graph derives once for every
+check.  Each finite graph a restriction cell is compared with is built once
+per run (once per process with `--jobs K`, which splits the shapes into K
 batches, at most one per shape, of about equal vertex counts, largest
 shapes first) by a cache that lives while the shapes of its size are swept.
 """
@@ -164,13 +171,13 @@ class _Shape:
         return build_dual_equiv(self.shape)
 
 
-def _verification(s: _Shape) -> tuple[list[str], int]:
+def check_verification_sweep(s: _Shape) -> tuple[list[str], int]:
     """Both verification paths pass on the affine graph of every shape."""
     reports = check_all_rules(s.g) + [check_hecke_relations(s.g)]
     return [f"{s.shape}:{r.rule}" for r in reports if not r.passed], 1
 
 
-def _mutation_sensitivity(s: _Shape) -> tuple[list[str], int]:
+def check_mutation_sensitivity(s: _Shape) -> tuple[list[str], int]:
     """Deleting any single within-component directed edge breaks verification."""
     g = s.g
     _, comp = s.simple
@@ -190,7 +197,7 @@ def _mutation_sensitivity(s: _Shape) -> tuple[list[str], int]:
     return silent, total
 
 
-def _underlying_and_omega(s: _Shape) -> tuple[list[str], int]:
+def check_underlying_and_omega(s: _Shape) -> tuple[list[str], int]:
     """
     Simple underlying graph is the Knuth graph; the shift is an automorphism;
     and the move kernel, run at the shift of each orbit's least vertex, gives
@@ -218,7 +225,7 @@ def _underlying_and_omega(s: _Shape) -> tuple[list[str], int]:
 _FIXTURE_SHAPE = Partition((3, 2))
 
 
-def _restriction_cells(s: _Shape) -> tuple[list[str], int]:
+def check_restriction_cells(s: _Shape) -> tuple[list[str], int]:
     """
     Cells of the restriction to [1, n-1] are the recording-tableau fibers
     and each is isomorphic, via insertion, to the finite graph of its key.
@@ -261,7 +268,7 @@ def _restriction_cells(s: _Shape) -> tuple[list[str], int]:
     return bad + reference, 0
 
 
-def _finite_move_labels(s: _Shape) -> tuple[list[str], int]:
+def check_finite_move_labels(s: _Shape) -> tuple[list[str], int]:
     """
     Every move between standard tableaux surviving the restriction swaps
     j out of row 1 and i out of row 2 with j >= i - 1.
@@ -282,7 +289,7 @@ def _finite_move_labels(s: _Shape) -> tuple[list[str], int]:
     return bad, checked
 
 
-def _shift_suite(s: _Shape) -> tuple[list[str], int]:
+def check_shift_suite(s: _Shape) -> tuple[list[str], int]:
     """
     The insertion-shape case table under the shift, the standardization
     properties for unequal and equal rows, first-kind cross-component edges,
@@ -317,7 +324,7 @@ def _shift_suite(s: _Shape) -> tuple[list[str], int]:
 
 
 def _sigma_findings(s: _Shape, sigma: tuple[int, ...]) -> list[str]:
-    """The case table and the standardization properties of _shift_suite."""
+    """The case table and the standardization properties of check_shift_suite."""
     shape, vertices, standard, masks = s.shape, s.g.vertices, s.standard, s.masks
     n = shape.n
     # the first two parts of each insertion shape, 0 for a missing second row
@@ -357,7 +364,7 @@ def _sigma_findings(s: _Shape, sigma: tuple[int, ...]) -> list[str]:
     return bad
 
 
-def _coset_suite(s: _Shape) -> tuple[list[str], int]:
+def check_coset_suite(s: _Shape) -> tuple[list[str], int]:
     """
     The map w -> w applied to the canonical tableau is a bijection from the
     minimal coset representatives onto the row-standard tableaux, in order,
@@ -386,42 +393,43 @@ def _coset_suite(s: _Shape) -> tuple[list[str], int]:
     return bad, 0
 
 
-ALL_CHECKS = (
-    "fixtures",
-    "verification_sweep",
-    "equal_variants",
-    "mutation_sensitivity",
-    "underlying_and_omega",
-    "rsk_vector",
-    "restriction_cells",
-    "finite_move_labels",
-    "shift_suite",
-    "coset_suite",
-)
+# One row per check, in report order: the shapes the check sweeps for a
+# given max_n, its pass detail (a format of max_n and of the items checked,
+# summed over the shapes) and how many findings a failing result shows
+# (None: all).  Mutation sensitivity stops at n = 6, the finite move labels
+# run one size higher, and the restriction cells also run on (3,2), the
+# shape of the transcribed reference.  The three rows that sweep no shapes
+# hold nothing else: their checks make their own result.
+_CHECKS = {
+    "fixtures": (None, None, None),
+    "verification_sweep": (lambda shape, max_n: shape.n <= max_n, "{checked} shapes, rules + module relations", None),
+    "equal_variants": (None, None, None),
+    "mutation_sensitivity": (
+        lambda shape, max_n: shape.n <= min(max_n, 6), "{checked} single-edge deletions all detected", None,
+    ),
+    "underlying_and_omega": (lambda shape, max_n: shape.n <= max_n, "n <= {max_n}", None),
+    "rsk_vector": (None, None, None),
+    "restriction_cells": (lambda shape, max_n: shape.n <= max_n or shape == _FIXTURE_SHAPE, "n <= {max_n}", None),
+    "finite_move_labels": (lambda shape, max_n: shape.n <= max_n + 1, "{checked} moves, all with j >= i-1", None),
+    "shift_suite": (lambda shape, max_n: shape.n <= max_n, "n <= {max_n}", 4),
+    "coset_suite": (lambda shape, max_n: shape.n <= max_n, "n <= {max_n}", 4),
+}
+ALL_CHECKS = tuple(_CHECKS)
+__all__ += ["check_" + name for name in ALL_CHECKS]
 
 
-# The swept checks in report order, one per-shape part each, with the shapes
-# each runs on for a given max_n.  A part returns its findings on the shape
-# and the number of items it checked.  Mutation sensitivity stops at n = 6,
-# the finite move labels run one size higher, and the restriction cells also
-# run on (3,2), the shape of the transcribed reference.
-_PARTS = (
-    ("verification_sweep", _verification, lambda shape, max_n: shape.n <= max_n),
-    ("mutation_sensitivity", _mutation_sensitivity, lambda shape, max_n: shape.n <= min(max_n, 6)),
-    ("underlying_and_omega", _underlying_and_omega, lambda shape, max_n: shape.n <= max_n),
-    ("restriction_cells", _restriction_cells, lambda shape, max_n: shape.n <= max_n or shape == _FIXTURE_SHAPE),
-    ("finite_move_labels", _finite_move_labels, lambda shape, max_n: shape.n <= max_n + 1),
-    ("shift_suite", _shift_suite, lambda shape, max_n: shape.n <= max_n),
-    ("coset_suite", _coset_suite, lambda shape, max_n: shape.n <= max_n),
-)
+def _swept(names) -> list[tuple[str, Callable[[Partition, int], bool], str, int | None]]:
+    """The rows of the named checks that sweep shapes, in report order."""
+    return [(name, *row) for name, row in _CHECKS.items() if row[0] is not None and name in names]
 
 
 def _run_shapes(shapes: list[Partition], max_n: int, names) -> list[list[tuple[list[str], int]]]:
     """
-    Per shape, the parts of the named checks in _PARTS order.  The shapes
-    of one size share the finite graphs they build (a cell's insertion
-    shape has the same size), so each finite graph is built once.
+    Per shape, what each named swept check returns on it, in report order.
+    The shapes of one size share the finite graphs they build (a cell's
+    insertion shape has the same size), so each finite graph is built once.
     """
+    swept = _swept(names)
     outcomes = {}
     size = attrgetter("n")
     for _, same_size in groupby(sorted(shapes, key=size), key=size):
@@ -429,8 +437,8 @@ def _run_shapes(shapes: list[Partition], max_n: int, names) -> list[list[tuple[l
         for shape in same_size:
             s = _Shape(shape, finite_graph)
             outcomes[shape] = [
-                part(s) if runs(shape, max_n) else ([], 0)
-                for name, part, runs in _PARTS if name in names
+                globals()["check_" + name](s) if sweeps(shape, max_n) else ([], 0)
+                for name, sweeps, _, _ in swept
             ]
     return [outcomes[shape] for shape in shapes]
 
@@ -445,10 +453,10 @@ def _sweep(max_n: int, names, jobs: int = 1) -> dict[str, RegressResult]:
         raise ValueError(f"max_n must be at least 3, the size of the smallest shape, not {max_n}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
-    parts = [(name, runs) for name, _, runs in _PARTS if name in names]
+    swept = _swept(names)
     shapes = [
         shape for shape in two_row_shapes(3, max(max_n + 1, _FIXTURE_SHAPE.n))
-        if any(runs(shape, max_n) for _, runs in parts)
+        if any(sweeps(shape, max_n) for _, sweeps, _, _ in swept)
     ]
     # a process per shape at most: the pool forks all its workers up front
     jobs = min(jobs, len(shapes))
@@ -471,31 +479,19 @@ def _sweep(max_n: int, names, jobs: int = 1) -> dict[str, RegressResult]:
         outcomes = [done[shape] for shape in shapes]
     else:
         outcomes = _run_shapes(shapes, max_n, names)
-    return {
-        name: _result(name, [item for items, _ in per_shape for item in items], sum(c for _, c in per_shape), max_n)
-        for (name, _), per_shape in zip(parts, zip(*outcomes))
-    }
-
-
-def _result(name: str, bad: list[str], checked: int, max_n: int) -> RegressResult:
-    if bad:
-        # the two suites report only their first four findings
-        shown = bad[:4] if name in ("shift_suite", "coset_suite") else bad
-        return RegressResult(name, False, ", ".join(shown))
-    detail = {
-        "verification_sweep": f"{checked} shapes, rules + module relations",
-        "mutation_sensitivity": f"{checked} single-edge deletions all detected",
-        "finite_move_labels": f"{checked} moves, all with j >= i-1",
-    }
-    return RegressResult(name, True, detail.get(name, f"n <= {max_n}"))
+    results = {}
+    for (name, _, detail, cap), per_shape in zip(swept, zip(*outcomes)):
+        bad = [item for items, _ in per_shape for item in items]
+        passed = detail.format(checked=sum(c for _, c in per_shape), max_n=max_n)
+        results[name] = RegressResult(name, not bad, ", ".join(bad[:cap]) if bad else passed)
+    return results
 
 
 def run_regression(max_n: int = 8, jobs: int = 1) -> list[RegressResult]:
     """
-    Run every check.  max_n bounds the shape sweeps; the finite move-label
-    check runs one size higher, and mutation sensitivity is capped at n = 6.
+    Run every check: the swept ones first, then the others.  max_n bounds
+    the shape sweeps; the finite move-label check runs one size higher, and
+    mutation sensitivity is capped at n = 6.
     """
     results = _sweep(max_n, ALL_CHECKS, jobs)
-    for result in (check_fixtures(), check_equal_variants(), check_rsk_vector()):
-        results[result.name] = result
-    return [results[name] for name in ALL_CHECKS]
+    return [results[name] if name in results else globals()["check_" + name]() for name in ALL_CHECKS]

@@ -545,9 +545,11 @@ def graph_to_dot(g: LabeledWGraph, name: str = "wgraph") -> str:
     """
     DOT rendering: mutual weight-1 pairs appear once with dir=none, every
     other edge, self-loops included, as an arrow; vertex labels = compact
-    tableau text plus tau.
+    tableau text plus tau.  The name is a quoted ID, its backslashes and
+    double quotes escaped.
     """
-    lines = [f'digraph "{name}" {{', '  node [shape=box fontname="monospace"];']
+    quoted = name.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{quoted}" {{', '  node [shape=box fontname="monospace"];']
     for k, t in enumerate(g.vertices):
         tau = "{" + ",".join(str(i) for i in sorted(g.tau[k])) + "}"
         lines.append(f'  v{k} [label="{tableau_text(t)}\\n{tau}"];')

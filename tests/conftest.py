@@ -23,7 +23,7 @@ def two_row_shapes(min_n: int, max_n: int) -> list[Partition]:
     ]
 
 
-def check_verification_sweep(max_n: int = 8) -> RegressResult:
+def verification_sweep(max_n: int = 8) -> RegressResult:
     """
     The verification sweep of run_regression alone: both verification paths
     pass on the affine graph of every shape with n <= max_n.

@@ -44,7 +44,8 @@ medians of both, the median and quartiles of their ratio times the
 benchmark's REF_START_S (the setup_s method), the largest cumulative
 entries of `-X importtime` for one more set-up start, and whether
 PYTHONDONTWRITEBYTECODE is set: when it is, no bytecode cache is written,
-so every start also compiles the package.
+so every start also compiles the package.  R is at least 1, and at least
+2 with --startup, for the quartiles.
 Pytest does not collect this file.
 """
 
@@ -231,6 +232,10 @@ def main() -> None:
     parser.add_argument("--big", action="store_true", help="also time (9,9), a few seconds a round")
     parser.add_argument("--startup", action="store_true", help="time cold starts instead of the stages")
     args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    if args.startup and args.rounds < 2:
+        parser.error("--rounds must be at least 2 with --startup, for the quartiles")
     if args.startup:
         startup(args.rounds)
         return

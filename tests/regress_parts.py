@@ -1,18 +1,18 @@
 """
-Time serial regression runs per swept part:
+Time serial regression runs per check:
 
     PYTHONPATH=src python tests/regress_parts.py --max-n 14
     PYTHONPATH=src python tests/regress_parts.py --max-n 10 --rounds 12
 
-Wraps each regress._PARTS function, the three checks run_regression calls
-outside the sweep (fixtures, equal_variants, rsk_vector) and
-regress.build_affine_graph, times the generation-2 collections
+Wraps regress.check_<name> for each name in regress.ALL_CHECKS (a swept
+check is called once per shape, and its time is summed over the shapes)
+and regress.build_affine_graph, times the generation-2 collections
 (gc.callbacks) and reads the peak RSS (getrusage).  It runs the regression
 --rounds times in this process, one after another, and prints, for each
-part, the builds, the whole run and the collections' count and seconds, the
-median, minimum and maximum over the rounds; then the peak RSS.  No cache
-of the package outlives a run.  Exits 0 only if every check passes in
-every round.
+check, the builds, the whole run and the collections' count and seconds,
+the median, minimum and maximum over the rounds; then the peak RSS.  No
+cache of the package outlives a run.  Exits 0 only if every check passes in
+every round, and 2 on a --max-n below 3 or --rounds below 1.
 """
 
 import argparse
@@ -25,14 +25,14 @@ from time import perf_counter
 
 import affwgraph.regress as regress
 
-UNSWEPT = ("check_fixtures", "check_equal_variants", "check_rsk_vector")
-
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Time serial regression runs per swept part.")
+    parser = argparse.ArgumentParser(description="Time serial regression runs per check.")
     parser.add_argument("--max-n", type=int, default=8)
     parser.add_argument("--rounds", type=int, default=1, help="serial runs in this process (default 1)")
     args = parser.parse_args()
+    if args.max_n < 3:
+        parser.error("--max-n must be at least 3, the size of the smallest shape")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     seconds: dict[str, float] = defaultdict(float)  # of the current round
@@ -45,9 +45,8 @@ def main() -> int:
             return result
         return wrapper
 
-    regress._PARTS = tuple((name, timed(name, part), runs) for name, part, runs in regress._PARTS)
-    for check in UNSWEPT:
-        setattr(regress, check, timed(check.removeprefix("check_"), getattr(regress, check)))
+    for name in regress.ALL_CHECKS:
+        setattr(regress, f"check_{name}", timed(name, getattr(regress, f"check_{name}")))
     regress.build_affine_graph = timed("affine builds", regress.build_affine_graph)
     collections, started = [], [0.0]
 
@@ -59,8 +58,7 @@ def main() -> int:
                 collections.append(perf_counter() - started[0])
 
     gc.callbacks.append(on_collection)
-    names = [name for name, _, _ in regress._PARTS]
-    names += [check.removeprefix("check_") for check in UNSWEPT] + ["affine builds", "whole run"]
+    names = [*regress.ALL_CHECKS, "affine builds", "whole run"]
     rounds: dict[str, list[float]] = defaultdict(list)
     failed = set()
     for _ in range(args.rounds):

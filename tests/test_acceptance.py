@@ -17,7 +17,7 @@ from affwgraph import (
 from affwgraph.fixtures import load_fixture
 from affwgraph.regress import check_equal_variants, check_rsk_vector, run_regression
 
-from conftest import check_verification_sweep
+from conftest import verification_sweep
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +52,7 @@ def test_criterion_01_reference_fixtures():
 
 def test_criterion_02_module_relations_and_rules():
     start = time.perf_counter()
-    result = check_verification_sweep(max_n=8)
+    result = verification_sweep(max_n=8)
     elapsed = time.perf_counter() - start
     ok = result.passed and elapsed < 300.0
     _line(2, ok, f"{result.detail} in {elapsed:.1f}s (limit 300s)")
@@ -63,7 +63,7 @@ def test_criterion_02_module_relations_and_rules():
 def test_verification_sweep_to_n12():
     # raised sweep ceiling: both paths on all 35 two-row shapes with n <= 12
     start = time.perf_counter()
-    result = check_verification_sweep(max_n=12)
+    result = verification_sweep(max_n=12)
     elapsed = time.perf_counter() - start
     ok = result.passed and elapsed < 60.0
     print(f"sweep n <= 12 [{'PASS' if ok else 'FAIL'}]: {result.detail} in {elapsed:.1f}s (limit 60s)")
@@ -75,7 +75,7 @@ def test_verification_sweep_to_n12():
 def test_verification_sweep_to_n14():
     # both paths on all 48 two-row shapes with n <= 14
     start = time.perf_counter()
-    result = check_verification_sweep(max_n=14)
+    result = verification_sweep(max_n=14)
     elapsed = time.perf_counter() - start
     ok = result.passed and elapsed < 60.0
     print(f"sweep n <= 14 [{'PASS' if ok else 'FAIL'}]: {result.detail} in {elapsed:.1f}s (limit 60s)")
@@ -87,7 +87,7 @@ def test_verification_sweep_to_n14():
 def test_verification_sweep_to_n16():
     # both paths on all 63 two-row shapes with n <= 16
     start = time.perf_counter()
-    result = check_verification_sweep(max_n=16)
+    result = verification_sweep(max_n=16)
     elapsed = time.perf_counter() - start
     ok = result.passed and elapsed < 60.0
     print(f"sweep n <= 16 [{'PASS' if ok else 'FAIL'}]: {result.detail} in {elapsed:.1f}s (limit 60s)")

@@ -18,7 +18,7 @@ from affwgraph.cli import main
 from affwgraph.rsk import RskPair
 from affwgraph.wgraph import simple_component_ids
 
-from conftest import check_verification_sweep, exactly
+from conftest import exactly, verification_sweep
 
 # the package exports the function rsk under the module's name
 rsk_module = importlib.import_module("affwgraph.rsk")
@@ -105,7 +105,7 @@ def test_each_shape_is_built_once(build_calls):
 
 
 def test_verification_sweep_builds_only_its_shapes(build_calls):
-    result = check_verification_sweep(max_n=5)
+    result = verification_sweep(max_n=5)
     assert result == regress.RegressResult(
         "verification_sweep", True, "5 shapes, rules + module relations"
     )
@@ -160,7 +160,7 @@ def test_max_n_below_three_rejected(max_n):
     with pytest.raises(ValueError, match="at least 3"):
         regress.run_regression(max_n=max_n)
     with pytest.raises(ValueError, match="at least 3"):
-        check_verification_sweep(max_n=max_n)
+        verification_sweep(max_n=max_n)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -186,6 +186,49 @@ def test_max_n_and_jobs_that_are_not_ints_rejected(kwargs, message):
 
 def test_serial_and_parallel_runs_agree():
     assert regress.run_regression(max_n=8, jobs=2) == regress.run_regression(max_n=8)
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Counts the calls of each regress.check_<name>, by name and shape (None for a check of no shape)."""
+    calls = Counter()
+
+    def counted(name, check):
+        def wrapper(*args):
+            calls[name, args[0].shape if args else None] += 1
+            return check(*args)
+
+        return wrapper
+
+    for name in regress.ALL_CHECKS:
+        monkeypatch.setattr(regress, f"check_{name}", counted(name, getattr(regress, f"check_{name}")))
+    return calls
+
+
+def test_every_check_is_a_module_function_of_its_name():
+    for name in regress.ALL_CHECKS:
+        check = getattr(regress, f"check_{name}")
+        assert check.__module__ == "affwgraph.regress" and check.__name__ == f"check_{name}"
+        assert f"check_{name}" in regress.__all__
+
+
+def test_every_check_runs_through_its_module_attribute(check_calls):
+    results = regress.run_regression(max_n=6)
+    assert [r.name for r in results] == list(regress.ALL_CHECKS) and all(r.passed for r in results)
+    up_to = {n: [Partition((m - b, b)) for m in range(3, n + 1) for b in range(1, m // 2 + 1)] for n in (6, 7)}
+    expected = Counter({(name, None): 1 for name in ("fixtures", "equal_variants", "rsk_vector")})
+    for name in regress.ALL_CHECKS:
+        if (name, None) not in expected:
+            # mutation sensitivity stops at n = 6, here max_n itself
+            expected.update((name, shape) for shape in up_to[7 if name == "finite_move_labels" else 6])
+    assert check_calls == expected
+
+
+def test_restriction_cells_runs_on_the_reference_shape_above_max_n(check_calls):
+    regress.run_regression(max_n=3)
+    assert [shape for name, shape in check_calls if name == "restriction_cells"] == [
+        Partition((2, 1)), Partition((3, 2)),
+    ]
 
 
 def test_rsk_runs_once_per_swept_vertex(monkeypatch):
@@ -524,5 +567,5 @@ def test_shift_suite_sees_a_shift_cycle_without_standard_tableaux(monkeypatch, p
     # run directly, as the result shows only its first four findings
     monkeypatch.setattr(regress, "is_standard", lambda t: False)
     shape = Partition(parts)
-    bad, _ = regress._shift_suite(regress._Shape(shape, regress.build_finite_graph))
+    bad, _ = regress.check_shift_suite(regress._Shape(shape, regress.build_finite_graph))
     assert [f for f in bad if f.endswith(f":{item}")] == [f"{shape}:{t}:{item}" for t in enumerate_rsyt(shape)]

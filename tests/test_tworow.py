@@ -28,7 +28,7 @@ from affwgraph import (
 )
 from affwgraph.cli import main
 from affwgraph.fixtures import load_fixture
-from affwgraph.regress import _mutation_sensitivity, _Shape
+from affwgraph.regress import _Shape, check_mutation_sensitivity
 from affwgraph.tableaux import pint, row_codes
 from affwgraph.tworow import (
     _finite_second_kind_valid,
@@ -665,7 +665,7 @@ def test_equal_variant_reads_its_affine_graphs_tableaux(made, monkeypatch, p):
 
 
 def test_mutation_check_makes_no_tableau(made):
-    silent, total = _mutation_sensitivity(_Shape(Partition((4, 2)), build_finite_graph))
+    silent, total = check_mutation_sensitivity(_Shape(Partition((4, 2)), build_finite_graph))
     assert silent == [] and total > 0 and made == []
 
 

@@ -328,6 +328,10 @@ class TestSerialization:
         assert '  v1 -> v1 [label="2"];' in lines
         assert len(lines) == 22 and sum("dir=none" in ln for ln in lines) == 10
 
+    def test_dot_name_is_an_escaped_quoted_id(self, g32):
+        first = graph_to_dot(g32, 'a"b\\c\\').splitlines()[0]
+        assert first == r'digraph "a\"b\\c\\" {'
+
     def test_dot_deterministic(self, g32):
         assert graph_to_dot(g32) == graph_to_dot(g32)
 
